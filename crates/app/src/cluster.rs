@@ -40,8 +40,7 @@
 //! draws nothing, and folds its own event stream — routing decisions,
 //! crashes, evictions, retries, and each finished instance's fingerprint
 //! — into an order-sensitive cluster fingerprint. Two runs of the same
-//! `(config, seed)` are bit-identical regardless of the hosts' event
-//! queue backend.
+//! `(config, seed)` are bit-identical.
 
 use crate::runner::{ClientLedger, CrashReport, RunConfig, RunResult, Runner};
 use sim::fabric::{FabricConfig, HealthCheck, HostEvent, HostEventKind, RetryPolicy};
@@ -591,8 +590,7 @@ pub struct ClusterResult {
     /// The conservation audit (see [`ClusterAudit::violations`]).
     pub audit: ClusterAudit,
     /// Order-sensitive hash of the cluster event stream with every
-    /// instance fingerprint folded in; bit-identical across reruns and
-    /// host queue backends.
+    /// instance fingerprint folded in; bit-identical across reruns.
     pub fingerprint: u64,
     /// Events dispatched: cluster loop plus every host instance.
     pub events_executed: u64,

@@ -24,8 +24,6 @@
 //!   cluster-level conservation audits.
 //! * [`evpool`] — packet interning and lazy timer cancellation keeping
 //!   the runner's event entries small.
-//! * [`partition`] — conflict classification of the dispatched event
-//!   stream and the wave planner behind `RunResult::partition_stats`.
 //! * [`runner`] — the discrete-event loop tying the machine, NIC, TCP
 //!   stack, listen socket, servers, and clients together.
 //! * [`search`] — the offered-rate saturation search.
@@ -39,7 +37,6 @@ pub mod client;
 pub mod cluster;
 pub mod evpool;
 pub mod files;
-pub mod partition;
 pub mod runner;
 pub mod search;
 pub mod server;
@@ -50,7 +47,6 @@ pub use cluster::{
     ClusterAudit, ClusterConfig, ClusterResult, ClusterRunner, ClusterStats, FlashCrowd,
     HostReport, LbPolicy,
 };
-pub use partition::{Partition, PartitionStats};
 pub use runner::{ClientLedger, CrashReport, ListenKind, RunConfig, RunResult, Runner};
 pub use search::{find_saturation, find_saturation_budgeted};
 pub use server::ServerKind;

@@ -18,7 +18,6 @@ use crate::audit::{
 use crate::batch::BatchJob;
 use crate::client::{CConnId, Clients, SynRetrans};
 use crate::evpool::{LazyTimers, PktSlab};
-use crate::partition::{Partition, PartitionStats, WavePlanner};
 use crate::server::{STask, ServerKind, TaskRole};
 use crate::workload::Workload;
 use affinity_accept::{
@@ -30,7 +29,6 @@ use metrics::{Histogram, PerfCounters};
 use nic::packet::RingId;
 use nic::{Nic, Packet, PacketKind, RxOutcome, Steering};
 use sim::core_set::CoreSet;
-use sim::events::Backend;
 use sim::fastmap::FastMap;
 use sim::fault::{FaultPlan, FaultStats};
 use sim::fingerprint::ActiveFingerprint;
@@ -194,10 +192,6 @@ pub struct RunConfig {
     pub app_cycles: Cycles,
     /// Tracked `file` objects (bounded subset of the 30,000-file set).
     pub tracked_files: usize,
-    /// Event-queue backend. The timer wheel is the default; the binary
-    /// heap is kept for differential tests and perf baselines — both must
-    /// produce bit-identical run fingerprints.
-    pub evq: Backend,
     /// Fault-injection plan. The default ([`FaultPlan::none`]) schedules
     /// no events and draws no randomness: fingerprints are bit-identical
     /// to a build without the fault plane.
@@ -214,13 +208,6 @@ pub struct RunConfig {
     /// collection. Pure accounting — no events and no RNG draws, so
     /// enabling it never perturbs fingerprints.
     pub timeline_bucket: Cycles,
-    /// Fuzz seed for the partition classifier: when set, a dedicated RNG
-    /// stream randomly flips each dispatched event's partition before it
-    /// reaches the wave planner. Classification feeds statistics only,
-    /// so any seed must leave the fingerprint and every end-state metric
-    /// bit-identical — the differential suite proves it. `None` (the
-    /// default) classifies honestly.
-    pub partition_fuzz: Option<u64>,
     /// Cluster plane: when set, the host generates no open-loop arrivals
     /// of its own — connections enter only through
     /// [`Runner::inject_conn`] (the load-balancer tier's deliveries).
@@ -271,12 +258,10 @@ impl RunConfig {
             steal_ratio_local: 5,
             max_backlog: 128 * cores,
             tracked_files: 2_000,
-            evq: Backend::Wheel,
             fault: FaultPlan::none(),
             overload: OverloadConfig::none(),
             hotplug: Vec::new(),
             timeline_bucket: 0,
-            partition_fuzz: None,
             external_arrivals: false,
             start_at: 0,
         }
@@ -342,13 +327,6 @@ pub struct RunResult {
     /// Whole-run client-abandoned established connections owned by a down
     /// core (expected casualties of a kill).
     pub timeouts_dead_owner: u64,
-    /// Conflict-partition accounting over the whole dispatched stream:
-    /// how many events were confined to one core lane or the client
-    /// fleet, how many forced serialization, and the critical-path bound
-    /// an ideal conflict-respecting parallel executor faces (DESIGN.md
-    /// §11). Backend-independent: every `(shards, threads)` shape and
-    /// both instrumentation modes report identical numbers.
-    pub partition_stats: PartitionStats,
     /// dprof-v2 cacheline report: per-type wasted-bytes and eviction-reuse
     /// aggregates (empty with `enabled: false` unless
     /// [`RunConfig::dprof_v2`] was set in an instrumented build).
@@ -506,12 +484,9 @@ struct ConnApp {
     task: u32,
 }
 
-/// The mutable scheduling state owned by exactly one core — the runner's
-/// side of the [`Partition::Core`] write-set contract. Every field here
-/// is only ever read or written while handling an event on this core's
-/// lane (or at a global serialization point such as hotplug), so a
-/// conflict-respecting executor could hand each `CoreState` to a
-/// different worker inside a wave without synchronization.
+/// The mutable scheduling state owned by exactly one core. Every field
+/// here is only ever read or written while handling an event on this
+/// core's lane (or at a global point such as hotplug).
 ///
 /// Field order is by measured access affinity (the same analysis dprof-v2
 /// applies to the modeled kernel structs, turned on the simulator's own
@@ -587,8 +562,8 @@ pub struct Runner {
     listen: Box<dyn ListenSocket>,
     clients: Clients,
     tasks: Vec<STask>,
-    /// The per-core partition of the runner's mutable scheduling state —
-    /// one lane per active core (see [`CoreState`]).
+    /// The runner's per-core mutable scheduling state — one lane per
+    /// active core (see [`CoreState`]).
     lanes: Vec<CoreState>,
     conn_app: FastMap<ConnId, ConnApp>,
     twenty: Option<TwentyPolicy>,
@@ -608,17 +583,6 @@ pub struct Runner {
     cookie_pending: FastMap<nic::FlowTuple, Cycles>,
     /// Per-core backlog cap the shedding watermarks scale against.
     shed_cap: f64,
-    /// Streaming conflict-partition accounting over the dispatch stream.
-    planner: WavePlanner,
-    /// Partition of the event currently being handled (`Global` outside
-    /// a handler, so constructor seeding never counts as a conflict).
-    cur_part: Partition,
-    /// Dedicated RNG stream for [`RunConfig::partition_fuzz`]; never
-    /// touched when fuzzing is off, so the main stream stays aligned.
-    part_rng: Option<SimRng>,
-    /// Set by a push that crossed out of the current event's partition;
-    /// drained into `conflicted_events` after each handler.
-    conflicted: bool,
     measuring: bool,
     end_at: Cycles,
     served: u64,
@@ -755,19 +719,9 @@ impl Runner {
         let arrival_interval_mean = CYCLES_PER_SEC as f64 / cfg.conn_rate.max(1e-9);
         let end_at = cfg.start_at + cfg.warmup + cfg.measure;
         let n_rings = nic.n_rings();
-        // Reuse a pooled (already reset) queue with the right backend so
-        // sweep runs after the first start with warm allocations.
-        let (q, pkts, timers) = Q_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            match pool.iter().position(|(q, _, _)| q.backend() == cfg.evq) {
-                Some(i) => pool.swap_remove(i),
-                None => (
-                    EventQueue::with_backend(cfg.evq),
-                    PktSlab::default(),
-                    LazyTimers::default(),
-                ),
-            }
-        });
+        // Reuse a pooled (already reset) queue so sweep runs after the
+        // first start with warm allocations.
+        let (q, pkts, timers) = Q_POOL.with(|p| p.borrow_mut().pop().unwrap_or_default());
 
         let mut r = Self {
             rng: SimRng::new(cfg.seed),
@@ -776,10 +730,6 @@ impl Runner {
             ostats: OverloadStats::default(),
             cookie_pending: FastMap::default(),
             shed_cap,
-            planner: WavePlanner::new(cfg.cores),
-            cur_part: Partition::Global,
-            part_rng: cfg.partition_fuzz.map(SimRng::new),
-            conflicted: false,
             q,
             pkts,
             timers,
@@ -887,7 +837,7 @@ impl Runner {
 
     fn send_to_server(&mut self, pkt: Packet, at: Cycles) {
         let handle = self.pkts.intern(pkt);
-        self.sched(at, Ev::Wire(handle));
+        self.q.push(at, Ev::Wire(handle));
     }
 
     /// Narrows a client connection id for event storage. Ids are
@@ -911,14 +861,14 @@ impl Runner {
             let wire_end = self.nic.tx(t, pkt.wire_bytes());
             t = wire_end;
             let handle = self.pkts.intern(pkt);
-            self.sched(
+            self.q.push(
                 wire_end + PROP_DELAY,
                 Ev::ToClient(Self::ev_cid(cid), handle),
             );
             if left == 0 {
                 // The TX-completion interrupt fires on the connection's
                 // ring core once the last segment leaves.
-                self.sched(wire_end + IRQ_LATENCY, Ev::TxComplete(conn));
+                self.q.push(wire_end + IRQ_LATENCY, Ev::TxComplete(conn));
                 break;
             }
         }
@@ -932,7 +882,7 @@ impl Runner {
         let pkt = Packet::new(tuple, kind, 0);
         let wire_end = self.nic.tx(at, pkt.wire_bytes());
         let handle = self.pkts.intern(pkt);
-        self.sched(
+        self.q.push(
             wire_end + PROP_DELAY,
             Ev::ToClient(Self::ev_cid(cid), handle),
         );
@@ -942,8 +892,7 @@ impl Runner {
         let t = &mut self.tasks[tid as usize];
         if !t.queued {
             t.queued = true;
-            let core = t.core.index();
-            self.sched_to(core, at, Ev::TaskRun(tid));
+            self.q.push(at, Ev::TaskRun(tid));
         }
     }
 
@@ -1498,7 +1447,7 @@ impl Runner {
                     // created (a duplicate SYN keeps its existing timer).
                     if let Some(rp) = self.cfg.overload.reap {
                         if let Some(req) = self.k.reqs.lookup(&pkt.tuple) {
-                            self.sched(
+                            self.q.push(
                                 self.now + rp.backoff(1),
                                 Ev::ReqReap(Self::ev_req(req), 1, core.0),
                             );
@@ -1623,116 +1572,7 @@ impl Runner {
             self.softirq_pending[ring as usize] = false;
         } else {
             let at = self.cores.core(core).busy_until.max(self.now);
-            self.sched_to(usize::from(ring), at, Ev::Softirq(ring));
-        }
-    }
-
-    /// Classifies one event by the state its handler writes (the
-    /// conflict-partition model of DESIGN.md §11). Stats only — the
-    /// dispatch order never depends on the answer — but the answer must
-    /// itself be deterministic over the dispatch stream so every backend
-    /// and instrumentation mode reports identical partition stats.
-    fn classify(&self, ev: &Ev) -> Partition {
-        match ev {
-            // The client fleet is one shared lane: arrivals, thinks,
-            // timeouts, client-side packet receipt and retransmissions.
-            Ev::Arrival
-            | Ev::Inject(_)
-            | Ev::Think(_)
-            | Ev::Timeout(..)
-            | Ev::ToClient(..)
-            | Ev::SynRetrans(..) => Partition::Client,
-            // A wire delivery writes exactly one ring — the one steering
-            // routes the tuple to (as redirected under hotplug). With
-            // packet faults active the handler draws from the shared
-            // fault RNG stream first, which is order-sensitive: every
-            // wire event then serializes.
-            Ev::Wire(handle) => {
-                if self.cfg.fault.has_packet_faults() {
-                    return Partition::Global;
-                }
-                let pkt = self.pkts.get(*handle);
-                let ring = self.nic.steering.route(&pkt.tuple, self.nic.n_rings());
-                Partition::Core(self.lanes[self.nic.ring_core(ring).index()].redirect)
-            }
-            Ev::Softirq(ring) => {
-                Partition::Core(self.lanes[self.nic.ring_core(RingId(*ring)).index()].redirect)
-            }
-            Ev::TaskRun(tid) => Partition::Core(self.tasks[*tid as usize].core.0),
-            Ev::TxComplete(conn) => {
-                if self.k.has_conn(*conn) {
-                    Partition::Core(self.k.conn(*conn).rx_core.0)
-                } else {
-                    // The connection is gone; the handler is a no-op.
-                    Partition::Core(0)
-                }
-            }
-            Ev::Hog(c) | Ev::PollAccept(c) => Partition::Core(*c),
-            Ev::ReqReap(_, _, c) => Partition::Core(self.lanes[usize::from(*c)].redirect),
-            // Cross-lane writes (balancers, hotplug, the watchdog scan,
-            // the measurement switch) and injected stalls: each one is a
-            // serialization point.
-            Ev::Balance
-            | Ev::SchedBalance
-            | Ev::MeasureStart
-            | Ev::Watchdog
-            | Ev::CoreDown(_)
-            | Ev::CoreUp(_)
-            | Ev::CoreStall(_) => Partition::Global,
-        }
-    }
-
-    /// [`Runner::classify`] with the optional fuzz stream applied: under
-    /// [`RunConfig::partition_fuzz`] a quarter of events land in a
-    /// random partition instead. Execution never looks at the result,
-    /// so any flip pattern must leave the run bit-identical.
-    fn classify_dispatch(&mut self, ev: &Ev) -> Partition {
-        let natural = self.classify(ev);
-        let cores = self.cfg.cores as u64;
-        let Some(rng) = &mut self.part_rng else {
-            return natural;
-        };
-        if !rng.chance(0.25) {
-            return natural;
-        }
-        match rng.below(3) {
-            0 => Partition::Core(rng.below(cores) as u16),
-            1 => Partition::Client,
-            _ => Partition::Global,
-        }
-    }
-
-    /// Schedules `ev` at `at` on the canonical queue, charging a
-    /// conflict to the event currently being handled when the push
-    /// leaves its partition (a core event waking another lane, a client
-    /// event materializing server-side work).
-    fn sched(&mut self, at: Cycles, ev: Ev) {
-        self.note_push(&ev);
-        self.q.push(at, ev);
-    }
-
-    /// [`Runner::sched`] with an explicit shard hint (per-core events
-    /// keep their lane's shard under the sharded backend).
-    fn sched_to(&mut self, shard: usize, at: Cycles, ev: Ev) {
-        self.note_push(&ev);
-        self.q.push_to(shard, at, ev);
-    }
-
-    fn note_push(&mut self, ev: &Ev) {
-        // `cur_part` is Global outside a handler (construction, the run
-        // loop itself), and global events may touch anything by design.
-        // Conflicted is sticky per event, so once set the remaining
-        // pushes of the same handler skip classification entirely.
-        if self.conflicted {
-            return;
-        }
-        match self.cur_part {
-            Partition::Global => {}
-            cur => {
-                if self.classify(ev) != cur {
-                    self.conflicted = true;
-                }
-            }
+            self.q.push(at, Ev::Softirq(ring));
         }
     }
 
@@ -1783,18 +1623,18 @@ impl Runner {
                 let (cid, syn) = self.clients.start_conn(self.now);
                 self.send_to_server(syn, self.now + PROP_DELAY);
                 if let Some(rp) = self.cfg.fault.retrans {
-                    self.sched(
+                    self.q.push(
                         self.now + rp.backoff(1),
                         Ev::SynRetrans(Self::ev_cid(cid), 1),
                     );
                 }
                 let gen = self.timers.arm(cid);
-                self.sched(
+                self.q.push(
                     self.now + self.clients.workload().timeout,
                     Ev::Timeout(Self::ev_cid(cid), gen),
                 );
                 let gap = self.rng.exp(self.arrival_interval_mean).max(1.0) as Cycles;
-                self.sched(self.now + gap, Ev::Arrival);
+                self.q.push(self.now + gap, Ev::Arrival);
             }
             Ev::Inject(flags) => {
                 // One LB-tier delivery: the arrival body without the
@@ -1809,13 +1649,13 @@ impl Runner {
                 let (cid, syn) = self.clients.start_conn_tagged(self.now, retry);
                 self.send_to_server(syn, self.now + PROP_DELAY);
                 if let Some(rp) = self.cfg.fault.retrans {
-                    self.sched(
+                    self.q.push(
                         self.now + rp.backoff(1),
                         Ev::SynRetrans(Self::ev_cid(cid), 1),
                     );
                 }
                 let gen = self.timers.arm(cid);
-                self.sched(
+                self.q.push(
                     self.now + self.clients.workload().timeout,
                     Ev::Timeout(Self::ev_cid(cid), gen),
                 );
@@ -1828,11 +1668,7 @@ impl Runner {
                     RxOutcome::Delivered { ring, at } => {
                         if !self.softirq_pending[ring.0 as usize] {
                             self.softirq_pending[ring.0 as usize] = true;
-                            self.sched_to(
-                                usize::from(ring.0),
-                                at + IRQ_LATENCY,
-                                Ev::Softirq(ring.0),
-                            );
+                            self.q.push(at + IRQ_LATENCY, Ev::Softirq(ring.0));
                         }
                     }
                     RxOutcome::DroppedRingFull | RxOutcome::DroppedFlush => {}
@@ -1888,7 +1724,7 @@ impl Runner {
                     self.send_to_server(p, self.now + PROP_DELAY);
                 }
                 if let Some(t) = r.think_until {
-                    self.sched(t, Ev::Think(cid));
+                    self.q.push(t, Ev::Think(cid));
                 }
             }
             Ev::Balance => {
@@ -1944,7 +1780,7 @@ impl Runner {
                         moved += 1;
                     }
                 }
-                self.sched(self.now + ms(10), Ev::SchedBalance);
+                self.q.push(self.now + ms(10), Ev::SchedBalance);
             }
             Ev::Hog(core) => {
                 // The batch job never blocks the event timeline: softirqs
@@ -1967,7 +1803,7 @@ impl Runner {
                         job.credit(c, idle, wall);
                     }
                 }
-                self.sched(self.now + crate::batch::SLICE, Ev::Hog(core));
+                self.q.push(self.now + crate::batch::SLICE, Ev::Hog(core));
             }
             Ev::MeasureStart => {
                 self.measuring = true;
@@ -1996,7 +1832,7 @@ impl Runner {
                     SynRetrans::Resend(syn) => {
                         self.fstats.retrans_sent += 1;
                         self.send_to_server(syn, self.now + PROP_DELAY);
-                        self.sched(
+                        self.q.push(
                             self.now + rp.backoff(attempt + 1),
                             Ev::SynRetrans(cid, attempt + 1),
                         );
@@ -2074,7 +1910,7 @@ impl Runner {
                     }
                 }
                 if self.now < self.end_at {
-                    self.sched(self.now + w.interval, Ev::Watchdog);
+                    self.q.push(self.now + w.interval, Ev::Watchdog);
                 }
             }
             Ev::ReqReap(rid, attempt, core_idx) => {
@@ -2097,7 +1933,7 @@ impl Runner {
                         let tuple = self.k.reqs.get(req).expect("checked above").tuple;
                         self.tx_control(start + d, tuple, PacketKind::SynAck);
                     }
-                    self.sched(
+                    self.q.push(
                         self.now + rp.backoff(u32::from(attempt) + 1),
                         Ev::ReqReap(rid, attempt + 1, core_idx),
                     );
@@ -2143,13 +1979,13 @@ impl Runner {
         if self.fault_rng.chance(dup_p) {
             let copy = *self.pkts.get(handle);
             let dup = self.pkts.intern(copy);
-            self.sched(self.now, Ev::Wire(dup));
+            self.q.push(self.now, Ev::Wire(dup));
             self.fstats.duplicated += 1;
             self.fingerprint.fold_event(self.now, FOLD_FAULT_DUP, key);
         }
         if self.fault_rng.chance(reorder_p) {
             let extra = 1 + self.fault_rng.below(reorder_delay.max(1));
-            self.sched(self.now + extra, Ev::Wire(handle));
+            self.q.push(self.now + extra, Ev::Wire(handle));
             self.fstats.reordered += 1;
             self.fingerprint
                 .fold_event(self.now, FOLD_FAULT_REORDER, key);
@@ -2159,22 +1995,15 @@ impl Runner {
     }
 
     /// Dispatches one popped event: advances the clock, folds the
-    /// fingerprint, notes the partition, runs the handler. This is the
-    /// loop body shared by [`Runner::run`] and [`Runner::run_until`].
+    /// fingerprint, runs the handler. This is the loop body shared by
+    /// [`Runner::run`] and [`Runner::run_until`].
     fn step_event(&mut self, t: Cycles, ev: Ev) {
         self.now = t;
         if sim::fingerprint::ENABLED {
             self.fold_event(t, &ev);
         }
         self.events_executed += 1;
-        let p = self.classify_dispatch(&ev);
-        self.planner.note(p);
-        self.cur_part = p;
         self.handle(ev);
-        self.cur_part = Partition::Global;
-        if std::mem::take(&mut self.conflicted) {
-            self.planner.conflict();
-        }
     }
 
     /// Cluster plane: advances the host to (but not past) `bound`,
@@ -2184,7 +2013,7 @@ impl Runner {
     /// the event sequence a straight `run` would — the epoch-advance
     /// protocol the cluster's shared clock relies on.
     pub fn run_until(&mut self, bound: Cycles) {
-        // The bounded peek keeps the wheel backend's cursor short of
+        // The bounded peek keeps the wheel's cursor short of
         // `bound`, so injections pushed between epochs (at times >= the
         // previous bound but before any far-future housekeeping event)
         // are filed — an unbounded peek would cascade past them and
@@ -2454,7 +2283,6 @@ impl Runner {
             timeline: self.timeline,
             timeouts_live_owner: self.timeouts_live_owner,
             timeouts_dead_owner: self.timeouts_dead_owner,
-            partition_stats: self.planner.finish(),
             cacheline,
             kernel: self.k,
         }
@@ -2483,19 +2311,6 @@ mod tests {
     #[test]
     fn ev_fits_its_budget() {
         assert!(std::mem::size_of::<Ev>() <= 16, "Ev grew");
-    }
-
-    #[test]
-    fn wheel_and_heap_backends_agree() {
-        let cfg = quick_cfg(ListenKind::Affinity, 2, 1_000.0);
-        let mut heap_cfg = cfg.clone();
-        heap_cfg.evq = Backend::Heap;
-        let a = Runner::new(cfg).run();
-        let b = Runner::new(heap_cfg).run();
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.served, b.served);
-        assert_eq!(a.events_executed, b.events_executed);
-        assert_eq!(a.audit.events_pending, b.audit.events_pending);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!    (7/8 capacity minus slack), the LB evicts the corpse within the
 //!    health-check detection bound, stranded connections recover
 //!    through the cross-host retry path, the cluster conservation
-//!    audit stays clean, and a replay (including one on the sharded
-//!    host event-queue backend) is bit-identical.
+//!    audit stays clean, and a replay is bit-identical.
 //! 2. **Rolling restart**: all 8 hosts drain, restart, and re-admit
 //!    through slow-start in a staggered wave. Gates: every host
 //!    restarts exactly once, every drain quiesces (zero stranded
@@ -30,7 +29,6 @@ use app::{
     ServerKind, Workload,
 };
 use metrics::json::Json;
-use sim::events::Backend;
 use sim::fabric::{rolling_restart, HostEvent, HostEventKind};
 use sim::time::{ms, Cycles};
 use sim::topology::Machine;
@@ -155,8 +153,8 @@ fn kill_pass(opts: &Opts) -> PassReport {
         kill_at / ms(1)
     );
 
-    // Per policy: baseline, kill, kill replayed, kill on the sharded
-    // host backend — the last two are the determinism gate.
+    // Per policy: baseline, kill, kill replayed — the last is the
+    // determinism gate.
     let mut configs = Vec::new();
     for &policy in &LbPolicy::ALL {
         let base = host_template(2, ListenKind::Affinity, warmup, measure);
@@ -168,15 +166,9 @@ fn kill_pass(opts: &Opts) -> PassReport {
             at: kill_at,
             kind: HostEventKind::Crash,
         }];
-        let mut sharded = kill.clone();
-        sharded.base.evq = Backend::Sharded {
-            shards: 2,
-            threads: 2,
-        };
         configs.push(cfg);
         configs.push(kill.clone());
         configs.push(kill);
-        configs.push(sharded);
     }
     let results = bench::par_map(configs, bench::default_workers(), |cfg| {
         ClusterRunner::new(cfg).run()
@@ -201,10 +193,9 @@ fn kill_pass(opts: &Opts) -> PassReport {
     let mut rows = Vec::new();
     let mut ok = true;
     for (i, &policy) in LbPolicy::ALL.iter().enumerate() {
-        let baseline = &results[4 * i];
-        let kill = &results[4 * i + 1];
-        let replay = &results[4 * i + 2];
-        let sharded = &results[4 * i + 3];
+        let baseline = &results[3 * i];
+        let kill = &results[3 * i + 1];
+        let replay = &results[3 * i + 2];
         let mut problems = Vec::new();
         violations_of("baseline", baseline, &mut problems);
         violations_of("kill", kill, &mut problems);
@@ -258,16 +249,6 @@ fn kill_pass(opts: &Opts) -> PassReport {
         if !replay_identical {
             problems.push("replay diverged: cluster run is not deterministic".to_string());
         }
-        let backend_identical = kill.fingerprint == sharded.fingerprint
-            && kill.stats == sharded.stats
-            && kill.served == sharded.served;
-        if !backend_identical {
-            problems.push(format!(
-                "sharded host backend changed the cluster run: fp {} vs {}, served {} vs {}, stats eq {}",
-                kill.fingerprint, sharded.fingerprint, kill.served, sharded.served,
-                kill.stats == sharded.stats
-            ));
-        }
         t.row_owned(vec![
             policy.label().to_string(),
             baseline.served.to_string(),
@@ -310,7 +291,6 @@ fn kill_pass(opts: &Opts) -> PassReport {
                 .field("retries_scheduled", kill.stats.retries_scheduled)
                 .field("retry_amplification", kill.retry_amplification)
                 .field("replay_identical", replay_identical)
-                .field("backend_identical", backend_identical)
                 .field(
                     "timeline",
                     Json::Arr(kill.timeline.iter().map(|&v| Json::U64(v)).collect()),

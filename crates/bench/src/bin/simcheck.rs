@@ -10,9 +10,7 @@
 //!    [`bench::sweep_fixed_workers`] at 1, 2, and N worker threads; the
 //!    result order and every value must not depend on the worker count.
 //! 3. **Fuzz**: randomized configurations run with conservation audits
-//!    enabled, then re-run on the sharded parallel event queue (2 worker
-//!    threads) — the parallel run must match the serial one bit-for-bit.
-//!    Any violation, divergence, or panic is shrunk to a minimal failing
+//!    enabled. Any violation or panic is shrunk to a minimal failing
 //!    [`app::RunConfig`] and printed as a ready-to-paste regression test.
 //!
 //! Writes a machine-readable report to `results/simcheck.json` and exits
@@ -441,40 +439,21 @@ fn random_config(rng: &mut SimRng) -> RunConfig {
     cfg
 }
 
-/// Runs one config with audits enabled, then re-runs it on the sharded
-/// parallel backend; returns the problem list (audit violations, a
-/// parallel-vs-serial divergence, or the panic message if a runner
-/// panicked).
+/// Runs one config with audits enabled; returns the problem list (audit
+/// violations, or the panic message if the runner panicked).
 fn problems_of(cfg: &RunConfig) -> Vec<String> {
-    let run = |cfg: RunConfig| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || Runner::new(cfg).run()))
-            .map_err(|payload| {
-                payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                    .unwrap_or_else(|| "non-string panic".to_string())
-            })
-    };
-    let serial = match run(cfg.clone()) {
-        Ok(r) => r,
-        Err(msg) => return vec![format!("panic: {msg}")],
-    };
-    let mut problems = serial.audit.violations();
-    let mut pcfg = cfg.clone();
-    pcfg.evq = sim::events::Backend::Sharded {
-        shards: cfg.cores as u16,
-        threads: 2,
-    };
-    match run(pcfg) {
-        Ok(parallel) => {
-            if let Some(why) = diverges(&serial, &parallel) {
-                problems.push(format!("parallel (2 threads) diverged from serial: {why}"));
-            }
+    let cfg = cfg.clone();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || Runner::new(cfg).run())) {
+        Ok(r) => r.audit.violations(),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_else(|| "non-string panic".to_string());
+            vec![format!("panic: {msg}")]
         }
-        Err(msg) => problems.push(format!("parallel (2 threads) panic: {msg}")),
     }
-    problems
 }
 
 fn fuzz_pass(opts: &Opts) -> FuzzReport {

@@ -2,62 +2,40 @@
 //!
 //! Unlike the figure binaries (which measure *simulated* metrics), this one
 //! measures the simulator itself: how fast the event loop retires events on
-//! the host machine. Two parts:
+//! the host machine. It runs the Figure-6 48-core lighttpd configuration,
+//! best of `--repeats` runs per `ListenKind`, every repeat checked to
+//! reproduce the same fingerprint and event count. Built with
+//! `--features fast` the instrumentation planes are compiled out and the
+//! report carries `"instrumentation": "fast"` — the fast lane of the
+//! events/sec comparison. (Raw event-queue push/pop cost is timed by the
+//! standalone `simbench` package's `sim.events` probes.)
 //!
-//! 1. **fig6-style runs**: the Figure-6 48-core lighttpd configuration, one
-//!    run per `ListenKind` per event-queue backend. The timer-wheel and
-//!    binary-heap backends must produce bit-identical fingerprints (the
-//!    wheel is a pure scheduling-order-preserving replacement); any mismatch
-//!    aborts the benchmark.
-//! 2. **event-queue microbench**: a synthetic hold-pattern (pop one, push
-//!    one at a random future offset, fixed queue depth) isolating raw
-//!    queue throughput for each backend.
-//!
-//! With `--threads N[,M,...]` each fig6 kind additionally runs on the
-//! sharded parallel backend (48 shards, N worker threads); every parallel
-//! lane must reproduce the wheel's fingerprint and event count exactly.
-//! Built with `--features fast` the instrumentation planes are compiled
-//! out and the report carries `"instrumentation": "fast"` — the fast lane
-//! of the events/sec comparison.
-//!
-//! Each kind also reports the `partition` block: the conflict
-//! classification of the dispatched event stream (DESIGN.md §11) — how
-//! many events were core-lane-confined, client-confined, or global
-//! serialization points, and the Amdahl inputs (`parallel_fraction`,
-//! `speedup_bound`) a conflict-respecting parallel executor would see.
-//! The block comes from the wheel run and every sharded lane must
-//! reproduce it exactly (it depends only on the dispatch stream).
-//!
-//! Each kind also runs once more, untimed, with the dprof-v2 cache-line
-//! ledger recording (instrumented builds only): the run must reproduce
-//! the timed fingerprint exactly — the ledger is an observer — and its
-//! wasted-bytes-per-request / fetch volume / eviction-reuse figures land
-//! in the per-kind `cacheline` block of the report.
+//! Each kind first runs once untimed, so the timed repeats start with the
+//! thread's queue pool and allocator warm, as in the committed baselines.
+//! After the timed repeats it runs once more, untimed, with the dprof-v2
+//! cache-line ledger recording (instrumented builds only): every run must
+//! reproduce the warm-up's fingerprint exactly — the ledger is an
+//! observer — and the ledger's wasted-bytes-per-request / fetch volume /
+//! eviction-reuse figures land in the per-kind `cacheline` block of the
+//! report.
 //!
 //! Writes `results/BENCH_sim.json`. With `--baseline PATH` the run fails
 //! (exit 1) if its aggregate events/sec drops more than 30% below the
 //! `total_events_per_sec` recorded in the baseline file, **or** if any
 //! single kind drops more than 30% below that kind's recorded
 //! `events_per_sec` — a per-kind regression can hide inside a flat
-//! aggregate when another kind got faster. When both the run and the
-//! baseline carry sharded lanes, the *parallel-speedup* lane also gates:
-//! the aggregate sharded-vs-wheel wall ratio at the highest common thread
-//! count must stay within 25% of the baseline's ratio, so the parallel
-//! drain path cannot silently rot relative to the serial wheel. When both
-//! sides carry `cacheline` blocks, the *bytes-per-request* lane gates
-//! too: a kind's wasted-bytes-per-request may not rise more than 30%
-//! above the baseline's figure (the metric is simulated and
-//! deterministic, so a trip always means a code change regressed cache
-//! behaviour, never host noise). Set `WALLCLOCK_NO_GATE=1` to bypass the
-//! gates (e.g. on a host known to be slower than the one that produced
-//! the committed baseline).
+//! aggregate when another kind got faster. When both sides carry
+//! `cacheline` blocks, the *bytes-per-request* lane gates too: a kind's
+//! wasted-bytes-per-request may not rise more than 30% above the
+//! baseline's figure (the metric is simulated and deterministic, so a
+//! trip always means a code change regressed cache behaviour, never host
+//! noise). Set `WALLCLOCK_NO_GATE=1` to bypass the gates (e.g. on a host
+//! known to be slower than the one that produced the committed baseline).
 //!
-//! Usage: `wallclock [--smoke] [--repeats N] [--threads LIST] [--baseline PATH] [--out PATH]`
+//! Usage: `wallclock [--smoke] [--repeats N] [--baseline PATH] [--out PATH]`
 
-use app::{ListenKind, PartitionStats, RunConfig, Runner, ServerKind, Workload};
+use app::{ListenKind, RunConfig, RunResult, Runner, ServerKind, Workload};
 use metrics::json::Json;
-use sim::events::{Backend, EventQueue};
-use sim::rng::SimRng;
 use sim::time::ms;
 use sim::topology::Machine;
 use std::time::Instant;
@@ -74,24 +52,9 @@ const SEED_WALL_S: [(ListenKind, f64); 3] = [
 
 fn main() {
     let opts = Opts::parse();
-    bench::header(
-        "wallclock",
-        "simulator events/sec baseline + queue microbench",
-    );
-    let threads_label = if opts.threads.is_empty() {
-        String::new()
-    } else {
-        format!(
-            ", sharded@{}",
-            opts.threads
-                .iter()
-                .map(u16::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    };
+    bench::header("wallclock", "simulator events/sec baseline");
     println!(
-        "mode: {}   repeats: {}   instrumentation: {}   backends: heap, wheel{threads_label}",
+        "mode: {}   repeats: {}   instrumentation: {}",
         if opts.smoke { "smoke" } else { "full" },
         opts.repeats,
         instrumentation(),
@@ -99,41 +62,26 @@ fn main() {
 
     let mut kinds = Vec::new();
     let mut total_events: u64 = 0;
-    let mut total_wheel_wall = 0.0f64;
-    let mut total_heap_wall = 0.0f64;
+    let mut total_wall = 0.0f64;
     for listen in [ListenKind::Stock, ListenKind::Fine, ListenKind::Affinity] {
         let row = run_kind(listen, &opts);
         total_events += row.events;
-        total_wheel_wall += row.wheel_wall;
-        total_heap_wall += row.heap_wall;
+        total_wall += row.wall;
         kinds.push(row);
     }
 
-    let micro = microbench(&opts);
-
-    let total_eps = total_events as f64 / total_wheel_wall;
+    let total_eps = total_events as f64 / total_wall;
     let seed_total: f64 = SEED_WALL_S.iter().map(|(_, w)| w).sum();
-    println!("\n== totals (wheel backend) ==");
-    println!(
-        "events={total_events}  wall={total_wheel_wall:.3}s  events/sec={total_eps:.0}  \
-         vs heap {:.2}x",
-        total_heap_wall / total_wheel_wall
-    );
+    println!("\n== totals ==");
+    println!("events={total_events}  wall={total_wall:.3}s  events/sec={total_eps:.0}");
     if !opts.smoke {
         println!(
             "vs seed scheduler: {:.2}x events/sec (seed total wall {seed_total:.3}s)",
-            seed_total / total_wheel_wall
+            seed_total / total_wall
         );
     }
 
-    let report = report_json(
-        &opts,
-        &kinds,
-        &micro,
-        total_events,
-        total_wheel_wall,
-        total_heap_wall,
-    );
+    let report = report_json(&opts, &kinds, total_events, total_wall);
     if let Some(parent) = std::path::Path::new(&opts.out).parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -150,7 +98,6 @@ fn main() {
 struct Opts {
     smoke: bool,
     repeats: usize,
-    threads: Vec<u16>,
     baseline: Option<String>,
     out: String,
 }
@@ -169,7 +116,6 @@ impl Opts {
         let mut opts = Opts {
             smoke: false,
             repeats: 0,
-            threads: Vec::new(),
             baseline: None,
             out: "results/BENCH_sim.json".to_string(),
         };
@@ -182,18 +128,12 @@ impl Opts {
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
                 "--repeats" => opts.repeats = value("--repeats").parse().expect("--repeats N"),
-                "--threads" => {
-                    opts.threads = value("--threads")
-                        .split(',')
-                        .map(|t| t.trim().parse().expect("--threads N[,M,...]"))
-                        .collect();
-                }
                 "--baseline" => opts.baseline = Some(value("--baseline")),
                 "--out" => opts.out = value("--out"),
                 other => panic!(
                     "unknown argument {other} \
-                     (usage: wallclock [--smoke] [--repeats N] [--threads LIST] \
-                     [--baseline PATH] [--out PATH])"
+                     (usage: wallclock [--smoke] [--repeats N] [--baseline PATH] \
+                     [--out PATH])"
                 ),
             }
         }
@@ -237,13 +177,8 @@ struct KindRow {
     listen: ListenKind,
     events: u64,
     fingerprint: u64,
-    wheel_wall: f64,
-    heap_wall: f64,
-    /// One row per `--threads` value: `(threads, best wall)`.
-    sharded: Vec<(u16, f64)>,
-    /// Conflict-partition accounting of the dispatch stream (identical
-    /// on every backend; captured from the wheel run).
-    stats: PartitionStats,
+    /// Best wall over the repeats.
+    wall: f64,
     /// Cache-line waste from the untimed dprof-v2 ledger run; `None`
     /// under `fast` instrumentation (the ledger is compiled out).
     cacheline: Option<CacheWaste>,
@@ -256,88 +191,46 @@ struct CacheWaste {
     reuse_per_eviction: f64,
 }
 
-/// Best-of-`repeats` wall per backend; asserts the two serial backends
-/// (and every parallel lane) agree on the fingerprint and event count.
+/// Best-of-`repeats` wall after one untimed warm-up run, then one more
+/// untimed run with the dprof-v2 ledger on. Every run must reproduce the
+/// warm-up's fingerprint and event count: a timed repeat that differs is
+/// not deterministic, and a ledger run that differs means the ledger (an
+/// observer) moved the schedule. The ledger run goes last because a
+/// timed run right after it measured slower.
 fn run_kind(listen: ListenKind, opts: &Opts) -> KindRow {
-    let mut walls = [f64::INFINITY; 2]; // [heap, wheel]
-    let mut fps = [0u64; 2];
-    let mut events = [0u64; 2];
-    let mut stats = PartitionStats::default();
-    for (bi, backend) in [Backend::Heap, Backend::Wheel].into_iter().enumerate() {
-        for _ in 0..opts.repeats {
-            let mut cfg = fig6_config(listen, opts.smoke);
-            cfg.evq = backend;
-            let t0 = Instant::now();
-            let r = Runner::new(cfg).run();
-            let dt = t0.elapsed().as_secs_f64();
-            walls[bi] = walls[bi].min(dt);
-            fps[bi] = r.fingerprint;
-            events[bi] = r.events_executed;
-            if bi == 1 {
-                stats = r.partition_stats;
-            }
-        }
-    }
-    assert_eq!(
-        fps[0],
-        fps[1],
-        "{}: heap and wheel backends diverged (fp {:#018x} != {:#018x})",
-        listen.label(),
-        fps[0],
-        fps[1]
-    );
-    assert_eq!(
-        events[0],
-        events[1],
-        "{}: event counts diverged",
-        listen.label()
-    );
-    let eps = events[1] as f64 / walls[1];
-    println!(
-        "{:8} events={:8}  wheel {:.3}s ({:.0} ev/s, {:.0} ns/ev)  heap {:.3}s  \
-         wheel/heap {:.2}x  fp={:#018x}",
-        listen.label(),
-        events[1],
-        walls[1],
-        eps,
-        1e9 / eps,
-        walls[0],
-        walls[0] / walls[1],
-        fps[1]
-    );
-    println!(
-        "{:8} partition: f={:.3}  bound={:.1}x  waves={}  serialization={}  conflicted={}",
-        "",
-        stats.parallel_fraction(),
-        stats.speedup_bound(),
-        stats.waves,
-        stats.serialization_points,
-        stats.conflicted_events
-    );
-    // One more untimed run with the dprof-v2 ledger on. The ledger is an
-    // observer: any fingerprint or event-count drift from the timed runs
-    // means it perturbed the schedule, and the benchmark aborts.
-    let cacheline = if cfg!(feature = "fast") {
-        None
-    } else {
+    let run = |dprof_v2: bool| {
         let mut cfg = fig6_config(listen, opts.smoke);
-        cfg.evq = Backend::Wheel;
-        cfg.dprof_v2 = true;
+        cfg.dprof_v2 = dprof_v2;
+        let t0 = Instant::now();
         let r = Runner::new(cfg).run();
+        (r, t0.elapsed().as_secs_f64())
+    };
+    let (warm, _) = run(false);
+    let (fingerprint, events) = (warm.fingerprint, warm.events_executed);
+    let check = |r: &RunResult, what: &str| {
         assert_eq!(
-            r.fingerprint,
-            fps[1],
-            "{}: dprof-v2 ledger moved the schedule (fp {:#018x} != {:#018x})",
-            listen.label(),
-            r.fingerprint,
-            fps[1]
-        );
-        assert_eq!(
-            r.events_executed,
-            events[1],
-            "{}: dprof-v2 event counts diverged",
+            (r.fingerprint, r.events_executed),
+            (fingerprint, events),
+            "{}: {what} diverged from the warm-up run (fingerprint, events)",
             listen.label()
         );
+    };
+    let mut wall = f64::INFINITY;
+    for _ in 0..opts.repeats {
+        let (r, dt) = run(false);
+        check(&r, "timed repeat");
+        wall = wall.min(dt);
+    }
+    let eps = events as f64 / wall;
+    println!(
+        "{:8} events={events:8}  {wall:.3}s ({eps:.0} ev/s, {:.0} ns/ev)  fp={fingerprint:#018x}",
+        listen.label(),
+        1e9 / eps,
+    );
+    // The ledger is compiled out under `fast`: nothing to report.
+    let cacheline = (!cfg!(feature = "fast")).then(|| {
+        let (r, _) = run(true);
+        check(&r, "dprof-v2 ledger run");
         let t = r.cacheline.totals();
         let served = r.served.max(1) as f64;
         let waste = CacheWaste {
@@ -349,138 +242,32 @@ fn run_kind(listen: ListenKind, opts: &Opts) -> KindRow {
             "{:8} cacheline: wasted/req={:.1}B  fetched/req={:.1}B  reuse/evict={:.2}",
             "", waste.wasted_per_req, waste.fetched_per_req, waste.reuse_per_eviction
         );
-        Some(waste)
-    };
-    let mut sharded = Vec::new();
-    for &threads in &opts.threads {
-        let mut wall = f64::INFINITY;
-        for _ in 0..opts.repeats {
-            let mut cfg = fig6_config(listen, opts.smoke);
-            cfg.evq = Backend::Sharded {
-                shards: 48,
-                threads,
-            };
-            let t0 = Instant::now();
-            let r = Runner::new(cfg).run();
-            wall = wall.min(t0.elapsed().as_secs_f64());
-            assert_eq!(
-                r.fingerprint,
-                fps[1],
-                "{} threads={threads}: parallel drain diverged from the wheel \
-                 (fp {:#018x} != {:#018x})",
-                listen.label(),
-                r.fingerprint,
-                fps[1]
-            );
-            assert_eq!(
-                r.events_executed,
-                events[1],
-                "{} threads={threads}: event counts diverged",
-                listen.label()
-            );
-            assert_eq!(
-                r.partition_stats,
-                stats,
-                "{} threads={threads}: partition accounting diverged from the \
-                 wheel (it must depend only on the dispatch stream)",
-                listen.label()
-            );
-        }
-        println!(
-            "{:8} sharded threads={threads}: {wall:.3}s ({:.0} ev/s)  vs wheel {:.2}x",
-            "",
-            events[1] as f64 / wall,
-            walls[1] / wall
-        );
-        sharded.push((threads, wall));
-    }
+        waste
+    });
     KindRow {
         listen,
-        events: events[1],
-        fingerprint: fps[1],
-        wheel_wall: walls[1],
-        heap_wall: walls[0],
-        sharded,
-        stats,
+        events,
+        fingerprint,
+        wall,
         cacheline,
-    }
-}
-
-// ------------------------------------------------------------ microbench
-
-struct MicroResult {
-    ops: u64,
-    depth: usize,
-    heap_ops_per_sec: f64,
-    wheel_ops_per_sec: f64,
-}
-
-/// Hold-pattern throughput: fixed queue depth, each op pops the earliest
-/// event and pushes a replacement at a random offset up to ~64k cycles out
-/// (the horizon the simulator's timers actually use).
-fn microbench(opts: &Opts) -> MicroResult {
-    let ops: u64 = if opts.smoke { 400_000 } else { 2_000_000 };
-    let depth = 4096;
-    let mut rates = [0.0f64; 2]; // [heap, wheel]
-    for (bi, backend) in [Backend::Heap, Backend::Wheel].into_iter().enumerate() {
-        for _ in 0..opts.repeats {
-            let mut q: EventQueue<u32> = EventQueue::with_backend(backend);
-            let mut rng = SimRng::new(0xBE7C);
-            for i in 0..depth {
-                q.push(rng.range(1, 65_536), i as u32);
-            }
-            let t0 = Instant::now();
-            let mut acc = 0u64;
-            for _ in 0..ops {
-                let (now, v) = q.pop().expect("hold pattern keeps the queue full");
-                acc = acc.wrapping_add(u64::from(v));
-                q.push(now + rng.range(1, 65_536), v);
-            }
-            let dt = t0.elapsed().as_secs_f64();
-            std::hint::black_box(acc);
-            rates[bi] = rates[bi].max(ops as f64 / dt);
-        }
-    }
-    println!(
-        "\nmicrobench (depth {depth}, {ops} ops): heap {:.1}M ops/s  wheel {:.1}M ops/s  \
-         wheel/heap {:.2}x",
-        rates[0] / 1e6,
-        rates[1] / 1e6,
-        rates[1] / rates[0]
-    );
-    MicroResult {
-        ops,
-        depth,
-        heap_ops_per_sec: rates[0],
-        wheel_ops_per_sec: rates[1],
     }
 }
 
 // ---------------------------------------------------------------- report
 
-fn report_json(
-    opts: &Opts,
-    kinds: &[KindRow],
-    micro: &MicroResult,
-    total_events: u64,
-    total_wheel_wall: f64,
-    total_heap_wall: f64,
-) -> Json {
+fn report_json(opts: &Opts, kinds: &[KindRow], total_events: u64, total_wall: f64) -> Json {
     let seed_total: f64 = SEED_WALL_S.iter().map(|(_, w)| w).sum();
     let kind_rows: Vec<Json> = kinds
         .iter()
         .map(|row| {
-            let eps = row.events as f64 / row.wheel_wall;
+            let eps = row.events as f64 / row.wall;
             let mut j = Json::obj()
                 .field("listen", row.listen.label())
                 .field("events", row.events)
                 .field("fingerprint", format!("{:#018x}", row.fingerprint))
-                .field("backends_agree", true)
-                .field("wheel_wall_s", row.wheel_wall)
-                .field("heap_wall_s", row.heap_wall)
+                .field("wheel_wall_s", row.wall)
                 .field("events_per_sec", eps)
-                .field("ns_per_event", 1e9 / eps)
-                .field("wheel_vs_heap", row.heap_wall / row.wheel_wall);
+                .field("ns_per_event", 1e9 / eps);
             if !opts.smoke {
                 let seed = SEED_WALL_S
                     .iter()
@@ -489,23 +276,8 @@ fn report_json(
                     .expect("seed wall for kind");
                 j = j
                     .field("seed_wall_s", seed)
-                    .field("speedup_vs_seed", seed / row.wheel_wall);
+                    .field("speedup_vs_seed", seed / row.wall);
             }
-            let s = &row.stats;
-            j = j.field(
-                "partition",
-                Json::obj()
-                    .field("core_events", s.core_events)
-                    .field("client_events", s.client_events)
-                    .field("global_events", s.global_events)
-                    .field("conflicted_events", s.conflicted_events)
-                    .field("serialization_points", s.serialization_points)
-                    .field("waves", s.waves)
-                    .field("max_wave", s.max_wave)
-                    .field("critical_path_events", s.critical_path_events)
-                    .field("parallel_fraction", s.parallel_fraction())
-                    .field("speedup_bound", s.speedup_bound()),
-            );
             if let Some(c) = &row.cacheline {
                 j = j.field(
                     "cacheline",
@@ -515,20 +287,6 @@ fn report_json(
                         .field("reuse_per_eviction", c.reuse_per_eviction),
                 );
             }
-            if !row.sharded.is_empty() {
-                let lanes: Vec<Json> = row
-                    .sharded
-                    .iter()
-                    .map(|&(threads, wall)| {
-                        Json::obj()
-                            .field("threads", u64::from(threads))
-                            .field("wall_s", wall)
-                            .field("events_per_sec", row.events as f64 / wall)
-                            .field("vs_wheel", row.wheel_wall / wall)
-                    })
-                    .collect();
-                j = j.field("sharded", Json::Arr(lanes));
-            }
             j
         })
         .collect();
@@ -536,37 +294,18 @@ fn report_json(
         .field("schema", "bench_sim/v1")
         .field("mode", if opts.smoke { "smoke" } else { "full" })
         .field("instrumentation", instrumentation())
-        .field(
-            "threads",
-            Json::Arr(opts.threads.iter().map(|&t| u64::from(t).into()).collect()),
-        )
         .field("machine", "intel80")
         .field("cores", 48u64)
         .field("server", "lighttpd")
         .field("repeats", opts.repeats as u64)
         .field("kinds", Json::Arr(kind_rows))
         .field("total_events", total_events)
-        .field("total_wheel_wall_s", total_wheel_wall)
-        .field("total_heap_wall_s", total_heap_wall)
-        .field(
-            "total_events_per_sec",
-            total_events as f64 / total_wheel_wall,
-        );
+        .field("total_wheel_wall_s", total_wall)
+        .field("total_events_per_sec", total_events as f64 / total_wall);
     if !opts.smoke {
-        report = report.field("speedup_vs_seed_total", seed_total / total_wheel_wall);
+        report = report.field("speedup_vs_seed_total", seed_total / total_wall);
     }
-    report.field(
-        "microbench",
-        Json::obj()
-            .field("ops", micro.ops)
-            .field("queue_depth", micro.depth as u64)
-            .field("heap_ops_per_sec", micro.heap_ops_per_sec)
-            .field("wheel_ops_per_sec", micro.wheel_ops_per_sec)
-            .field(
-                "wheel_vs_heap",
-                micro.wheel_ops_per_sec / micro.heap_ops_per_sec,
-            ),
-    )
+    report
 }
 
 // ------------------------------------------------------------------ gate
@@ -603,7 +342,7 @@ fn gate(path: &str, total_eps: f64, kinds: &[KindRow]) {
             );
             continue;
         };
-        let eps = row.events as f64 / row.wheel_wall;
+        let eps = row.events as f64 / row.wall;
         let floor = base_eps * 0.7;
         let verdict = if eps >= floor { "ok" } else { "FAIL" };
         failed |= eps < floor;
@@ -636,7 +375,6 @@ fn gate(path: &str, total_eps: f64, kinds: &[KindRow]) {
             c.wasted_per_req
         );
     }
-    failed |= parallel_gate(&baseline, kinds);
     if failed {
         println!(
             "wallclock: events/sec or wasted-bytes/request regressed more than 30% \
@@ -644,72 +382,6 @@ fn gate(path: &str, total_eps: f64, kinds: &[KindRow]) {
         );
         std::process::exit(1);
     }
-}
-
-/// The parallel-speedup lane: at the highest thread count this run
-/// measured, the aggregate sharded-vs-wheel wall ratio must stay within
-/// 25% of the ratio the baseline recorded at the same thread count. The
-/// absolute ratio is host-dependent (a 1-CPU container cannot show real
-/// speedup), but the *relative* ratio is stable: if the parallel drain
-/// path picks up a serialization bottleneck, its ratio drops against the
-/// same-host wheel and this lane fails even when the serial lanes are
-/// flat. Skipped (with a note) when either side lacks sharded lanes.
-/// Returns `true` when the lane fails.
-fn parallel_gate(baseline: &Json, kinds: &[KindRow]) -> bool {
-    let Some(threads) = kinds
-        .iter()
-        .flat_map(|row| row.sharded.iter().map(|&(t, _)| t))
-        .max()
-    else {
-        return false; // no --threads this run: nothing to gate
-    };
-    let mut wheel = 0.0f64;
-    let mut shard = 0.0f64;
-    for row in kinds {
-        let Some(&(_, wall)) = row.sharded.iter().find(|&&(t, _)| t == threads) else {
-            println!(
-                "gate: parallel lane skipped ({} has no threads={threads} run)",
-                row.listen.label()
-            );
-            return false;
-        };
-        wheel += row.wheel_wall;
-        shard += wall;
-    }
-    let Some(base_ratio) = baseline_parallel_ratio(baseline, u64::from(threads)) else {
-        println!("gate: parallel lane skipped (baseline has no threads={threads} sharded lanes)");
-        return false;
-    };
-    let ratio = wheel / shard;
-    let floor = base_ratio * 0.75;
-    let verdict = if ratio >= floor { "ok" } else { "FAIL" };
-    println!(
-        "gate: parallel threads={threads} sharded-vs-wheel {ratio:.3}x vs baseline \
-         {base_ratio:.3}x (floor {floor:.3}x): {verdict}"
-    );
-    ratio < floor
-}
-
-/// The baseline's aggregate sharded-vs-wheel wall ratio at `threads`:
-/// summed wheel walls over summed sharded walls across every kind. None
-/// when any kind lacks a sharded lane at that thread count.
-fn baseline_parallel_ratio(baseline: &Json, threads: u64) -> Option<f64> {
-    let Json::Arr(rows) = baseline.get("kinds")? else {
-        return None;
-    };
-    let mut wheel = 0.0f64;
-    let mut shard = 0.0f64;
-    for row in rows {
-        let Json::Arr(lanes) = row.get("sharded")? else {
-            return None;
-        };
-        let lane = lanes
-            .iter()
-            .find(|lane| number(lane, "threads") == Some(threads as f64))?;
-        wheel += number(row, "wheel_wall_s")?;
-        shard += number(lane, "wall_s")?;
-    }
-    (shard > 0.0).then(|| wheel / shard)
 }
 
 /// A numeric field of a JSON object, whichever exact variant holds it.
@@ -747,29 +419,7 @@ fn baseline_kind_waste(baseline: &Json, label: &str) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
-    use super::{baseline_kind_eps, baseline_kind_waste, baseline_parallel_ratio, number, Json};
-
-    #[test]
-    fn aggregates_the_baseline_parallel_ratio() {
-        let doc = Json::parse(
-            r#"{"kinds": [
-                 {"listen": "stock", "wheel_wall_s": 1.0,
-                  "sharded": [{"threads": 2, "wall_s": 2.0},
-                              {"threads": 8, "wall_s": 0.5}]},
-                 {"listen": "fine", "wheel_wall_s": 3.0,
-                  "sharded": [{"threads": 2, "wall_s": 3.0},
-                              {"threads": 8, "wall_s": 1.5}]}]}"#,
-        )
-        .unwrap();
-        // threads=8: (1.0 + 3.0) / (0.5 + 1.5) = 2.0
-        assert_eq!(baseline_parallel_ratio(&doc, 8), Some(2.0));
-        // threads=2: (1.0 + 3.0) / (2.0 + 3.0) = 0.8
-        assert_eq!(baseline_parallel_ratio(&doc, 2), Some(0.8));
-        // threads=4 missing from a lane list: no ratio.
-        assert_eq!(baseline_parallel_ratio(&doc, 4), None);
-        // No kinds at all: no ratio.
-        assert_eq!(baseline_parallel_ratio(&Json::obj(), 8), None);
-    }
+    use super::{baseline_kind_eps, baseline_kind_waste, number, Json};
 
     #[test]
     fn reads_numbers_whatever_the_variant() {

@@ -2,15 +2,14 @@
 //!
 //! A [`Scenario`] is a complete end-to-end experiment described as data:
 //! machine and core counts, the listen-socket implementations to compare,
-//! workload shape, fault plan, overload plane, hotplug schedule,
-//! event-queue backend, plus the *gates* the outcome must pass (audit
-//! cleanliness, throughput floors, cross-implementation ordering) and the
-//! *golden* fingerprints that pin it bit-for-bit. Scenarios are stored as
-//! JSON files under `scenarios/` (parsed with the repo's own
-//! [`metrics::json`] parser — no serde), run by the `scenario` driver
-//! binary and by `tests/scenarios.rs`, and re-recorded with
-//! `scenario --record` when a simulation change intentionally shifts
-//! fingerprints.
+//! workload shape, fault plan, overload plane, hotplug schedule, plus the
+//! *gates* the outcome must pass (audit cleanliness, throughput floors,
+//! cross-implementation ordering) and the *golden* fingerprints that pin
+//! it bit-for-bit. Scenarios are stored as JSON files under `scenarios/`
+//! (parsed with the repo's own [`metrics::json`] parser — no serde), run
+//! by the `scenario` driver binary and by `tests/scenarios.rs`, and
+//! re-recorded with `scenario --record` when a simulation change
+//! intentionally shifts fingerprints.
 //!
 //! Every knob defaults to the corresponding [`RunConfig::new`] /
 //! [`Workload::base`] default, so a scenario that sets nothing describes
@@ -23,7 +22,6 @@ use app::{
 };
 use mem::LayoutVariant;
 use metrics::json::Json;
-use sim::events::Backend;
 use sim::fabric::{HostEvent, HostEventKind};
 use sim::fault::{FaultPlan, RetransPolicy, StallWindow};
 use sim::overload::{HotplugEvent, OverloadConfig, ReapPolicy, WatchdogPolicy};
@@ -97,37 +95,6 @@ pub enum Search {
     /// Run the saturation search from the rate guess (figures' mode;
     /// too rate-dependent to pin with goldens).
     Saturation,
-}
-
-/// The event-queue backend a scenario selects, with the sharded shape's
-/// thread count (shards always equal the simulated core count so shard
-/// hints map 1:1 to cores).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendSpec {
-    /// Hierarchical timer wheel (default).
-    Wheel,
-    /// Binary-heap reference implementation.
-    Heap,
-    /// Sharded per-core wheels drained by real threads.
-    Sharded {
-        /// Drain threads, including the caller; `1` drains serially.
-        threads: u16,
-    },
-}
-
-impl BackendSpec {
-    /// The [`Backend`] for a run with `cores` simulated cores.
-    #[must_use]
-    pub fn backend(self, cores: usize) -> Backend {
-        match self {
-            BackendSpec::Wheel => Backend::Wheel,
-            BackendSpec::Heap => Backend::Heap,
-            BackendSpec::Sharded { threads } => Backend::Sharded {
-                shards: u16::try_from(cores).expect("core count fits u16"),
-                threads,
-            },
-        }
-    }
 }
 
 /// One recorded golden outcome: the combined run fingerprint and total
@@ -228,8 +195,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Tracked `file` objects.
     pub tracked_files: usize,
-    /// Event-queue backend.
-    pub backend: BackendSpec,
     /// Client workload shape.
     pub workload: Workload,
     /// Connection stealing enabled.
@@ -286,7 +251,6 @@ impl Scenario {
             measure: ms(500),
             seed: 1,
             tracked_files: 2_000,
-            backend: BackendSpec::Wheel,
             workload: Workload::base(),
             steal: true,
             migrate: true,
@@ -351,7 +315,6 @@ impl Scenario {
         cfg.measure = self.measure;
         cfg.seed = self.seed;
         cfg.tracked_files = self.tracked_files;
-        cfg.evq = self.backend.backend(cores);
         cfg.steal_enabled = self.steal;
         cfg.migrate_enabled = self.migrate;
         cfg.fault = self.fault.clone();
@@ -735,33 +698,6 @@ fn parse_host_faults(v: &Json, path: &str) -> Result<Vec<HostEvent>, String> {
         .collect()
 }
 
-fn parse_backend(v: &Json, path: &str) -> Result<BackendSpec, String> {
-    match v {
-        Json::Str(s) => match s.as_str() {
-            "wheel" => Ok(BackendSpec::Wheel),
-            "heap" => Ok(BackendSpec::Heap),
-            other => Err(format!(
-                "{path}: unknown backend {other:?} (wheel, heap, or {{\"sharded\": threads}})"
-            )),
-        },
-        Json::Obj(fields) => {
-            if let [(k, tv)] = fields.as_slice() {
-                if k == "sharded" {
-                    let threads = want_u16(tv, &sub(path, "sharded"))?;
-                    return Ok(BackendSpec::Sharded { threads });
-                }
-            }
-            Err(format!(
-                "{path}: expected {{\"sharded\": threads}} as the only key"
-            ))
-        }
-        other => Err(format!(
-            "{path}: expected string or object, got {}",
-            type_name(other)
-        )),
-    }
-}
-
 fn parse_gates(v: &Json, path: &str) -> Result<Gates, String> {
     let mut g = Gates::default();
     for (k, v) in want_obj(v, path)? {
@@ -897,7 +833,6 @@ impl Scenario {
                 "measure_ms" => s.measure = want_ms(v, &p)?,
                 "seed" => s.seed = want_u64(v, &p)?,
                 "tracked_files" => s.tracked_files = want_usize(v, &p)?,
-                "backend" => s.backend = parse_backend(v, &p)?,
                 "workload" => s.workload = parse_workload(v, &p)?,
                 "steal" => s.steal = want_bool(v, &p)?,
                 "migrate" => s.migrate = want_bool(v, &p)?,
@@ -989,11 +924,6 @@ impl Scenario {
         }
         if self.tracked_files == 0 {
             return Err("tracked_files: must be positive".to_string());
-        }
-        if let BackendSpec::Sharded { threads } = self.backend {
-            if !(1..=64).contains(&threads) {
-                return Err(format!("backend.sharded: {threads} out of range 1..=64"));
-            }
         }
         if self.workload.batches.is_empty() {
             return Err("workload.batches: must hold at least one batch".to_string());
@@ -1193,16 +1123,6 @@ impl Scenario {
             .field("measure_ms", self.measure / CYCLES_PER_MS)
             .field("seed", self.seed)
             .field("tracked_files", self.tracked_files)
-            .field(
-                "backend",
-                match self.backend {
-                    BackendSpec::Wheel => Json::Str("wheel".to_string()),
-                    BackendSpec::Heap => Json::Str("heap".to_string()),
-                    BackendSpec::Sharded { threads } => {
-                        Json::obj().field("sharded", u64::from(threads))
-                    }
-                },
-            )
             .field(
                 "workload",
                 Json::obj()
@@ -1981,7 +1901,6 @@ mod tests {
         s.measure = ms(250);
         s.seed = 42;
         s.tracked_files = 300;
-        s.backend = BackendSpec::Sharded { threads: 4 };
         s.workload = Workload {
             batches: vec![2, 4],
             think: ms(50),
@@ -2109,13 +2028,6 @@ mod tests {
         s.measure = ms(1 + rng.below(1000));
         s.seed = rng.next_u64();
         s.tracked_files = 1 + rng.index(5000);
-        s.backend = match rng.index(3) {
-            0 => BackendSpec::Wheel,
-            1 => BackendSpec::Heap,
-            _ => BackendSpec::Sharded {
-                threads: 1 + rng.below(8) as u16,
-            },
-        };
         s.workload.batches = (0..=rng.index(3))
             .map(|_| 1 + rng.below(6) as u32)
             .collect();
@@ -2321,10 +2233,7 @@ mod tests {
                 r#"{"name":"x","hotplug":[{"core":0,"at_ms":5}]}"#,
                 "hotplug[0]: missing required key \"up\"",
             ),
-            (
-                r#"{"name":"x","backend":"ring"}"#,
-                "backend: unknown backend \"ring\"",
-            ),
+            (r#"{"name":"x","backend":"wheel"}"#, "backend: unknown key"),
             (
                 r#"{"name":"x","rate_curve":[0.0]}"#,
                 "rate_curve[0]: 0 must be a positive",

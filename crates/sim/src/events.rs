@@ -5,120 +5,13 @@
 //! insertion order, keeping runs reproducible regardless of scheduler
 //! internals.
 //!
-//! Three backends implement that contract:
-//!
-//! * [`Backend::Wheel`] (the default) — the hierarchical timer wheel of
-//!   [`crate::wheel`], O(1) amortized push/pop.
-//! * [`Backend::Heap`] — the original `BinaryHeap` scheduler, kept as the
-//!   reference implementation for differential tests and perf baselines.
-//! * [`Backend::Sharded`] — per-shard timer wheels drained in epochs by
-//!   real threads ([`crate::shard`]), with a canonical `(time, seq)`
-//!   merge that keeps the popped stream bit-identical to the
-//!   single-queue backends for any shard and thread count.
-//!
-//! All must pop byte-identical `(time, seq, event)` streams for any push
-//! sequence; the proptests at the bottom of this file hold them to it.
-
-use crate::shard::{ShardedQueue, DEFAULT_EPOCH};
-use crate::time::Cycles;
-use crate::wheel::TimerWheel;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Which scheduler implementation an [`EventQueue`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Hierarchical timer wheel (default).
-    Wheel,
-    /// Binary-heap reference implementation.
-    Heap,
-    /// Per-shard timer wheels advanced in deterministic epochs
-    /// ([`crate::shard::ShardedQueue`]). Pop order — and therefore every
-    /// fingerprint — is identical to the single-queue backends; the
-    /// shape only decides how the drain work is spread over real
-    /// threads.
-    Sharded {
-        /// Number of per-shard wheels (usually the simulated core
-        /// count, so shard hints map 1:1 to cores).
-        shards: u16,
-        /// Real threads draining them, including the calling thread;
-        /// `1` drains serially with no pool.
-        threads: u16,
-    },
-}
-
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Key(Cycles, u64);
-
-#[derive(Debug)]
-struct Entry<E> {
-    key: Key,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-/// The binary-heap scheduler: the straightforward implementation of the
-/// ordering contract, against which the wheel is differentially tested.
-#[derive(Debug)]
-struct HeapQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-    last_popped: Cycles,
-}
-
-impl<E> HeapQueue<E> {
-    fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            last_popped: 0,
-        }
-    }
-
-    fn push(&mut self, at: Cycles, event: E) {
-        let key = Key(at, self.seq);
-        self.seq += 1;
-        self.heap.push(Reverse(Entry { key, event }));
-    }
-
-    fn pop(&mut self) -> Option<(Cycles, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        debug_assert!(entry.key.0 >= self.last_popped, "event time went backwards");
-        self.last_popped = entry.key.0;
-        Some((entry.key.0, entry.event))
-    }
-
-    fn reset(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-        self.last_popped = 0;
-    }
-}
-
-#[derive(Debug)]
-enum Inner<E> {
-    Wheel(TimerWheel<E>),
-    Heap(HeapQueue<E>),
-    // Boxed: the sharded queue carries its drain pool and pooled epoch
-    // buffers inline, dwarfing the serial variants.
-    Sharded(Box<ShardedQueue<E>>),
-}
+//! [`EventQueue`] is the hierarchical timer wheel of [`crate::wheel`]
+//! (O(1) amortized push and pop), so the run loop pushes and pops through
+//! one concrete type. The original `BinaryHeap` scheduler survives only
+//! as the test reference below: the differential proptest holds the
+//! wheel to its `(time, seq, event)` stream for any interleaving of
+//! pushes, pops and bounded peeks, and the golden fingerprints in the
+//! root tests were captured on it.
 
 /// A min-queue of `(time, event)` pairs with stable FIFO tie-breaking.
 ///
@@ -134,341 +27,95 @@ enum Inner<E> {
 /// assert_eq!(q.pop(), Some((10, "c")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    inner: Inner<E>,
-}
-
-impl<E: Send + 'static> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: Send + 'static> EventQueue<E> {
-    /// Creates an empty queue on the default (wheel) backend.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_backend(Backend::Wheel)
-    }
-
-    /// Creates an empty queue on an explicit backend. (`E: Send +
-    /// 'static` because the sharded backend may hand shards to drain
-    /// threads.)
-    #[must_use]
-    pub fn with_backend(backend: Backend) -> Self {
-        let inner = match backend {
-            Backend::Wheel => Inner::Wheel(TimerWheel::new()),
-            Backend::Heap => Inner::Heap(HeapQueue::new()),
-            Backend::Sharded { shards, threads } => {
-                Inner::Sharded(Box::new(ShardedQueue::new(shards, threads, DEFAULT_EPOCH)))
-            }
-        };
-        Self { inner }
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Which backend this queue runs on.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        match &self.inner {
-            Inner::Wheel(_) => Backend::Wheel,
-            Inner::Heap(_) => Backend::Heap,
-            Inner::Sharded(s) => {
-                let (shards, threads) = s.config();
-                Backend::Sharded { shards, threads }
-            }
-        }
-    }
-
-    /// Schedules `event` at simulated time `at`. `at` must not precede
-    /// the time of the last popped event.
-    pub fn push(&mut self, at: Cycles, event: E) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.push(at, event),
-            Inner::Heap(h) => h.push(at, event),
-            Inner::Sharded(s) => s.push(at, event),
-        }
-    }
-
-    /// Schedules `event` at `at` with a destination-shard hint — the
-    /// simulated core or ring the event targets. The single-queue
-    /// backends ignore the hint; the sharded backend uses it to route
-    /// the event to that shard's wheel for drain locality. Hints never
-    /// affect pop order.
-    pub fn push_to(&mut self, dst: usize, at: Cycles, event: E) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.push(at, event),
-            Inner::Heap(h) => h.push(at, event),
-            Inner::Sharded(s) => s.push_to(dst, at, event),
-        }
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.pop(),
-            Inner::Heap(h) => h.pop(),
-            Inner::Sharded(s) => s.pop(),
-        }
-    }
-
-    /// Time of the earliest pending event, if any. Takes `&mut self`
-    /// because the wheel backend may cascade buckets to locate it (the
-    /// result is cached, so a following `pop` stays O(1)), and the
-    /// sharded backend may drain the next epoch.
-    pub fn peek_time(&mut self) -> Option<Cycles> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.peek_time(),
-            Inner::Heap(h) => h.heap.peek().map(|Reverse(e)| e.key.0),
-            Inner::Sharded(s) => s.peek_time(),
-        }
-    }
-
-    /// Time of the earliest pending event strictly before `bound`, if
-    /// any (`Cycles::MAX` means "no bound", as in
-    /// [`crate::wheel::TimerWheel::peek_time_before`]).
-    ///
-    /// Unlike [`EventQueue::peek_time`], the wheel backend never
-    /// advances its cursor to or past `bound` while searching, so after
-    /// a `None` return pushes at any time `>= bound` remain valid. An
-    /// incrementally driven loop (the cluster plane's `run_until`
-    /// epochs) must use this: an unbounded peek would park the wheel
-    /// cursor on a far-future event and silently clamp every later
-    /// push scheduled before it.
-    pub fn peek_time_before(&mut self, bound: Cycles) -> Option<Cycles> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.peek_time_before(bound),
-            Inner::Heap(h) => h
-                .heap
-                .peek()
-                .map(|Reverse(e)| e.key.0)
-                .filter(|&t| bound == Cycles::MAX || t < bound),
-            // The sharded backend is bound-safe by construction: pushes
-            // below its drain floor detour through the mailbox/overlay
-            // merge instead of a wheel, so an unbounded peek cannot
-            // strand them.
-            Inner::Sharded(s) => s.peek_time().filter(|&t| bound == Cycles::MAX || t < bound),
-        }
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.len(),
-            Inner::Heap(h) => h.heap.len(),
-            Inner::Sharded(s) => s.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Allocation and merge accounting of the sharded backend; `None`
-    /// on the single-queue backends.
-    #[must_use]
-    pub fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        match &self.inner {
-            Inner::Sharded(s) => Some(s.stats()),
-            _ => None,
-        }
-    }
-
-    /// Empties the queue and rewinds time to zero, retaining allocations
-    /// (and any drain pool) so a pooled queue starts the next run warm.
-    pub fn reset(&mut self) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.reset(),
-            Inner::Heap(h) => h.reset(),
-            Inner::Sharded(s) => s.reset(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn both() -> [EventQueue<i32>; 4] {
-        [
-            EventQueue::with_backend(Backend::Wheel),
-            EventQueue::with_backend(Backend::Heap),
-            EventQueue::with_backend(Backend::Sharded {
-                shards: 4,
-                threads: 1,
-            }),
-            EventQueue::with_backend(Backend::Sharded {
-                shards: 3,
-                threads: 2,
-            }),
-        ]
-    }
-
-    #[test]
-    fn orders_by_time() {
-        for mut q in both() {
-            q.push(30, 3);
-            q.push(10, 1);
-            q.push(20, 2);
-            assert_eq!(q.pop(), Some((10, 1)));
-            assert_eq!(q.pop(), Some((20, 2)));
-            assert_eq!(q.pop(), Some((30, 3)));
-        }
-    }
-
-    #[test]
-    fn fifo_on_ties() {
-        for mut q in both() {
-            for i in 0..100 {
-                q.push(5, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((5, i)));
-            }
-        }
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        for mut q in both() {
-            q.push(7, 0);
-            assert_eq!(q.peek_time(), Some(7));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        }
-    }
-
-    #[test]
-    fn interleaved_push_pop_stays_ordered() {
-        for mut q in both() {
-            q.push(10, 1);
-            q.push(50, 5);
-            assert_eq!(q.pop(), Some((10, 1)));
-            q.push(20, 2);
-            q.push(30, 3);
-            assert_eq!(q.pop(), Some((20, 2)));
-            q.push(40, 4);
-            assert_eq!(q.pop(), Some((30, 3)));
-            assert_eq!(q.pop(), Some((40, 4)));
-            assert_eq!(q.pop(), Some((50, 5)));
-        }
-    }
-
-    #[test]
-    fn reset_reuses_queue() {
-        for mut q in both() {
-            q.push(1 << 40, 1);
-            q.push(9, 2);
-            assert_eq!(q.pop(), Some((9, 2)));
-            q.reset();
-            assert!(q.is_empty());
-            q.push(3, 7);
-            assert_eq!(q.pop(), Some((3, 7)));
-        }
-    }
-
-    #[test]
-    fn default_backend_is_wheel() {
-        assert_eq!(EventQueue::<()>::new().backend(), Backend::Wheel);
-        assert_eq!(
-            EventQueue::<()>::with_backend(Backend::Heap).backend(),
-            Backend::Heap
-        );
-    }
-
-    #[test]
-    fn sharded_backend_round_trips_its_shape() {
-        // The runner's queue pool matches `q.backend() == cfg.evq`, so
-        // the configured shape must come back exactly — even when the
-        // thread count was clamped internally.
-        let b = Backend::Sharded {
-            shards: 6,
-            threads: 8,
-        };
-        assert_eq!(EventQueue::<()>::with_backend(b).backend(), b);
-    }
-
-    #[test]
-    fn push_hints_do_not_affect_order() {
-        let mut hinted = EventQueue::with_backend(Backend::Sharded {
-            shards: 4,
-            threads: 2,
-        });
-        let mut unhinted = EventQueue::with_backend(Backend::Sharded {
-            shards: 4,
-            threads: 2,
-        });
-        for i in 0..200u64 {
-            let t = (i * 37) % 91;
-            hinted.push_to((i % 3) as usize, t, i);
-            unhinted.push(t, i);
-        }
-        loop {
-            let a = hinted.pop();
-            assert_eq!(a, unhinted.pop());
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
+pub type EventQueue<E> = crate::wheel::TimerWheel<E>;
 
 #[cfg(test)]
 mod proptests {
-    use super::*;
+    use super::EventQueue;
+    use crate::time::Cycles;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The binary-heap scheduler: the straightforward implementation of
+    /// the ordering contract, against which the wheel is differentially
+    /// tested. Sequence numbers are unique, so the event id never decides
+    /// the order.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<(Cycles, u64, usize)>>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, at: Cycles, event: usize) {
+            self.heap.push(Reverse((at, self.seq, event)));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Cycles, usize)> {
+            let Reverse((t, _, event)) = self.heap.pop()?;
+            Some((t, event))
+        }
+
+        fn peek_time_before(&self, bound: Cycles) -> Option<Cycles> {
+            self.heap
+                .peek()
+                .map(|Reverse((t, _, _))| *t)
+                .filter(|&t| bound == Cycles::MAX || t < bound)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     proptest! {
         #[test]
         fn pops_are_globally_time_ordered(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-            for mut q in [EventQueue::with_backend(Backend::Wheel), EventQueue::with_backend(Backend::Heap), EventQueue::with_backend(Backend::Sharded { shards: 5, threads: 2 })] {
-                for (i, t) in times.iter().enumerate() {
-                    q.push(*t, i);
-                }
-                let mut last = 0;
-                while let Some((t, _)) = q.pop() {
-                    prop_assert!(t >= last);
-                    last = t;
-                }
+            let mut q = EventQueue::new();
+            for (i, t) in times.iter().enumerate() {
+                q.push(*t, i);
+            }
+            let mut last = 0;
+            while let Some((t, _)) = q.pop() {
+                prop_assert!(t >= last);
+                last = t;
             }
         }
 
         #[test]
         fn all_events_come_back(times in proptest::collection::vec(0u64..1_000, 0..200)) {
-            for mut q in [EventQueue::with_backend(Backend::Wheel), EventQueue::with_backend(Backend::Heap), EventQueue::with_backend(Backend::Sharded { shards: 5, threads: 2 })] {
-                for (i, t) in times.iter().enumerate() {
-                    q.push(*t, i);
-                }
-                let mut seen = vec![false; times.len()];
-                while let Some((_, i)) = q.pop() {
-                    prop_assert!(!seen[i]);
-                    seen[i] = true;
-                }
-                prop_assert!(seen.iter().all(|s| *s));
+            let mut q = EventQueue::new();
+            for (i, t) in times.iter().enumerate() {
+                q.push(*t, i);
             }
+            let mut seen = vec![false; times.len()];
+            while let Some((_, i)) = q.pop() {
+                prop_assert!(!seen[i]);
+                seen[i] = true;
+            }
+            prop_assert!(seen.iter().all(|s| *s));
         }
 
-        /// The differential test the wheel rewrite hangs on: for any
-        /// interleaving of pushes (near-future, same-time ties, and
-        /// far-future cascades across several wheel levels) and pops, the
-        /// wheel and the heap produce identical `(time, event)` streams —
-        /// which, with distinct event ids, pins the `(time, seq)` order.
+        /// The differential test the wheel hangs on: for any interleaving
+        /// of pushes (near-future, same-time ties, and far-future cascades
+        /// across several wheel levels), pops and bounded peeks, the wheel
+        /// and the heap produce identical `(time, event)` streams — which,
+        /// with distinct event ids, pins the `(time, seq)` order.
         #[test]
         fn wheel_matches_heap_reference(
-            ops in proptest::collection::vec((0u8..6, 0u64..1_000), 1..300),
+            ops in proptest::collection::vec((0u8..8, 0u64..1_000), 1..300),
         ) {
-            let mut wheel = EventQueue::with_backend(Backend::Wheel);
-            let mut heap = EventQueue::with_backend(Backend::Heap);
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::default();
             let mut now = 0u64;
             let mut next_id = 0usize;
+            let mut push = |t: Cycles, wheel: &mut EventQueue<usize>, heap: &mut HeapQueue| {
+                wheel.push(t, next_id);
+                heap.push(t, next_id);
+                next_id += 1;
+            };
             for (op, x) in ops {
                 match op {
                     // Pop from both; streams must match step for step.
@@ -481,105 +128,31 @@ mod proptests {
                         }
                     }
                     // Same-time tie at the current clock.
-                    1 => {
-                        wheel.push(now, next_id);
-                        heap.push(now, next_id);
-                        next_id += 1;
-                    }
+                    1 => push(now, &mut wheel, &mut heap),
                     // Far future: forces multi-level parking + cascades.
-                    2 => {
-                        let t = now + 1 + x * 77_777_777;
-                        wheel.push(t, next_id);
-                        heap.push(t, next_id);
-                        next_id += 1;
+                    2 => push(now + 1 + x * 77_777_777, &mut wheel, &mut heap),
+                    // Bounded peek (near or far bound), then pushes at and
+                    // just past the bound: the cursor contract
+                    // `Runner::run_until` relies on. Like that loop, the
+                    // caller's clock moves to the peeked event, or to the
+                    // bound when nothing is left before it. A peek that
+                    // parked the cursor on a later event would clamp these
+                    // pushes forward and reorder the stream.
+                    6 | 7 => {
+                        let bound = if op == 6 { now + x } else { now + x * 7_777_777 };
+                        let peeked = wheel.peek_time_before(bound);
+                        prop_assert_eq!(peeked, heap.peek_time_before(bound));
+                        now = peeked.unwrap_or(bound);
+                        push(bound, &mut wheel, &mut heap);
+                        push(bound + x % 5, &mut wheel, &mut heap);
                     }
                     // Near future (level 0/1).
-                    _ => {
-                        let t = now + x;
-                        wheel.push(t, next_id);
-                        heap.push(t, next_id);
-                        next_id += 1;
-                    }
+                    _ => push(now + x, &mut wheel, &mut heap),
                 }
                 prop_assert_eq!(wheel.len(), heap.len());
             }
             loop {
                 let a = wheel.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-
-        /// The parallel-determinism differential: a randomized schedule
-        /// with forced cross-shard traffic — hinted pushes that hop
-        /// shards, sub-floor pushes landing mid-epoch in *other* shards'
-        /// mailboxes (the queue-level shape of steering migrations and
-        /// hotplug re-homing), far-future cascades, and same-time ties —
-        /// must pop from a parallel sharded queue exactly as from the
-        /// serial heap reference. On divergence, proptest shrinks the op
-        /// list to a minimal repro. `simcheck --fuzz` runs the same
-        /// check end-to-end through whole-run fingerprints.
-        #[test]
-        fn sharded_parallel_matches_heap_reference(
-            shards in 1u16..9,
-            threads in 1u16..5,
-            ops in proptest::collection::vec((0u8..8, 0u64..1_000, 0usize..16), 1..300),
-        ) {
-            let mut sharded = EventQueue::with_backend(Backend::Sharded { shards, threads });
-            let mut heap = EventQueue::with_backend(Backend::Heap);
-            let mut now = 0u64;
-            let mut next_id = 0usize;
-            for (op, x, hint) in ops {
-                match op {
-                    // Pop from both; streams must match step for step.
-                    0 | 1 => {
-                        let a = sharded.pop();
-                        let b = heap.pop();
-                        prop_assert_eq!(a, b);
-                        if let Some((t, _)) = a {
-                            now = t;
-                        }
-                    }
-                    // Same-time tie at the current clock, hinted at a
-                    // rotating shard: exercises the mailbox path when an
-                    // epoch is open (t < floor) and FIFO tie-breaking
-                    // across shards either way.
-                    2 | 3 => {
-                        sharded.push_to(hint, now, next_id);
-                        heap.push(now, next_id);
-                        next_id += 1;
-                    }
-                    // Far future: forces multi-level parking, cascades,
-                    // and the escalating drain over empty stretches.
-                    4 => {
-                        let t = now + 1 + x * 77_777_777;
-                        sharded.push_to(hint, t, next_id);
-                        heap.push(t, next_id);
-                        next_id += 1;
-                    }
-                    // Near future, unhinted (round-robin routing).
-                    5 => {
-                        let t = now + x;
-                        sharded.push(t, next_id);
-                        heap.push(t, next_id);
-                        next_id += 1;
-                    }
-                    // Near future, hinted: mid-epoch cross-shard traffic
-                    // when t lands below the current floor.
-                    _ => {
-                        let t = now + x;
-                        sharded.push_to(hint, t, next_id);
-                        heap.push(t, next_id);
-                        next_id += 1;
-                    }
-                }
-                prop_assert_eq!(sharded.len(), heap.len());
-            }
-            loop {
-                let a = sharded.pop();
                 let b = heap.pop();
                 prop_assert_eq!(a, b);
                 if a.is_none() {

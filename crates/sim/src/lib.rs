@@ -9,11 +9,9 @@
 //!   both of the paper's machines).
 //! * [`topology`] — chip/core layout and the memory-hierarchy latencies of
 //!   Table 1 ([`topology::Machine::amd48`], [`topology::Machine::intel80`]).
-//! * [`events`] — a deterministic time-ordered event queue, selectable
-//!   between a hierarchical timer wheel ([`wheel`], the default), a
-//!   binary-heap reference implementation, and per-shard wheels drained
-//!   by real threads in deterministic epochs ([`shard`], merged back
-//!   into one canonical stream by the loser tree of [`merge`]).
+//! * [`events`] — the deterministic time-ordered event queue: the
+//!   hierarchical timer wheel of [`wheel`], differentially tested against
+//!   a binary-heap reference.
 //! * [`fingerprint`] — order-sensitive FNV-1a hashes folded over the
 //!   executed event stream; equal configs and seeds must yield equal
 //!   fingerprints, making any lost determinism loud.
@@ -45,25 +43,21 @@ pub mod fastmap;
 pub mod fault;
 pub mod fingerprint;
 pub mod lock;
-pub mod merge;
 pub mod overload;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod time;
 pub mod topology;
 pub mod wheel;
 
 pub use core_set::{CoreSet, TaskId};
-pub use events::{Backend, EventQueue};
+pub use events::EventQueue;
 pub use fabric::{FabricConfig, HealthCheck, HostEvent, HostEventKind};
 pub use fastmap::FastMap;
 pub use fault::{FaultPlan, FaultStats, RetransPolicy, StallWindow};
 pub use fingerprint::{ActiveFingerprint, Fingerprint, NoOpFingerprint};
 pub use lock::TimelineLock;
-pub use merge::LoserTree;
 pub use overload::{HotplugEvent, OverloadConfig, OverloadStats, ReapPolicy, WatchdogPolicy};
 pub use rng::SimRng;
-pub use shard::{ShardStats, ShardedQueue};
 pub use time::Cycles;
 pub use topology::{CoreId, Machine};

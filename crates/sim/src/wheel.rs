@@ -20,15 +20,16 @@
 //!
 //! Pops are globally ordered by `(time, seq)` where `seq` is the push
 //! sequence number — the exact FIFO tie-break of the binary-heap
-//! reference implementation ([`crate::events`]), which run fingerprints
-//! depend on. Cascading can append a lower-`seq` entry to a bucket after
-//! a higher-`seq` one, so a level-0 bucket is sorted by `seq` (all
-//! entries share one timestamp) as it is drained into the ready queue.
+//! reference implementation (kept in [`crate::events`]'s tests), which
+//! run fingerprints depend on. Cascading can append a lower-`seq` entry
+//! to a bucket after a higher-`seq` one, so a level-0 bucket is sorted by
+//! `seq` (all entries share one timestamp) as it is drained into the
+//! ready queue.
 //!
-//! Pushing an event earlier than the last popped time would break the
-//! monotonicity the cursor relies on; like the heap's `last_popped`
-//! debug assertion this is a caller bug, and the wheel clamps such times
-//! to the cursor (with a debug assertion) rather than corrupting order.
+//! Pushing an event earlier than the cursor — the last popped or peeked
+//! time — would break the monotonicity the cursor relies on. This is a
+//! caller bug, and the wheel clamps such times to the cursor (with a
+//! debug assertion) rather than corrupting order.
 
 use crate::time::Cycles;
 use std::collections::VecDeque;
@@ -204,14 +205,13 @@ impl<E> TimerWheel<E> {
     }
 
     /// Like [`Self::pop`], but only delivers events strictly before
-    /// `bound`, and — crucially for the sharded scheduler — never
-    /// advances the cursor to or past `bound` while searching. After a
-    /// `None` return, pushes at any time `>= bound` are therefore still
-    /// valid (the cursor monotonicity the wheel relies on is intact).
+    /// `bound`, and never advances the cursor to or past `bound` while
+    /// searching. After a `None` return, pushes at any time `>= bound`
+    /// are therefore still valid (the cursor monotonicity the wheel
+    /// relies on is intact).
     ///
-    /// A `bound` of `Cycles::MAX` is treated as "no bound" so the final
-    /// rung of an escalating drain cannot strand an event parked at the
-    /// maximum representable time.
+    /// A `bound` of `Cycles::MAX` is treated as "no bound" so an event
+    /// parked at the maximum representable time is never stranded.
     pub fn pop_before(&mut self, bound: Cycles) -> Option<(Cycles, E)> {
         self.peek_time_before(bound)?;
         let e = self.ready.pop_front().expect("peek filled the ready queue");
@@ -219,37 +219,15 @@ impl<E> TimerWheel<E> {
         Some((e.time, e.event))
     }
 
-    /// Drains every event strictly before `bound` into `take`, in
-    /// `(time, push-sequence)` order, with the same cursor guarantee as
-    /// [`Self::pop_before`]. One call replaces a `pop_before` loop: the
-    /// staged ready runs are handed over without re-checking the bound
-    /// per event beyond one time compare, and the bound logic runs once
-    /// per bucket instead of once per pop. Returns the number drained.
-    ///
-    /// A `bound` of `Cycles::MAX` is treated as "no bound", exactly as
-    /// in [`Self::pop_before`].
-    pub fn drain_before(&mut self, bound: Cycles, mut take: impl FnMut(Cycles, E)) -> usize {
-        let limit = (bound != Cycles::MAX).then_some(bound);
-        let mut n = 0usize;
-        loop {
-            while let Some(front) = self.ready.front() {
-                if limit.is_some_and(|b| front.time >= b) {
-                    self.len -= n;
-                    return n;
-                }
-                let e = self.ready.pop_front().expect("front checked");
-                n += 1;
-                take(e.time, e.event);
-            }
-            if self.len == n || !self.fill_ready_bounded(limit) {
-                self.len -= n;
-                return n;
-            }
-        }
-    }
-
     /// Time of the earliest pending event strictly before `bound`, if
     /// any, with the same cursor guarantee as [`Self::pop_before`].
+    ///
+    /// Unlike [`Self::peek_time`], this never advances the cursor to or
+    /// past `bound`, so after a `None` return pushes at any time
+    /// `>= bound` remain valid. An incrementally driven loop (the
+    /// cluster plane's `run_until` epochs) must use this: an unbounded
+    /// peek would park the cursor on a far-future event and silently
+    /// clamp every later push scheduled before it.
     pub fn peek_time_before(&mut self, bound: Cycles) -> Option<Cycles> {
         let bound = (bound != Cycles::MAX).then_some(bound);
         if self.ready.is_empty() && (self.len == 0 || !self.fill_ready_bounded(bound)) {
@@ -645,7 +623,7 @@ mod tests {
 
     #[test]
     fn failed_pop_before_leaves_pushes_at_the_bound_valid() {
-        // The sharded scheduler's cursor-safety contract: after
+        // The bounded-drain cursor-safety contract: after
         // `pop_before(bound)` returns None, a push at exactly `bound`
         // must neither assert nor be clamped forward — even when the
         // next pending event is far past the bound (the search must not
@@ -677,7 +655,7 @@ mod tests {
     #[test]
     fn pop_before_max_is_unbounded() {
         // Cycles::MAX means "no bound", so an event parked at the last
-        // representable tick still drains on the final escalation rung.
+        // representable tick still drains.
         let mut w = TimerWheel::new();
         w.push(Cycles::MAX, 1);
         assert_eq!(w.pop_before(Cycles::MAX), Some((Cycles::MAX, 1)));
@@ -697,57 +675,6 @@ mod tests {
         assert_eq!(w.pop_before(7_000_000), None);
         assert_eq!(w.pop_before(7_000_001), Some((7_000_000, 7_000_000)));
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn drain_before_matches_a_pop_before_loop() {
-        let mk = || {
-            let mut w = TimerWheel::new();
-            for t in [3u64, 99, 100, 101, 700, 70_000, 1 << 30, Cycles::MAX] {
-                w.push(t, t);
-            }
-            for i in 0..50u64 {
-                w.push(400 + i % 7, i);
-            }
-            w
-        };
-        for bound in [100u64, 101, 500, 1 << 20, Cycles::MAX] {
-            let mut a = mk();
-            let mut b = mk();
-            let mut via_pop = Vec::new();
-            while let Some(e) = a.pop_before(bound) {
-                via_pop.push(e);
-            }
-            let mut via_drain = Vec::new();
-            let n = b.drain_before(bound, |t, e| via_drain.push((t, e)));
-            assert_eq!(via_drain, via_pop, "bound {bound:#x}");
-            assert_eq!(n, via_pop.len());
-            assert_eq!(a.len(), b.len());
-            // The leftovers drain identically too (cursor state agrees).
-            let mut rest_a = Vec::new();
-            while let Some(e) = a.pop() {
-                rest_a.push(e);
-            }
-            let mut rest_b = Vec::new();
-            b.drain_before(Cycles::MAX, |t, e| rest_b.push((t, e)));
-            assert_eq!(rest_b, rest_a, "bound {bound:#x} leftovers");
-            assert!(b.is_empty());
-        }
-    }
-
-    #[test]
-    fn drain_before_leaves_pushes_at_the_bound_valid() {
-        let mut w = TimerWheel::new();
-        w.push(10, 0);
-        w.push(1 << 30, 1);
-        let mut out = Vec::new();
-        w.drain_before(1_000, |t, e| out.push((t, e)));
-        assert_eq!(out, vec![(10, 0)]);
-        w.push(1_000, 2); // would trip the cursor debug_assert if overshot
-        out.clear();
-        w.drain_before(2_000, |t, e| out.push((t, e)));
-        assert_eq!(out, vec![(1_000, 2)]);
-        assert_eq!(w.len(), 1);
     }
 
     #[test]

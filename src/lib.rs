@@ -67,8 +67,8 @@ pub mod prelude {
         TwentyPolicy,
     };
     pub use app::{
-        find_saturation, find_saturation_budgeted, ListenKind, PartitionStats, RunConfig,
-        RunResult, Runner, ServerKind, Workload,
+        find_saturation, find_saturation_budgeted, ListenKind, RunConfig, RunResult, Runner,
+        ServerKind, Workload,
     };
     pub use mem::{CacheModel, DataType};
     pub use nic::{FlowTuple, Nic, Packet, PacketKind, Steering};

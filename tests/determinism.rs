@@ -134,33 +134,3 @@ fn golden_fingerprints_match_heap_scheduler_seed() {
         );
     }
 }
-
-#[test]
-fn wheel_and_heap_backends_replay_identically() {
-    use sim::events::Backend;
-    for listen in ListenKind::ALL {
-        let mut heap_cfg = quick(listen, 8, 6_000.0);
-        heap_cfg.evq = Backend::Heap;
-        let mut wheel_cfg = quick(listen, 8, 6_000.0);
-        wheel_cfg.evq = Backend::Wheel;
-        let h = Runner::new(heap_cfg).run();
-        let w = Runner::new(wheel_cfg).run();
-        assert_eq!(
-            h.fingerprint, w.fingerprint,
-            "{listen:?}: wheel diverged from heap: {:#018x} vs {:#018x}",
-            w.fingerprint, h.fingerprint
-        );
-        assert_eq!(
-            h.events_executed, w.events_executed,
-            "{listen:?}: event counts"
-        );
-        assert_eq!(h.served, w.served, "{listen:?}: served");
-        assert_eq!(h.migrations, w.migrations, "{listen:?}: migrations");
-        assert_eq!(h.audit, w.audit, "{listen:?}: audit counters");
-        assert_eq!(
-            h.partition_stats, w.partition_stats,
-            "{listen:?}: partition stats must depend only on the dispatch \
-             stream, never on the backend"
-        );
-    }
-}

@@ -36,10 +36,6 @@ struct EndState {
     accepts_local: u64,
     accepts_stolen: u64,
     flow_migrations: u64,
-    /// Conflict-partition accounting (DESIGN.md §11). Active in both
-    /// instrumentation modes — it draws no RNG and perturbs nothing —
-    /// so fast builds must reproduce it exactly like any other metric.
-    partition: PartitionStats,
 }
 
 impl EndState {
@@ -61,7 +57,6 @@ impl EndState {
             accepts_local: r.listen_stats.accepts_local,
             accepts_stolen: r.listen_stats.accepts_stolen,
             flow_migrations: r.listen_stats.flow_migrations,
-            partition: r.partition_stats,
         }
     }
 }
@@ -90,16 +85,6 @@ const GOLDEN: [(ListenKind, u64, EndState); 2] = [
             accepts_local: 1219,
             accepts_stolen: 0,
             flow_migrations: 0,
-            partition: PartitionStats {
-                core_events: 58_495,
-                client_events: 20_950,
-                global_events: 4,
-                conflicted_events: 29_808,
-                serialization_points: 4,
-                waves: 4,
-                max_wave: 27_700,
-                critical_path_events: 20_954,
-            },
         },
     ),
     (
@@ -122,16 +107,6 @@ const GOLDEN: [(ListenKind, u64, EndState); 2] = [
             accepts_local: 1218,
             accepts_stolen: 0,
             flow_migrations: 0,
-            partition: PartitionStats {
-                core_events: 59_975,
-                client_events: 20_874,
-                global_events: 4,
-                conflicted_events: 36_632,
-                serialization_points: 4,
-                waves: 4,
-                max_wave: 28_286,
-                critical_path_events: 20_878,
-            },
         },
     ),
 ];
@@ -257,62 +232,6 @@ fn the_comparison_has_teeth() {
             flow_migrations: golden.flow_migrations + 1,
             ..golden
         },
-        EndState {
-            partition: PartitionStats {
-                core_events: golden.partition.core_events + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
-        EndState {
-            partition: PartitionStats {
-                client_events: golden.partition.client_events + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
-        EndState {
-            partition: PartitionStats {
-                global_events: golden.partition.global_events + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
-        EndState {
-            partition: PartitionStats {
-                conflicted_events: golden.partition.conflicted_events + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
-        EndState {
-            partition: PartitionStats {
-                serialization_points: golden.partition.serialization_points + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
-        EndState {
-            partition: PartitionStats {
-                waves: golden.partition.waves + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
-        EndState {
-            partition: PartitionStats {
-                max_wave: golden.partition.max_wave + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
-        EndState {
-            partition: PartitionStats {
-                critical_path_events: golden.partition.critical_path_events + 1,
-                ..golden.partition
-            },
-            ..golden
-        },
     ];
     for (i, bad) in corruptions.iter().enumerate() {
         assert_ne!(actual, *bad, "corrupted field #{i} went undetected");
@@ -332,25 +251,5 @@ fn end_state_is_seed_sensitive() {
         EndState::of(&r),
         golden,
         "{listen:?}: reseeded run reproduced the golden end state"
-    );
-}
-
-#[test]
-fn parallel_fast_mode_matches_the_instrumented_golden() {
-    // The two tentpole halves composed: a sharded parallel drain under
-    // either feature mode still lands on the instrumented serial end
-    // state.
-    use sim::events::Backend;
-    let (listen, _, golden) = GOLDEN[0];
-    let mut cfg = quick(listen);
-    cfg.evq = Backend::Sharded {
-        shards: 8,
-        threads: 4,
-    };
-    let r = Runner::new(cfg).run();
-    assert_eq!(
-        EndState::of(&r),
-        golden,
-        "{listen:?}: parallel fast-mode run diverged from the golden"
     );
 }

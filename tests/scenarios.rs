@@ -1,15 +1,14 @@
 //! End-to-end coverage of the committed scenario catalog: every
 //! `scenarios/*.json` file loads, runs, and passes its gates and golden
-//! fingerprints; the fig6 scenario derives bit-identical configs to the
-//! figure binary's hand-built ones; and the event-queue backends remain
-//! fingerprint-transparent when selected through a scenario.
+//! fingerprints; and the fig6 scenario derives bit-identical configs to
+//! the figure binary's hand-built ones.
 
 // Golden fingerprints only exist in instrumented builds; the `fast`
 // feature compiles the fingerprint plane to zero.
 #![cfg(not(feature = "fast"))]
 
 use app::{ListenKind, ServerKind};
-use bench::scenario::{catalog_path, load_dir, load_file, BackendSpec, Scenario, Search};
+use bench::scenario::{catalog_path, load_dir, load_file, Scenario, Search};
 use sim::topology::Machine;
 
 fn corpus() -> Vec<(std::path::PathBuf, Scenario)> {
@@ -141,44 +140,5 @@ fn paper_base_goldens_equal_the_determinism_table() {
             (fp, served),
             "{kind:?}: paper_base golden diverged from the determinism table"
         );
-    }
-    // And the sharded-backend scenario must pin the exact same affinity
-    // run: backends are fingerprint-transparent.
-    let sh = load_file(&catalog_path("scenarios/sharded_backend.json")).expect("loads");
-    assert_eq!(
-        (sh.golden[0].fingerprint, sh.golden[0].served),
-        (0x5fc6_bb89_978e_e39c, 7266),
-        "sharded_backend must pin the same run as paper_base's affinity entry"
-    );
-}
-
-/// The heap, wheel, and sharded event-queue backends must produce
-/// bit-identical scenario outcomes — the catalog-level form of the
-/// differential suite's backend transparency law.
-#[test]
-fn backends_are_fingerprint_transparent_through_a_scenario() {
-    let mut base = load_file(&catalog_path("scenarios/paper_base.json")).expect("loads");
-    base.kinds = vec![ListenKind::Affinity];
-    base.golden.clear();
-    let reports: Vec<_> = [
-        BackendSpec::Wheel,
-        BackendSpec::Heap,
-        BackendSpec::Sharded { threads: 2 },
-    ]
-    .into_iter()
-    .map(|backend| {
-        let mut s = base.clone();
-        s.backend = backend;
-        (backend, s.run(1))
-    })
-    .collect();
-    let (_, wheel) = &reports[0];
-    for (backend, r) in &reports {
-        assert!(r.ok(), "{backend:?}: {:#?}", r.problems);
-        assert_eq!(
-            r.kinds[0].fingerprint, wheel.kinds[0].fingerprint,
-            "{backend:?} diverged from the wheel backend"
-        );
-        assert_eq!(r.kinds[0].served, wheel.kinds[0].served);
     }
 }
