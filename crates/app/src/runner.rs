@@ -318,7 +318,8 @@ pub struct RunResult {
     pub overload: OverloadStats,
     /// Served requests per [`RunConfig::timeline_bucket`]-wide bucket over
     /// the whole run (warmup included); empty when collection is off. The
-    /// `recovery` harness reads goodput dips and time-to-recover off this.
+    /// scenario catalog's `time_to_recover_ms` gate reads goodput dips
+    /// and time-to-recover off this.
     pub timeline: Vec<u64>,
     /// Whole-run client-abandoned connections that were established and
     /// owned by a live core when abandoned — the kill-one-core recovery

@@ -432,7 +432,7 @@ fn fuzz_pass(opts: &Opts) -> FuzzReport {
     let mut rng = SimRng::new(opts.seed ^ 0xC4A0_5C4A_05C4_A05C);
     let configs: Vec<RunConfig> = (0..opts.cases).map(|_| random_case(&mut rng)).collect();
     let jobs = configs.clone();
-    let results = bench::sweep_map(jobs, bench::default_workers(), |cfg| problems_of(&cfg));
+    let results = bench::par_map(jobs, bench::default_workers(), |cfg| problems_of(&cfg));
     let mut failures = Vec::new();
     for (cfg, problems) in configs.iter().zip(results) {
         if problems.is_empty() {

@@ -19,6 +19,7 @@
 //! Usage: `simcheck [--runs N] [--fuzz N] [--seed S] [--out PATH]`
 
 use app::{ListenKind, RunConfig, RunResult, Runner, ServerKind, Workload};
+use bench::quick_config;
 use metrics::json::Json;
 use sim::rng::SimRng;
 use sim::time::ms;
@@ -108,24 +109,6 @@ impl Opts {
         }
         opts
     }
-}
-
-/// A short run: small core counts and windows keep one run in the
-/// tens-of-milliseconds range so hundreds fit in a CI smoke test.
-fn quick_config(
-    machine: Machine,
-    cores: usize,
-    listen: ListenKind,
-    server: ServerKind,
-    rate: f64,
-    seed: u64,
-) -> RunConfig {
-    let mut cfg = RunConfig::new(machine, cores, listen, server, Workload::base(), rate);
-    cfg.warmup = ms(150);
-    cfg.measure = ms(150);
-    cfg.tracked_files = 200;
-    cfg.seed = seed;
-    cfg
 }
 
 fn label(cfg: &RunConfig) -> String {
@@ -466,7 +449,7 @@ fn fuzz_pass(opts: &Opts) -> FuzzReport {
 
     // Parallel first pass; shrinking (rare) is sequential.
     let jobs = configs.clone();
-    let results = bench::sweep_map(jobs, bench::default_workers(), |cfg| problems_of(&cfg));
+    let results = bench::par_map(jobs, bench::default_workers(), |cfg| problems_of(&cfg));
     let mut failures = Vec::new();
     for (cfg, problems) in configs.iter().zip(results) {
         if problems.is_empty() {

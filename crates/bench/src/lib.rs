@@ -21,8 +21,8 @@ pub mod scenario;
 pub mod sweep;
 
 pub use sweep::{
-    check_mode, default_workers, par_map, quick_config, sweep_fixed, sweep_fixed_workers,
-    sweep_map, sweep_saturation, write_artifact, Args,
+    check_mode, default_workers, par_map, quick_config, sweep_fixed_workers, sweep_saturation,
+    write_artifact, Args,
 };
 
 /// The three listen-socket implementations every figure compares.
@@ -116,7 +116,7 @@ mod tests {
                 cfg
             })
             .collect();
-        let rs = sweep_fixed(cfgs);
+        let rs = sweep_fixed_workers(cfgs, default_workers());
         assert_eq!(rs.len(), 2);
         // Both served roughly the same offered load; per-core differs ~2x.
         assert!(rs[0].served > 0 && rs[1].served > 0);

@@ -3,9 +3,11 @@
 //! A [`Scenario`] is a complete end-to-end experiment described as data:
 //! machine and core counts, the listen-socket implementations to compare,
 //! workload shape, fault plan, overload plane, hotplug schedule, plus the
-//! *gates* the outcome must pass (audit cleanliness, throughput floors,
-//! cross-implementation ordering) and the *golden* fingerprints that pin
-//! it bit-for-bit. Scenarios are stored as JSON files under `scenarios/`
+//! *gates* the outcome must pass (audit cleanliness, cross-implementation
+//! ordering, and numeric bounds on per-kind metrics such as served
+//! requests, goodput retained after a fault, or time to recover) and the
+//! *golden* fingerprints that pin it bit-for-bit. Scenarios are stored
+//! as JSON files under `scenarios/`
 //! (parsed with the repo's own [`metrics::json`] parser — no serde), run
 //! by the `scenario` driver binary and by `tests/scenarios.rs`, and
 //! re-recorded with `scenario --record` when a simulation change
@@ -17,8 +19,8 @@
 //! second source of truth, it points at the existing one.
 
 use app::{
-    ClusterConfig, ClusterResult, ClusterRunner, LbPolicy, ListenKind, RunConfig, RunResult,
-    ServerKind, Workload,
+    ClusterConfig, ClusterResult, ClusterRunner, FlashCrowd, LbPolicy, ListenKind, RunConfig,
+    RunResult, ServerKind, Workload,
 };
 use mem::LayoutVariant;
 use metrics::json::Json;
@@ -116,47 +118,223 @@ pub struct GoldenEntry {
 pub struct Gates {
     /// Require every run's conservation audit to be violation-free.
     pub audit_clean: bool,
-    /// Minimum total served requests per listen kind.
-    pub min_served: u64,
-    /// Minimum completed/(completed+timeouts) fraction per kind.
-    pub min_completed_frac: Option<f64>,
     /// Served-throughput ordering across kinds, best first (e.g.
     /// `[affinity, fine, stock]` asserts Affinity ≥ Fine ≥ Stock, each
     /// comparison slackened by [`Gates::ordering_slack`]).
     pub ordering: Vec<ListenKind>,
     /// Slack factor for ordering comparisons: `hi ≥ lo * slack`.
     pub ordering_slack: f64,
-    /// Minimum SYN cookies issued per kind (overload scenarios).
-    pub min_cookies: u64,
-    /// Minimum accept-queue re-home operations per kind (hotplug /
-    /// watchdog scenarios).
-    pub min_rehomes: u64,
-    /// Maximum client timeouts whose connection was owned by a live core
-    /// (the recovery plane's no-collateral-damage bound).
-    pub max_timeouts_live_owner: Option<u64>,
-    /// Require the Fine-Accept kind's wasted-bytes-per-request under the
-    /// scenario's `packed` layout to stay at or below the same
-    /// configuration re-run with the paper layout (the dprof-v2 packing
-    /// payoff gate). Needs `dprof_v2`, `layout: "packed"`, a `fine` kind,
-    /// and a single-host scenario; skipped under the `fast` feature (the
-    /// ledger is compiled out).
+    /// Require each kind's wasted-bytes-per-request under the scenario's
+    /// `packed` layout to stay at or below the same configuration re-run
+    /// with the paper layout (the dprof-v2 packing payoff gate). Needs
+    /// `dprof_v2`, `layout: "packed"` and a single-host scenario; skipped
+    /// under the `fast` feature (the ledger is compiled out).
     pub packed_wasted_lte_paper: bool,
+    /// Bounds on per-kind metrics (`gates.bounds`), in file order.
+    pub bounds: Vec<Bound>,
 }
 
 impl Default for Gates {
     fn default() -> Self {
         Self {
             audit_clean: true,
-            min_served: 0,
-            min_completed_frac: None,
             ordering: Vec::new(),
             ordering_slack: 0.97,
-            min_cookies: 0,
-            min_rehomes: 0,
-            max_timeouts_live_owner: None,
             packed_wasted_lte_paper: false,
+            bounds: Vec::new(),
         }
     }
+}
+
+/// One `gates.bounds` entry: every kind's value of `metric` must lie in
+/// `[min, max]` (either side may be open).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bound {
+    /// The bounded metric.
+    pub metric: Metric,
+    /// Inclusive lower bound.
+    pub min: Option<f64>,
+    /// Inclusive upper bound.
+    pub max: Option<f64>,
+}
+
+/// A per-kind outcome a [`Bound`] can constrain. Counters sum over the
+/// kind's runs; times take the worst run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Requests served in the measurement windows.
+    Served,
+    /// Completed / (completed + timed-out) client connections.
+    CompletedFrac,
+    /// SYN cookies issued (single-host only).
+    Cookies,
+    /// Accept-queue re-home operations (single-host only).
+    Rehomes,
+    /// Client timeouts on established connections a live core owned
+    /// (the recovery plane's no-collateral-damage bound).
+    TimeoutsLiveOwner,
+    /// Client timeouts on established connections a down core owned.
+    TimeoutsDeadOwner,
+    /// Served divided by the served of a fault-free twin run (the same
+    /// scenario with `hotplug` and `host_faults` emptied).
+    GoodputRetained,
+    /// Milliseconds from the first fault (a core going down, or a host
+    /// crashing or starting to drain) until the served rate is back at
+    /// 90 % of its pre-fault level, read off the run's timeline;
+    /// infinite when a run never recovers.
+    TimeToRecoverMs,
+    /// Connections stranded by host crashes and forced drains (cluster).
+    Stranded,
+    /// Stranded connections completed through cross-host retry
+    /// (cluster).
+    Recovered,
+    /// Health-check evictions of crashed hosts (cluster).
+    Evictions,
+    /// Worst crash-to-eviction delay in milliseconds (cluster; 0 without
+    /// evictions).
+    WorstEvictionDelayMs,
+    /// Host instances booted after time 0 (cluster).
+    Restarts,
+    /// Host drains completed, quiesced or forced (cluster).
+    DrainsDone,
+    /// Completed drains that hit the deadline with connections still
+    /// open (cluster).
+    DrainsForced,
+    /// Whole-host crashes (cluster).
+    Crashes,
+}
+
+/// Which scenarios report a [`Metric`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    Any,
+    SingleHost,
+    Cluster,
+}
+
+impl Metric {
+    /// Every metric, in report-row order.
+    pub const ALL: [Metric; 16] = [
+        Metric::Served,
+        Metric::CompletedFrac,
+        Metric::Cookies,
+        Metric::Rehomes,
+        Metric::TimeoutsLiveOwner,
+        Metric::TimeoutsDeadOwner,
+        Metric::GoodputRetained,
+        Metric::TimeToRecoverMs,
+        Metric::Stranded,
+        Metric::Recovered,
+        Metric::Evictions,
+        Metric::WorstEvictionDelayMs,
+        Metric::Restarts,
+        Metric::DrainsDone,
+        Metric::DrainsForced,
+        Metric::Crashes,
+    ];
+
+    /// The metric's key in `gates.bounds` and in the report row.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::Served => "served",
+            Metric::CompletedFrac => "completed_frac",
+            Metric::Cookies => "cookies",
+            Metric::Rehomes => "rehomes",
+            Metric::TimeoutsLiveOwner => "timeouts_live_owner",
+            Metric::TimeoutsDeadOwner => "timeouts_dead_owner",
+            Metric::GoodputRetained => "goodput_retained",
+            Metric::TimeToRecoverMs => "time_to_recover_ms",
+            Metric::Stranded => "stranded",
+            Metric::Recovered => "recovered",
+            Metric::Evictions => "evictions",
+            Metric::WorstEvictionDelayMs => "worst_eviction_delay_ms",
+            Metric::Restarts => "restarts",
+            Metric::DrainsDone => "drains_done",
+            Metric::DrainsForced => "drains_forced",
+            Metric::Crashes => "crashes",
+        }
+    }
+
+    fn scope(self) -> Scope {
+        match self {
+            Metric::Cookies | Metric::Rehomes => Scope::SingleHost,
+            Metric::Stranded
+            | Metric::Recovered
+            | Metric::Evictions
+            | Metric::WorstEvictionDelayMs
+            | Metric::Restarts
+            | Metric::DrainsDone
+            | Metric::DrainsForced
+            | Metric::Crashes => Scope::Cluster,
+            _ => Scope::Any,
+        }
+    }
+
+    /// The metric's value in one kind's report; `None` when the run did
+    /// not measure it (no twin ran, or no fault to recover from).
+    #[allow(clippy::cast_precision_loss)]
+    fn of(self, kr: &KindReport) -> Option<f64> {
+        let n = |v: u64| Some(v as f64);
+        match self {
+            Metric::Served => n(kr.served),
+            Metric::CompletedFrac => {
+                let total = kr.completed + kr.timeouts;
+                Some(if total == 0 {
+                    0.0
+                } else {
+                    kr.completed as f64 / total as f64
+                })
+            }
+            Metric::Cookies => n(kr.cookies),
+            Metric::Rehomes => n(kr.rehomes),
+            Metric::TimeoutsLiveOwner => n(kr.timeouts_live_owner),
+            Metric::TimeoutsDeadOwner => n(kr.timeouts_dead_owner),
+            Metric::GoodputRetained => kr.goodput_retained,
+            Metric::TimeToRecoverMs => kr.time_to_recover_ms,
+            Metric::Stranded => n(kr.stranded),
+            Metric::Recovered => n(kr.recovered),
+            Metric::Evictions => n(kr.evictions),
+            Metric::WorstEvictionDelayMs => Some(kr.worst_eviction_delay_ms),
+            Metric::Restarts => n(kr.restarts),
+            Metric::DrainsDone => n(kr.drains_done),
+            Metric::DrainsForced => n(kr.drains_forced),
+            Metric::Crashes => n(kr.crashes),
+        }
+    }
+}
+
+/// The fraction of the pre-fault served rate a timeline bucket must reach
+/// to count as recovered.
+const RECOVERY_THRESHOLD: f64 = 0.90;
+
+/// Reads the time to recover off a served-requests timeline of
+/// `bucket`-wide buckets: from `fault_at` to the end of the first
+/// post-fault bucket whose count is back at [`RECOVERY_THRESHOLD`] of the
+/// mean over the pre-fault buckets. Only complete buckets count on both
+/// sides: the pre-fault window is the buckets wholly inside
+/// `(warmup, fault_at)`, and the scan skips the bucket the fault lands
+/// in and stops before the partial bucket at `end`. `None` when the
+/// pre-fault window is empty or the rate never recovers.
+#[allow(clippy::cast_precision_loss)]
+fn time_to_recover(
+    timeline: &[u64],
+    bucket: Cycles,
+    warmup: Cycles,
+    fault_at: Cycles,
+    end: Cycles,
+) -> Option<Cycles> {
+    let b = |t: Cycles| (t / bucket) as usize;
+    let count = |i: usize| timeline.get(i).copied().unwrap_or(0);
+    let (pre_lo, pre_hi) = (b(warmup) + 1, b(fault_at));
+    if pre_hi <= pre_lo {
+        return None;
+    }
+    let pre: u64 = (pre_lo..pre_hi).map(count).sum();
+    let threshold = RECOVERY_THRESHOLD * pre as f64 / (pre_hi - pre_lo) as f64;
+    (b(fault_at) + 1..b(end))
+        .find(|&i| count(i) as f64 >= threshold)
+        .map(|i| (i as u64 + 1) * bucket - fault_at)
 }
 
 /// A complete declarative experiment. See the module docs; every field's
@@ -214,6 +392,8 @@ pub struct Scenario {
     pub lb: LbPolicy,
     /// Whole-host fault schedule (cluster scenarios only).
     pub host_faults: Vec<HostEvent>,
+    /// Arrival surge over part of the run (cluster scenarios only).
+    pub flash: Option<FlashCrowd>,
     /// Timeline bucket width (0 disables collection).
     pub timeline_bucket: Cycles,
     /// Record the dprof-v2 per-cacheline ledger (fingerprint-neutral;
@@ -260,6 +440,7 @@ impl Scenario {
             hosts: 0,
             lb: LbPolicy::ConsistentHash,
             host_faults: Vec::new(),
+            flash: None,
             timeline_bucket: 0,
             dprof_v2: false,
             layout: LayoutVariant::Paper,
@@ -336,7 +517,37 @@ impl Scenario {
         let mut c = ClusterConfig::new(self.hosts, self.config(kind, cores, mult));
         c.lb = self.lb;
         c.host_events = self.host_faults.clone();
+        c.flash = self.flash;
         c
+    }
+
+    /// The first scheduled fault: a core going down, or a host crashing
+    /// or starting to drain.
+    fn first_fault(&self) -> Option<Cycles> {
+        let cores = self.hotplug.iter().filter(|h| !h.up).map(|h| h.at);
+        let hosts = self
+            .host_faults
+            .iter()
+            .filter(|h| matches!(h.kind, HostEventKind::Crash | HostEventKind::DrainStart))
+            .map(|h| h.at);
+        cores.chain(hosts).min()
+    }
+
+    /// The worst [`time_to_recover`] over a kind's run timelines, in
+    /// milliseconds (infinite if any run never recovers); `None` unless
+    /// the scenario collects a timeline and schedules a fault.
+    #[allow(clippy::cast_precision_loss)]
+    fn recovery_ms<'a>(&self, timelines: impl Iterator<Item = &'a [u64]>) -> Option<f64> {
+        let fault_at = self.first_fault()?;
+        if self.timeline_bucket == 0 {
+            return None;
+        }
+        let end = self.warmup + self.measure;
+        Some(timelines.fold(0.0, |worst: f64, t| {
+            let ttr = time_to_recover(t, self.timeline_bucket, self.warmup, fault_at, end)
+                .map_or(f64::INFINITY, |c| c as f64 / CYCLES_PER_MS as f64);
+            worst.max(ttr)
+        }))
     }
 }
 
@@ -698,14 +909,57 @@ fn parse_host_faults(v: &Json, path: &str) -> Result<Vec<HostEvent>, String> {
         .collect()
 }
 
+fn parse_flash(v: &Json, path: &str) -> Result<FlashCrowd, String> {
+    let mut f = FlashCrowd {
+        at: 0,
+        until: 0,
+        multiplier: 1.0,
+    };
+    for (k, v) in want_obj(v, path)? {
+        let p = sub(path, k);
+        match k.as_str() {
+            "at_ms" => f.at = want_ms(v, &p)?,
+            "until_ms" => f.until = want_ms(v, &p)?,
+            "multiplier" => f.multiplier = want_f64(v, &p)?,
+            _ => return Err(format!("{p}: unknown key")),
+        }
+    }
+    Ok(f)
+}
+
+fn parse_bounds(v: &Json, path: &str) -> Result<Vec<Bound>, String> {
+    want_obj(v, path)?
+        .iter()
+        .map(|(name, bv)| {
+            let p = sub(path, name);
+            let metric = Metric::ALL
+                .into_iter()
+                .find(|m| m.name() == name)
+                .ok_or_else(|| format!("{p}: unknown metric"))?;
+            let mut b = Bound {
+                metric,
+                min: None,
+                max: None,
+            };
+            for (bk, bvv) in want_obj(bv, &p)? {
+                let bp = sub(&p, bk);
+                match bk.as_str() {
+                    "min" => b.min = Some(want_f64(bvv, &bp)?),
+                    "max" => b.max = Some(want_f64(bvv, &bp)?),
+                    _ => return Err(format!("{bp}: unknown key")),
+                }
+            }
+            Ok(b)
+        })
+        .collect()
+}
+
 fn parse_gates(v: &Json, path: &str) -> Result<Gates, String> {
     let mut g = Gates::default();
     for (k, v) in want_obj(v, path)? {
         let p = sub(path, k);
         match k.as_str() {
             "audit_clean" => g.audit_clean = want_bool(v, &p)?,
-            "min_served" => g.min_served = want_u64(v, &p)?,
-            "min_completed_frac" => g.min_completed_frac = Some(want_prob(v, &p)?),
             "ordering" => g.ordering = parse_kinds(v, &p)?,
             "ordering_slack" => {
                 let s = want_f64(v, &p)?;
@@ -714,12 +968,8 @@ fn parse_gates(v: &Json, path: &str) -> Result<Gates, String> {
                 }
                 g.ordering_slack = s;
             }
-            "min_cookies" => g.min_cookies = want_u64(v, &p)?,
-            "min_rehomes" => g.min_rehomes = want_u64(v, &p)?,
-            "max_timeouts_live_owner" => {
-                g.max_timeouts_live_owner = Some(want_u64(v, &p)?);
-            }
             "packed_wasted_lte_paper" => g.packed_wasted_lte_paper = want_bool(v, &p)?,
+            "bounds" => g.bounds = parse_bounds(v, &p)?,
             _ => return Err(format!("{p}: unknown key")),
         }
     }
@@ -847,6 +1097,7 @@ impl Scenario {
                     })?;
                 }
                 "host_faults" => s.host_faults = parse_host_faults(v, &p)?,
+                "flash" => s.flash = Some(parse_flash(v, &p)?),
                 "timeline_bucket_ms" => s.timeline_bucket = want_ms(v, &p)?,
                 "dprof_v2" => s.dprof_v2 = want_bool(v, &p)?,
                 "layout" => {
@@ -969,6 +1220,9 @@ impl Scenario {
             if self.lb != LbPolicy::ConsistentHash {
                 return Err(format!("lb: {:?} requires hosts >= 1", self.lb.label()));
             }
+            if self.flash.is_some() {
+                return Err("flash: requires hosts >= 1".to_string());
+            }
         } else {
             if self.search == Search::Saturation {
                 return Err(
@@ -977,12 +1231,20 @@ impl Scenario {
                         .to_string(),
                 );
             }
-            if self.gates.min_cookies > 0 || self.gates.min_rehomes > 0 {
-                return Err(
-                    "gates: min_cookies/min_rehomes are per-host overload counters the \
-                     cluster report does not aggregate; drop them from cluster scenarios"
-                        .to_string(),
-                );
+            if let Some(f) = self.flash {
+                if f.until <= f.at {
+                    return Err(format!(
+                        "flash.until_ms: {} must be after at_ms {}",
+                        f.until / CYCLES_PER_MS,
+                        f.at / CYCLES_PER_MS
+                    ));
+                }
+                if f.multiplier <= 0.0 {
+                    return Err(format!(
+                        "flash.multiplier: {} must be positive",
+                        f.multiplier
+                    ));
+                }
             }
             for (i, ev) in self.host_faults.iter().enumerate() {
                 if usize::from(ev.host) >= self.hosts {
@@ -1006,13 +1268,6 @@ impl Scenario {
                     "gates.packed_wasted_lte_paper: requires dprof_v2 true and layout \
                      \"packed\" (the gate compares the packed ledger against a paper-layout \
                      twin run)"
-                        .to_string(),
-                );
-            }
-            if !self.kinds.contains(&ListenKind::Fine) {
-                return Err(
-                    "gates.packed_wasted_lte_paper: requires the \"fine\" kind (the gate \
-                     targets Fine-Accept's sharing profile)"
                         .to_string(),
                 );
             }
@@ -1043,6 +1298,7 @@ impl Scenario {
                 }
             }
         }
+        self.validate_bounds()?;
         for g in &self.golden {
             if !self.kinds.contains(&g.kind) {
                 return Err(format!(
@@ -1069,10 +1325,59 @@ impl Scenario {
                 CYCLES_PER_US,
                 "fault.reorder_delay_us",
             ),
+            (self.flash.map_or(0, |f| f.at), CYCLES_PER_MS, "flash.at_ms"),
+            (
+                self.flash.map_or(0, |f| f.until),
+                CYCLES_PER_MS,
+                "flash.until_ms",
+            ),
         ];
         for (v, unit, label) in granular {
             if v % unit != 0 {
                 return Err(format!("{label}: {v} cycles is not unit-granular"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The `gates.bounds` rules: a known metric at most once, a
+    /// non-empty range, a metric this kind of scenario reports, and the
+    /// timeline and fault that `time_to_recover_ms` reads.
+    fn validate_bounds(&self) -> Result<(), String> {
+        for (i, b) in self.gates.bounds.iter().enumerate() {
+            let p = format!("gates.bounds.{}", b.metric.name());
+            if self.gates.bounds[..i].iter().any(|o| o.metric == b.metric) {
+                return Err(format!("{p}: duplicate metric"));
+            }
+            match (b.min, b.max) {
+                (None, None) => return Err(format!("{p}: needs a min or a max")),
+                (Some(min), Some(max)) if min > max => {
+                    return Err(format!("{p}: min {min} above max {max}"));
+                }
+                _ => {}
+            }
+            match b.metric.scope() {
+                Scope::Cluster if self.hosts == 0 => {
+                    return Err(format!("{p}: a cluster metric; requires hosts >= 1"));
+                }
+                Scope::SingleHost if self.hosts > 0 => {
+                    return Err(format!(
+                        "{p}: a per-host counter the cluster report does not aggregate; \
+                         requires hosts == 0"
+                    ));
+                }
+                _ => {}
+            }
+            if b.metric == Metric::TimeToRecoverMs {
+                if self.timeline_bucket == 0 {
+                    return Err(format!("{p}: requires timeline_bucket_ms > 0"));
+                }
+                if self.first_fault().is_none() {
+                    return Err(format!(
+                        "{p}: requires a fault event (a hotplug core going down, or a host \
+                         crash or drain)"
+                    ));
+                }
             }
         }
         Ok(())
@@ -1179,6 +1484,15 @@ impl Scenario {
                     ),
                 );
             }
+            if let Some(f) = self.flash {
+                doc = doc.field(
+                    "flash",
+                    Json::obj()
+                        .field("at_ms", f.at / CYCLES_PER_MS)
+                        .field("until_ms", f.until / CYCLES_PER_MS)
+                        .field("multiplier", f.multiplier),
+                );
+            }
         }
         doc = doc
             .field("timeline_bucket_ms", self.timeline_bucket / CYCLES_PER_MS)
@@ -1255,12 +1569,7 @@ fn overload_json(o: &OverloadConfig) -> Json {
 }
 
 fn gates_json(g: &Gates) -> Json {
-    let mut j = Json::obj()
-        .field("audit_clean", g.audit_clean)
-        .field("min_served", g.min_served);
-    if let Some(f) = g.min_completed_frac {
-        j = j.field("min_completed_frac", f);
-    }
+    let mut j = Json::obj().field("audit_clean", g.audit_clean);
     if !g.ordering.is_empty() {
         j = j.field(
             "ordering",
@@ -1269,12 +1578,21 @@ fn gates_json(g: &Gates) -> Json {
     }
     j = j
         .field("ordering_slack", g.ordering_slack)
-        .field("min_cookies", g.min_cookies)
-        .field("min_rehomes", g.min_rehomes);
-    if let Some(cap) = g.max_timeouts_live_owner {
-        j = j.field("max_timeouts_live_owner", cap);
+        .field("packed_wasted_lte_paper", g.packed_wasted_lte_paper);
+    if !g.bounds.is_empty() {
+        let bound = |b: &Bound| {
+            let mut o = Json::obj();
+            if let Some(min) = b.min {
+                o = o.field("min", min);
+            }
+            if let Some(max) = b.max {
+                o = o.field("max", max);
+            }
+            (b.metric.name().to_string(), o)
+        };
+        j = j.field("bounds", Json::Obj(g.bounds.iter().map(bound).collect()));
     }
-    j.field("packed_wasted_lte_paper", g.packed_wasted_lte_paper)
+    j
 }
 
 fn golden_json(golden: &[GoldenEntry]) -> Json {
@@ -1315,7 +1633,10 @@ pub struct RunSummary {
     pub events: u64,
 }
 
-/// Aggregated outcome of one listen kind's runs.
+/// Aggregated outcome of one listen kind's runs. Counters sum over the
+/// runs; the per-plane ones read zero where the plane does not exist
+/// (overload counters in cluster scenarios, cluster counters on a
+/// single host).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KindReport {
     /// Listen kind.
@@ -1334,6 +1655,29 @@ pub struct KindReport {
     pub rehomes: u64,
     /// Client timeouts on live-owner established connections.
     pub timeouts_live_owner: u64,
+    /// Client timeouts on dead-owner established connections.
+    pub timeouts_dead_owner: u64,
+    /// [`Metric::GoodputRetained`]; `None` unless a bound asked for the
+    /// fault-free twin.
+    pub goodput_retained: Option<f64>,
+    /// [`Metric::TimeToRecoverMs`]; `None` without a fault or a timeline.
+    pub time_to_recover_ms: Option<f64>,
+    /// [`Metric::Stranded`].
+    pub stranded: u64,
+    /// [`Metric::Recovered`].
+    pub recovered: u64,
+    /// [`Metric::Evictions`].
+    pub evictions: u64,
+    /// [`Metric::WorstEvictionDelayMs`].
+    pub worst_eviction_delay_ms: f64,
+    /// [`Metric::Restarts`].
+    pub restarts: u64,
+    /// [`Metric::DrainsDone`].
+    pub drains_done: u64,
+    /// [`Metric::DrainsForced`].
+    pub drains_forced: u64,
+    /// [`Metric::Crashes`].
+    pub crashes: u64,
     /// dprof-v2 wasted bytes per served request across the kind's runs
     /// (0.0 when the ledger was off or compiled out).
     pub wasted_bytes_per_request: f64,
@@ -1347,29 +1691,49 @@ pub struct KindReport {
 }
 
 impl KindReport {
-    fn from_results(kind: ListenKind, rs: &[(usize, f64, RunResult)]) -> Self {
-        let fps: Vec<u64> = rs.iter().map(|(_, _, r)| r.fingerprint).collect();
+    /// A report with every count at zero and nothing measured.
+    fn empty(kind: ListenKind) -> Self {
         Self {
             kind,
-            served: rs.iter().map(|(_, _, r)| r.served).sum(),
-            completed: rs.iter().map(|(_, _, r)| r.conns_completed).sum(),
-            timeouts: rs.iter().map(|(_, _, r)| r.timeouts).sum(),
-            fingerprint: combine_fingerprints(&fps),
-            cookies: rs.iter().map(|(_, _, r)| r.overload.cookies_issued).sum(),
-            rehomes: rs.iter().map(|(_, _, r)| r.overload.rehome_ops).sum(),
-            timeouts_live_owner: rs.iter().map(|(_, _, r)| r.timeouts_live_owner).sum(),
-            wasted_bytes_per_request: wasted_per_request(rs),
+            served: 0,
+            completed: 0,
+            timeouts: 0,
+            fingerprint: 0,
+            cookies: 0,
+            rehomes: 0,
+            timeouts_live_owner: 0,
+            timeouts_dead_owner: 0,
+            goodput_retained: None,
+            time_to_recover_ms: None,
+            stranded: 0,
+            recovered: 0,
+            evictions: 0,
+            worst_eviction_delay_ms: 0.0,
+            restarts: 0,
+            drains_done: 0,
+            drains_forced: 0,
+            crashes: 0,
+            wasted_bytes_per_request: 0.0,
             paper_wasted_bytes_per_request: 0.0,
-            audit: rs
-                .iter()
-                .enumerate()
-                .flat_map(|(i, (_, _, r))| {
-                    r.audit
-                        .violations()
-                        .into_iter()
-                        .map(move |v| format!("{} run[{i}]: {v}", kind.label()))
-                })
-                .collect(),
+            audit: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+
+    fn from_results(kind: ListenKind, rs: &[(usize, f64, RunResult)]) -> Self {
+        let sum = |f: fn(&RunResult) -> u64| rs.iter().map(|(_, _, r)| f(r)).sum();
+        let fps: Vec<u64> = rs.iter().map(|(_, _, r)| r.fingerprint).collect();
+        Self {
+            served: sum(|r| r.served),
+            completed: sum(|r| r.conns_completed),
+            timeouts: sum(|r| r.timeouts),
+            fingerprint: combine_fingerprints(&fps),
+            cookies: sum(|r| r.overload.cookies_issued),
+            rehomes: sum(|r| r.overload.rehome_ops),
+            timeouts_live_owner: sum(|r| r.timeouts_live_owner),
+            timeouts_dead_owner: sum(|r| r.timeouts_dead_owner),
+            wasted_bytes_per_request: wasted_per_request(rs),
+            audit: audit_lines(kind, "run", rs.iter().map(|(_, _, r)| r.audit.violations())),
             runs: rs
                 .iter()
                 .map(|&(cores, rate, ref r)| RunSummary {
@@ -1381,61 +1745,66 @@ impl KindReport {
                     events: r.events_executed,
                 })
                 .collect(),
+            ..Self::empty(kind)
         }
     }
 
     /// Aggregates a cluster scenario's runs. Cookies and re-homes are
     /// per-host overload counters the cluster result does not carry, so
-    /// they report zero (validation rejects gates on them).
+    /// they report zero (validation rejects bounds on them).
+    #[allow(clippy::cast_precision_loss)]
     fn from_cluster(kind: ListenKind, rs: &[(usize, f64, ClusterResult)], hosts: usize) -> Self {
+        let sum = |f: fn(&ClusterResult) -> u64| rs.iter().map(|(_, _, r)| f(r)).sum();
         let fps: Vec<u64> = rs.iter().map(|(_, _, r)| r.fingerprint).collect();
         Self {
-            kind,
-            served: rs.iter().map(|(_, _, r)| r.served).sum(),
-            completed: rs.iter().map(|(_, _, r)| r.completed).sum(),
-            timeouts: rs.iter().map(|(_, _, r)| r.timeouts).sum(),
+            served: sum(|r| r.served),
+            completed: sum(|r| r.completed),
+            timeouts: sum(|r| r.timeouts),
             fingerprint: combine_fingerprints(&fps),
-            cookies: 0,
-            rehomes: 0,
-            timeouts_live_owner: rs.iter().map(|(_, _, r)| r.timeouts_live_owner).sum(),
-            wasted_bytes_per_request: 0.0,
-            paper_wasted_bytes_per_request: 0.0,
-            audit: rs
+            timeouts_live_owner: sum(|r| r.timeouts_live_owner),
+            timeouts_dead_owner: sum(|r| r.timeouts_dead_owner),
+            stranded: sum(|r| r.stranded),
+            recovered: sum(|r| r.recovered),
+            evictions: sum(|r| r.stats.evictions),
+            worst_eviction_delay_ms: rs
                 .iter()
-                .enumerate()
-                .flat_map(|(i, (_, _, r))| {
-                    r.audit
-                        .violations()
-                        .into_iter()
-                        .map(move |v| format!("{} cluster run[{i}]: {v}", kind.label()))
-                })
-                .collect(),
+                .flat_map(|(_, _, r)| &r.evictions)
+                .map(|&(_, delay)| delay as f64 / CYCLES_PER_MS as f64)
+                .fold(0.0, f64::max),
+            restarts: sum(|r| r.stats.restarts),
+            drains_done: sum(|r| r.stats.drain_done),
+            drains_forced: sum(|r| r.stats.drain_forced),
+            crashes: sum(|r| r.stats.crashes),
+            audit: audit_lines(
+                kind,
+                "cluster run",
+                rs.iter().map(|(_, _, r)| r.audit.violations()),
+            ),
             runs: rs
                 .iter()
                 .map(|&(cores, rate, ref r)| RunSummary {
                     cores,
                     rate,
                     served: r.served,
-                    #[allow(clippy::cast_precision_loss)]
                     rps_per_core: r.goodput / (hosts * cores) as f64,
                     fingerprint: r.fingerprint,
                     events: r.events_executed,
                 })
                 .collect(),
+            ..Self::empty(kind)
         }
     }
 
     fn to_json(&self) -> Json {
-        Json::obj()
+        let mut row = Json::obj()
             .field("kind", self.kind.label())
-            .field("served", self.served)
             .field("completed", self.completed)
             .field("timeouts", self.timeouts)
-            .field("fingerprint", format!("{:#018x}", self.fingerprint))
-            .field("cookies", self.cookies)
-            .field("rehomes", self.rehomes)
-            .field("timeouts_live_owner", self.timeouts_live_owner)
-            .field("wasted_bytes_per_request", self.wasted_bytes_per_request)
+            .field("fingerprint", format!("{:#018x}", self.fingerprint));
+        for m in Metric::ALL {
+            row = row.field(m.name(), m.of(self).map_or(Json::Null, Json::from));
+        }
+        row.field("wasted_bytes_per_request", self.wasted_bytes_per_request)
             .field(
                 "paper_wasted_bytes_per_request",
                 self.paper_wasted_bytes_per_request,
@@ -1462,6 +1831,21 @@ impl KindReport {
                 ),
             )
     }
+}
+
+/// Each run's audit violations, tagged with the kind and the run index.
+fn audit_lines(
+    kind: ListenKind,
+    run: &str,
+    violations: impl Iterator<Item = Vec<String>>,
+) -> Vec<String> {
+    violations
+        .enumerate()
+        .flat_map(|(i, vs)| {
+            vs.into_iter()
+                .map(move |v| format!("{} {run}[{i}]: {v}", kind.label()))
+        })
+        .collect()
 }
 
 /// dprof-v2 wasted bytes per served request summed over a kind's runs.
@@ -1519,45 +1903,42 @@ impl ScenarioReport {
 }
 
 impl Scenario {
-    /// Runs the scenario on `workers` sweep threads and evaluates its
-    /// gates and goldens.
+    /// Runs the scenario on `workers` sweep threads, runs the twins its
+    /// gates compare against, and evaluates its gates and goldens.
     #[must_use]
     pub fn run(&self, workers: usize) -> ScenarioReport {
-        if self.hosts > 0 {
-            return self.run_cluster(workers);
-        }
-        let cores_list = self.cores_list();
-        let runs_per_kind = self.runs_per_kind();
-        let mut cfgs = Vec::with_capacity(self.kinds.len() * runs_per_kind);
-        for &kind in &self.kinds {
-            for &cores in &cores_list {
-                for &mult in &self.rate_curve {
-                    cfgs.push(self.config(kind, cores, mult));
-                }
-            }
-        }
-        let shapes: Vec<(usize, f64)> = cfgs.iter().map(|c| (c.cores, c.conn_rate)).collect();
-        let results = match self.search {
-            Search::Saturation => crate::sweep_map(cfgs, workers, |cfg| app::find_saturation(&cfg)),
-            Search::Fixed => crate::sweep_fixed_workers(cfgs, workers),
+        let mut kinds = if self.hosts > 0 {
+            self.run_cluster(workers)
+        } else {
+            self.run_single(workers)
         };
-        let tagged: Vec<(usize, f64, RunResult)> = shapes
-            .into_iter()
-            .zip(results)
-            .map(|((cores, rate), r)| (cores, rate, r))
-            .collect();
-        let mut kinds: Vec<KindReport> = self
-            .kinds
+        // Under `fast` the ledger is compiled out, so both sides would
+        // read zero.
+        if self.gates.packed_wasted_lte_paper && !cfg!(feature = "fast") {
+            self.twin(
+                workers,
+                &mut kinds,
+                |t| t.layout = LayoutVariant::Paper,
+                |kr, tw| kr.paper_wasted_bytes_per_request = tw.wasted_bytes_per_request,
+            );
+        }
+        if self
+            .gates
+            .bounds
             .iter()
-            .enumerate()
-            .map(|(ki, &kind)| {
-                KindReport::from_results(
-                    kind,
-                    &tagged[ki * runs_per_kind..(ki + 1) * runs_per_kind],
-                )
-            })
-            .collect();
-        self.run_paper_twin(workers, &mut kinds);
+            .any(|b| b.metric == Metric::GoodputRetained)
+        {
+            #[allow(clippy::cast_precision_loss)]
+            self.twin(
+                workers,
+                &mut kinds,
+                |t| {
+                    t.hotplug.clear();
+                    t.host_faults.clear();
+                },
+                |kr, tw| kr.goodput_retained = Some(kr.served as f64 / tw.served.max(1) as f64),
+            );
+        }
         let problems = self.evaluate(&kinds);
         ScenarioReport {
             name: self.name.clone(),
@@ -1566,51 +1947,71 @@ impl Scenario {
         }
     }
 
-    /// When the `packed_wasted_lte_paper` gate is set, re-runs the Fine
-    /// kind's configurations with the paper layout (everything else
-    /// identical) and records its wasted-bytes-per-request on the Fine
-    /// report as the gate's comparison point. A no-op under `fast`: the
-    /// ledger is compiled out, so both sides would read zero.
-    fn run_paper_twin(&self, workers: usize, kinds: &mut [KindReport]) {
-        if !self.gates.packed_wasted_lte_paper || cfg!(feature = "fast") {
-            return;
+    /// Runs a copy of the scenario changed by `edit`, without gates or
+    /// goldens of its own, as the comparison point of a gate that
+    /// measures against a twin (`packed_wasted_lte_paper` against the
+    /// paper layout, `goodput_retained` against a fault-free run):
+    /// `read` copies each twin kind's number into the kind's report, and
+    /// the twin's audit violations join the kind's own.
+    fn twin(
+        &self,
+        workers: usize,
+        kinds: &mut [KindReport],
+        edit: impl FnOnce(&mut Scenario),
+        read: impl Fn(&mut KindReport, &KindReport),
+    ) {
+        let mut twin = self.clone();
+        twin.gates = Gates::default();
+        twin.golden.clear();
+        edit(&mut twin);
+        for (kr, tw) in kinds.iter_mut().zip(twin.run(workers).kinds) {
+            read(kr, &tw);
+            kr.audit
+                .extend(tw.audit.iter().map(|v| format!("twin {v}")));
         }
-        let Some(report) = kinds.iter_mut().find(|kr| kr.kind == ListenKind::Fine) else {
-            return;
-        };
-        let mut cfgs = Vec::new();
-        let mut shapes = Vec::new();
-        for &cores in &self.cores_list() {
-            for &mult in &self.rate_curve {
-                let mut cfg = self.config(ListenKind::Fine, cores, mult);
-                cfg.layout = LayoutVariant::Paper;
-                shapes.push((cfg.cores, cfg.conn_rate));
-                cfgs.push(cfg);
+    }
+
+    /// One item per `(kind, cores, rate multiplier)` point, kinds
+    /// outermost, so each kind's runs are one contiguous chunk.
+    fn points<T>(&self, f: impl Fn(ListenKind, usize, f64) -> T) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.kinds.len() * self.runs_per_kind());
+        for &kind in &self.kinds {
+            for &cores in &self.cores_list() {
+                for &mult in &self.rate_curve {
+                    out.push(f(kind, cores, mult));
+                }
             }
         }
-        let results = crate::sweep_fixed_workers(cfgs, workers);
+        out
+    }
+
+    /// The single-host run path: one run per point.
+    fn run_single(&self, workers: usize) -> Vec<KindReport> {
+        let cfgs = self.points(|kind, cores, mult| self.config(kind, cores, mult));
+        let shapes: Vec<(usize, f64)> = cfgs.iter().map(|c| (c.cores, c.conn_rate)).collect();
+        let results = match self.search {
+            Search::Saturation => crate::par_map(cfgs, workers, |cfg| app::find_saturation(&cfg)),
+            Search::Fixed => crate::sweep_fixed_workers(cfgs, workers),
+        };
         let tagged: Vec<(usize, f64, RunResult)> = shapes
             .into_iter()
             .zip(results)
             .map(|((cores, rate), r)| (cores, rate, r))
             .collect();
-        report.paper_wasted_bytes_per_request = wasted_per_request(&tagged);
+        tagged
+            .chunks(self.runs_per_kind())
+            .zip(&self.kinds)
+            .map(|(rs, &kind)| KindReport {
+                time_to_recover_ms: self.recovery_ms(rs.iter().map(|(_, _, r)| &r.timeline[..])),
+                ..KindReport::from_results(kind, rs)
+            })
+            .collect()
     }
 
-    /// The cluster-plane run path (`hosts >= 1`): every `(kind, cores,
-    /// rate multiplier)` point becomes one whole-cluster run through the
-    /// LB tier and fault schedule.
-    fn run_cluster(&self, workers: usize) -> ScenarioReport {
-        let cores_list = self.cores_list();
-        let runs_per_kind = self.runs_per_kind();
-        let mut cfgs = Vec::with_capacity(self.kinds.len() * runs_per_kind);
-        for &kind in &self.kinds {
-            for &cores in &cores_list {
-                for &mult in &self.rate_curve {
-                    cfgs.push(self.cluster_config(kind, cores, mult));
-                }
-            }
-        }
+    /// The cluster-plane run path (`hosts >= 1`): every point becomes one
+    /// whole-cluster run through the LB tier and fault schedule.
+    fn run_cluster(&self, workers: usize) -> Vec<KindReport> {
+        let cfgs = self.points(|kind, cores, mult| self.cluster_config(kind, cores, mult));
         let shapes: Vec<(usize, f64)> = cfgs
             .iter()
             .map(|c| (c.base.cores, c.base.conn_rate))
@@ -1621,24 +2022,14 @@ impl Scenario {
             .zip(results)
             .map(|((cores, rate), r)| (cores, rate, r))
             .collect();
-        let kinds: Vec<KindReport> = self
-            .kinds
-            .iter()
-            .enumerate()
-            .map(|(ki, &kind)| {
-                KindReport::from_cluster(
-                    kind,
-                    &tagged[ki * runs_per_kind..(ki + 1) * runs_per_kind],
-                    self.hosts,
-                )
+        tagged
+            .chunks(self.runs_per_kind())
+            .zip(&self.kinds)
+            .map(|(rs, &kind)| KindReport {
+                time_to_recover_ms: self.recovery_ms(rs.iter().map(|(_, _, r)| &r.timeline[..])),
+                ..KindReport::from_cluster(kind, rs, self.hosts)
             })
-            .collect();
-        let problems = self.evaluate(&kinds);
-        ScenarioReport {
-            name: self.name.clone(),
-            problems,
-            kinds,
-        }
+            .collect()
     }
 
     /// Evaluates gates and goldens against per-kind aggregates; returns
@@ -1655,63 +2046,32 @@ impl Scenario {
                     kr.audit.join("\n  ")
                 ));
             }
-            if kr.served < g.min_served {
-                problems.push(format!(
-                    "{lbl}: served {} below gate min_served {}",
-                    kr.served, g.min_served
-                ));
-            }
-            if let Some(floor) = g.min_completed_frac {
-                let total = kr.completed + kr.timeouts;
-                #[allow(clippy::cast_precision_loss)]
-                let frac = if total == 0 {
-                    0.0
-                } else {
-                    kr.completed as f64 / total as f64
+            for b in &g.bounds {
+                let name = b.metric.name();
+                let Some(v) = b.metric.of(kr) else {
+                    problems.push(format!("{lbl}: {name} was not measured"));
+                    continue;
                 };
-                if frac < floor {
-                    problems.push(format!(
-                        "{lbl}: completed fraction {frac:.4} ({}/{total}) below gate \
-                         min_completed_frac {floor}",
-                        kr.completed
-                    ));
+                if let Some(min) = b.min.filter(|&min| v < min) {
+                    problems.push(format!("{lbl}: {name} {v} below gate min {min}"));
+                }
+                if let Some(max) = b.max.filter(|&max| v > max) {
+                    problems.push(format!("{lbl}: {name} {v} above gate max {max}"));
                 }
             }
-            if kr.cookies < g.min_cookies {
+            // The packing-payoff gate: skipped under `fast` (the ledger
+            // reads zero on both sides) and when no twin ran (e.g.
+            // synthetic reports in unit tests carry no twin measurement).
+            if g.packed_wasted_lte_paper
+                && !cfg!(feature = "fast")
+                && kr.paper_wasted_bytes_per_request > 0.0
+                && kr.wasted_bytes_per_request > kr.paper_wasted_bytes_per_request
+            {
                 problems.push(format!(
-                    "{lbl}: {} SYN cookies issued, gate requires >= {}",
-                    kr.cookies, g.min_cookies
+                    "{lbl}: packed layout gate: wasted {:.1} bytes/request under packed, \
+                     above the paper layout's {:.1}",
+                    kr.wasted_bytes_per_request, kr.paper_wasted_bytes_per_request
                 ));
-            }
-            if kr.rehomes < g.min_rehomes {
-                problems.push(format!(
-                    "{lbl}: {} re-home ops, gate requires >= {}",
-                    kr.rehomes, g.min_rehomes
-                ));
-            }
-            if let Some(cap) = g.max_timeouts_live_owner {
-                if kr.timeouts_live_owner > cap {
-                    problems.push(format!(
-                        "{lbl}: {} live-owner timeouts exceed gate max {cap}",
-                        kr.timeouts_live_owner
-                    ));
-                }
-            }
-        }
-        // The packing-payoff gate: skipped under `fast` (the ledger reads
-        // zero on both sides) and when no twin ran (e.g. synthetic
-        // reports in unit tests carry no twin measurement).
-        if g.packed_wasted_lte_paper && !cfg!(feature = "fast") {
-            if let Some(kr) = kinds.iter().find(|kr| kr.kind == ListenKind::Fine) {
-                if kr.paper_wasted_bytes_per_request > 0.0
-                    && kr.wasted_bytes_per_request > kr.paper_wasted_bytes_per_request
-                {
-                    problems.push(format!(
-                        "packed layout gate: fine wasted {:.1} bytes/request under packed, \
-                         above the paper layout's {:.1}",
-                        kr.wasted_bytes_per_request, kr.paper_wasted_bytes_per_request
-                    ));
-                }
             }
         }
         let served_of = |k: ListenKind| kinds.iter().find(|kr| kr.kind == k).map(|kr| kr.served);
@@ -1958,14 +2318,41 @@ mod tests {
         s.layout = LayoutVariant::Packed;
         s.gates = Gates {
             audit_clean: true,
-            min_served: 1000,
-            min_completed_frac: Some(0.9),
             ordering: vec![ListenKind::Affinity, ListenKind::Twenty],
             ordering_slack: 0.95,
-            min_cookies: 5,
-            min_rehomes: 1,
-            max_timeouts_live_owner: Some(0),
             packed_wasted_lte_paper: false,
+            bounds: vec![
+                Bound {
+                    metric: Metric::Served,
+                    min: Some(1000.0),
+                    max: None,
+                },
+                Bound {
+                    metric: Metric::CompletedFrac,
+                    min: Some(0.9),
+                    max: None,
+                },
+                Bound {
+                    metric: Metric::Cookies,
+                    min: Some(5.0),
+                    max: None,
+                },
+                Bound {
+                    metric: Metric::Rehomes,
+                    min: Some(1.0),
+                    max: None,
+                },
+                Bound {
+                    metric: Metric::TimeoutsLiveOwner,
+                    min: None,
+                    max: Some(0.0),
+                },
+                Bound {
+                    metric: Metric::TimeToRecoverMs,
+                    min: None,
+                    max: Some(100.0),
+                },
+            ],
         };
         s.golden = vec![GoldenEntry {
             kind: ListenKind::Affinity,
@@ -2109,35 +2496,48 @@ mod tests {
                     },
                 })
                 .collect();
-            // Cluster scenarios run fixed-rate and report no per-host
-            // overload counters.
+            if rng.chance(0.5) {
+                let at = rng.below(500);
+                s.flash = Some(FlashCrowd {
+                    at: ms(at),
+                    until: ms(at + 1 + rng.below(500)),
+                    multiplier: 0.5 * (1 + rng.index(8)) as f64,
+                });
+            }
+            // Cluster scenarios run fixed-rate.
             s.search = Search::Fixed;
         }
         s.gates.audit_clean = rng.chance(0.9);
-        s.gates.min_served = rng.below(1000);
-        if rng.chance(0.3) {
-            s.gates.min_completed_frac = Some(rng.index(100) as f64 / 100.0);
-        }
         if s.kinds.len() >= 2 && rng.chance(0.5) {
             s.gates.ordering = s.kinds[..2].to_vec();
         }
         s.gates.ordering_slack = (1 + rng.index(100)) as f64 / 100.0;
-        s.gates.min_cookies = rng.below(10);
-        s.gates.min_rehomes = rng.below(3);
-        if s.hosts > 0 {
-            s.gates.min_cookies = 0;
-            s.gates.min_rehomes = 0;
-        }
-        if rng.chance(0.3) {
-            s.gates.max_timeouts_live_owner = Some(rng.below(5));
-        }
-        if s.dprof_v2
-            && s.layout == LayoutVariant::Packed
-            && s.kinds.contains(&ListenKind::Fine)
-            && s.hosts == 0
-            && rng.chance(0.5)
-        {
+        if s.dprof_v2 && s.layout == LayoutVariant::Packed && s.hosts == 0 && rng.chance(0.5) {
             s.gates.packed_wasted_lte_paper = true;
+        }
+        // Any subset of the metrics the scenario can bound, each with a
+        // min, a max, or both (min <= max).
+        for m in Metric::ALL {
+            let allowed = match m.scope() {
+                Scope::Any => true,
+                Scope::SingleHost => s.hosts == 0,
+                Scope::Cluster => s.hosts > 0,
+            };
+            let ttr_ok = s.timeline_bucket > 0 && s.first_fault().is_some();
+            if !allowed || (m == Metric::TimeToRecoverMs && !ttr_ok) || !rng.chance(0.3) {
+                continue;
+            }
+            let lo = rng.index(1000) as f64 / 4.0;
+            let (min, max) = match rng.index(3) {
+                0 => (Some(lo), None),
+                1 => (None, Some(lo)),
+                _ => (Some(lo), Some(lo + rng.index(1000) as f64)),
+            };
+            s.gates.bounds.push(Bound {
+                metric: m,
+                min,
+                max,
+            });
         }
         if s.search == Search::Fixed && rng.chance(0.5) {
             s.golden = s
@@ -2284,8 +2684,60 @@ mod tests {
                 "search: the saturation search is single-host",
             ),
             (
-                r#"{"name":"x","hosts":2,"gates":{"min_cookies":1}}"#,
-                "gates: min_cookies/min_rehomes are per-host overload counters",
+                r#"{"name":"x","gates":{"min_served":1}}"#,
+                "gates.min_served: unknown key",
+            ),
+            (
+                r#"{"name":"x","gates":{"bounds":{"bogus":{"min":1}}}}"#,
+                "gates.bounds.bogus: unknown metric",
+            ),
+            (
+                r#"{"name":"x","gates":{"bounds":{"served":{"lo":1}}}}"#,
+                "gates.bounds.served.lo: unknown key",
+            ),
+            (
+                r#"{"name":"x","gates":{"bounds":{"served":{}}}}"#,
+                "gates.bounds.served: needs a min or a max",
+            ),
+            (
+                r#"{"name":"x","gates":{"bounds":{"served":{"min":1},"served":{"max":9}}}}"#,
+                "gates.bounds.served: duplicate metric",
+            ),
+            (
+                r#"{"name":"x","gates":{"bounds":{"served":{"min":5,"max":1}}}}"#,
+                "gates.bounds.served: min 5 above max 1",
+            ),
+            (
+                r#"{"name":"x","gates":{"bounds":{"stranded":{"max":0}}}}"#,
+                "gates.bounds.stranded: a cluster metric; requires hosts >= 1",
+            ),
+            (
+                r#"{"name":"x","hosts":2,"gates":{"bounds":{"cookies":{"min":1}}}}"#,
+                "gates.bounds.cookies: a per-host counter the cluster report does not aggregate",
+            ),
+            (
+                r#"{"name":"x","hotplug":[{"core":1,"at_ms":50,"up":false}],"gates":{"bounds":{"time_to_recover_ms":{"max":100}}}}"#,
+                "gates.bounds.time_to_recover_ms: requires timeline_bucket_ms > 0",
+            ),
+            (
+                r#"{"name":"x","timeline_bucket_ms":10,"hotplug":[{"core":1,"at_ms":50,"up":true}],"gates":{"bounds":{"time_to_recover_ms":{"max":100}}}}"#,
+                "gates.bounds.time_to_recover_ms: requires a fault event",
+            ),
+            (
+                r#"{"name":"x","flash":{"at_ms":10,"until_ms":20,"multiplier":2}}"#,
+                "flash: requires hosts >= 1",
+            ),
+            (
+                r#"{"name":"x","hosts":2,"flash":{"at_ms":20,"until_ms":20,"multiplier":2}}"#,
+                "flash.until_ms: 20 must be after at_ms 20",
+            ),
+            (
+                r#"{"name":"x","hosts":2,"flash":{"at_ms":10,"until_ms":20,"multiplier":0}}"#,
+                "flash.multiplier: 0 must be positive",
+            ),
+            (
+                r#"{"name":"x","hosts":2,"flash":{"at_ms":10,"surge":2}}"#,
+                "flash.surge: unknown key",
             ),
             (
                 r#"{"name":"x","layout":"zigzag"}"#,
@@ -2294,10 +2746,6 @@ mod tests {
             (
                 r#"{"name":"x","gates":{"packed_wasted_lte_paper":true}}"#,
                 "gates.packed_wasted_lte_paper: requires dprof_v2 true and layout",
-            ),
-            (
-                r#"{"name":"x","dprof_v2":true,"layout":"packed","kinds":["affinity"],"gates":{"packed_wasted_lte_paper":true}}"#,
-                "gates.packed_wasted_lte_paper: requires the \"fine\" kind",
             ),
             (
                 r#"{"name":"x","dprof_v2":true,"layout":"packed","kinds":["fine"],"hosts":2,"gates":{"packed_wasted_lte_paper":true}}"#,
@@ -2373,7 +2821,11 @@ mod tests {
     fn gate_evaluation_reports_each_violation() {
         let mut s = Scenario::base("gates");
         s.kinds = vec![ListenKind::Affinity, ListenKind::Stock];
-        s.gates.min_served = 100;
+        s.gates.bounds = vec![Bound {
+            metric: Metric::Served,
+            min: Some(100.0),
+            max: None,
+        }];
         s.gates.ordering = vec![ListenKind::Affinity, ListenKind::Stock];
         s.gates.ordering_slack = 1.0;
         s.golden = vec![GoldenEntry {
@@ -2382,28 +2834,20 @@ mod tests {
             served: 50,
         }];
         let report = |kind: ListenKind, served: u64, fp: u64| KindReport {
-            kind,
             served,
             completed: served,
-            timeouts: 0,
             fingerprint: fp,
-            cookies: 0,
-            rehomes: 0,
-            timeouts_live_owner: 0,
-            wasted_bytes_per_request: 0.0,
-            paper_wasted_bytes_per_request: 0.0,
-            audit: Vec::new(),
-            runs: Vec::new(),
+            ..KindReport::empty(kind)
         };
-        // affinity misses min_served and the golden; stock beats affinity,
-        // violating the ordering gate.
+        // affinity misses the served bound and the golden; stock beats
+        // affinity, violating the ordering gate.
         let problems = s.evaluate(&[
             report(ListenKind::Affinity, 50, 0x2),
             report(ListenKind::Stock, 120, 0x3),
         ]);
         assert!(problems
             .iter()
-            .any(|p| p.contains("affinity: served 50 below gate")));
+            .any(|p| p.contains("affinity: served 50 below gate min 100")));
         assert!(problems
             .iter()
             .any(|p| p.contains("ordering gate: affinity served 50")));
@@ -2422,45 +2866,172 @@ mod tests {
         ]);
         let expect = usize::from(!cfg!(feature = "fast")); // golden served 50 != 150
         assert_eq!(clean.len(), expect, "{clean:?}");
+        // An audit violation (a twin's included) fails audit_clean.
+        let mut dirty = report(ListenKind::Stock, 120, 0x3);
+        dirty
+            .audit
+            .push("twin stock run[0]: request conservation".to_string());
+        let audit = s.evaluate(&[report(ListenKind::Affinity, 150, 0x1), dirty]);
+        assert!(
+            audit
+                .iter()
+                .any(|p| p.starts_with("stock: conservation audit violations")),
+            "{audit:?}"
+        );
+    }
+
+    /// Every metric, through a bound pinned to a clean report's value:
+    /// the clean report passes, and corrupting the field the metric
+    /// reads fails with the kind and the metric's name.
+    #[test]
+    fn every_bound_fails_on_its_corruption() {
+        let good = KindReport {
+            served: 150,
+            completed: 150,
+            goodput_retained: Some(0.97),
+            time_to_recover_ms: Some(15.0),
+            evictions: 1,
+            worst_eviction_delay_ms: 10.0,
+            ..KindReport::empty(ListenKind::Affinity)
+        };
+        type Corrupt = fn(&mut KindReport);
+        let rows: &[(Metric, Corrupt)] = &[
+            (Metric::Served, |k| k.served = 50),
+            (Metric::CompletedFrac, |k| k.timeouts = 50),
+            (Metric::Cookies, |k| k.cookies = 1),
+            (Metric::Rehomes, |k| k.rehomes = 1),
+            (Metric::TimeoutsLiveOwner, |k| k.timeouts_live_owner = 3),
+            (Metric::TimeoutsDeadOwner, |k| k.timeouts_dead_owner = 2),
+            (Metric::GoodputRetained, |k| k.goodput_retained = Some(0.5)),
+            (Metric::GoodputRetained, |k| k.goodput_retained = None),
+            (Metric::TimeToRecoverMs, |k| {
+                k.time_to_recover_ms = Some(130.0)
+            }),
+            (Metric::TimeToRecoverMs, |k| {
+                k.time_to_recover_ms = Some(f64::INFINITY)
+            }),
+            (Metric::Stranded, |k| k.stranded = 1),
+            (Metric::Recovered, |k| k.recovered = 1),
+            (Metric::Evictions, |k| k.evictions = 2),
+            (Metric::WorstEvictionDelayMs, |k| {
+                k.worst_eviction_delay_ms = 25.0
+            }),
+            (Metric::Restarts, |k| k.restarts = 7),
+            (Metric::DrainsDone, |k| k.drains_done = 9),
+            (Metric::DrainsForced, |k| k.drains_forced = 1),
+            (Metric::Crashes, |k| k.crashes = 1),
+        ];
+        for &(metric, corrupt) in rows {
+            let v = metric.of(&good);
+            let mut s = Scenario::base("bounds");
+            s.gates.bounds = vec![Bound {
+                metric,
+                min: v,
+                max: v,
+            }];
+            assert!(s.evaluate(std::slice::from_ref(&good)).is_empty());
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            let problems = s.evaluate(&[bad]);
+            let prefix = format!("affinity: {} ", metric.name());
+            assert!(
+                problems.len() == 1 && problems[0].starts_with(&prefix),
+                "{problems:?} should be one {prefix:?} problem"
+            );
+        }
+        assert!(Metric::ALL.iter().all(|m| rows.iter().any(|r| r.0 == *m)));
+    }
+
+    #[test]
+    fn time_to_recover_reads_synthetic_timelines() {
+        let b = ms(10);
+        // Warmup ends at 50 ms and the fault lands at 100 ms, so the
+        // pre-fault mean is over buckets 6..=9 (100 each) and the
+        // recovery threshold is 90 per bucket.
+        let (warmup, fault, end) = (ms(50), ms(100), ms(200));
+        // A dip, then recovery in bucket 12 (120-130 ms): 30 ms.
+        let mut dip = vec![100; 20];
+        dip[10] = 10;
+        dip[11] = 50;
+        dip[12] = 90;
+        assert_eq!(time_to_recover(&dip, b, warmup, fault, end), Some(ms(30)));
+        // Never back at 90 % before the end.
+        let mut sunk = vec![100; 20];
+        sunk[10..].fill(89);
+        assert_eq!(time_to_recover(&sunk, b, warmup, fault, end), None);
+        // A fault before the first complete pre-fault bucket leaves an
+        // empty pre-window: not recovered.
+        let flat = vec![100; 20];
+        assert_eq!(time_to_recover(&flat, b, warmup, ms(65), end), None);
+        assert_eq!(time_to_recover(&flat, b, ms(0), ms(5), end), None);
+        // The partial final bucket (190-195 ms of a run ending at
+        // 195 ms) is ignored; the same bucket counts once complete.
+        let mut late = vec![100; 20];
+        late[10..19].fill(50);
+        assert_eq!(time_to_recover(&late, b, warmup, fault, ms(195)), None);
+        assert_eq!(time_to_recover(&late, b, warmup, fault, end), Some(ms(100)));
+    }
+
+    #[test]
+    fn recovery_metric_takes_the_worst_run() {
+        let mut s = Scenario::base("ttr");
+        s.warmup = ms(50);
+        s.measure = ms(150);
+        s.timeline_bucket = ms(10);
+        let mut quick = vec![100; 20];
+        quick[10] = 0;
+        let mut slow = quick.clone();
+        slow[11..14].fill(0);
+        let runs = [&quick[..], &slow[..]];
+        // No fault scheduled: nothing to measure.
+        assert_eq!(s.recovery_ms(runs.into_iter()), None);
+        s.hotplug = vec![HotplugEvent {
+            core: 1,
+            at: ms(100),
+            up: false,
+        }];
+        assert_eq!(s.recovery_ms(runs.into_iter()), Some(50.0));
+        let never = vec![100, 100, 100, 100, 100, 100, 100, 100, 100, 100];
+        let never = [&quick[..], &never[..]];
+        assert_eq!(s.recovery_ms(never.into_iter()), Some(f64::INFINITY));
     }
 
     #[test]
     fn packed_waste_gate_compares_against_the_paper_twin() {
         let mut s = Scenario::base("packed_gate");
-        s.kinds = vec![ListenKind::Fine];
+        s.kinds = vec![ListenKind::Stock, ListenKind::Fine];
         s.dprof_v2 = true;
         s.layout = LayoutVariant::Packed;
         s.gates.packed_wasted_lte_paper = true;
         s.validate().expect("gate preconditions hold");
         let back = Scenario::parse_str(&s.to_json().render()).expect("round trips");
         assert_eq!(back, s);
-        let report = |wasted: f64, paper: f64| KindReport {
-            kind: ListenKind::Fine,
+        let report = |kind: ListenKind, wasted: f64, paper: f64| KindReport {
             served: 10,
             completed: 10,
-            timeouts: 0,
             fingerprint: 0x1,
-            cookies: 0,
-            rehomes: 0,
-            timeouts_live_owner: 0,
             wasted_bytes_per_request: wasted,
             paper_wasted_bytes_per_request: paper,
-            audit: Vec::new(),
-            runs: Vec::new(),
+            ..KindReport::empty(kind)
         };
-        // Packed wasting more than paper trips the gate (instrumented
-        // builds only; `fast` compiles the ledger out and skips it).
-        let worse = s.evaluate(&[report(120.0, 90.0)]);
+        let fine_ok = report(ListenKind::Fine, 80.0, 90.0);
+        // Packed wasting more than paper trips the gate for that kind
+        // (instrumented builds only; `fast` compiles the ledger out and
+        // skips it).
+        let worse = s.evaluate(&[report(ListenKind::Stock, 120.0, 90.0), fine_ok.clone()]);
         if cfg!(feature = "fast") {
             assert!(worse.is_empty(), "{worse:?}");
         } else {
+            assert_eq!(worse.len(), 1, "{worse:?}");
             assert!(
-                worse.iter().any(|p| p.contains("packed layout gate")),
+                worse[0].starts_with("stock: packed layout gate"),
                 "{worse:?}"
             );
         }
         // At-or-below passes, and a missing twin (0.0) never fires.
-        assert!(s.evaluate(&[report(80.0, 90.0)]).is_empty());
-        assert!(s.evaluate(&[report(120.0, 0.0)]).is_empty());
+        let stock_ok = report(ListenKind::Stock, 90.0, 90.0);
+        assert!(s.evaluate(&[stock_ok, fine_ok.clone()]).is_empty());
+        let no_twin = report(ListenKind::Stock, 120.0, 0.0);
+        assert!(s.evaluate(&[no_twin, fine_ok]).is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! `std::env::args` loop for its flags, and the `create_dir_all` +
 //! `fs::write` + "report:" dance for its JSON artifact. This module is
 //! the single home for all three; `fig6` is a thin wrapper over the
-//! scenario driver and `chaos`/`recovery`/`scenario` parse their flags
+//! scenario catalog and `chaos`/`scenario` parse their flags
 //! through [`Args`] and emit their artifacts through [`write_artifact`].
 
 use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
@@ -19,21 +19,15 @@ use sim::topology::Machine;
 /// thread per hardware thread), preserving input order in the output.
 #[must_use]
 pub fn sweep_saturation(configs: Vec<RunConfig>) -> Vec<RunResult> {
-    sweep_map(configs, default_workers(), |cfg| app::find_saturation(&cfg))
+    par_map(configs, default_workers(), |cfg| app::find_saturation(&cfg))
 }
 
-/// Runs `configs` directly (no rate search) in parallel.
-#[must_use]
-pub fn sweep_fixed(configs: Vec<RunConfig>) -> Vec<RunResult> {
-    sweep_fixed_workers(configs, default_workers())
-}
-
-/// [`sweep_fixed`] with an explicit worker-thread count. Results are
-/// returned in input order and must not depend on `workers` — `simcheck`
-/// audits exactly that property at worker counts 1/2/N.
+/// Runs `configs` directly (no rate search) on `workers` threads.
+/// Results are returned in input order and must not depend on `workers`
+/// — `simcheck` audits exactly that property at worker counts 1/2/N.
 #[must_use]
 pub fn sweep_fixed_workers(configs: Vec<RunConfig>, workers: usize) -> Vec<RunResult> {
-    sweep_map(configs, workers, checked_run)
+    par_map(configs, workers, checked_run)
 }
 
 /// Default sweep parallelism: one worker per hardware thread.
@@ -77,19 +71,10 @@ fn checked_run(cfg: RunConfig) -> RunResult {
     r
 }
 
-/// Runs an arbitrary job over each config on a worker pool, preserving
-/// input order in the output (the generic engine behind the sweeps;
-/// `simcheck` uses it directly for its audit pass).
-pub fn sweep_map<T, F>(configs: Vec<RunConfig>, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(RunConfig) -> T + Sync,
-{
-    par_map(configs, workers, f)
-}
-
-/// [`sweep_map`] over any `Send` item type — the `cluster` harness maps
-/// whole cluster configs, not single-host ones, through the same pool.
+/// Runs an arbitrary job over each item on a worker pool, preserving
+/// input order in the output: the engine behind the sweeps, which the
+/// scenario runner, `simcheck` and `chaos` also call directly (with
+/// single-host configs, whole cluster configs or fuzz cases).
 pub fn par_map<C, T, F>(items: Vec<C>, workers: usize, f: F) -> Vec<T>
 where
     C: Send,
@@ -126,7 +111,7 @@ where
 }
 
 /// A short-window run config shared by the adversarial harnesses
-/// (`chaos`, `scenario` smoke recipes): the paper's machine/workload
+/// (`chaos`, `simcheck`): the paper's machine/workload
 /// defaults with 150 ms warmup/measure windows and a small tracked-file
 /// set, cheap enough to fuzz by the hundreds.
 #[must_use]

@@ -1,7 +1,8 @@
 //! Schema round-trip tests for the JSON artifacts the bench binaries write.
 //!
-//! Nightly CI uploads `results/chaos.json`, `results/recovery.json`, and
-//! `results/BENCH_sim.json`; downstream tooling reads them by field name.
+//! CI uploads `results/chaos.json`, the `scenario` driver's
+//! `results/scenarios*.json` (schema `scenarios-v1`) and `wallclock`'s
+//! `results/BENCH_sim*.json`; downstream tooling reads them by field name.
 //! These tests run each writer in its cheapest mode, re-read the artifact
 //! through `Json::parse`, and pin the fields that must not be renamed
 //! silently. A writer-side rename now fails here instead of producing a
@@ -89,132 +90,26 @@ fn chaos_artifact_schema_round_trips() {
 }
 
 #[test]
-fn cluster_artifact_schema_round_trips() {
-    let out = tmp("cluster.json");
-    let doc = run_binary(env!("CARGO_BIN_EXE_cluster"), &["--smoke"], &out);
-    assert!(matches!(obj(&doc, "schema"), Json::Str(_)));
-    assert_bool(&doc, "smoke");
-    assert_bool(&doc, "ok");
-
-    let kill = obj(&doc, "kill");
-    assert_u64(kill, "hosts");
-    assert_u64(kill, "kill_host");
-    assert_u64(kill, "kill_at_ms");
-    assert_u64(kill, "bucket_ms");
-    assert_u64(kill, "detection_bound_ms");
-    assert_bool(kill, "ok");
-    let policies = arr(kill, "policies");
-    assert!(!policies.is_empty(), "kill pass reports every LB policy");
-    for row in policies {
-        assert!(matches!(obj(row, "policy"), Json::Str(_)));
-        assert_u64(row, "baseline_served");
-        assert_u64(row, "kill_served");
-        assert_num(row, "goodput_retained");
-        assert_bool(row, "recovered_in_time");
-        assert_u64(row, "stranded");
-        assert_u64(row, "recovered");
-        assert_u64(row, "misroutes");
-        assert_u64(row, "retries_scheduled");
-        assert_num(row, "retry_amplification");
-        assert_bool(row, "replay_identical");
-        assert!(matches!(obj(row, "timeline"), Json::Arr(_)));
-        assert!(matches!(obj(row, "problems"), Json::Arr(_)));
-        assert_bool(row, "ok");
-    }
-
-    let rolling = obj(&doc, "rolling");
-    assert_u64(rolling, "hosts");
-    assert_u64(rolling, "stagger_ms");
-    assert_u64(rolling, "drain_timeout_ms");
-    assert_bool(rolling, "ok");
-    let policies = arr(rolling, "policies");
-    assert!(!policies.is_empty(), "rolling pass reports every LB policy");
-    for row in policies {
-        assert!(matches!(obj(row, "policy"), Json::Str(_)));
-        assert_u64(row, "served");
-        assert_u64(row, "restarts");
-        assert_u64(row, "drains");
-        assert_u64(row, "drain_done");
-        assert_u64(row, "drain_forced");
-        assert_u64(row, "stranded");
-        assert_u64(row, "timeouts_dead_owner");
-        assert_num(row, "retry_amplification");
-        assert_bool(row, "ok");
-    }
-
-    let flash = obj(&doc, "flash");
-    assert_u64(flash, "hosts");
-    assert_num(flash, "multiplier");
-    assert_num(flash, "affinity_vs_stock");
-    assert_bool(flash, "ok");
-    let kinds = arr(flash, "kinds");
-    assert!(!kinds.is_empty(), "flash pass compares listen kinds");
-    for row in kinds {
-        assert!(matches!(obj(row, "kind"), Json::Str(_)));
-        assert_u64(row, "served");
-        assert_u64(row, "timeouts");
-        assert_u64(row, "stranded");
-        assert_num(row, "retry_amplification");
-    }
-}
-
-#[test]
-fn recovery_artifact_schema_round_trips() {
-    let out = tmp("recovery.json");
-    let doc = run_binary(env!("CARGO_BIN_EXE_recovery"), &["--smoke"], &out);
-    assert_bool(&doc, "smoke");
-    assert_bool(&doc, "ok");
-
-    let kill = obj(&doc, "kill");
-    assert_u64(kill, "cores");
-    assert_u64(kill, "kill_core");
-    assert_num(kill, "kill_at_ms");
-    assert_num(kill, "bucket_ms");
-    let kinds = arr(kill, "kinds");
-    assert!(!kinds.is_empty(), "kill pass reports at least one kind");
-    for row in kinds {
-        assert!(matches!(obj(row, "kind"), Json::Str(_)));
-        assert_u64(row, "baseline_served");
-        assert_u64(row, "kill_served");
-        assert_num(row, "goodput_retained");
-        assert_bool(row, "recovered");
-        assert_num(row, "time_to_recover_ms");
-        assert_u64(row, "timeouts_live_owner");
-        assert_u64(row, "rehome_ops");
-        assert_bool(row, "ok");
-    }
-
-    let flood = obj(&doc, "flood");
-    assert_u64(flood, "cores");
-    assert_num(flood, "rate_multiple");
-    let kinds = arr(flood, "kinds");
-    assert!(!kinds.is_empty(), "flood pass reports at least one kind");
-    for row in kinds {
-        assert!(matches!(obj(row, "kind"), Json::Str(_)));
-        assert_u64(row, "served");
-        assert_u64(row, "cookies_issued");
-        assert_u64(row, "cookies_validated");
-        assert_u64(row, "cookies_established");
-        assert_u64(row, "cookie_drops");
-        assert_u64(row, "reaped");
-        assert_bool(row, "ok");
-    }
-}
-
-#[test]
 fn scenario_artifact_schema_round_trips() {
     let out = tmp("scenarios.json");
+    // A single-host scenario without faults, and a cluster scenario
+    // whose bounds measure goodput against a twin and time to recover.
     let doc = run_binary(
         env!("CARGO_BIN_EXE_scenario"),
-        &["--file", "scenarios/paper_base.json"],
+        &[
+            "--file",
+            "scenarios/paper_base.json",
+            "--file",
+            "scenarios/cluster8_kill_hash.json",
+        ],
         &out,
     );
     assert!(matches!(obj(&doc, "schema"), Json::Str(_)));
     assert_bool(&doc, "smoke");
     assert_bool(&doc, "ok");
     let scenarios = arr(&doc, "scenarios");
-    assert_eq!(scenarios.len(), 1, "one --file produces one report");
-    for report in scenarios {
+    assert_eq!(scenarios.len(), 2, "each --file produces one report");
+    for (i, report) in scenarios.iter().enumerate() {
         assert!(matches!(obj(report, "scenario"), Json::Str(_)));
         assert_bool(report, "ok");
         assert!(matches!(obj(report, "problems"), Json::Arr(_)));
@@ -229,6 +124,30 @@ fn scenario_artifact_schema_round_trips() {
             assert_u64(row, "cookies");
             assert_u64(row, "rehomes");
             assert_u64(row, "timeouts_live_owner");
+            // Every `gates.bounds` metric has a column. Counters read 0
+            // where their plane does not exist; the twin- and
+            // fault-derived ones are null when not measured.
+            assert_num(row, "completed_frac");
+            for key in [
+                "timeouts_dead_owner",
+                "stranded",
+                "recovered",
+                "evictions",
+                "restarts",
+                "drains_done",
+                "drains_forced",
+                "crashes",
+            ] {
+                assert_u64(row, key);
+            }
+            assert_num(row, "worst_eviction_delay_ms");
+            for key in ["goodput_retained", "time_to_recover_ms"] {
+                if i == 0 {
+                    assert!(matches!(obj(row, key), Json::Null), "{key:?} not null");
+                } else {
+                    assert_num(row, key);
+                }
+            }
             // The dprof-v2 waste columns the packed-layout gate reads
             // (zero when the scenario keeps the ledger off).
             assert_num(row, "wasted_bytes_per_request");
@@ -243,54 +162,6 @@ fn scenario_artifact_schema_round_trips() {
                 assert_num(run, "rps_per_core");
                 assert!(matches!(obj(run, "fingerprint"), Json::Str(_)));
                 assert_u64(run, "events");
-            }
-        }
-    }
-}
-
-#[test]
-fn cacheline_artifact_schema_round_trips() {
-    let out = tmp("cacheline.json");
-    let doc = run_binary(env!("CARGO_BIN_EXE_cacheline"), &["--smoke"], &out);
-    assert!(matches!(obj(&doc, "schema"), Json::Str(_)));
-    assert!(matches!(obj(&doc, "mode"), Json::Str(_)));
-    assert!(matches!(obj(&doc, "instrumentation"), Json::Str(_)));
-    assert_bool(&doc, "ledger_fingerprint_neutral");
-    assert_bool(&doc, "ok");
-    let gate = obj(&doc, "gate");
-    assert_bool(gate, "checked");
-    assert_num(gate, "packed_fine_wasted_per_req");
-    assert_num(gate, "paper_fine_wasted_per_req");
-    assert_bool(gate, "ok");
-    let variants = arr(&doc, "variants");
-    assert_eq!(variants.len(), 2, "paper and packed variants");
-    for variant in variants {
-        assert!(matches!(obj(variant, "layout"), Json::Str(_)));
-        let kinds = arr(variant, "kinds");
-        assert_eq!(kinds.len(), 3, "stock, fine, affinity");
-        for row in kinds {
-            assert!(matches!(obj(row, "kind"), Json::Str(_)));
-            assert_u64(row, "served");
-            assert!(matches!(obj(row, "fingerprint"), Json::Str(_)));
-            assert_bool(row, "ledger_enabled");
-            assert_num(row, "wasted_bytes_per_request");
-            assert_num(row, "bytes_fetched_per_request");
-            assert_num(row, "reuse_per_eviction");
-            assert_num(row, "busy_cycles_per_request");
-            let types = arr(row, "types");
-            if cfg!(feature = "fast") {
-                assert!(types.is_empty(), "fast compiles the ledger out");
-            } else {
-                assert!(!types.is_empty(), "instrumented run records types");
-                for t in types {
-                    assert!(matches!(obj(t, "type"), Json::Str(_)));
-                    assert_u64(t, "fills");
-                    assert_u64(t, "warm_gens");
-                    assert_num(t, "wasted_bytes_per_request");
-                    assert_num(t, "reuse_per_eviction");
-                    assert_u64(t, "shared_lines");
-                    assert_u64(t, "shared_bytes");
-                }
             }
         }
     }

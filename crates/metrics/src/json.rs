@@ -2,7 +2,7 @@
 //!
 //! The harness has no serialization dependency (the workspace builds
 //! offline), so the binaries that emit JSON — `simcheck`, `chaos`,
-//! `recovery`, `wallclock` — build a [`Json`] tree and render it, and
+//! `scenario`, `wallclock` — build a [`Json`] tree and render it, and
 //! the schema round-trip tests read the artifacts back with
 //! [`Json::parse`]. Only what those reports need is implemented: objects
 //! keep insertion order, `u64` values are emitted exactly (not through

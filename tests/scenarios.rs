@@ -2,6 +2,10 @@
 //! `scenarios/*.json` file loads, runs, and passes its gates and golden
 //! fingerprints; and the fig6 scenario derives bit-identical configs to
 //! the figure binary's hand-built ones.
+//!
+//! The catalog is the only home of the recovery, cluster-resilience and
+//! cache-line experiments: the kill-one-core, SYN-flood, kill-one-host,
+//! rolling-restart, flash-crowd and packed-layout gates all run here.
 
 // Golden fingerprints only exist in instrumented builds; the `fast`
 // feature compiles the fingerprint plane to zero.
@@ -21,7 +25,7 @@ fn corpus() -> Vec<(std::path::PathBuf, Scenario)> {
 #[test]
 fn corpus_is_broad_and_fully_pinned() {
     let corpus = corpus();
-    assert!(corpus.len() >= 13, "corpus shrank to {}", corpus.len());
+    assert!(corpus.len() >= 24, "corpus shrank to {}", corpus.len());
 
     let mut kinds_covered = Vec::new();
     let mut any_fault = false;
@@ -66,6 +70,40 @@ fn corpus_is_broad_and_fully_pinned() {
             "beyond-paper scenario {name} missing from corpus"
         );
     }
+    // The recovery, cluster-resilience and cache-line experiments, each
+    // gated on every push.
+    for name in [
+        "syn_flood_10x",
+        "recovery_kill_core_24c",
+        "cluster8_kill_hash",
+        "cluster8_kill_least_conn",
+        "cluster8_kill_affinity",
+        "cluster8_rolling_hash",
+        "cluster8_rolling_least_conn",
+        "cluster8_rolling_affinity",
+        "cluster4_flash_crowd",
+        "cacheline_packed",
+    ] {
+        let Some((path, s)) = corpus.iter().find(|(_, s)| s.name == name) else {
+            panic!("ported scenario {name} missing from corpus");
+        };
+        assert!(s.smoke, "{}: must be in the smoke subset", path.display());
+    }
+}
+
+/// Runs every selected scenario, spreading them over the host's CPUs
+/// (one sweep worker each), and fails with every scenario's problems.
+fn run_all(select: impl Fn(&Scenario) -> bool) {
+    let chosen: Vec<_> = corpus().into_iter().filter(|(_, s)| select(s)).collect();
+    assert!(!chosen.is_empty(), "selection is empty");
+    let failures: Vec<String> = bench::par_map(chosen, bench::default_workers(), |(path, s)| {
+        let report = s.run(1);
+        (!report.ok()).then(|| format!("{}: {:#?}", path.display(), report.problems))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// The fig6 binary is a thin wrapper over `scenarios/fig6.json`: every
@@ -91,13 +129,7 @@ fn fig6_scenario_equals_the_hand_built_figure_configs() {
 /// and golden.
 #[test]
 fn smoke_scenarios_pass_gates_and_goldens() {
-    for (path, s) in corpus() {
-        if !s.smoke || s.search == Search::Saturation {
-            continue;
-        }
-        let report = s.run(1);
-        assert!(report.ok(), "{}: {:#?}", path.display(), report.problems);
-    }
+    run_all(|s| s.smoke && s.search != Search::Saturation);
 }
 
 /// The rest of the fixed-rate corpus (nightly's territory) passes every
@@ -106,13 +138,7 @@ fn smoke_scenarios_pass_gates_and_goldens() {
 /// no place in the tier-1 budget.
 #[test]
 fn full_corpus_passes_gates_and_goldens() {
-    for (path, s) in corpus() {
-        if s.smoke || s.search == Search::Saturation {
-            continue;
-        }
-        let report = s.run(1);
-        assert!(report.ok(), "{}: {:#?}", path.display(), report.problems);
-    }
+    run_all(|s| !s.smoke && s.search != Search::Saturation);
 }
 
 /// paper_base is the determinism suite's quick configuration; its
