@@ -309,6 +309,9 @@ pub struct RunResult {
     /// Events dispatched by the run loop over the whole run; with the
     /// wall-clock time this gives the scheduler's events/sec.
     pub events_executed: u64,
+    /// Event-queue entries moved down a wheel level by cascades over the
+    /// whole run ([`sim::wheel::TimerWheel::cascaded`]).
+    pub cascaded: u64,
     /// End-of-run conservation audit (see [`crate::audit`]).
     pub audit: RunAudit,
     /// Faults actually injected (all zero when the plan is disabled).
@@ -595,8 +598,7 @@ pub struct Runner {
     timeouts_live_owner: u64,
     timeouts_dead_owner: u64,
     fingerprint: ActiveFingerprint,
-    /// Events dispatched by the run loop (the wallclock bench's
-    /// events/sec numerator).
+    /// Events dispatched by the run loop.
     events_executed: u64,
     /// Cluster injections scheduled but not yet fired ([`Ev::Inject`]
     /// events still in the queue); the cluster conservation laws count
@@ -604,8 +606,6 @@ pub struct Runner {
     pending_inject: u64,
     /// Retry-tagged subset of `pending_inject`.
     pending_inject_retry: u64,
-    /// `RUNNER_DEBUG` diagnostics enabled (checked once at build).
-    dbg_on: bool,
     /// Accepted outcomes observed (audit: must equal the listen socket's
     /// local + stolen accept counters).
     accepts_seen: u64,
@@ -618,18 +618,6 @@ pub struct Runner {
     base_migrations: u64,
     wake_buf: Vec<CoreId>,
     arrival_interval_mean: f64,
-    /// Diagnostic: TaskRun events by (acceptor, worker, eventloop).
-    pub dbg_taskruns: [u64; 3],
-    /// Diagnostic: cycles of dilation credited to the batch job.
-    pub dbg_dilated: u64,
-    /// Diagnostic: max core run-ahead observed at a drift-yield.
-    pub dbg_max_drift: u64,
-    /// Diagnostic: (sum, count) of delay from data arrival to sys_read.
-    pub dbg_serve_delay: (u64, u64),
-    dbg_arrival: sim::fastmap::FastMap<ConnId, Cycles>,
-    /// Diagnostic: schedule_task calls by caller site (wake_acceptors,
-    /// mark_ready, yield, release_nudge, do_accept-empty-resched).
-    pub dbg_sched: [u64; 4],
 }
 
 impl Runner {
@@ -757,7 +745,6 @@ impl Runner {
             events_executed: 0,
             pending_inject: 0,
             pending_inject_retry: 0,
-            dbg_on: std::env::var_os("RUNNER_DEBUG").is_some(),
             accepts_seen: 0,
             dispatched: 0,
             base_listen: Default::default(),
@@ -766,12 +753,6 @@ impl Runner {
             base_migrations: 0,
             wake_buf: Vec::new(),
             arrival_interval_mean,
-            dbg_taskruns: [0; 3],
-            dbg_dilated: 0,
-            dbg_max_drift: 0,
-            dbg_serve_delay: (0, 0),
-            dbg_arrival: Default::default(),
-            dbg_sched: [0; 4],
             cfg,
         };
         // All constructor-scheduled times are relative to the instance
@@ -828,7 +809,6 @@ impl Runner {
         let f = self.web_factor(core);
         let end = self.cores.run(core, start, dur * f);
         if f > 1 {
-            self.dbg_dilated += dur * (f - 1);
             if let Some(job) = &mut self.hog {
                 job.credit(core, dur * (f - 1), end);
             }
@@ -919,7 +899,6 @@ impl Runner {
         if !t.ready.contains(&conn) {
             t.ready.push_back(conn);
         }
-        self.dbg_sched[1] += 1;
         self.schedule_task(tid, run_at);
     }
 
@@ -946,7 +925,6 @@ impl Runner {
                 t.just_woken = true;
                 let objs = t.objs;
                 extra += ops::wake_task(&mut self.k, softirq_core, &objs);
-                self.dbg_sched[0] += 1;
                 self.schedule_task(tid, run_at);
                 woken += 1;
                 if !herd || woken >= HERD_MAX {
@@ -989,12 +967,6 @@ impl Runner {
         // Read whatever requests arrived.
         if !self.k.conn(conn).rcv_queue.is_empty() {
             let start = self.cores.start_time(core, self.now);
-            if self.dbg_on {
-                if let Some(t0) = self.dbg_arrival.remove(&conn) {
-                    self.dbg_serve_delay.0 += start.saturating_sub(t0);
-                    self.dbg_serve_delay.1 += 1;
-                }
-            }
             let (d, tags) = ops::sys_read(&mut self.k, core, start, conn);
             let mut end = self.exec(core, start, d);
             for tag in tags {
@@ -1148,7 +1120,6 @@ impl Runner {
                 self.lanes[core.index()]
                     .sleep_acceptors
                     .retain(|t| *t != acceptor);
-                self.dbg_sched[3] += 1;
                 self.schedule_task(acceptor, self.now);
             }
         }
@@ -1278,7 +1249,6 @@ impl Runner {
             t.sleeping = false;
             t.just_woken = true;
             self.lanes[i].sleep_acceptors.retain(|x| *x != tid);
-            self.dbg_sched[0] += 1;
             let run_at = self.cores.start_time(CoreId(c), self.now);
             self.schedule_task(tid, run_at);
         }
@@ -1292,11 +1262,6 @@ impl Runner {
     }
 
     fn task_run(&mut self, tid: u32) {
-        self.dbg_taskruns[match self.tasks[tid as usize].role {
-            TaskRole::Acceptor => 0,
-            TaskRole::Worker => 1,
-            TaskRole::EventLoop => 2,
-        }] += 1;
         self.tasks[tid as usize].queued = false;
         let core = self.tasks[tid as usize].core;
         if self.lanes[core.index()].down {
@@ -1339,8 +1304,6 @@ impl Runner {
                 // More to do, but the core is backed up: yield and come
                 // back when it frees.
                 let at = self.cores.core(core).busy_until;
-                self.dbg_max_drift = self.dbg_max_drift.max(at.saturating_sub(self.now));
-                self.dbg_sched[2] += 1;
                 self.schedule_task(tid, at);
                 return;
             }
@@ -1348,7 +1311,6 @@ impl Runner {
                 // Nothing queued and the core is backed up: don't start
                 // accept scans now; retry when the core frees.
                 let at = self.cores.core(core).busy_until;
-                self.dbg_sched[2] += 1;
                 self.schedule_task(tid, at);
                 return;
             }
@@ -1519,9 +1481,6 @@ impl Runner {
                 );
                 if let Some(tid) = owner {
                     self.mark_ready(conn, tid, start + d);
-                }
-                if self.dbg_on {
-                    self.dbg_arrival.entry(conn).or_insert(start);
                 }
                 d
             }
@@ -2131,20 +2090,6 @@ impl Runner {
     /// Computes the end-of-run measurements and audits at the current
     /// clock.
     fn finalize(mut self) -> RunResult {
-        if self.dbg_on {
-            eprintln!(
-                "dbg taskruns acceptor={} worker={} eventloop={} | sched wake={} ready={} yield={} nudge={} | dilated={}",
-                self.dbg_taskruns[0], self.dbg_taskruns[1], self.dbg_taskruns[2],
-                self.dbg_sched[0], self.dbg_sched[1], self.dbg_sched[2], self.dbg_sched[3],
-                self.dbg_dilated,
-            );
-            eprintln!(
-                "dbg max_drift={} cycles; serve delay avg {} cycles over {}",
-                self.dbg_max_drift,
-                self.dbg_serve_delay.0 / self.dbg_serve_delay.1.max(1),
-                self.dbg_serve_delay.1
-            );
-        }
         let window = self.cfg.measure;
         let secs = sim::time::to_secs(window);
         let served = self.served;
@@ -2243,6 +2188,7 @@ impl Runner {
         // Recycle the queue, slab and timer table (reset, capacity kept)
         // so the next run on this thread starts warm.
         let mut q = std::mem::replace(&mut self.q, EventQueue::new());
+        let cascaded = q.cascaded();
         let mut pkts = std::mem::take(&mut self.pkts);
         let mut timers = std::mem::take(&mut self.timers);
         q.reset();
@@ -2278,6 +2224,7 @@ impl Runner {
             wire_util: wire_util.min(1.0),
             fingerprint: self.fingerprint.value(),
             events_executed: self.events_executed,
+            cascaded,
             audit,
             fault: self.fstats,
             overload: self.ostats,

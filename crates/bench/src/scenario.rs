@@ -106,8 +106,9 @@ pub struct GoldenEntry {
     /// Listen kind the entry pins.
     pub kind: ListenKind,
     /// Combined fingerprint over the kind's runs (identity for a
-    /// single-run scenario, so it matches `tests/determinism.rs` values
-    /// directly; an FNV-1a fold otherwise — see [`combine_fingerprints`]).
+    /// single-run scenario, so it matches the `GOLDEN` values of
+    /// `tests/common/mod.rs` directly; an FNV-1a fold otherwise — see
+    /// [`combine_fingerprints`]).
     pub fingerprint: u64,
     /// Total requests served across the kind's runs.
     pub served: u64,
@@ -553,7 +554,7 @@ impl Scenario {
 
 /// Folds per-run fingerprints into one scenario-level value. A single
 /// run's fingerprint passes through unchanged (so single-run goldens can
-/// be compared against `tests/determinism.rs` directly); multiple runs
+/// be compared against `tests/common/mod.rs` directly); multiple runs
 /// fold byte-wise with FNV-1a in run order.
 #[must_use]
 pub fn combine_fingerprints(fps: &[u64]) -> u64 {

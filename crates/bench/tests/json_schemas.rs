@@ -1,8 +1,8 @@
 //! Schema round-trip tests for the JSON artifacts the bench binaries write.
 //!
-//! CI uploads `results/chaos.json`, the `scenario` driver's
-//! `results/scenarios*.json` (schema `scenarios-v1`) and `wallclock`'s
-//! `results/BENCH_sim*.json`; downstream tooling reads them by field name.
+//! CI uploads `results/chaos.json` and the `scenario` binary's
+//! `results/scenarios*.json` (schema `scenarios-v1`); downstream tooling
+//! reads them by field name.
 //! These tests run each writer in its cheapest mode, re-read the artifact
 //! through `Json::parse`, and pin the fields that must not be renamed
 //! silently. A writer-side rename now fails here instead of producing a
@@ -163,44 +163,6 @@ fn scenario_artifact_schema_round_trips() {
                 assert!(matches!(obj(run, "fingerprint"), Json::Str(_)));
                 assert_u64(run, "events");
             }
-        }
-    }
-}
-
-#[test]
-fn wallclock_artifact_schema_round_trips() {
-    let out = tmp("bench_sim.json");
-    let doc = run_binary(
-        env!("CARGO_BIN_EXE_wallclock"),
-        &["--smoke", "--repeats", "1"],
-        &out,
-    );
-    assert!(matches!(obj(&doc, "schema"), Json::Str(_)));
-    assert!(matches!(obj(&doc, "mode"), Json::Str(_)));
-    assert_u64(&doc, "repeats");
-    assert_u64(&doc, "total_events");
-    assert_num(&doc, "total_wheel_wall_s");
-    let kinds = arr(&doc, "kinds");
-    assert!(!kinds.is_empty(), "wallclock reports at least one kind");
-    for row in kinds {
-        assert!(matches!(obj(row, "listen"), Json::Str(_)));
-        assert_u64(row, "events");
-        assert!(matches!(obj(row, "fingerprint"), Json::Str(_)));
-        assert_num(row, "events_per_sec");
-
-        // The cacheline block the bytes-per-request gate reads back:
-        // present in instrumented builds, omitted under `fast` (the
-        // ledger is compiled out, so there is nothing to report).
-        if cfg!(feature = "fast") {
-            assert!(
-                row.get("cacheline").is_none(),
-                "fast build must omit the cacheline block"
-            );
-        } else {
-            let cl = obj(row, "cacheline");
-            assert_num(cl, "wasted_bytes_per_request");
-            assert_num(cl, "bytes_fetched_per_request");
-            assert_num(cl, "reuse_per_eviction");
         }
     }
 }

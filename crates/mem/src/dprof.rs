@@ -123,12 +123,6 @@ impl LineAgg {
     pub fn is_zero(&self) -> bool {
         *self == LineAgg::default()
     }
-
-    /// Average touches per closed generation.
-    #[must_use]
-    pub fn reuse_per_eviction(&self) -> f64 {
-        self.reuse_sum as f64 / self.evictions.max(1) as f64
-    }
 }
 
 /// The dprof-v2 cacheline report carried by `RunResult`: a snapshot of
@@ -154,7 +148,7 @@ impl CachelineStats {
     }
 
     /// Wasted bytes per request across all types: the headline number the
-    /// wallclock regression gate and the packed-layout scenario gate read.
+    /// packed-layout scenario gate and the scenario report read.
     #[must_use]
     pub fn wasted_bytes_per_request(&self, requests: u64) -> f64 {
         self.totals().bytes_wasted as f64 / requests.max(1) as f64
@@ -503,7 +497,7 @@ mod tests {
         let agg = d.v2_agg(DataType::SkBuff).expect("folded");
         assert_eq!(agg.fills, 4);
         assert_eq!(agg.bytes_touched + agg.bytes_wasted, agg.bytes_fetched);
-        assert!((agg.reuse_per_eviction() - 2.5).abs() < 1e-12);
+        assert_eq!((agg.reuse_sum, agg.evictions), (10, 4));
         let stats = d.cacheline_stats();
         assert!(stats.enabled);
         assert_eq!(stats.totals().bytes_fetched, 256);

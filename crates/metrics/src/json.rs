@@ -2,9 +2,9 @@
 //!
 //! The harness has no serialization dependency (the workspace builds
 //! offline), so the binaries that emit JSON — `simcheck`, `chaos`,
-//! `scenario`, `wallclock` — build a [`Json`] tree and render it, and
-//! the schema round-trip tests read the artifacts back with
-//! [`Json::parse`]. Only what those reports need is implemented: objects
+//! `scenario` and the `simbench` package — build a [`Json`] tree and
+//! render it, and the schema round-trip tests read the artifacts back
+//! with [`Json::parse`]. Only what those reports need is implemented: objects
 //! keep insertion order, `u64` values are emitted exactly (not through
 //! `f64`, which would corrupt 64-bit fingerprints), and strings are
 //! escaped per RFC 8259. The parser guarantees `parse(s)?.render() == s`

@@ -25,7 +25,6 @@ pub mod hist;
 pub mod json;
 pub mod lockstat;
 pub mod perf;
-pub mod stats;
 pub mod table;
 
 pub use ewma::Ewma;

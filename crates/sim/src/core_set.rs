@@ -108,12 +108,6 @@ impl CoreSet {
         self.core(core).run_queue.len()
     }
 
-    /// Total busy cycles across all cores.
-    #[must_use]
-    pub fn total_busy(&self) -> Cycles {
-        self.cores.iter().map(|c| c.busy_cycles).sum()
-    }
-
     /// Aggregate idle fraction over a window that started at 0 and ended at
     /// `window_end`, across `active` cores.
     #[must_use]

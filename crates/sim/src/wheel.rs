@@ -143,6 +143,8 @@ pub struct TimerWheel<E> {
     ready: VecDeque<Entry<E>>,
     len: usize,
     seq: u64,
+    /// Entries moved down a level by cascades since the last reset.
+    cascaded: u64,
 }
 
 impl<E> Default for TimerWheel<E> {
@@ -161,6 +163,7 @@ impl<E> TimerWheel<E> {
             ready: VecDeque::new(),
             len: 0,
             seq: 0,
+            cascaded: 0,
         }
     }
 
@@ -252,6 +255,14 @@ impl<E> TimerWheel<E> {
         self.len == 0
     }
 
+    /// Entries moved down a level by cascades since creation or the last
+    /// [`Self::reset`]: the wheel's own work beyond one insert and one
+    /// delivery per event. Deterministic for a given push/pop sequence.
+    #[must_use]
+    pub fn cascaded(&self) -> u64 {
+        self.cascaded
+    }
+
     /// Empties the wheel and rewinds time to zero, retaining all slot
     /// allocations so a pooled wheel starts the next run warm.
     pub fn reset(&mut self) {
@@ -270,6 +281,7 @@ impl<E> TimerWheel<E> {
         self.cursor = 0;
         self.len = 0;
         self.seq = 0;
+        self.cascaded = 0;
     }
 
     /// Level and slot for `time`, relative to the cursor: the level of
@@ -302,6 +314,7 @@ impl<E> TimerWheel<E> {
     fn cascade(&mut self, level: usize, slot: usize) {
         clear_bit(&mut self.levels[level].occ, slot);
         let mut bucket = std::mem::take(&mut self.levels[level].slots[slot]);
+        self.cascaded += bucket.len() as u64;
         for e in bucket.drain(..) {
             debug_assert!(self.place(e.time).0 < level, "cascade must descend");
             self.insert(e);
@@ -494,8 +507,13 @@ mod tests {
         w.push(1 << 33, 1);
         w.push(5, 2);
         assert_eq!(w.pop(), Some((5, 2)));
+        assert_eq!(w.cascaded(), 0);
+        // Locating the far event moves it from level 4 straight to level 0.
+        assert_eq!(w.peek_time(), Some(1 << 33));
+        assert_eq!(w.cascaded(), 1);
         w.reset();
         assert!(w.is_empty());
+        assert_eq!(w.cascaded(), 0);
         assert_eq!(w.pop(), None);
         // Times from before the reset are valid again.
         w.push(3, 10);

@@ -15,7 +15,7 @@
 //! socket lock.
 
 use crate::conn::{ConnId, ConnState, RxSegment};
-use crate::costs::{self, EntryCost};
+use crate::costs;
 use crate::kernel::{charge_parts, Kernel, TaskObjs};
 use crate::req::ReqId;
 use mem::cache::Access;
@@ -912,12 +912,6 @@ pub fn rcu_tick(k: &mut Kernel) -> Cycles {
 /// One `epoll_wait` (charged per request for event-driven servers).
 pub fn sys_epoll_wait(k: &mut Kernel) -> Cycles {
     k.charge(costs::SYS_EPOLL_WAIT, Access::default())
-}
-
-/// Re-applies an entry charge with no tracked accesses (used by listen
-/// socket implementations for bookkeeping-only invocations).
-pub fn charge_fixed(k: &mut Kernel, ec: EntryCost) -> Cycles {
-    k.charge(ec, Access::default())
 }
 
 /// Wakes a sleeping task from softirq context (outside the data-path ops

@@ -4,45 +4,28 @@
 //! (fingerprints move, wasted bytes drop), and the ledger's independent
 //! sharing columns must agree with the original DProf Table-4 plane.
 
-use affinity_accept_repro::prelude::*;
-use mem::LayoutVariant;
-use sim::time::ms;
+mod common;
 
-/// The `paper_base` point: the same config behind the determinism goldens
-/// in `tests/determinism.rs`, with the new knobs explicit.
+use affinity_accept_repro::prelude::*;
+use common::{paper_base, Ledger, GOLDEN};
+use mem::LayoutVariant;
+
+/// The `paper_base` point with the ledger and layout knobs explicit.
 fn quick(listen: ListenKind, v2: bool, layout: LayoutVariant) -> RunConfig {
-    let mut cfg = RunConfig::new(
-        Machine::amd48(),
-        8,
-        listen,
-        ServerKind::apache(),
-        Workload::base(),
-        6_000.0,
-    );
-    cfg.warmup = ms(200);
-    cfg.measure = ms(200);
-    cfg.tracked_files = 200;
+    let mut cfg = paper_base(listen);
     cfg.dprof_v2 = v2;
     cfg.layout = layout;
     cfg
 }
 
-/// The scheduler goldens from `tests/determinism.rs`: recording the
-/// ledger must leave every one of these untouched.
-const GOLDEN: [(ListenKind, u64, u64); 5] = [
-    (ListenKind::Stock, 0x6b30b1fe5417a104, 7262),
-    (ListenKind::Fine, 0xcac2e2fd90382a59, 7262),
-    (ListenKind::Affinity, 0x5fc6bb89978ee39c, 7266),
-    (ListenKind::Twenty, 0x3832bc3dab6a43a7, 7271),
-    (ListenKind::BusyPoll, 0x41ddb9fb3487a26e, 7271),
-];
-
 /// Toggling the ledger never moves the schedule — in instrumented builds
-/// the goldens pin the exact fingerprints; under `fast` both runs read
-/// zero and the equality still must hold (the knob is a no-op there).
+/// the goldens pin the exact fingerprints and what the ledger records;
+/// under `fast` both runs read zero and the equality still must hold (the
+/// knob is a no-op there).
 #[test]
 fn ledger_never_moves_the_schedule() {
-    for (listen, fp, served) in GOLDEN {
+    for pin in GOLDEN {
+        let listen = pin.kind;
         let off = Runner::new(quick(listen, false, LayoutVariant::Paper)).run();
         let on = Runner::new(quick(listen, true, LayoutVariant::Paper)).run();
         assert_eq!(
@@ -58,13 +41,35 @@ fn ledger_never_moves_the_schedule() {
             assert!(on.cacheline.totals().is_zero());
         } else {
             assert_eq!(
-                on.fingerprint, fp,
-                "{listen:?}: ledger-on fingerprint {:#018x} != golden {fp:#018x}",
-                on.fingerprint
+                on.fingerprint, pin.fingerprint,
+                "{listen:?}: ledger-on fingerprint {:#018x} != golden {:#018x}",
+                on.fingerprint, pin.fingerprint
             );
-            assert_eq!(on.served, served, "{listen:?}: served != golden");
+            assert_eq!(on.served, pin.served, "{listen:?}: served != golden");
             assert!(on.cacheline.enabled, "{listen:?}: ledger did not record");
-            assert!(on.cacheline.totals().touches > 0);
+            let ledger = Ledger::of(&on);
+            assert_eq!(ledger, pin.ledger, "{listen:?}: the ledger's counts moved");
+            // Teeth: each field alone must break the comparison.
+            let g = pin.ledger;
+            for bad in [
+                Ledger {
+                    touches: g.touches + 1,
+                    ..g
+                },
+                Ledger {
+                    fills: g.fills + 1,
+                    ..g
+                },
+                Ledger {
+                    wasted_bytes: g.wasted_bytes + 1,
+                    ..g
+                },
+            ] {
+                assert_ne!(
+                    ledger, bad,
+                    "{listen:?}: a corrupted ledger pin went undetected"
+                );
+            }
             assert!(
                 !off.cacheline.enabled && off.cacheline.totals().is_zero(),
                 "{listen:?}: disabled run must carry an empty report"
@@ -94,10 +99,11 @@ fn ledger_is_neutral_under_the_packed_layout_too() {
 #[cfg(not(feature = "fast"))]
 #[test]
 fn packed_layout_changes_schedules_and_reduces_waste() {
-    for (listen, fp, _) in GOLDEN {
+    for pin in GOLDEN {
+        let listen = pin.kind;
         let packed = Runner::new(quick(listen, false, LayoutVariant::Packed)).run();
         assert_ne!(
-            packed.fingerprint, fp,
+            packed.fingerprint, pin.fingerprint,
             "{listen:?}: packed layout left the paper-layout golden unchanged — \
              the repack is not reaching the cache model"
         );

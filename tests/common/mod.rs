@@ -1,0 +1,204 @@
+//! The quick configuration and the `paper_base` pins, shared by the
+//! determinism, cache-line, feature-matrix and scenario tests.
+
+// Each test binary compiles its own copy and uses a different part.
+#![allow(dead_code)]
+
+use affinity_accept_repro::prelude::*;
+use metrics::KernelEntry;
+use sim::time::ms;
+
+/// The quick apache config: 200 ms warmup, 200 ms measured, 200 tracked
+/// files on the AMD machine.
+pub fn quick(listen: ListenKind, cores: usize, rate: f64) -> RunConfig {
+    let mut cfg = RunConfig::new(
+        Machine::amd48(),
+        cores,
+        listen,
+        ServerKind::apache(),
+        Workload::base(),
+        rate,
+    );
+    cfg.warmup = ms(200);
+    cfg.measure = ms(200);
+    cfg.tracked_files = 200;
+    cfg
+}
+
+/// The `paper_base` point (`scenarios/paper_base.json`): the quick config
+/// on 8 cores at 6,000 conns/s.
+pub fn paper_base(listen: ListenKind) -> RunConfig {
+    quick(listen, 8, 6_000.0)
+}
+
+/// What a `paper_base` run costs, in counts that do not depend on the
+/// host. Identical in debug, release and `fast` builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Work {
+    /// Events the run loop dispatched.
+    pub events: u64,
+    /// Timer-wheel entries moved down a level by cascades.
+    pub cascaded: u64,
+    /// Kernel-entry invocations charged to `PerfCounters`.
+    pub kernel_calls: u64,
+    /// L2 misses charged to `PerfCounters`.
+    pub l2_misses: u64,
+    /// Heap allocations of a warm run: the second run on one thread, so
+    /// the event-queue pool and one-time set-up are already paid for.
+    pub allocs: u64,
+}
+
+impl Work {
+    pub fn of(r: &RunResult, allocs: u64) -> Self {
+        Self {
+            events: r.events_executed,
+            cascaded: r.cascaded,
+            kernel_calls: KernelEntry::ALL
+                .iter()
+                .map(|&e| r.perf.entry(e).calls)
+                .sum(),
+            l2_misses: r.perf.total_l2_misses(),
+            allocs,
+        }
+    }
+}
+
+/// What the dprof-v2 ledger records on a `paper_base` run (instrumented
+/// builds only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ledger {
+    pub touches: u64,
+    pub fills: u64,
+    pub wasted_bytes: u64,
+}
+
+impl Ledger {
+    pub fn of(r: &RunResult) -> Self {
+        let t = r.cacheline.totals();
+        Self {
+            touches: t.touches,
+            fills: t.fills,
+            wasted_bytes: t.bytes_wasted,
+        }
+    }
+}
+
+/// One listen kind's `paper_base` pins.
+#[derive(Debug, Clone, Copy)]
+pub struct Pin {
+    pub kind: ListenKind,
+    pub fingerprint: u64,
+    pub served: u64,
+    pub work: Work,
+    pub ledger: Ledger,
+}
+
+/// The `paper_base` pins, exact, with zero tolerance.
+///
+/// The fingerprints of Stock, Fine and Affinity were captured on the
+/// binary-heap scheduler before the timer wheel landed; Twenty and
+/// BusyPoll's date from when those kinds became first-class. The wheel and
+/// every hot-path change since must reproduce them bit for bit: if one
+/// moves, scheduling order changed and every recorded experiment is
+/// invalidated. The work and ledger counts fail any change that adds
+/// simulated work, queue work or allocations per run, even when the
+/// schedule holds.
+///
+/// `scenarios/paper_base.json` carries the same fingerprints and served
+/// counts. Re-pinning any value here needs a CHANGES.md line that says
+/// why; a toolchain upgrade alone can move `allocs`.
+pub const GOLDEN: [Pin; 5] = [
+    Pin {
+        kind: ListenKind::Stock,
+        fingerprint: 0x6b30_b1fe_5417_a104,
+        served: 7262,
+        work: Work {
+            events: 80_853,
+            cascaded: 159_827,
+            kernel_calls: 74_359,
+            l2_misses: 3_195_229,
+            allocs: 117_501,
+        },
+        ledger: Ledger {
+            touches: 2_388_855,
+            fills: 862_929,
+            wasted_bytes: 31_336_315,
+        },
+    },
+    Pin {
+        kind: ListenKind::Fine,
+        fingerprint: 0xcac2_e2fd_9038_2a59,
+        served: 7262,
+        work: Work {
+            events: 79_638,
+            cascaded: 157_642,
+            kernel_calls: 73_969,
+            l2_misses: 3_170_716,
+            allocs: 117_520,
+        },
+        ledger: Ledger {
+            touches: 2_375_575,
+            fills: 842_659,
+            wasted_bytes: 30_504_290,
+        },
+    },
+    Pin {
+        kind: ListenKind::Affinity,
+        fingerprint: 0x5fc6_bb89_978e_e39c,
+        served: 7266,
+        work: Work {
+            events: 79_449,
+            cascaded: 155_980,
+            kernel_calls: 73_931,
+            l2_misses: 2_373_132,
+            allocs: 115_884,
+        },
+        ledger: Ledger {
+            touches: 2_379_538,
+            fills: 85_968,
+            wasted_bytes: 3_331_847,
+        },
+    },
+    Pin {
+        kind: ListenKind::Twenty,
+        fingerprint: 0x3832_bc3d_ab6a_43a7,
+        served: 7271,
+        work: Work {
+            events: 80_804,
+            cascaded: 159_787,
+            kernel_calls: 74_372,
+            l2_misses: 3_200_675,
+            allocs: 117_676,
+        },
+        ledger: Ledger {
+            touches: 2_392_502,
+            fills: 869_960,
+            wasted_bytes: 31_561_694,
+        },
+    },
+    Pin {
+        kind: ListenKind::BusyPoll,
+        fingerprint: 0x41dd_b9fb_3487_a26e,
+        served: 7271,
+        work: Work {
+            events: 143_582,
+            cascaded: 284_076,
+            kernel_calls: 73_962,
+            l2_misses: 2_374_095,
+            allocs: 115_927,
+        },
+        ledger: Ledger {
+            touches: 2_379_958,
+            fills: 85_617,
+            wasted_bytes: 3_316_513,
+        },
+    },
+];
+
+/// The pins of one listen kind.
+pub fn pin(kind: ListenKind) -> Pin {
+    *GOLDEN
+        .iter()
+        .find(|p| p.kind == kind)
+        .expect("every listen kind is pinned")
+}

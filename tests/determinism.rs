@@ -6,23 +6,10 @@
 // `tests/feature_matrix.rs` covers the `fast` side of the matrix.
 #![cfg(not(feature = "fast"))]
 
-use affinity_accept_repro::prelude::*;
-use sim::time::ms;
+mod common;
 
-fn quick(listen: ListenKind, cores: usize, rate: f64) -> RunConfig {
-    let mut cfg = RunConfig::new(
-        Machine::amd48(),
-        cores,
-        listen,
-        ServerKind::apache(),
-        Workload::base(),
-        rate,
-    );
-    cfg.warmup = ms(200);
-    cfg.measure = ms(200);
-    cfg.tracked_files = 200;
-    cfg
-}
+use affinity_accept_repro::prelude::*;
+use common::{paper_base, quick, GOLDEN};
 
 #[test]
 fn identical_configs_produce_identical_fingerprints() {
@@ -101,33 +88,23 @@ fn audit_counters_are_self_consistent_with_results() {
 
 // ------------------------------------------------------- scheduler goldens
 
-/// Golden fingerprints for the quick 8-core apache configs, captured on the
-/// binary-heap scheduler before the timer-wheel event queue landed. The
-/// wheel (and every hot-path change since) must reproduce the heap's event
-/// stream bit-for-bit; if one of these values ever changes, scheduling
-/// order changed and every recorded experiment is invalidated.
-/// The Twenty and BusyPoll entries were captured when those kinds became
-/// first-class (they are younger than the heap scheduler); they pin the
-/// same property from their birth revision onward.
-const GOLDEN: [(ListenKind, u64, u64); 5] = [
-    (ListenKind::Stock, 0x6b30b1fe5417a104, 7262),
-    (ListenKind::Fine, 0xcac2e2fd90382a59, 7262),
-    (ListenKind::Affinity, 0x5fc6bb89978ee39c, 7266),
-    (ListenKind::Twenty, 0x3832bc3dab6a43a7, 7271),
-    (ListenKind::BusyPoll, 0x41ddb9fb3487a26e, 7271),
-];
-
+/// The fingerprints and served counts of `common::GOLDEN`, whose doc
+/// states where they come from and the re-pin rule.
 #[test]
 fn golden_fingerprints_match_heap_scheduler_seed() {
-    for (listen, fp, served) in GOLDEN {
-        let r = Runner::new(quick(listen, 8, 6_000.0)).run();
+    for pin in GOLDEN {
+        let listen = pin.kind;
+        let r = Runner::new(paper_base(listen)).run();
         assert_eq!(
-            r.fingerprint, fp,
-            "{listen:?}: fingerprint {:#018x} != golden {fp:#018x} — \
+            r.fingerprint, pin.fingerprint,
+            "{listen:?}: fingerprint {:#018x} != golden {:#018x} — \
              the event schedule changed",
-            r.fingerprint
+            r.fingerprint, pin.fingerprint
         );
-        assert_eq!(r.served, served, "{listen:?}: served diverged from golden");
+        assert_eq!(
+            r.served, pin.served,
+            "{listen:?}: served diverged from golden"
+        );
         assert_eq!(
             r.timeouts, 0,
             "{listen:?}: goldens were captured timeout-free"

@@ -12,9 +12,65 @@
 //!
 //! Fingerprints are the one deliberate difference: the instrumented build
 //! must match the golden hash, the fast build must report exactly 0.
+//!
+//! The work pins of `common::GOLDEN` hold in both modes too, including
+//! the heap allocations of a warm run, which this file counts with its
+//! own global allocator.
+
+mod common;
 
 use affinity_accept_repro::prelude::*;
-use sim::time::ms;
+use common::{paper_base, pin, Work, GOLDEN};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts heap allocations per thread, so tests running in parallel do
+/// not see each other's.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: `alloc`, `alloc_zeroed` and `dealloc` forward their arguments to
+// `System`, which upholds the `GlobalAlloc` contract. The count lives in a
+// const-initialised thread-local without a destructor, so bumping it never
+// allocates. `realloc` keeps the trait's default (allocate, copy, free), so
+// every buffer growth counts as an allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// Runs `listen`'s `paper_base` config twice on a fresh thread and returns
+/// the second run with the heap allocations it made, building its config
+/// included. The first run fills the thread's event-queue pool (and pays
+/// the process's one-time set-up if it is the first), so only the warm
+/// run's count is stable.
+fn warm_run(listen: ListenKind) -> (RunResult, u64) {
+    std::thread::spawn(move || {
+        let _cold = Runner::new(paper_base(listen)).run();
+        let before = ALLOCS.with(Cell::get);
+        let r = Runner::new(paper_base(listen)).run();
+        (r, ALLOCS.with(Cell::get) - before)
+    })
+    .join()
+    .expect("warm run")
+}
 
 /// Every integer end-state metric a run produces that must be identical
 /// across instrumentation modes.
@@ -61,13 +117,12 @@ impl EndState {
     }
 }
 
-/// End states recorded on the instrumented (default-feature) build with
-/// the quick 8-core apache config at 6000 conns/sec. The fast build must
-/// reproduce every field exactly.
-const GOLDEN: [(ListenKind, u64, EndState); 2] = [
+/// End states recorded on the instrumented (default-feature) build at
+/// the `paper_base` point. The fast build must reproduce every field
+/// exactly.
+const END_STATE: [(ListenKind, EndState); 2] = [
     (
         ListenKind::Affinity,
-        0x5fc6bb89978ee39c,
         EndState {
             served: 7266,
             timeouts: 0,
@@ -89,7 +144,6 @@ const GOLDEN: [(ListenKind, u64, EndState); 2] = [
     ),
     (
         ListenKind::Stock,
-        0x6b30b1fe5417a104,
         EndState {
             served: 7262,
             timeouts: 0,
@@ -111,25 +165,10 @@ const GOLDEN: [(ListenKind, u64, EndState); 2] = [
     ),
 ];
 
-fn quick(listen: ListenKind) -> RunConfig {
-    let mut cfg = RunConfig::new(
-        Machine::amd48(),
-        8,
-        listen,
-        ServerKind::apache(),
-        Workload::base(),
-        6_000.0,
-    );
-    cfg.warmup = ms(200);
-    cfg.measure = ms(200);
-    cfg.tracked_files = 200;
-    cfg
-}
-
 #[test]
 fn end_state_is_identical_across_instrumentation_modes() {
-    for (listen, _, golden) in GOLDEN {
-        let r = Runner::new(quick(listen)).run();
+    for (listen, golden) in END_STATE {
+        let r = Runner::new(paper_base(listen)).run();
         assert_eq!(
             EndState::of(&r),
             golden,
@@ -142,11 +181,12 @@ fn end_state_is_identical_across_instrumentation_modes() {
 
 #[test]
 fn fingerprint_matches_the_mode() {
-    for (listen, fp, _) in GOLDEN {
-        let r = Runner::new(quick(listen)).run();
+    for (listen, _) in END_STATE {
+        let r = Runner::new(paper_base(listen)).run();
         if sim::fingerprint::ENABLED {
             assert_eq!(
-                r.fingerprint, fp,
+                r.fingerprint,
+                pin(listen).fingerprint,
                 "{listen:?}: instrumented fingerprint diverged"
             );
         } else {
@@ -158,13 +198,30 @@ fn fingerprint_matches_the_mode() {
     }
 }
 
+/// The work pins hold in this build, whichever mode it is: the same
+/// events, cascades, kernel-entry calls, L2 misses and warm-run heap
+/// allocations for every listen kind.
+#[test]
+fn work_matches_the_pins() {
+    for p in GOLDEN {
+        let (r, allocs) = warm_run(p.kind);
+        assert_eq!(
+            Work::of(&r, allocs),
+            p.work,
+            "{:?}: the work of a paper_base run moved (fast={})",
+            p.kind,
+            cfg!(feature = "fast")
+        );
+    }
+}
+
 #[test]
 fn the_comparison_has_teeth() {
     // Corrupt each golden field in turn and check the comparison notices:
-    // a metric accidentally dropped from `EndState` (or an assert reduced
-    // to a subset) would silently weaken every test above.
-    let (listen, _, golden) = GOLDEN[0];
-    let r = Runner::new(quick(listen)).run();
+    // a metric accidentally dropped from `EndState` or `Work` (or an
+    // assert reduced to a subset) would silently weaken every test above.
+    let (listen, golden) = END_STATE[0];
+    let (r, allocs) = warm_run(listen);
     let actual = EndState::of(&r);
     assert_eq!(actual, golden);
     let corruptions = [
@@ -236,6 +293,35 @@ fn the_comparison_has_teeth() {
     for (i, bad) in corruptions.iter().enumerate() {
         assert_ne!(actual, *bad, "corrupted field #{i} went undetected");
     }
+
+    let work = Work::of(&r, allocs);
+    let golden = pin(listen).work;
+    assert_eq!(work, golden);
+    let corruptions = [
+        Work {
+            events: golden.events + 1,
+            ..golden
+        },
+        Work {
+            cascaded: golden.cascaded + 1,
+            ..golden
+        },
+        Work {
+            kernel_calls: golden.kernel_calls + 1,
+            ..golden
+        },
+        Work {
+            l2_misses: golden.l2_misses + 1,
+            ..golden
+        },
+        Work {
+            allocs: golden.allocs + 1,
+            ..golden
+        },
+    ];
+    for (i, bad) in corruptions.iter().enumerate() {
+        assert_ne!(work, *bad, "corrupted work field #{i} went undetected");
+    }
 }
 
 #[test]
@@ -243,8 +329,8 @@ fn end_state_is_seed_sensitive() {
     // The golden constants above pin a real schedule, not a fixed point:
     // a different seed must produce a different end state, or the
     // equivalence tests would pass vacuously.
-    let (listen, _, golden) = GOLDEN[0];
-    let mut cfg = quick(listen);
+    let (listen, golden) = END_STATE[0];
+    let mut cfg = paper_base(listen);
     cfg.seed += 1;
     let r = Runner::new(cfg).run();
     assert_ne!(

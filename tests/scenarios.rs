@@ -11,6 +11,8 @@
 // feature compiles the fingerprint plane to zero.
 #![cfg(not(feature = "fast"))]
 
+mod common;
+
 use app::{ListenKind, ServerKind};
 use bench::scenario::{catalog_path, load_dir, load_file, Scenario, Search};
 use sim::topology::Machine;
@@ -142,20 +144,14 @@ fn full_corpus_passes_gates_and_goldens() {
 }
 
 /// paper_base is the determinism suite's quick configuration; its
-/// recorded goldens must equal `tests/determinism.rs`'s GOLDEN table
-/// (same machine, cores, rate, windows, seed). If a simulation change
-/// moves one table, it must move both.
+/// recorded goldens must equal `common::GOLDEN` (same machine, cores,
+/// rate, windows, seed). If a simulation change moves one table, it must
+/// move both.
 #[test]
 fn paper_base_goldens_equal_the_determinism_table() {
-    let golden: &[(ListenKind, u64, u64)] = &[
-        (ListenKind::Stock, 0x6b30_b1fe_5417_a104, 7262),
-        (ListenKind::Fine, 0xcac2_e2fd_9038_2a59, 7262),
-        (ListenKind::Affinity, 0x5fc6_bb89_978e_e39c, 7266),
-        (ListenKind::Twenty, 0x3832_bc3d_ab6a_43a7, 7271),
-        (ListenKind::BusyPoll, 0x41dd_b9fb_3487_a26e, 7271),
-    ];
     let s = load_file(&catalog_path("scenarios/paper_base.json")).expect("paper_base loads");
-    for &(kind, fp, served) in golden {
+    for pin in common::GOLDEN {
+        let kind = pin.kind;
         let entry = s
             .golden
             .iter()
@@ -163,7 +159,7 @@ fn paper_base_goldens_equal_the_determinism_table() {
             .unwrap_or_else(|| panic!("paper_base missing golden for {kind:?}"));
         assert_eq!(
             (entry.fingerprint, entry.served),
-            (fp, served),
+            (pin.fingerprint, pin.served),
             "{kind:?}: paper_base golden diverged from the determinism table"
         );
     }
