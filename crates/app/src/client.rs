@@ -42,9 +42,6 @@ struct CConn {
     resp_remaining: i64,
     started: Cycles,
     requests_done: u32,
-    /// Cluster-level cross-host retry tag: this connection is a client's
-    /// re-resolution through the LB after a failed attempt elsewhere.
-    retry: bool,
 }
 
 /// How a connection finished.
@@ -113,17 +110,6 @@ pub struct Clients {
     /// Connections abandoned at the SYN-retry cap over the whole run
     /// (never reset; only nonzero under fault injection).
     pub total_retry_capped: u64,
-    /// Retry-tagged connections (cross-host LB retries) finished
-    /// normally over the whole run. Subset of `total_completed`.
-    pub total_completed_retry: u64,
-    /// Retry-tagged connections abandoned at the timeout over the whole
-    /// run. Subset of `total_timeouts`.
-    pub total_timeouts_retry: u64,
-    /// Retry-tagged connections abandoned at the SYN-retry cap over the
-    /// whole run. Subset of `total_retry_capped`.
-    pub total_retry_capped_retry: u64,
-    /// Live retry-tagged connections (subset of `live()`).
-    live_retry: u64,
 }
 
 impl Clients {
@@ -149,10 +135,6 @@ impl Clients {
             total_completed: 0,
             total_timeouts: 0,
             total_retry_capped: 0,
-            total_completed_retry: 0,
-            total_timeouts_retry: 0,
-            total_retry_capped_retry: 0,
-            live_retry: 0,
         }
     }
 
@@ -171,12 +153,6 @@ impl Clients {
     #[must_use]
     pub fn live(&self) -> usize {
         self.conns.len()
-    }
-
-    /// Live retry-tagged connections (subset of [`Self::live`]).
-    #[must_use]
-    pub fn live_retry(&self) -> u64 {
-        self.live_retry
     }
 
     /// The workload driving this fleet.
@@ -205,14 +181,6 @@ impl Clients {
 
     /// Opens a new connection at `now`; returns its id and the SYN.
     pub fn start_conn(&mut self, now: Cycles) -> (CConnId, Packet) {
-        self.start_conn_tagged(now, false)
-    }
-
-    /// Opens a new connection at `now`, optionally tagged as a
-    /// cross-host LB retry; returns its id and the SYN. Tagged
-    /// connections are counted in the `*_retry` sub-ledger so the
-    /// cluster plane can distinguish recovered from first-try traffic.
-    pub fn start_conn_tagged(&mut self, now: Cycles, retry: bool) -> (CConnId, Packet) {
         let id = self.next_id;
         self.next_id += 1;
         // Unique source IP per connection; random port picks a random
@@ -230,14 +198,10 @@ impl Clients {
                 resp_remaining: 0,
                 started: now,
                 requests_done: 0,
-                retry,
             },
         );
         self.by_tuple.insert(tuple, id);
         self.total_started += 1;
-        if retry {
-            self.live_retry += 1;
-        }
         if self.measuring {
             self.started += 1;
         }
@@ -257,14 +221,6 @@ impl Clients {
                 Finish::Completed => self.total_completed += 1,
                 Finish::TimedOut => self.total_timeouts += 1,
                 Finish::RetryCapped => self.total_retry_capped += 1,
-            }
-            if c.retry {
-                self.live_retry -= 1;
-                match how {
-                    Finish::Completed => self.total_completed_retry += 1,
-                    Finish::TimedOut => self.total_timeouts_retry += 1,
-                    Finish::RetryCapped => self.total_retry_capped_retry += 1,
-                }
             }
             if self.measuring {
                 self.latencies.record(now - c.started);

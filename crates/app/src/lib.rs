@@ -18,10 +18,6 @@
 //!   per core, unpinned).
 //! * [`batch`] — the §6.5 background `make` job (two parallel phases
 //!   around a serial one).
-//! * [`cluster`] — the multi-host topology: N per-host sims behind an
-//!   L4 load-balancer tier with a latency/loss fabric, whole-host
-//!   crash/restart/drain orchestration, cross-host client retry, and
-//!   cluster-level conservation audits.
 //! * [`evpool`] — packet interning and lazy timer cancellation keeping
 //!   the runner's event entries small.
 //! * [`runner`] — the discrete-event loop tying the machine, NIC, TCP
@@ -34,7 +30,6 @@
 pub mod audit;
 pub mod batch;
 pub mod client;
-pub mod cluster;
 pub mod evpool;
 pub mod files;
 pub mod runner;
@@ -43,11 +38,7 @@ pub mod server;
 pub mod workload;
 
 pub use audit::RunAudit;
-pub use cluster::{
-    ClusterAudit, ClusterConfig, ClusterResult, ClusterRunner, ClusterStats, FlashCrowd,
-    HostReport, LbPolicy,
-};
-pub use runner::{ClientLedger, CrashReport, ListenKind, RunConfig, RunResult, Runner};
+pub use runner::{ListenKind, RunConfig, RunResult, Runner};
 pub use search::{find_saturation, find_saturation_budgeted};
 pub use server::ServerKind;
 pub use workload::Workload;

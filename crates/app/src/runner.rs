@@ -208,18 +208,11 @@ pub struct RunConfig {
     /// collection. Pure accounting — no events and no RNG draws, so
     /// enabling it never perturbs fingerprints.
     pub timeline_bucket: Cycles,
-    /// Cluster plane: when set, the host generates no open-loop arrivals
-    /// of its own — connections enter only through
-    /// [`Runner::inject_conn`] (the load-balancer tier's deliveries).
-    /// `false` (the default) keeps the classic self-driving client fleet
-    /// and is bit-identical to builds without the cluster plane.
-    pub external_arrivals: bool,
-    /// Cluster plane: absolute simulation time this host instance boots
-    /// at. Every constructor-scheduled event (arrival seed, measurement
-    /// switch, balancer and watchdog chains) shifts by this offset and
-    /// the run ends at `start_at + warmup + measure`, so a host restarted
-    /// mid-cluster-run shares the cluster's absolute clock and timeline
-    /// buckets. The default `0` is the classic single-host run.
+    /// Absolute simulation time the run boots at. Every
+    /// constructor-scheduled event (arrival seed, measurement switch,
+    /// balancer and watchdog chains) shifts by this offset, the run ends
+    /// at `start_at + warmup + measure`, and timeline buckets count from
+    /// time 0. The default `0` is the classic run.
     pub start_at: Cycles,
 }
 
@@ -262,7 +255,6 @@ impl RunConfig {
             overload: OverloadConfig::none(),
             hotplug: Vec::new(),
             timeline_bucket: 0,
-            external_arrivals: false,
             start_at: 0,
         }
     }
@@ -353,75 +345,6 @@ impl std::fmt::Debug for RunResult {
     }
 }
 
-/// Snapshot of a host's whole-run client ledger (cluster plane): every
-/// terminal outcome, the live population, and the not-yet-fired external
-/// injections, with the retry-tagged sub-ledger alongside. The cluster's
-/// conservation laws balance injections against these.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientLedger {
-    /// Connections started (whole run).
-    pub started: u64,
-    /// Connections finished normally.
-    pub completed: u64,
-    /// Connections abandoned at the client timeout.
-    pub timeouts: u64,
-    /// Connections abandoned at the SYN-retry cap.
-    pub retry_capped: u64,
-    /// Retry-tagged subset of `completed` — the cluster's "recovered".
-    pub completed_retry: u64,
-    /// Retry-tagged subset of `timeouts`.
-    pub timeouts_retry: u64,
-    /// Retry-tagged subset of `retry_capped`.
-    pub retry_capped_retry: u64,
-    /// Live (unfinished) connections right now.
-    pub live: u64,
-    /// Retry-tagged subset of `live`.
-    pub live_retry: u64,
-    /// Externally injected connections scheduled but not yet fired.
-    pub pending_inject: u64,
-    /// Retry-tagged subset of `pending_inject`.
-    pub pending_inject_retry: u64,
-}
-
-/// What a whole-host crash leaves behind (cluster fault-domain plane):
-/// the client ledger frozen at the instant of death plus the window
-/// metrics the cluster still wants (served count, goodput timeline,
-/// partial fingerprint). A crashed instance runs no audit — the
-/// cluster-level conservation laws close its ledger instead.
-#[derive(Debug, Clone)]
-pub struct CrashReport {
-    /// Live connections lost with the host.
-    pub stranded_live: u64,
-    /// Retry-tagged subset of `stranded_live`.
-    pub stranded_live_retry: u64,
-    /// Injections scheduled but never fired — lost with the queue.
-    pub pending_inject: u64,
-    /// Retry-tagged subset of `pending_inject`.
-    pub pending_inject_retry: u64,
-    /// Connections started over the instance's life.
-    pub started: u64,
-    /// Connections finished normally before the crash.
-    pub completed: u64,
-    /// Connections abandoned at the client timeout before the crash.
-    pub timeouts: u64,
-    /// Connections abandoned at the SYN-retry cap before the crash.
-    pub retry_capped: u64,
-    /// Retry-tagged subset of `completed`.
-    pub completed_retry: u64,
-    /// Retry-tagged subset of `timeouts`.
-    pub timeouts_retry: u64,
-    /// Retry-tagged subset of `retry_capped`.
-    pub retry_capped_retry: u64,
-    /// Requests served during the measurement window before the crash.
-    pub served: u64,
-    /// Served-requests timeline (absolute buckets, cluster-aligned).
-    pub timeline: Vec<u64>,
-    /// The instance's event-stream fingerprint up to the crash.
-    pub fingerprint: u64,
-    /// Events the instance dispatched before dying.
-    pub events_executed: u64,
-}
-
 /// One scheduled event. The queue holds hundreds of thousands of these on
 /// big runs, so the enum is kept at ≤ 16 bytes: 24-byte [`Packet`]
 /// payloads live in the runner's [`PktSlab`] behind a `u32` handle, and
@@ -462,10 +385,6 @@ enum Ev {
     /// The core rides along because the timer runs in softirq context on
     /// the core that processed the SYN (or its re-home target).
     ReqReap(u32, u16, u16),
-    /// One externally injected connection (the cluster LB tier's
-    /// delivery): an [`Ev::Arrival`] minus the open-loop reschedule and
-    /// its RNG draw. Bit 0 of the flags tags a cross-host retry.
-    Inject(u32),
 }
 
 const _: () = assert!(
@@ -600,12 +519,6 @@ pub struct Runner {
     fingerprint: ActiveFingerprint,
     /// Events dispatched by the run loop.
     events_executed: u64,
-    /// Cluster injections scheduled but not yet fired ([`Ev::Inject`]
-    /// events still in the queue); the cluster conservation laws count
-    /// these at crash/end-of-run.
-    pending_inject: u64,
-    /// Retry-tagged subset of `pending_inject`.
-    pending_inject_retry: u64,
     /// Accepted outcomes observed (audit: must equal the listen socket's
     /// local + stolen accept counters).
     accepts_seen: u64,
@@ -743,8 +656,6 @@ impl Runner {
             timeouts_dead_owner: 0,
             fingerprint: ActiveFingerprint::new(),
             events_executed: 0,
-            pending_inject: 0,
-            pending_inject_retry: 0,
             accepts_seen: 0,
             dispatched: 0,
             base_listen: Default::default(),
@@ -755,12 +666,10 @@ impl Runner {
             arrival_interval_mean,
             cfg,
         };
-        // All constructor-scheduled times are relative to the instance
-        // boot (`t0` is 0 for classic single-host runs, so nothing moves).
+        // All constructor-scheduled times are relative to the boot time
+        // (`t0` is 0 for classic runs, so nothing moves).
         let t0 = r.cfg.start_at;
-        if !r.cfg.external_arrivals {
-            r.q.push(t0, Ev::Arrival);
-        }
+        r.q.push(t0, Ev::Arrival);
         r.q.push(t0 + r.cfg.warmup, Ev::MeasureStart);
         let mi = r.cfg.migrate_interval.max(ms(1));
         r.q.push(t0 + mi, Ev::Balance);
@@ -1565,7 +1474,6 @@ impl Runner {
             Ev::SynRetrans(cid, attempt) => (12, u64::from(*cid) ^ u64::from(*attempt) << 48),
             Ev::CoreStall(i) => (13, u64::from(*i)),
             Ev::PollAccept(core) => (14, u64::from(*core)),
-            Ev::Inject(flags) => (15, u64::from(*flags)),
             Ev::CoreDown(core) => (20, u64::from(*core)),
             Ev::CoreUp(core) => (21, u64::from(*core)),
             Ev::Watchdog => (22, 0),
@@ -1595,30 +1503,6 @@ impl Runner {
                 );
                 let gap = self.rng.exp(self.arrival_interval_mean).max(1.0) as Cycles;
                 self.q.push(self.now + gap, Ev::Arrival);
-            }
-            Ev::Inject(flags) => {
-                // One LB-tier delivery: the arrival body without the
-                // open-loop reschedule (and without its RNG draw, so a
-                // cluster host's stream stays deterministic under any
-                // injection schedule).
-                let retry = flags & 1 != 0;
-                self.pending_inject -= 1;
-                if retry {
-                    self.pending_inject_retry -= 1;
-                }
-                let (cid, syn) = self.clients.start_conn_tagged(self.now, retry);
-                self.send_to_server(syn, self.now + PROP_DELAY);
-                if let Some(rp) = self.cfg.fault.retrans {
-                    self.q.push(
-                        self.now + rp.backoff(1),
-                        Ev::SynRetrans(Self::ev_cid(cid), 1),
-                    );
-                }
-                let gen = self.timers.arm(cid);
-                self.q.push(
-                    self.now + self.clients.workload().timeout,
-                    Ev::Timeout(Self::ev_cid(cid), gen),
-                );
             }
             Ev::Wire(handle) => {
                 if self.cfg.fault.has_packet_faults() && !self.wire_fault(handle) {
@@ -1966,18 +1850,17 @@ impl Runner {
         self.handle(ev);
     }
 
-    /// Cluster plane: advances the host to (but not past) `bound`,
-    /// dispatching every queued event strictly before
-    /// `min(bound, end_at)` in canonical order. Interleaving any sequence
-    /// of `run_until` calls with a final [`Runner::run`] executes exactly
-    /// the event sequence a straight `run` would — the epoch-advance
-    /// protocol the cluster's shared clock relies on.
+    /// Advances the run to (but not past) `bound`, dispatching every
+    /// queued event strictly before `min(bound, end_at)` in canonical
+    /// order. Interleaving any sequence of `run_until` calls with a final
+    /// [`Runner::run`] executes exactly the event sequence a straight
+    /// `run` would; simbench times its runs as such slices.
     pub fn run_until(&mut self, bound: Cycles) {
-        // The bounded peek keeps the wheel's cursor short of
-        // `bound`, so injections pushed between epochs (at times >= the
-        // previous bound but before any far-future housekeeping event)
-        // are filed — an unbounded peek would cascade past them and
-        // clamp their delivery to the cursor.
+        // The bounded peek keeps the wheel's cursor short of `bound`, so
+        // an event pushed between slices (at a time >= the previous
+        // bound but before a far-future housekeeping event) is filed at
+        // its own time; an unbounded peek would cascade past it and
+        // clamp it to the cursor.
         let bound = bound.min(self.end_at);
         while self.q.peek_time_before(bound).is_some() {
             let (t, ev) = self.q.pop().expect("peeked a nonempty queue");
@@ -1985,48 +1868,10 @@ impl Runner {
         }
     }
 
-    /// Cluster plane: schedules one externally delivered connection at
-    /// `at` (an LB routing decision plus fabric latency). `retry` tags a
-    /// cross-host re-resolution so recovered connections stay
-    /// distinguishable from first-try traffic in the client ledger.
-    pub fn inject_conn(&mut self, at: Cycles, retry: bool) {
-        self.pending_inject += 1;
-        if retry {
-            self.pending_inject_retry += 1;
-        }
-        self.q.push(at, Ev::Inject(u32::from(retry)));
-    }
-
-    /// Current simulation time of this host instance.
-    #[must_use]
-    pub fn now(&self) -> Cycles {
-        self.now
-    }
-
-    /// Live (unfinished) client connections on this host.
+    /// Live (unfinished) client connections.
     #[must_use]
     pub fn clients_live(&self) -> usize {
         self.clients.live()
-    }
-
-    /// Snapshot of the whole-run client ledger — the cluster's
-    /// per-advance observation point for LB open-connection estimates and
-    /// the cross-host conservation laws.
-    #[must_use]
-    pub fn client_ledger(&self) -> ClientLedger {
-        ClientLedger {
-            started: self.clients.total_started,
-            completed: self.clients.total_completed,
-            timeouts: self.clients.total_timeouts,
-            retry_capped: self.clients.total_retry_capped,
-            completed_retry: self.clients.total_completed_retry,
-            timeouts_retry: self.clients.total_timeouts_retry,
-            retry_capped_retry: self.clients.total_retry_capped_retry,
-            live: self.clients.live() as u64,
-            live_retry: self.clients.live_retry(),
-            pending_inject: self.pending_inject,
-            pending_inject_retry: self.pending_inject_retry,
-        }
     }
 
     /// Runs the simulation to completion and returns the measurements.
@@ -2050,41 +1895,6 @@ impl Runner {
             self.step_event(t, ev);
         }
         self.finalize()
-    }
-
-    /// Cluster plane: finalizes a cleanly drained host at its current
-    /// clock without dispatching the rest of the queue (the
-    /// rolling-restart shutdown step). Every conservation audit still
-    /// applies — a quiesced host's ledgers balance at any instant.
-    #[must_use]
-    pub fn shutdown(self) -> RunResult {
-        self.finalize()
-    }
-
-    /// Cluster plane: kills the host whole. Every in-flight connection
-    /// is lost and no audit runs — the cluster-level conservation laws
-    /// close a crashed instance's ledger instead. The event queue is
-    /// dropped, not recycled: it still holds events and must not pollute
-    /// the warm pool.
-    #[must_use]
-    pub fn crash(self) -> CrashReport {
-        CrashReport {
-            stranded_live: self.clients.live() as u64,
-            stranded_live_retry: self.clients.live_retry(),
-            pending_inject: self.pending_inject,
-            pending_inject_retry: self.pending_inject_retry,
-            started: self.clients.total_started,
-            completed: self.clients.total_completed,
-            timeouts: self.clients.total_timeouts,
-            retry_capped: self.clients.total_retry_capped,
-            completed_retry: self.clients.total_completed_retry,
-            timeouts_retry: self.clients.total_timeouts_retry,
-            retry_capped_retry: self.clients.total_retry_capped_retry,
-            served: self.served,
-            timeline: self.timeline,
-            fingerprint: self.fingerprint.value(),
-            events_executed: self.events_executed,
-        }
     }
 
     /// Computes the end-of-run measurements and audits at the current

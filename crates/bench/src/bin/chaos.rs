@@ -1,8 +1,8 @@
 //! `chaos` — the fault-injection differential harness.
 //!
 //! Where `simcheck` establishes that clean runs are deterministic and
-//! conservative, `chaos` establishes the same under adversity. Three
-//! passes:
+//! conservative, `chaos` establishes the same under adversity. Two
+//! passes, and an optional sweep:
 //!
 //! 1. **Fuzz + replay**: randomized `(config, FaultPlan, OverloadConfig,
 //!    hotplug schedule)` tuples across all five [`ListenKind`]s, each run
@@ -14,21 +14,12 @@
 //!    cap, or is still live. Any failure is shrunk (config, plan,
 //!    overload, and hotplug knobs — including individual stall windows)
 //!    to a minimal repro, like `simcheck`.
-//! 2. **Cluster fuzz + replay**: randomized 2–4 host topologies — LB
-//!    policy, fabric latency/jitter/loss, flash crowds, and random
-//!    crash/restart/drain schedules — each run twice through
-//!    [`app::ClusterRunner`]. Replay equality covers the cluster
-//!    fingerprint and every LB/retry/fault counter, the eviction log,
-//!    and the goodput timeline; the cluster conservation audit must
-//!    hold on every run. Failures shrink over topology knobs (events,
-//!    fabric, flash, LB policy, hosts, cores, rate, windows) to a
-//!    minimal paste-able repro.
-//! 3. **Ordering**: at saturating load with moderate packet loss,
+//! 2. **Ordering**: at saturating load with moderate packet loss,
 //!    SYN-overflow drops, and client retransmission, the paper's ranking
 //!    `Affinity >= Fine >= Stock` must survive (with a small slack for
 //!    noise) — faults must not invert the result the repo exists to
 //!    reproduce.
-//! 4. **Loss sweep** (`--loss-sweep`): served throughput and connection
+//! 3. **Loss sweep** (`--loss-sweep`): served throughput and connection
 //!    outcomes per listen kind across drop rates 0..10%; the source of
 //!    EXPERIMENTS.md's fault-tolerance table. Off by default.
 //!
@@ -36,13 +27,9 @@
 //!
 //! Usage: `chaos [--cases N] [--seed S] [--smoke] [--loss-sweep] [--out PATH]`
 
-use app::{
-    ClusterConfig, ClusterResult, ClusterRunner, FlashCrowd, LbPolicy, ListenKind, RunConfig,
-    RunResult, Runner, ServerKind, Workload,
-};
+use app::{ListenKind, RunConfig, RunResult, Runner, ServerKind, Workload};
 use bench::quick_config;
 use metrics::json::Json;
-use sim::fabric::{FabricConfig, HostEvent, HostEventKind};
 use sim::fault::{FaultPlan, RetransPolicy, StallWindow};
 use sim::overload::{HotplugEvent, OverloadConfig, ReapPolicy, WatchdogPolicy};
 use sim::rng::SimRng;
@@ -60,16 +47,14 @@ fn main() {
     );
 
     let fuzz = fuzz_pass(&opts);
-    let cluster = cluster_pass(&opts);
     let ordering = ordering_pass(&opts);
     let sweep = opts.loss_sweep.then(loss_sweep);
 
-    let ok = fuzz.failures.is_empty() && cluster.failures.is_empty() && ordering.ok;
+    let ok = fuzz.failures.is_empty() && ordering.ok;
     let mut report = Json::obj()
         .field("cases", opts.cases)
         .field("base_seed", opts.seed)
         .field("fuzz", fuzz.to_json())
-        .field("cluster", cluster.to_json())
         .field("ordering", ordering.to_json());
     if let Some(sweep) = &sweep {
         report = report.field("loss_sweep", sweep.clone());
@@ -79,14 +64,13 @@ fn main() {
 
     if ok {
         println!(
-            "chaos: OK ({} fuzz + {} cluster cases replayed, ordering holds under loss)",
-            opts.cases, cluster.cases
+            "chaos: OK ({} fuzz cases replayed, ordering holds under loss)",
+            opts.cases
         );
     } else {
         println!(
-            "chaos: FAILED ({} fuzz failures, {} cluster failures, ordering ok: {})",
+            "chaos: FAILED ({} fuzz failures, ordering ok: {})",
             fuzz.failures.len(),
-            cluster.failures.len(),
             ordering.ok
         );
         std::process::exit(1);
@@ -116,7 +100,7 @@ impl Opts {
                 .unwrap_or_else(|| "results/chaos.json".to_string()),
             loss_sweep: args.flag("--loss-sweep"),
         };
-        args.finish();
+        args.done();
         opts
     }
 }
@@ -426,7 +410,7 @@ impl FuzzReport {
 
 fn fuzz_pass(opts: &Opts) -> FuzzReport {
     println!(
-        "\n[1/3] fuzz: {} randomized (config, plan) cases x 2 runs, audits enforced",
+        "\n[1/2] fuzz: {} randomized (config, plan) cases x 2 runs, audits enforced",
         opts.cases
     );
     let mut rng = SimRng::new(opts.seed ^ 0xC4A0_5C4A_05C4_A05C);
@@ -670,391 +654,6 @@ fn chaos_repro() {{
     )
 }
 
-// ---------------------------------------------------------- cluster fuzz
-
-/// Draws one randomized 2–4 host cluster: LB policy, fabric
-/// latency/jitter/loss, an optional flash crowd, and a random
-/// crash/restart/drain schedule over a short window. Event times may
-/// land anywhere in the run — including on hosts that are already down,
-/// draining, or never come back — so the schedule fuzzes the fault
-/// plane's edge cases, not just the orchestrated rolling-restart shape.
-fn random_cluster_case(rng: &mut SimRng) -> ClusterConfig {
-    let hosts = 2 + rng.index(3);
-    let listen = ListenKind::ALL[rng.index(ListenKind::ALL.len())];
-    let server = if rng.chance(0.5) {
-        ServerKind::apache()
-    } else {
-        ServerKind::lighttpd()
-    };
-    let cores = [1usize, 2][rng.index(2)];
-    let rate_per_core = [400.0, 800.0, 1_600.0][rng.index(3)];
-    let mut base = quick_config(
-        Machine::amd48(),
-        cores,
-        listen,
-        server,
-        rate_per_core * cores as f64,
-        rng.next_u64(),
-    );
-    base.warmup = ms(rng.range(10, 25));
-    base.measure = ms(rng.range(60, 120));
-    base.workload = match rng.below(3) {
-        0 => Workload::base(),
-        1 => Workload::with_requests_per_conn([1, 2, 6][rng.index(3)]),
-        _ => Workload::with_think(ms(rng.range(1, 10))),
-    };
-    let end = base.warmup + base.measure;
-    let mut cfg = ClusterConfig::new(hosts, base);
-    cfg.lb = LbPolicy::ALL[rng.index(LbPolicy::ALL.len())];
-    if rng.chance(0.5) {
-        cfg.fabric.jitter = [0, us(5), us(20)][rng.index(3)];
-        cfg.fabric.loss_p = [0.0, 0.01, 0.05][rng.index(3)];
-    }
-    for _ in 0..rng.below(4) {
-        cfg.host_events.push(HostEvent {
-            host: rng.below(hosts as u64) as u16,
-            at: ms(5) + rng.below(end - ms(5)),
-            kind: [
-                HostEventKind::Crash,
-                HostEventKind::Restart,
-                HostEventKind::DrainStart,
-                HostEventKind::DrainDone,
-            ][rng.index(4)],
-        });
-    }
-    if rng.chance(0.2) {
-        let at = ms(10) + rng.below(end / 2);
-        cfg.flash = Some(FlashCrowd {
-            at,
-            until: at + ms(rng.range(10, 40)),
-            multiplier: [1.5, 2.5][rng.index(2)],
-        });
-    }
-    cfg
-}
-
-fn cluster_label(cfg: &ClusterConfig) -> String {
-    let b = &cfg.base;
-    format!(
-        "hosts={} lb={} {} {} cores={} rate={:.0} seed={} | fabric lat={} jit={} loss={} | events={} flash={}",
-        cfg.hosts,
-        cfg.lb.label(),
-        b.listen.label(),
-        b.server.label(),
-        b.cores,
-        b.conn_rate,
-        b.seed,
-        cfg.fabric.latency,
-        cfg.fabric.jitter,
-        cfg.fabric.loss_p,
-        cfg.host_events.len(),
-        cfg.flash.is_some(),
-    )
-}
-
-/// Runs one cluster case twice; returns audit violations from the first
-/// run, replay divergences between the two, or a panic message.
-fn cluster_problems_of(cfg: &ClusterConfig) -> Vec<String> {
-    let c1 = cfg.clone();
-    let c2 = cfg.clone();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let a = ClusterRunner::new(c1).run();
-        let b = ClusterRunner::new(c2).run();
-        let mut problems: Vec<String> = a
-            .audit
-            .violations()
-            .into_iter()
-            .map(|v| format!("audit: {v}"))
-            .collect();
-        if let Some(why) = cluster_diverges(&a, &b) {
-            problems.push(format!("replay: {why}"));
-        }
-        problems
-    }));
-    match outcome {
-        Ok(problems) => problems,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic".to_string());
-            vec![format!("panic: {msg}")]
-        }
-    }
-}
-
-fn cluster_diverges(a: &ClusterResult, b: &ClusterResult) -> Option<String> {
-    if a.fingerprint != b.fingerprint {
-        return Some(format!(
-            "fingerprint {:#018x} != {:#018x}",
-            a.fingerprint, b.fingerprint
-        ));
-    }
-    let (sa, sb) = (&a.audit.stats, &b.audit.stats);
-    let pairs = [
-        ("served", a.served, b.served),
-        ("completed", a.completed, b.completed),
-        ("timeouts", a.timeouts, b.timeouts),
-        ("recovered", a.recovered, b.recovered),
-        ("stranded", a.stranded, b.stranded),
-        ("events_executed", a.events_executed, b.events_executed),
-        (
-            "timeouts_live_owner",
-            a.timeouts_live_owner,
-            b.timeouts_live_owner,
-        ),
-        (
-            "timeouts_dead_owner",
-            a.timeouts_dead_owner,
-            b.timeouts_dead_owner,
-        ),
-        ("stats.arrivals", sa.arrivals, sb.arrivals),
-        ("stats.attempts", sa.attempts, sb.attempts),
-        ("stats.injections", sa.injections, sb.injections),
-        (
-            "stats.retry_injections",
-            sa.retry_injections,
-            sb.retry_injections,
-        ),
-        ("stats.misroutes", sa.misroutes, sb.misroutes),
-        ("stats.no_route", sa.no_route, sb.no_route),
-        ("stats.fabric_lost", sa.fabric_lost, sb.fabric_lost),
-        ("stats.stranded", sa.stranded, sb.stranded),
-        ("stats.stranded_retry", sa.stranded_retry, sb.stranded_retry),
-        (
-            "stats.retries_scheduled",
-            sa.retries_scheduled,
-            sb.retries_scheduled,
-        ),
-        ("stats.retries_sent", sa.retries_sent, sb.retries_sent),
-        (
-            "stats.retry_exhausted",
-            sa.retry_exhausted,
-            sb.retry_exhausted,
-        ),
-        (
-            "stats.retry_budget_denied",
-            sa.retry_budget_denied,
-            sb.retry_budget_denied,
-        ),
-        ("stats.crashes", sa.crashes, sb.crashes),
-        ("stats.evictions", sa.evictions, sb.evictions),
-        (
-            "stats.crash_undetected",
-            sa.crash_undetected,
-            sb.crash_undetected,
-        ),
-        ("stats.restarts", sa.restarts, sb.restarts),
-        ("stats.drains", sa.drains, sb.drains),
-        ("stats.drain_done", sa.drain_done, sb.drain_done),
-        ("stats.drain_aborted", sa.drain_aborted, sb.drain_aborted),
-        ("stats.drain_forced", sa.drain_forced, sb.drain_forced),
-    ];
-    for (name, x, y) in pairs {
-        if x != y {
-            return Some(format!("{name} {x} != {y}"));
-        }
-    }
-    if a.evictions != b.evictions {
-        return Some("eviction log differs".to_string());
-    }
-    if a.timeline != b.timeline {
-        return Some("goodput timeline differs".to_string());
-    }
-    if a.audit != b.audit {
-        return Some("cluster audit counters differ".to_string());
-    }
-    None
-}
-
-fn cluster_pass(opts: &Opts) -> FuzzReport {
-    let cases = opts.cases.div_ceil(3).max(4);
-    println!(
-        "\n[2/3] cluster fuzz: {cases} randomized 2-4 host topologies x 2 runs, cluster audits enforced"
-    );
-    let mut rng = SimRng::new(opts.seed ^ 0xFAB_0FAB_0FAB_0FAB);
-    let configs: Vec<ClusterConfig> = (0..cases).map(|_| random_cluster_case(&mut rng)).collect();
-    let jobs = configs.clone();
-    let results = bench::par_map(jobs, bench::default_workers(), |cfg| {
-        cluster_problems_of(&cfg)
-    });
-    let mut failures = Vec::new();
-    for (cfg, problems) in configs.iter().zip(results) {
-        if problems.is_empty() {
-            continue;
-        }
-        println!("  CLUSTER CHAOS FAILURE [{}]:", cluster_label(cfg));
-        for p in &problems {
-            println!("    {p}");
-        }
-        let minimal = cluster_shrink(cfg.clone());
-        let repro = cluster_repro_test(&minimal, &problems);
-        println!("  minimal repro:\n{repro}");
-        failures.push(FuzzFailure {
-            label: cluster_label(&minimal),
-            problems,
-            repro,
-        });
-    }
-    println!("  {cases} cases, {} failures", failures.len());
-    FuzzReport { cases, failures }
-}
-
-/// Greedy shrink over cluster topology knobs: the fault schedule first
-/// (whole, then one event at a time), then the flash crowd, fabric, LB
-/// policy, host count, and finally the single-host base knobs.
-fn cluster_shrink(mut cfg: ClusterConfig) -> ClusterConfig {
-    let still_fails = |c: &ClusterConfig| !cluster_problems_of(c).is_empty();
-    if !still_fails(&cfg) {
-        // Flaky under replay — itself a determinism bug; report as-is.
-        return cfg;
-    }
-    loop {
-        let mut candidates: Vec<ClusterConfig> = Vec::new();
-        if !cfg.host_events.is_empty() {
-            let mut c = cfg.clone();
-            c.host_events.clear();
-            candidates.push(c);
-            for i in 0..cfg.host_events.len() {
-                let mut c = cfg.clone();
-                c.host_events.remove(i);
-                candidates.push(c);
-            }
-        }
-        if cfg.flash.is_some() {
-            let mut c = cfg.clone();
-            c.flash = None;
-            candidates.push(c);
-        }
-        for simplify in [
-            |f: &mut FabricConfig| *f = FabricConfig::none(),
-            |f: &mut FabricConfig| f.loss_p = 0.0,
-            |f: &mut FabricConfig| f.jitter = 0,
-        ] {
-            let mut c = cfg.clone();
-            simplify(&mut c.fabric);
-            if c.fabric != cfg.fabric {
-                candidates.push(c);
-            }
-        }
-        if cfg.lb != LbPolicy::ConsistentHash {
-            let mut c = cfg.clone();
-            c.lb = LbPolicy::ConsistentHash;
-            candidates.push(c);
-        }
-        if cfg.hosts > 2 {
-            // Dropping a host invalidates events aimed at it; keep only
-            // the ones that still target a live index.
-            let mut c = cfg.clone();
-            c.hosts -= 1;
-            c.host_events.retain(|ev| usize::from(ev.host) < c.hosts);
-            candidates.push(c);
-        }
-        if cfg.base.cores > 1 {
-            let mut c = cfg.clone();
-            c.base.cores /= 2;
-            c.base.max_backlog = 128 * c.base.cores;
-            candidates.push(c);
-        }
-        if cfg.base.conn_rate > 100.0 {
-            let mut c = cfg.clone();
-            c.base.conn_rate /= 2.0;
-            candidates.push(c);
-        }
-        if cfg.base.measure > ms(40) {
-            let mut c = cfg.clone();
-            c.base.measure /= 2;
-            candidates.push(c);
-        }
-        if cfg.base.warmup > ms(10) {
-            let mut c = cfg.clone();
-            c.base.warmup /= 2;
-            candidates.push(c);
-        }
-        let Some(next) = candidates.into_iter().find(|c| still_fails(c)) else {
-            return cfg;
-        };
-        cfg = next;
-    }
-}
-
-/// Formats a minimal failing cluster case as a ready-to-paste
-/// regression test.
-fn cluster_repro_test(cfg: &ClusterConfig, problems: &[String]) -> String {
-    let b = &cfg.base;
-    let listen = match b.listen {
-        ListenKind::Stock => "ListenKind::Stock",
-        ListenKind::Fine => "ListenKind::Fine",
-        ListenKind::Affinity => "ListenKind::Affinity",
-        ListenKind::Twenty => "ListenKind::Twenty",
-        ListenKind::BusyPoll => "ListenKind::BusyPoll",
-    };
-    let server = if b.server.poll_based() {
-        "ServerKind::lighttpd()"
-    } else {
-        "ServerKind::apache()"
-    };
-    let lb = match cfg.lb {
-        LbPolicy::ConsistentHash => "LbPolicy::ConsistentHash",
-        LbPolicy::LeastConn => "LbPolicy::LeastConn",
-        LbPolicy::AffinityAware => "LbPolicy::AffinityAware",
-    };
-    let mut knobs = String::new();
-    if cfg.fabric != FabricConfig::lan() {
-        knobs.push_str(&format!(
-            "    cfg.fabric = FabricConfig {{ latency: {}, jitter: {}, loss_p: {:?} }};\n",
-            cfg.fabric.latency, cfg.fabric.jitter, cfg.fabric.loss_p
-        ));
-    }
-    for ev in &cfg.host_events {
-        knobs.push_str(&format!(
-            "    cfg.host_events.push(HostEvent {{ host: {}, at: {}, kind: HostEventKind::{:?} }});\n",
-            ev.host, ev.at, ev.kind
-        ));
-    }
-    if let Some(f) = &cfg.flash {
-        knobs.push_str(&format!(
-            "    cfg.flash = Some(FlashCrowd {{ at: {}, until: {}, multiplier: {:?} }});\n",
-            f.at, f.until, f.multiplier
-        ));
-    }
-    format!(
-        "\
-#[test]
-fn cluster_chaos_repro() {{
-    // chaos found: {}
-    let mut base = RunConfig::new(
-        Machine::amd48(),
-        {},
-        {listen},
-        {server},
-        Workload::base(),
-        {:.1},
-    );
-    base.warmup = {};
-    base.measure = {};
-    base.seed = {};
-    base.tracked_files = {};
-    let mut cfg = ClusterConfig::new({}, base);
-    cfg.lb = {lb};
-{knobs}    let a = ClusterRunner::new(cfg.clone()).run();
-    let b = ClusterRunner::new(cfg).run();
-    assert!(a.audit.violations().is_empty(), \"{{:?}}\", a.audit.violations());
-    assert_eq!(a.fingerprint, b.fingerprint);
-    assert_eq!(a.audit, b.audit);
-}}",
-        problems.join("; "),
-        b.cores,
-        b.conn_rate,
-        b.warmup,
-        b.measure,
-        b.seed,
-        b.tracked_files,
-        cfg.hosts,
-    )
-}
-
 // -------------------------------------------------------------- ordering
 
 /// Slack on the `Affinity >= Fine >= Stock` ranking: faults add noise, so
@@ -1099,7 +698,7 @@ fn lossy_plan() -> FaultPlan {
 }
 
 fn ordering_pass(opts: &Opts) -> OrderingReport {
-    println!("\n[3/3] ordering: Affinity >= Fine >= Stock at saturation, 2% loss");
+    println!("\n[2/2] ordering: Affinity >= Fine >= Stock at saturation, 2% loss");
     // 24 cores: past the point where stock's accept lock dominates
     // (160k/24 ~ 6.7k/core vs fine's 8.7k and affinity's 9.8k), offered
     // load above everyone's capacity so served == capacity.

@@ -17,6 +17,7 @@
 
 use bench::scenario::{catalog_path, load_dir, load_file, record_golden, Scenario, ScenarioReport};
 use metrics::json::Json;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 const USAGE: &str =
@@ -29,12 +30,12 @@ fn main() {
     let smoke = args.flag("--smoke");
     let record = args.flag("--record");
     let workers = args
-        .parsed::<usize>("--workers")
-        .unwrap_or_else(bench::default_workers);
+        .parsed::<NonZeroUsize>("--workers")
+        .map_or_else(bench::default_workers, NonZeroUsize::get);
     let out = args
         .value("--out")
         .unwrap_or_else(|| "results/scenarios.json".to_string());
-    args.finish();
+    args.done();
 
     bench::header("scenario", "declarative scenario catalog");
 

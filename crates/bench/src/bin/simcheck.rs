@@ -46,11 +46,7 @@ fn main() {
         .field("sweep", sweep.to_json())
         .field("fuzz", fuzz.to_json())
         .field("ok", ok);
-    if let Some(parent) = std::path::Path::new(&opts.out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&opts.out, report.render() + "\n").expect("write report");
-    println!("report: {}", opts.out);
+    bench::write_artifact(&opts.out, &report);
 
     if ok {
         println!(
@@ -77,36 +73,20 @@ struct Opts {
 
 impl Opts {
     fn parse() -> Self {
-        let mut opts = Opts {
-            runs: 64,
-            fuzz: 0,
-            seed: 0xC0FFEE,
-            out: "results/simcheck.json".to_string(),
-        };
-        let mut fuzz_set = false;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            let mut value = |name: &str| {
-                args.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-            };
-            match a.as_str() {
-                "--runs" => opts.runs = value("--runs").parse().expect("--runs N"),
-                "--fuzz" => {
-                    opts.fuzz = value("--fuzz").parse().expect("--fuzz N");
-                    fuzz_set = true;
-                }
-                "--seed" => opts.seed = value("--seed").parse().expect("--seed S"),
-                "--out" => opts.out = value("--out"),
-                "--check" => {} // audits are always on here
-                other => panic!("unknown argument {other} (usage: simcheck [--runs N] [--fuzz N] [--seed S] [--out PATH])"),
-            }
-        }
-        if !fuzz_set {
+        let mut args = bench::Args::parse("simcheck [--runs N] [--fuzz N] [--seed S] [--out PATH]");
+        let runs = args.parsed("--runs").unwrap_or(64);
+        let opts = Opts {
+            runs,
             // Default fuzz effort scales with the replay sample: `--runs 64`
             // fuzzes a few hundred combos, the CI smoke run stays quick.
-            opts.fuzz = opts.runs * 4;
-        }
+            fuzz: args.parsed("--fuzz").unwrap_or(runs * 4),
+            seed: args.parsed("--seed").unwrap_or(0xC0FFEE),
+            out: args
+                .value("--out")
+                .unwrap_or_else(|| "results/simcheck.json".to_string()),
+        };
+        // `--check` is accepted too: audits are always on here.
+        args.done();
         opts
     }
 }

@@ -18,13 +18,9 @@
 //! exactly the run the golden determinism tests pin: the catalog adds no
 //! second source of truth, it points at the existing one.
 
-use app::{
-    ClusterConfig, ClusterResult, ClusterRunner, FlashCrowd, LbPolicy, ListenKind, RunConfig,
-    RunResult, ServerKind, Workload,
-};
+use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
 use mem::LayoutVariant;
 use metrics::json::Json;
-use sim::fabric::{HostEvent, HostEventKind};
 use sim::fault::{FaultPlan, RetransPolicy, StallWindow};
 use sim::overload::{HotplugEvent, OverloadConfig, ReapPolicy, WatchdogPolicy};
 use sim::time::{ms, us, Cycles, CYCLES_PER_MS, CYCLES_PER_US};
@@ -128,8 +124,8 @@ pub struct Gates {
     /// Require each kind's wasted-bytes-per-request under the scenario's
     /// `packed` layout to stay at or below the same configuration re-run
     /// with the paper layout (the dprof-v2 packing payoff gate). Needs
-    /// `dprof_v2`, `layout: "packed"` and a single-host scenario; skipped
-    /// under the `fast` feature (the ledger is compiled out).
+    /// `dprof_v2` and `layout: "packed"`; skipped under the `fast`
+    /// feature (the ledger is compiled out).
     pub packed_wasted_lte_paper: bool,
     /// Bounds on per-kind metrics (`gates.bounds`), in file order.
     pub bounds: Vec<Bound>,
@@ -167,9 +163,9 @@ pub enum Metric {
     Served,
     /// Completed / (completed + timed-out) client connections.
     CompletedFrac,
-    /// SYN cookies issued (single-host only).
+    /// SYN cookies issued.
     Cookies,
-    /// Accept-queue re-home operations (single-host only).
+    /// Accept-queue re-home operations.
     Rehomes,
     /// Client timeouts on established connections a live core owned
     /// (the recovery plane's no-collateral-damage bound).
@@ -177,45 +173,17 @@ pub enum Metric {
     /// Client timeouts on established connections a down core owned.
     TimeoutsDeadOwner,
     /// Served divided by the served of a fault-free twin run (the same
-    /// scenario with `hotplug` and `host_faults` emptied).
+    /// scenario with `hotplug` emptied).
     GoodputRetained,
-    /// Milliseconds from the first fault (a core going down, or a host
-    /// crashing or starting to drain) until the served rate is back at
-    /// 90 % of its pre-fault level, read off the run's timeline;
-    /// infinite when a run never recovers.
+    /// Milliseconds from the first core going down until the served rate
+    /// is back at 90 % of its pre-fault level, read off the run's
+    /// timeline; infinite when a run never recovers.
     TimeToRecoverMs,
-    /// Connections stranded by host crashes and forced drains (cluster).
-    Stranded,
-    /// Stranded connections completed through cross-host retry
-    /// (cluster).
-    Recovered,
-    /// Health-check evictions of crashed hosts (cluster).
-    Evictions,
-    /// Worst crash-to-eviction delay in milliseconds (cluster; 0 without
-    /// evictions).
-    WorstEvictionDelayMs,
-    /// Host instances booted after time 0 (cluster).
-    Restarts,
-    /// Host drains completed, quiesced or forced (cluster).
-    DrainsDone,
-    /// Completed drains that hit the deadline with connections still
-    /// open (cluster).
-    DrainsForced,
-    /// Whole-host crashes (cluster).
-    Crashes,
-}
-
-/// Which scenarios report a [`Metric`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scope {
-    Any,
-    SingleHost,
-    Cluster,
 }
 
 impl Metric {
     /// Every metric, in report-row order.
-    pub const ALL: [Metric; 16] = [
+    pub const ALL: [Metric; 8] = [
         Metric::Served,
         Metric::CompletedFrac,
         Metric::Cookies,
@@ -224,14 +192,6 @@ impl Metric {
         Metric::TimeoutsDeadOwner,
         Metric::GoodputRetained,
         Metric::TimeToRecoverMs,
-        Metric::Stranded,
-        Metric::Recovered,
-        Metric::Evictions,
-        Metric::WorstEvictionDelayMs,
-        Metric::Restarts,
-        Metric::DrainsDone,
-        Metric::DrainsForced,
-        Metric::Crashes,
     ];
 
     /// The metric's key in `gates.bounds` and in the report row.
@@ -246,29 +206,6 @@ impl Metric {
             Metric::TimeoutsDeadOwner => "timeouts_dead_owner",
             Metric::GoodputRetained => "goodput_retained",
             Metric::TimeToRecoverMs => "time_to_recover_ms",
-            Metric::Stranded => "stranded",
-            Metric::Recovered => "recovered",
-            Metric::Evictions => "evictions",
-            Metric::WorstEvictionDelayMs => "worst_eviction_delay_ms",
-            Metric::Restarts => "restarts",
-            Metric::DrainsDone => "drains_done",
-            Metric::DrainsForced => "drains_forced",
-            Metric::Crashes => "crashes",
-        }
-    }
-
-    fn scope(self) -> Scope {
-        match self {
-            Metric::Cookies | Metric::Rehomes => Scope::SingleHost,
-            Metric::Stranded
-            | Metric::Recovered
-            | Metric::Evictions
-            | Metric::WorstEvictionDelayMs
-            | Metric::Restarts
-            | Metric::DrainsDone
-            | Metric::DrainsForced
-            | Metric::Crashes => Scope::Cluster,
-            _ => Scope::Any,
         }
     }
 
@@ -293,14 +230,6 @@ impl Metric {
             Metric::TimeoutsDeadOwner => n(kr.timeouts_dead_owner),
             Metric::GoodputRetained => kr.goodput_retained,
             Metric::TimeToRecoverMs => kr.time_to_recover_ms,
-            Metric::Stranded => n(kr.stranded),
-            Metric::Recovered => n(kr.recovered),
-            Metric::Evictions => n(kr.evictions),
-            Metric::WorstEvictionDelayMs => Some(kr.worst_eviction_delay_ms),
-            Metric::Restarts => n(kr.restarts),
-            Metric::DrainsDone => n(kr.drains_done),
-            Metric::DrainsForced => n(kr.drains_forced),
-            Metric::Crashes => n(kr.crashes),
         }
     }
 }
@@ -386,15 +315,6 @@ pub struct Scenario {
     pub overload: OverloadConfig,
     /// Explicit core-hotplug schedule.
     pub hotplug: Vec<HotplugEvent>,
-    /// Simulated server hosts behind the LB tier; `0` (the default)
-    /// disables the cluster plane and runs the single-host path.
-    pub hosts: usize,
-    /// LB routing policy (cluster scenarios only).
-    pub lb: LbPolicy,
-    /// Whole-host fault schedule (cluster scenarios only).
-    pub host_faults: Vec<HostEvent>,
-    /// Arrival surge over part of the run (cluster scenarios only).
-    pub flash: Option<FlashCrowd>,
     /// Timeline bucket width (0 disables collection).
     pub timeline_bucket: Cycles,
     /// Record the dprof-v2 per-cacheline ledger (fingerprint-neutral;
@@ -438,10 +358,6 @@ impl Scenario {
             fault: FaultPlan::none(),
             overload: OverloadConfig::none(),
             hotplug: Vec::new(),
-            hosts: 0,
-            lb: LbPolicy::ConsistentHash,
-            host_faults: Vec::new(),
-            flash: None,
             timeline_bucket: 0,
             dprof_v2: false,
             layout: LayoutVariant::Paper,
@@ -508,30 +424,9 @@ impl Scenario {
         cfg
     }
 
-    /// Builds the [`ClusterConfig`] for one `(kind, cores, rate
-    /// multiplier)` point of a cluster scenario (`hosts >= 1`). The
-    /// per-host template is exactly [`Scenario::config`]; the fabric,
-    /// health-check, retry, and drain knobs stay at the
-    /// [`ClusterConfig::new`] defaults.
-    #[must_use]
-    pub fn cluster_config(&self, kind: ListenKind, cores: usize, mult: f64) -> ClusterConfig {
-        let mut c = ClusterConfig::new(self.hosts, self.config(kind, cores, mult));
-        c.lb = self.lb;
-        c.host_events = self.host_faults.clone();
-        c.flash = self.flash;
-        c
-    }
-
-    /// The first scheduled fault: a core going down, or a host crashing
-    /// or starting to drain.
+    /// The first scheduled fault: a core going down.
     fn first_fault(&self) -> Option<Cycles> {
-        let cores = self.hotplug.iter().filter(|h| !h.up).map(|h| h.at);
-        let hosts = self
-            .host_faults
-            .iter()
-            .filter(|h| matches!(h.kind, HostEventKind::Crash | HostEventKind::DrainStart))
-            .map(|h| h.at);
-        cores.chain(hosts).min()
+        self.hotplug.iter().filter(|h| !h.up).map(|h| h.at).min()
     }
 
     /// The worst [`time_to_recover`] over a kind's run timelines, in
@@ -866,68 +761,6 @@ fn parse_hotplug(v: &Json, path: &str) -> Result<Vec<HotplugEvent>, String> {
         .collect()
 }
 
-fn parse_host_event_kind(s: &str, path: &str) -> Result<HostEventKind, String> {
-    match s {
-        "crash" => Ok(HostEventKind::Crash),
-        "restart" => Ok(HostEventKind::Restart),
-        "drain" => Ok(HostEventKind::DrainStart),
-        "drain_done" => Ok(HostEventKind::DrainDone),
-        other => Err(format!(
-            "{path}: unknown host event kind {other:?} (crash, restart, drain, or drain_done)"
-        )),
-    }
-}
-
-fn parse_host_faults(v: &Json, path: &str) -> Result<Vec<HostEvent>, String> {
-    want_arr(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, hv)| {
-            let hp = format!("{path}[{i}]");
-            let mut h = HostEvent {
-                host: 0,
-                at: 0,
-                kind: HostEventKind::Crash,
-            };
-            let mut saw_kind = false;
-            for (hk, hvv) in want_obj(hv, &hp)? {
-                let hpp = sub(&hp, hk);
-                match hk.as_str() {
-                    "host" => h.host = want_u16(hvv, &hpp)?,
-                    "at_ms" => h.at = want_ms(hvv, &hpp)?,
-                    "kind" => {
-                        h.kind = parse_host_event_kind(want_str(hvv, &hpp)?, &hpp)?;
-                        saw_kind = true;
-                    }
-                    _ => return Err(format!("{hpp}: unknown key")),
-                }
-            }
-            if !saw_kind {
-                return Err(format!("{hp}: missing required key \"kind\""));
-            }
-            Ok(h)
-        })
-        .collect()
-}
-
-fn parse_flash(v: &Json, path: &str) -> Result<FlashCrowd, String> {
-    let mut f = FlashCrowd {
-        at: 0,
-        until: 0,
-        multiplier: 1.0,
-    };
-    for (k, v) in want_obj(v, path)? {
-        let p = sub(path, k);
-        match k.as_str() {
-            "at_ms" => f.at = want_ms(v, &p)?,
-            "until_ms" => f.until = want_ms(v, &p)?,
-            "multiplier" => f.multiplier = want_f64(v, &p)?,
-            _ => return Err(format!("{p}: unknown key")),
-        }
-    }
-    Ok(f)
-}
-
 fn parse_bounds(v: &Json, path: &str) -> Result<Vec<Bound>, String> {
     want_obj(v, path)?
         .iter()
@@ -1090,15 +923,6 @@ impl Scenario {
                 "fault" => s.fault = parse_fault(v, &p)?,
                 "overload" => s.overload = parse_overload(v, &p)?,
                 "hotplug" => s.hotplug = parse_hotplug(v, &p)?,
-                "hosts" => s.hosts = want_usize(v, &p)?,
-                "lb" => {
-                    let label = want_str(v, &p)?;
-                    s.lb = LbPolicy::from_label(label).ok_or_else(|| {
-                        format!("{p}: unknown LB policy {label:?} (hash, least_conn, or affinity)")
-                    })?;
-                }
-                "host_faults" => s.host_faults = parse_host_faults(v, &p)?,
-                "flash" => s.flash = Some(parse_flash(v, &p)?),
                 "timeline_bucket_ms" => s.timeline_bucket = want_ms(v, &p)?,
                 "dprof_v2" => s.dprof_v2 = want_bool(v, &p)?,
                 "layout" => {
@@ -1208,77 +1032,15 @@ impl Scenario {
                 self.overload.shed_low, self.overload.shed_high
             ));
         }
-        if self.hosts > 64 {
-            return Err(format!(
-                "hosts: {} out of range 0..=64 (0 disables the cluster plane)",
-                self.hosts
-            ));
-        }
-        if self.hosts == 0 {
-            if !self.host_faults.is_empty() {
-                return Err("host_faults: requires hosts >= 1".to_string());
-            }
-            if self.lb != LbPolicy::ConsistentHash {
-                return Err(format!("lb: {:?} requires hosts >= 1", self.lb.label()));
-            }
-            if self.flash.is_some() {
-                return Err("flash: requires hosts >= 1".to_string());
-            }
-        } else {
-            if self.search == Search::Saturation {
-                return Err(
-                    "search: the saturation search is single-host; cluster scenarios \
-                     (hosts >= 1) must use \"fixed\""
-                        .to_string(),
-                );
-            }
-            if let Some(f) = self.flash {
-                if f.until <= f.at {
-                    return Err(format!(
-                        "flash.until_ms: {} must be after at_ms {}",
-                        f.until / CYCLES_PER_MS,
-                        f.at / CYCLES_PER_MS
-                    ));
-                }
-                if f.multiplier <= 0.0 {
-                    return Err(format!(
-                        "flash.multiplier: {} must be positive",
-                        f.multiplier
-                    ));
-                }
-            }
-            for (i, ev) in self.host_faults.iter().enumerate() {
-                if usize::from(ev.host) >= self.hosts {
-                    return Err(format!(
-                        "host_faults[{i}].host: {} out of range 0..={}",
-                        ev.host,
-                        self.hosts - 1
-                    ));
-                }
-                if ev.at % CYCLES_PER_MS != 0 {
-                    return Err(format!(
-                        "host_faults[{i}].at_ms: {} cycles is not unit-granular",
-                        ev.at
-                    ));
-                }
-            }
-        }
-        if self.gates.packed_wasted_lte_paper {
-            if !self.dprof_v2 || self.layout != LayoutVariant::Packed {
-                return Err(
-                    "gates.packed_wasted_lte_paper: requires dprof_v2 true and layout \
-                     \"packed\" (the gate compares the packed ledger against a paper-layout \
-                     twin run)"
-                        .to_string(),
-                );
-            }
-            if self.hosts > 0 {
-                return Err(
-                    "gates.packed_wasted_lte_paper: cluster scenarios do not aggregate the \
-                     cacheline ledger; requires hosts == 0"
-                        .to_string(),
-                );
-            }
+        if self.gates.packed_wasted_lte_paper
+            && (!self.dprof_v2 || self.layout != LayoutVariant::Packed)
+        {
+            return Err(
+                "gates.packed_wasted_lte_paper: requires dprof_v2 true and layout \
+                 \"packed\" (the gate compares the packed ledger against a paper-layout \
+                 twin run)"
+                    .to_string(),
+            );
         }
         if !self.gates.ordering.is_empty() {
             if self.gates.ordering.len() < 2 {
@@ -1326,12 +1088,6 @@ impl Scenario {
                 CYCLES_PER_US,
                 "fault.reorder_delay_us",
             ),
-            (self.flash.map_or(0, |f| f.at), CYCLES_PER_MS, "flash.at_ms"),
-            (
-                self.flash.map_or(0, |f| f.until),
-                CYCLES_PER_MS,
-                "flash.until_ms",
-            ),
         ];
         for (v, unit, label) in granular {
             if v % unit != 0 {
@@ -1342,8 +1098,8 @@ impl Scenario {
     }
 
     /// The `gates.bounds` rules: a known metric at most once, a
-    /// non-empty range, a metric this kind of scenario reports, and the
-    /// timeline and fault that `time_to_recover_ms` reads.
+    /// non-empty range, and the timeline and fault that
+    /// `time_to_recover_ms` reads.
     fn validate_bounds(&self) -> Result<(), String> {
         for (i, b) in self.gates.bounds.iter().enumerate() {
             let p = format!("gates.bounds.{}", b.metric.name());
@@ -1357,26 +1113,13 @@ impl Scenario {
                 }
                 _ => {}
             }
-            match b.metric.scope() {
-                Scope::Cluster if self.hosts == 0 => {
-                    return Err(format!("{p}: a cluster metric; requires hosts >= 1"));
-                }
-                Scope::SingleHost if self.hosts > 0 => {
-                    return Err(format!(
-                        "{p}: a per-host counter the cluster report does not aggregate; \
-                         requires hosts == 0"
-                    ));
-                }
-                _ => {}
-            }
             if b.metric == Metric::TimeToRecoverMs {
                 if self.timeline_bucket == 0 {
                     return Err(format!("{p}: requires timeline_bucket_ms > 0"));
                 }
                 if self.first_fault().is_none() {
                     return Err(format!(
-                        "{p}: requires a fault event (a hotplug core going down, or a host \
-                         crash or drain)"
+                        "{p}: requires a fault event (a hotplug core going down)"
                     ));
                 }
             }
@@ -1466,34 +1209,6 @@ impl Scenario {
                         .collect(),
                 ),
             );
-        }
-        if self.hosts > 0 {
-            doc = doc.field("hosts", self.hosts).field("lb", self.lb.label());
-            if !self.host_faults.is_empty() {
-                doc = doc.field(
-                    "host_faults",
-                    Json::Arr(
-                        self.host_faults
-                            .iter()
-                            .map(|h| {
-                                Json::obj()
-                                    .field("host", u64::from(h.host))
-                                    .field("at_ms", h.at / CYCLES_PER_MS)
-                                    .field("kind", h.kind.label())
-                            })
-                            .collect(),
-                    ),
-                );
-            }
-            if let Some(f) = self.flash {
-                doc = doc.field(
-                    "flash",
-                    Json::obj()
-                        .field("at_ms", f.at / CYCLES_PER_MS)
-                        .field("until_ms", f.until / CYCLES_PER_MS)
-                        .field("multiplier", f.multiplier),
-                );
-            }
         }
         doc = doc
             .field("timeline_bucket_ms", self.timeline_bucket / CYCLES_PER_MS)
@@ -1635,9 +1350,7 @@ pub struct RunSummary {
 }
 
 /// Aggregated outcome of one listen kind's runs. Counters sum over the
-/// runs; the per-plane ones read zero where the plane does not exist
-/// (overload counters in cluster scenarios, cluster counters on a
-/// single host).
+/// runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KindReport {
     /// Listen kind.
@@ -1663,22 +1376,6 @@ pub struct KindReport {
     pub goodput_retained: Option<f64>,
     /// [`Metric::TimeToRecoverMs`]; `None` without a fault or a timeline.
     pub time_to_recover_ms: Option<f64>,
-    /// [`Metric::Stranded`].
-    pub stranded: u64,
-    /// [`Metric::Recovered`].
-    pub recovered: u64,
-    /// [`Metric::Evictions`].
-    pub evictions: u64,
-    /// [`Metric::WorstEvictionDelayMs`].
-    pub worst_eviction_delay_ms: f64,
-    /// [`Metric::Restarts`].
-    pub restarts: u64,
-    /// [`Metric::DrainsDone`].
-    pub drains_done: u64,
-    /// [`Metric::DrainsForced`].
-    pub drains_forced: u64,
-    /// [`Metric::Crashes`].
-    pub crashes: u64,
     /// dprof-v2 wasted bytes per served request across the kind's runs
     /// (0.0 when the ledger was off or compiled out).
     pub wasted_bytes_per_request: f64,
@@ -1706,14 +1403,6 @@ impl KindReport {
             timeouts_dead_owner: 0,
             goodput_retained: None,
             time_to_recover_ms: None,
-            stranded: 0,
-            recovered: 0,
-            evictions: 0,
-            worst_eviction_delay_ms: 0.0,
-            restarts: 0,
-            drains_done: 0,
-            drains_forced: 0,
-            crashes: 0,
             wasted_bytes_per_request: 0.0,
             paper_wasted_bytes_per_request: 0.0,
             audit: Vec::new(),
@@ -1734,7 +1423,7 @@ impl KindReport {
             timeouts_live_owner: sum(|r| r.timeouts_live_owner),
             timeouts_dead_owner: sum(|r| r.timeouts_dead_owner),
             wasted_bytes_per_request: wasted_per_request(rs),
-            audit: audit_lines(kind, "run", rs.iter().map(|(_, _, r)| r.audit.violations())),
+            audit: audit_lines(kind, rs.iter().map(|(_, _, r)| r.audit.violations())),
             runs: rs
                 .iter()
                 .map(|&(cores, rate, ref r)| RunSummary {
@@ -1742,52 +1431,6 @@ impl KindReport {
                     rate,
                     served: r.served,
                     rps_per_core: r.rps_per_core,
-                    fingerprint: r.fingerprint,
-                    events: r.events_executed,
-                })
-                .collect(),
-            ..Self::empty(kind)
-        }
-    }
-
-    /// Aggregates a cluster scenario's runs. Cookies and re-homes are
-    /// per-host overload counters the cluster result does not carry, so
-    /// they report zero (validation rejects bounds on them).
-    #[allow(clippy::cast_precision_loss)]
-    fn from_cluster(kind: ListenKind, rs: &[(usize, f64, ClusterResult)], hosts: usize) -> Self {
-        let sum = |f: fn(&ClusterResult) -> u64| rs.iter().map(|(_, _, r)| f(r)).sum();
-        let fps: Vec<u64> = rs.iter().map(|(_, _, r)| r.fingerprint).collect();
-        Self {
-            served: sum(|r| r.served),
-            completed: sum(|r| r.completed),
-            timeouts: sum(|r| r.timeouts),
-            fingerprint: combine_fingerprints(&fps),
-            timeouts_live_owner: sum(|r| r.timeouts_live_owner),
-            timeouts_dead_owner: sum(|r| r.timeouts_dead_owner),
-            stranded: sum(|r| r.stranded),
-            recovered: sum(|r| r.recovered),
-            evictions: sum(|r| r.stats.evictions),
-            worst_eviction_delay_ms: rs
-                .iter()
-                .flat_map(|(_, _, r)| &r.evictions)
-                .map(|&(_, delay)| delay as f64 / CYCLES_PER_MS as f64)
-                .fold(0.0, f64::max),
-            restarts: sum(|r| r.stats.restarts),
-            drains_done: sum(|r| r.stats.drain_done),
-            drains_forced: sum(|r| r.stats.drain_forced),
-            crashes: sum(|r| r.stats.crashes),
-            audit: audit_lines(
-                kind,
-                "cluster run",
-                rs.iter().map(|(_, _, r)| r.audit.violations()),
-            ),
-            runs: rs
-                .iter()
-                .map(|&(cores, rate, ref r)| RunSummary {
-                    cores,
-                    rate,
-                    served: r.served,
-                    rps_per_core: r.goodput / (hosts * cores) as f64,
                     fingerprint: r.fingerprint,
                     events: r.events_executed,
                 })
@@ -1835,16 +1478,12 @@ impl KindReport {
 }
 
 /// Each run's audit violations, tagged with the kind and the run index.
-fn audit_lines(
-    kind: ListenKind,
-    run: &str,
-    violations: impl Iterator<Item = Vec<String>>,
-) -> Vec<String> {
+fn audit_lines(kind: ListenKind, violations: impl Iterator<Item = Vec<String>>) -> Vec<String> {
     violations
         .enumerate()
         .flat_map(|(i, vs)| {
             vs.into_iter()
-                .map(move |v| format!("{} {run}[{i}]: {v}", kind.label()))
+                .map(move |v| format!("{} run[{i}]: {v}", kind.label()))
         })
         .collect()
 }
@@ -1908,11 +1547,7 @@ impl Scenario {
     /// gates compare against, and evaluates its gates and goldens.
     #[must_use]
     pub fn run(&self, workers: usize) -> ScenarioReport {
-        let mut kinds = if self.hosts > 0 {
-            self.run_cluster(workers)
-        } else {
-            self.run_single(workers)
-        };
+        let mut kinds = self.run_points(workers);
         // Under `fast` the ledger is compiled out, so both sides would
         // read zero.
         if self.gates.packed_wasted_lte_paper && !cfg!(feature = "fast") {
@@ -1933,10 +1568,7 @@ impl Scenario {
             self.twin(
                 workers,
                 &mut kinds,
-                |t| {
-                    t.hotplug.clear();
-                    t.host_faults.clear();
-                },
+                |t| t.hotplug.clear(),
                 |kr, tw| kr.goodput_retained = Some(kr.served as f64 / tw.served.max(1) as f64),
             );
         }
@@ -1986,8 +1618,8 @@ impl Scenario {
         out
     }
 
-    /// The single-host run path: one run per point.
-    fn run_single(&self, workers: usize) -> Vec<KindReport> {
+    /// One run per point, aggregated per kind.
+    fn run_points(&self, workers: usize) -> Vec<KindReport> {
         let cfgs = self.points(|kind, cores, mult| self.config(kind, cores, mult));
         let shapes: Vec<(usize, f64)> = cfgs.iter().map(|c| (c.cores, c.conn_rate)).collect();
         let results = match self.search {
@@ -2005,30 +1637,6 @@ impl Scenario {
             .map(|(rs, &kind)| KindReport {
                 time_to_recover_ms: self.recovery_ms(rs.iter().map(|(_, _, r)| &r.timeline[..])),
                 ..KindReport::from_results(kind, rs)
-            })
-            .collect()
-    }
-
-    /// The cluster-plane run path (`hosts >= 1`): every point becomes one
-    /// whole-cluster run through the LB tier and fault schedule.
-    fn run_cluster(&self, workers: usize) -> Vec<KindReport> {
-        let cfgs = self.points(|kind, cores, mult| self.cluster_config(kind, cores, mult));
-        let shapes: Vec<(usize, f64)> = cfgs
-            .iter()
-            .map(|c| (c.base.cores, c.base.conn_rate))
-            .collect();
-        let results = crate::par_map(cfgs, workers, |cfg| ClusterRunner::new(cfg).run());
-        let tagged: Vec<(usize, f64, ClusterResult)> = shapes
-            .into_iter()
-            .zip(results)
-            .map(|((cores, rate), r)| (cores, rate, r))
-            .collect();
-        tagged
-            .chunks(self.runs_per_kind())
-            .zip(&self.kinds)
-            .map(|(rs, &kind)| KindReport {
-                time_to_recover_ms: self.recovery_ms(rs.iter().map(|(_, _, r)| &r.timeline[..])),
-                ..KindReport::from_cluster(kind, rs, self.hosts)
             })
             .collect()
     }
@@ -2478,54 +2086,19 @@ mod tests {
         if rng.chance(0.3) {
             s.layout = LayoutVariant::Packed;
         }
-        if rng.chance(0.3) {
-            s.hosts = 1 + rng.index(4);
-            s.lb = match rng.index(3) {
-                0 => LbPolicy::ConsistentHash,
-                1 => LbPolicy::LeastConn,
-                _ => LbPolicy::AffinityAware,
-            };
-            s.host_faults = (0..rng.index(4))
-                .map(|_| HostEvent {
-                    host: rng.below(s.hosts as u64) as u16,
-                    at: ms(rng.below(500)),
-                    kind: match rng.index(4) {
-                        0 => HostEventKind::Crash,
-                        1 => HostEventKind::Restart,
-                        2 => HostEventKind::DrainStart,
-                        _ => HostEventKind::DrainDone,
-                    },
-                })
-                .collect();
-            if rng.chance(0.5) {
-                let at = rng.below(500);
-                s.flash = Some(FlashCrowd {
-                    at: ms(at),
-                    until: ms(at + 1 + rng.below(500)),
-                    multiplier: 0.5 * (1 + rng.index(8)) as f64,
-                });
-            }
-            // Cluster scenarios run fixed-rate.
-            s.search = Search::Fixed;
-        }
         s.gates.audit_clean = rng.chance(0.9);
         if s.kinds.len() >= 2 && rng.chance(0.5) {
             s.gates.ordering = s.kinds[..2].to_vec();
         }
         s.gates.ordering_slack = (1 + rng.index(100)) as f64 / 100.0;
-        if s.dprof_v2 && s.layout == LayoutVariant::Packed && s.hosts == 0 && rng.chance(0.5) {
+        if s.dprof_v2 && s.layout == LayoutVariant::Packed && rng.chance(0.5) {
             s.gates.packed_wasted_lte_paper = true;
         }
         // Any subset of the metrics the scenario can bound, each with a
         // min, a max, or both (min <= max).
         for m in Metric::ALL {
-            let allowed = match m.scope() {
-                Scope::Any => true,
-                Scope::SingleHost => s.hosts == 0,
-                Scope::Cluster => s.hosts > 0,
-            };
             let ttr_ok = s.timeline_bucket > 0 && s.first_fault().is_some();
-            if !allowed || (m == Metric::TimeToRecoverMs && !ttr_ok) || !rng.chance(0.3) {
+            if (m == Metric::TimeToRecoverMs && !ttr_ok) || !rng.chance(0.3) {
                 continue;
             }
             let lo = rng.index(1000) as f64 / 4.0;
@@ -2649,42 +2222,6 @@ mod tests {
                 "gates.ordering[1]: kind \"twenty\" not in",
             ),
             (
-                r#"{"name":"x","hosts":70}"#,
-                "hosts: 70 out of range 0..=64",
-            ),
-            (
-                r#"{"name":"x","lb":"roundrobin"}"#,
-                "lb: unknown LB policy \"roundrobin\"",
-            ),
-            (
-                r#"{"name":"x","lb":"least_conn"}"#,
-                "lb: \"least_conn\" requires hosts >= 1",
-            ),
-            (
-                r#"{"name":"x","host_faults":[{"host":0,"at_ms":5,"kind":"crash"}]}"#,
-                "host_faults: requires hosts >= 1",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"host_faults":[{"host":0,"at_ms":5,"kind":"melt"}]}"#,
-                "host_faults[0].kind: unknown host event kind \"melt\"",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"host_faults":[{"host":0,"at_ms":5}]}"#,
-                "host_faults[0]: missing required key \"kind\"",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"host_faults":[{"host":5,"at_ms":5,"kind":"crash"}]}"#,
-                "host_faults[0].host: 5 out of range 0..=1",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"host_faults":[{"host":0,"at_ms":5,"bogus":1,"kind":"crash"}]}"#,
-                "host_faults[0].bogus: unknown key",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"search":"saturation"}"#,
-                "search: the saturation search is single-host",
-            ),
-            (
                 r#"{"name":"x","gates":{"min_served":1}}"#,
                 "gates.min_served: unknown key",
             ),
@@ -2709,14 +2246,6 @@ mod tests {
                 "gates.bounds.served: min 5 above max 1",
             ),
             (
-                r#"{"name":"x","gates":{"bounds":{"stranded":{"max":0}}}}"#,
-                "gates.bounds.stranded: a cluster metric; requires hosts >= 1",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"gates":{"bounds":{"cookies":{"min":1}}}}"#,
-                "gates.bounds.cookies: a per-host counter the cluster report does not aggregate",
-            ),
-            (
                 r#"{"name":"x","hotplug":[{"core":1,"at_ms":50,"up":false}],"gates":{"bounds":{"time_to_recover_ms":{"max":100}}}}"#,
                 "gates.bounds.time_to_recover_ms: requires timeline_bucket_ms > 0",
             ),
@@ -2725,32 +2254,12 @@ mod tests {
                 "gates.bounds.time_to_recover_ms: requires a fault event",
             ),
             (
-                r#"{"name":"x","flash":{"at_ms":10,"until_ms":20,"multiplier":2}}"#,
-                "flash: requires hosts >= 1",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"flash":{"at_ms":20,"until_ms":20,"multiplier":2}}"#,
-                "flash.until_ms: 20 must be after at_ms 20",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"flash":{"at_ms":10,"until_ms":20,"multiplier":0}}"#,
-                "flash.multiplier: 0 must be positive",
-            ),
-            (
-                r#"{"name":"x","hosts":2,"flash":{"at_ms":10,"surge":2}}"#,
-                "flash.surge: unknown key",
-            ),
-            (
                 r#"{"name":"x","layout":"zigzag"}"#,
                 "layout: unknown layout \"zigzag\"",
             ),
             (
                 r#"{"name":"x","gates":{"packed_wasted_lte_paper":true}}"#,
                 "gates.packed_wasted_lte_paper: requires dprof_v2 true and layout",
-            ),
-            (
-                r#"{"name":"x","dprof_v2":true,"layout":"packed","kinds":["fine"],"hosts":2,"gates":{"packed_wasted_lte_paper":true}}"#,
-                "gates.packed_wasted_lte_paper: cluster scenarios",
             ),
             (
                 "{\"name\":\"x\"",
@@ -2764,49 +2273,6 @@ mod tests {
                 "for {text}\n  error {err:?}\n  missing {want:?}"
             );
         }
-    }
-
-    #[test]
-    fn cluster_scenario_round_trips_and_runs_deterministically() {
-        let mut s = Scenario::base("cluster_mini");
-        s.kinds = vec![ListenKind::Affinity];
-        s.cores = 1;
-        s.hosts = 2;
-        s.lb = LbPolicy::AffinityAware;
-        s.host_faults = vec![
-            HostEvent {
-                host: 1,
-                at: ms(40),
-                kind: HostEventKind::Crash,
-            },
-            HostEvent {
-                host: 1,
-                at: ms(70),
-                kind: HostEventKind::Restart,
-            },
-        ];
-        s.rate_per_core = Some(600.0);
-        s.warmup = ms(20);
-        s.measure = ms(60);
-        s.tracked_files = 200;
-        s.workload.batches = vec![1, 1];
-        s.workload.think = ms(1);
-        s.validate().expect("cluster scenario is valid");
-        let back = Scenario::parse_str(&s.to_json().render()).expect("round trip");
-        assert_eq!(back, s);
-        // The derived cluster config carries the scenario's knobs.
-        let cc = s.cluster_config(ListenKind::Affinity, 1, 1.0);
-        cc.validate().expect("derived cluster config is valid");
-        assert_eq!(cc.hosts, 2);
-        assert_eq!(cc.lb, LbPolicy::AffinityAware);
-        assert_eq!(cc.host_events, s.host_faults);
-        // Two runs agree bit-for-bit and the gates hold.
-        let a = s.run(1);
-        let b = s.run(2);
-        assert!(a.ok(), "{:?}", a.problems);
-        assert_eq!(a.kinds[0].fingerprint, b.kinds[0].fingerprint);
-        assert_eq!(a.kinds[0].served, b.kinds[0].served);
-        assert!(a.kinds[0].served > 0);
     }
 
     #[test]
@@ -2891,8 +2357,6 @@ mod tests {
             completed: 150,
             goodput_retained: Some(0.97),
             time_to_recover_ms: Some(15.0),
-            evictions: 1,
-            worst_eviction_delay_ms: 10.0,
             ..KindReport::empty(ListenKind::Affinity)
         };
         type Corrupt = fn(&mut KindReport);
@@ -2911,16 +2375,6 @@ mod tests {
             (Metric::TimeToRecoverMs, |k| {
                 k.time_to_recover_ms = Some(f64::INFINITY)
             }),
-            (Metric::Stranded, |k| k.stranded = 1),
-            (Metric::Recovered, |k| k.recovered = 1),
-            (Metric::Evictions, |k| k.evictions = 2),
-            (Metric::WorstEvictionDelayMs, |k| {
-                k.worst_eviction_delay_ms = 25.0
-            }),
-            (Metric::Restarts, |k| k.restarts = 7),
-            (Metric::DrainsDone, |k| k.drains_done = 9),
-            (Metric::DrainsForced, |k| k.drains_forced = 1),
-            (Metric::Crashes, |k| k.crashes = 1),
         ];
         for &(metric, corrupt) in rows {
             let v = metric.of(&good);

@@ -7,7 +7,7 @@
 //! `std::env::args` loop for its flags, and the `create_dir_all` +
 //! `fs::write` + "report:" dance for its JSON artifact. This module is
 //! the single home for all three; `fig6` is a thin wrapper over the
-//! scenario catalog and `chaos`/`scenario` parse their flags
+//! scenario catalog and `chaos`/`scenario`/`simcheck` parse their flags
 //! through [`Args`] and emit their artifacts through [`write_artifact`].
 
 use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
@@ -73,8 +73,8 @@ fn checked_run(cfg: RunConfig) -> RunResult {
 
 /// Runs an arbitrary job over each item on a worker pool, preserving
 /// input order in the output: the engine behind the sweeps, which the
-/// scenario runner, `simcheck` and `chaos` also call directly (with
-/// single-host configs, whole cluster configs or fuzz cases).
+/// scenario runner, `simcheck` and `chaos` also call directly (with run
+/// configs, saturation searches or fuzz cases).
 pub fn par_map<C, T, F>(items: Vec<C>, workers: usize, f: F) -> Vec<T>
 where
     C: Send,
@@ -144,26 +144,22 @@ pub fn write_artifact(path: &str, report: &Json) {
 }
 
 /// A tiny declarative flag parser for the harness binaries: registered
-/// flags and valued options are consumed from `std::env::args`, anything
-/// unknown panics with the usage string (the behavior every binary
-/// previously hand-rolled, now in one place).
+/// flags and valued options are consumed from `std::env::args`. The
+/// first bad input (a missing or malformed value, or an argument no call
+/// consumed) is kept and reported by [`Args::finish`]; [`Args::done`]
+/// turns it into `error: … (usage: …)` and exit status 2.
 pub struct Args {
     tokens: Vec<String>,
     usage: String,
     taken: Vec<bool>,
+    error: Option<String>,
 }
 
 impl Args {
     /// Captures the process arguments (after the binary name).
     #[must_use]
     pub fn parse(usage: &str) -> Self {
-        let tokens: Vec<String> = std::env::args().skip(1).collect();
-        let taken = vec![false; tokens.len()];
-        Self {
-            tokens,
-            usage: usage.to_string(),
-            taken,
-        }
+        Self::from_tokens(std::env::args().skip(1).collect(), usage)
     }
 
     /// A test/driver entry point over an explicit token list.
@@ -174,7 +170,13 @@ impl Args {
             tokens,
             usage: usage.to_string(),
             taken,
+            error: None,
         }
+    }
+
+    /// Keeps a bad-input error unless an earlier one is already kept.
+    fn fail(&mut self, msg: String) {
+        self.error.get_or_insert(msg);
     }
 
     /// Consumes a boolean flag; `true` if present.
@@ -189,20 +191,16 @@ impl Args {
         found
     }
 
-    /// Consumes a `--name value` option; panics if the value is missing.
+    /// Consumes a `--name value` option; a missing value is an error.
     pub fn value(&mut self, name: &str) -> Option<String> {
-        for i in 0..self.tokens.len() {
-            if !self.taken[i] && self.tokens[i] == name {
-                self.taken[i] = true;
-                let v = self
-                    .tokens
-                    .get(i + 1)
-                    .unwrap_or_else(|| panic!("{name} requires a value (usage: {})", self.usage));
-                self.taken[i + 1] = true;
-                return Some(v.clone());
-            }
-        }
-        None
+        let i = (0..self.tokens.len()).find(|&i| !self.taken[i] && self.tokens[i] == name)?;
+        self.taken[i] = true;
+        let Some(v) = self.tokens.get(i + 1).cloned() else {
+            self.fail(format!("{name} requires a value"));
+            return None;
+        };
+        self.taken[i + 1] = true;
+        Some(v)
     }
 
     /// Consumes a repeatable `--name value` option, in argument order.
@@ -214,27 +212,45 @@ impl Args {
         out
     }
 
-    /// Like [`Args::value`] but parsed; panics with the usage string on a
-    /// malformed value.
-    pub fn parsed<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
-        self.value(name).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                panic!("{name} got malformed value {v:?} (usage: {})", self.usage)
-            })
-        })
+    /// Like [`Args::value`] but parsed; a malformed value is an error.
+    pub fn parsed<T>(&mut self, name: &str) -> Option<T>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        let v = self.value(name)?;
+        v.parse()
+            .map_err(|e| self.fail(format!("{name} got malformed value {v:?}: {e}")))
+            .ok()
     }
 
-    /// Panics on any argument no `flag`/`value` call consumed. The
-    /// shared `--check` flag (honored inside the sweep engine) is always
-    /// accepted.
-    pub fn finish(mut self) {
+    /// The first bad input, if any: a recorded error, else the first
+    /// argument no `flag`/`value` call consumed. The shared `--check`
+    /// flag (honored inside the sweep engine) is always accepted.
+    ///
+    /// # Errors
+    ///
+    /// `… (usage: …)` naming the bad input.
+    pub fn finish(mut self) -> Result<(), String> {
         let _ = self.flag("--check");
-        for (i, t) in self.tokens.iter().enumerate() {
-            assert!(
-                self.taken[i],
-                "unknown argument {t} (usage: {})",
-                self.usage
-            );
+        let stray = self
+            .tokens
+            .iter()
+            .zip(&self.taken)
+            .find(|(_, &taken)| !taken)
+            .map(|(t, _)| format!("unknown argument {t}"));
+        match self.error.or(stray) {
+            Some(e) => Err(format!("{e} (usage: {})", self.usage)),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Args::finish`] for a binary's `main`: on bad input, prints
+    /// `error: …` to stderr and exits with status 2.
+    pub fn done(self) {
+        if let Err(e) = self.finish() {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
     }
 }
@@ -257,14 +273,42 @@ mod tests {
         assert_eq!(a.value("--out").as_deref(), Some("x.json"));
         assert_eq!(a.parsed::<usize>("--cases"), Some(7));
         assert_eq!(a.value("--missing"), None);
-        a.finish();
+        assert_eq!(a.finish(), Ok(()));
     }
 
+    /// Bad input is an error naming the input and the usage, never a
+    /// panic or a silent default.
     #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn args_panic_on_unknown() {
-        let a = Args::from_tokens(vec!["--bogus".to_string()], "test");
-        a.finish();
+    fn args_report_bad_input() {
+        type Read = fn(&mut Args);
+        let rows: &[(&[&str], Read, &str)] = &[
+            (&["--bogus"], |_| {}, "unknown argument --bogus"),
+            (
+                &["--out"],
+                |a| assert_eq!(a.value("--out"), None),
+                "--out requires a value",
+            ),
+            (
+                &["--cases", "many"],
+                |a| assert_eq!(a.parsed::<usize>("--cases"), None),
+                "--cases got malformed value \"many\"",
+            ),
+            (
+                &["--workers", "0"],
+                |a| assert_eq!(a.parsed::<std::num::NonZeroUsize>("--workers"), None),
+                "--workers got malformed value \"0\"",
+            ),
+        ];
+        for &(tokens, read, want) in rows {
+            let mut a =
+                Args::from_tokens(tokens.iter().map(|s| (*s).to_string()).collect(), "test");
+            read(&mut a);
+            let err = a.finish().expect_err(want);
+            assert!(
+                err.starts_with(want) && err.ends_with("(usage: test)"),
+                "{err:?} should name {want:?} and the usage"
+            );
+        }
     }
 
     #[test]
@@ -277,6 +321,6 @@ mod tests {
             "test",
         );
         assert_eq!(a.values("--file"), vec!["a".to_string(), "b".to_string()]);
-        a.finish();
+        assert_eq!(a.finish(), Ok(()));
     }
 }

@@ -38,7 +38,6 @@
 
 pub mod core_set;
 pub mod events;
-pub mod fabric;
 pub mod fastmap;
 pub mod fault;
 pub mod fingerprint;
@@ -52,7 +51,6 @@ pub mod wheel;
 
 pub use core_set::{CoreSet, TaskId};
 pub use events::EventQueue;
-pub use fabric::{FabricConfig, HealthCheck, HostEvent, HostEventKind};
 pub use fastmap::FastMap;
 pub use fault::{FaultPlan, FaultStats, RetransPolicy, StallWindow};
 pub use fingerprint::{ActiveFingerprint, Fingerprint, NoOpFingerprint};

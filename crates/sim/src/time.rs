@@ -61,15 +61,6 @@ pub fn to_secs(c: Cycles) -> f64 {
     c as f64 / CYCLES_PER_SEC as f64
 }
 
-/// Events or rates per simulated second, given a count over a cycle window.
-#[must_use]
-pub fn per_sec(count: u64, window: Cycles) -> f64 {
-    if window == 0 {
-        return 0.0;
-    }
-    count as f64 * CYCLES_PER_SEC as f64 / window as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +79,5 @@ mod tests {
     fn fractional_ms() {
         assert_eq!(ms_f(0.5), 1_200_000);
         assert_eq!(ms_f(100.0), ms(100));
-    }
-
-    #[test]
-    fn rates() {
-        // 1000 events over half a second is 2000/sec.
-        assert!((per_sec(1000, CYCLES_PER_SEC / 2) - 2000.0).abs() < 1e-9);
-        assert_eq!(per_sec(5, 0), 0.0);
     }
 }

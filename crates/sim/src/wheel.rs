@@ -228,9 +228,9 @@ impl<E> TimerWheel<E> {
     /// Unlike [`Self::peek_time`], this never advances the cursor to or
     /// past `bound`, so after a `None` return pushes at any time
     /// `>= bound` remain valid. An incrementally driven loop (the
-    /// cluster plane's `run_until` epochs) must use this: an unbounded
-    /// peek would park the cursor on a far-future event and silently
-    /// clamp every later push scheduled before it.
+    /// runner's `run_until` slices, which simbench steps through) must
+    /// use this: an unbounded peek would park the cursor on a far-future
+    /// event and silently clamp every later push scheduled before it.
     pub fn peek_time_before(&mut self, bound: Cycles) -> Option<Cycles> {
         let bound = (bound != Cycles::MAX).then_some(bound);
         if self.ready.is_empty() && (self.len == 0 || !self.fill_ready_bounded(bound)) {

@@ -215,6 +215,36 @@ fn work_matches_the_pins() {
     }
 }
 
+/// A run advanced in slices reproduces the straight run: 20 `run_until`
+/// slices over the window, one bound past its end (which must stop at
+/// the end), then `run()`. Only simbench slices runs outside this test.
+#[test]
+fn sliced_runs_match_the_pins() {
+    for p in GOLDEN {
+        let cfg = paper_base(p.kind);
+        let span = cfg.warmup + cfg.measure;
+        let mut runner = Runner::new(cfg);
+        for i in 1..=20 {
+            runner.run_until(span * i / 20);
+        }
+        runner.run_until(span + sim::time::ms(10));
+        let r = runner.run();
+        assert_eq!(
+            (r.events_executed, r.served),
+            (p.work.events, p.served),
+            "{:?}: a sliced run diverged from the straight run",
+            p.kind
+        );
+        if sim::fingerprint::ENABLED {
+            assert_eq!(
+                r.fingerprint, p.fingerprint,
+                "{:?}: sliced fingerprint",
+                p.kind
+            );
+        }
+    }
+}
+
 #[test]
 fn the_comparison_has_teeth() {
     // Corrupt each golden field in turn and check the comparison notices:
