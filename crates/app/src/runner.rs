@@ -296,7 +296,8 @@ pub struct RunResult {
     pub wire_util: f64,
     /// Order-sensitive hash of the executed event stream: two runs of the
     /// same `(config, seed)` must produce equal fingerprints (the
-    /// determinism tripwire `simcheck` and the golden tests rely on).
+    /// determinism tripwire `scenario --fuzz` and the golden tests rely
+    /// on).
     pub fingerprint: u64,
     /// Events dispatched by the run loop over the whole run; with the
     /// wall-clock time this gives the scheduler's events/sec.

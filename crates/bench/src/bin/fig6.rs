@@ -16,9 +16,10 @@ fn main() {
         "fig6",
         "lighttpd, Intel machine: requests/sec/core vs cores",
     );
-    let xs = sc.cores_list();
+    let points = sc.points().expect("fig6 sweep points validate");
+    let xs: Vec<usize> = points.iter().map(|p| p.cores).collect();
     for &listen in &sc.kinds {
-        let cfgs = xs.iter().map(|&c| sc.config(listen, c, 1.0)).collect();
+        let cfgs = points.iter().map(|p| p.config(listen)).collect();
         let rs = sweep_saturation(cfgs);
         println!();
         print!("{}", throughput_series(listen.label(), &xs, &rs));

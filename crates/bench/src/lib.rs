@@ -3,8 +3,9 @@
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md's
 //! experiment index); this library holds what they share: standard run
 //! configurations, the parallel sweep executor and CLI scaffolding
-//! ([`sweep`]), and the declarative scenario catalog ([`scenario`]) the
-//! `scenario` driver binary and `tests/scenarios.rs` run.
+//! ([`sweep`]), the declarative scenario catalog ([`scenario`]) the
+//! `scenario` driver binary and `tests/scenarios.rs` run, and the fuzzer
+//! over scenario values behind `scenario --fuzz` ([`fuzz`]).
 //!
 //! All binaries print plain-text tables via [`metrics::table`] so their
 //! output can be diffed against EXPERIMENTS.md.
@@ -16,13 +17,13 @@ use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
 use sim::time::ms;
 use sim::topology::Machine;
 
+pub mod fuzz;
 pub mod lb;
 pub mod scenario;
 pub mod sweep;
 
 pub use sweep::{
-    check_mode, default_workers, par_map, quick_config, sweep_fixed_workers, sweep_saturation,
-    write_artifact, Args,
+    check_mode, default_workers, par_map, sweep_saturation, write_artifact, write_file, Args,
 };
 
 /// The three listen-socket implementations every figure compares.
@@ -116,7 +117,7 @@ mod tests {
                 cfg
             })
             .collect();
-        let rs = sweep_fixed_workers(cfgs, default_workers());
+        let rs = par_map(cfgs, default_workers(), sweep::checked_run);
         assert_eq!(rs.len(), 2);
         // Both served roughly the same offered load; per-core differs ~2x.
         assert!(rs[0].served > 0 && rs[1].served > 0);

@@ -110,6 +110,21 @@ pub struct GoldenEntry {
     pub served: u64,
 }
 
+/// A sweep axis: one run per value. Each value is substituted at the
+/// dotted `key` (`"cores"`, `"fault.drop_p"`, …) of the scenario's
+/// rendered document ([`Scenario::points`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sweep {
+    /// Dotted key of the swept value.
+    pub key: String,
+    /// The values, in run order.
+    pub values: Vec<Json>,
+}
+
+/// Top-level keys a sweep may not substitute: identity, the kinds every
+/// point shares, and the outcome checks evaluated once per scenario.
+const UNSWEEPABLE: [&str; 6] = ["name", "kinds", "sweep", "gates", "golden", "smoke"];
+
 /// Pass/fail conditions evaluated after a scenario's runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gates {
@@ -278,11 +293,8 @@ pub struct Scenario {
     pub description: String,
     /// Simulated machine.
     pub machine: MachineId,
-    /// Active cores when [`Scenario::cores_sweep`] is empty.
+    /// Active cores.
     pub cores: usize,
-    /// Core counts to sweep (overrides [`Scenario::cores`] when
-    /// non-empty).
-    pub cores_sweep: Vec<usize>,
     /// Listen-socket implementations to run.
     pub kinds: Vec<ListenKind>,
     /// Server application.
@@ -292,9 +304,9 @@ pub struct Scenario {
     /// Offered connections/second per core; `None` uses
     /// [`crate::rate_guess`].
     pub rate_per_core: Option<f64>,
-    /// Rate multipliers run in sequence (a diurnal load curve is a
-    /// multi-point curve; the default `[1.0]` is one run).
-    pub rate_curve: Vec<f64>,
+    /// Multiplier on the offered rate (a sweep over `rate_mult` is a load
+    /// curve).
+    pub rate_mult: f64,
     /// Warmup before measurement.
     pub warmup: Cycles,
     /// Measurement window.
@@ -309,6 +321,11 @@ pub struct Scenario {
     pub steal: bool,
     /// Flow-group migration enabled.
     pub migrate: bool,
+    /// Enable the `lock_stat` profiler (it perturbs the run).
+    pub lockstat: bool,
+    /// CPU work of the §6.5 batch job on the upper half of the cores
+    /// (`hog_ms`; 0 runs none).
+    pub hog: Cycles,
     /// Fault-injection plan.
     pub fault: FaultPlan,
     /// Overload-control plane.
@@ -324,6 +341,9 @@ pub struct Scenario {
     /// affinity and therefore changes charged latencies and fingerprints —
     /// strictly opt-in; the default is the paper-faithful layout.
     pub layout: LayoutVariant,
+    /// One run per value of a swept key ([`Scenario::points`]); `None`
+    /// runs the scenario once.
+    pub sweep: Option<Sweep>,
     /// Outcome gates.
     pub gates: Gates,
     /// Golden fingerprints (empty until `scenario --record`).
@@ -342,12 +362,11 @@ impl Scenario {
             description: String::new(),
             machine: MachineId::Amd48,
             cores: 8,
-            cores_sweep: Vec::new(),
             kinds: crate::IMPLS.to_vec(),
             server: ServerId::Apache,
             search: Search::Fixed,
             rate_per_core: None,
-            rate_curve: vec![1.0],
+            rate_mult: 1.0,
             warmup: ms(600),
             measure: ms(500),
             seed: 1,
@@ -355,32 +374,52 @@ impl Scenario {
             workload: Workload::base(),
             steal: true,
             migrate: true,
+            lockstat: false,
+            hog: 0,
             fault: FaultPlan::none(),
             overload: OverloadConfig::none(),
             hotplug: Vec::new(),
             timeline_bucket: 0,
             dprof_v2: false,
             layout: LayoutVariant::Paper,
+            sweep: None,
             gates: Gates::default(),
             golden: Vec::new(),
             smoke: false,
         }
     }
 
-    /// The effective core-count list.
-    #[must_use]
-    pub fn cores_list(&self) -> Vec<usize> {
-        if self.cores_sweep.is_empty() {
-            vec![self.cores]
-        } else {
-            self.cores_sweep.clone()
+    /// The scenario's sweep points, in run order: for each sweep value,
+    /// the scenario's own rendered document with the value substituted
+    /// at the sweep key, parsed and validated like a file. Without a
+    /// sweep, the scenario itself.
+    ///
+    /// # Errors
+    ///
+    /// A sweep key the rendered document lacks, or the first point that
+    /// fails to parse or validate (`sweep.values[1]: cores: …`).
+    pub fn points(&self) -> Result<Vec<Scenario>, String> {
+        let Some(sw) = &self.sweep else {
+            return Ok(vec![self.clone()]);
+        };
+        let mut doc = self.to_json();
+        if let Json::Obj(fields) = &mut doc {
+            fields.retain(|(k, _)| k != "sweep");
         }
-    }
-
-    /// Runs each listen kind performs.
-    #[must_use]
-    pub fn runs_per_kind(&self) -> usize {
-        self.cores_list().len() * self.rate_curve.len()
+        sw.values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let mut point = doc.clone();
+                *json_slot(&mut point, &sw.key).ok_or_else(|| {
+                    format!(
+                        "sweep.key: {:?} is not a key of the rendered scenario",
+                        sw.key
+                    )
+                })? = v.clone();
+                Scenario::from_json(&point).map_err(|e| format!("sweep.values[{i}]: {e}"))
+            })
+            .collect()
     }
 
     /// Whether the scenario can carry golden fingerprints: the saturation
@@ -390,17 +429,19 @@ impl Scenario {
         self.search == Search::Fixed
     }
 
-    /// Builds the [`RunConfig`] for one `(kind, cores, rate multiplier)`
-    /// point. With every scenario knob at its default this is exactly
-    /// `RunConfig::new` plus the scenario's windows — the fig6-parity
-    /// test asserts equality against [`crate::base_config`].
+    /// Builds the [`RunConfig`] for one listen kind of one point (a
+    /// sweep's points each build their own). With every scenario knob at
+    /// its default this is exactly `RunConfig::new` plus the scenario's
+    /// windows — the fig6-parity test asserts equality against
+    /// [`crate::base_config`].
     #[must_use]
-    pub fn config(&self, kind: ListenKind, cores: usize, mult: f64) -> RunConfig {
+    pub fn config(&self, kind: ListenKind) -> RunConfig {
         let server = self.server.kind();
+        let cores = self.cores;
         let rate = self.rate_per_core.map_or_else(
             || crate::rate_guess(kind, server, cores),
             |r| r * cores as f64,
-        ) * mult;
+        ) * self.rate_mult;
         let mut cfg = RunConfig::new(
             self.machine.machine(),
             cores,
@@ -415,6 +456,8 @@ impl Scenario {
         cfg.tracked_files = self.tracked_files;
         cfg.steal_enabled = self.steal;
         cfg.migrate_enabled = self.migrate;
+        cfg.lockstat = self.lockstat;
+        cfg.hog_work = (self.hog > 0).then_some(self.hog);
         cfg.fault = self.fault.clone();
         cfg.overload = self.overload.clone();
         cfg.hotplug = self.hotplug.clone();
@@ -429,21 +472,20 @@ impl Scenario {
         self.hotplug.iter().filter(|h| !h.up).map(|h| h.at).min()
     }
 
-    /// The worst [`time_to_recover`] over a kind's run timelines, in
-    /// milliseconds (infinite if any run never recovers); `None` unless
-    /// the scenario collects a timeline and schedules a fault.
+    /// [`time_to_recover`] off one run's timeline, in milliseconds
+    /// (infinite if the run never recovers); `None` unless the scenario
+    /// collects a timeline and schedules a fault.
     #[allow(clippy::cast_precision_loss)]
-    fn recovery_ms<'a>(&self, timelines: impl Iterator<Item = &'a [u64]>) -> Option<f64> {
+    fn recovery_ms(&self, timeline: &[u64]) -> Option<f64> {
         let fault_at = self.first_fault()?;
         if self.timeline_bucket == 0 {
             return None;
         }
         let end = self.warmup + self.measure;
-        Some(timelines.fold(0.0, |worst: f64, t| {
-            let ttr = time_to_recover(t, self.timeline_bucket, self.warmup, fault_at, end)
-                .map_or(f64::INFINITY, |c| c as f64 / CYCLES_PER_MS as f64);
-            worst.max(ttr)
-        }))
+        Some(
+            time_to_recover(timeline, self.timeline_bucket, self.warmup, fault_at, end)
+                .map_or(f64::INFINITY, |c| c as f64 / CYCLES_PER_MS as f64),
+        )
     }
 }
 
@@ -489,6 +531,14 @@ fn sub(path: &str, key: &str) -> String {
     } else {
         format!("{path}.{key}")
     }
+}
+
+/// The value at a dotted key of an object tree (`"fault.drop_p"`).
+fn json_slot<'a>(doc: &'a mut Json, dotted: &str) -> Option<&'a mut Json> {
+    dotted.split('.').try_fold(doc, |node, key| match node {
+        Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    })
 }
 
 fn want_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], String> {
@@ -788,6 +838,22 @@ fn parse_bounds(v: &Json, path: &str) -> Result<Vec<Bound>, String> {
         .collect()
 }
 
+fn parse_sweep(v: &Json, path: &str) -> Result<Sweep, String> {
+    let (mut key, mut values) = (None, None);
+    for (k, v) in want_obj(v, path)? {
+        let p = sub(path, k);
+        match k.as_str() {
+            "key" => key = Some(want_str(v, &p)?.to_string()),
+            "values" => values = Some(want_arr(v, &p)?.to_vec()),
+            _ => return Err(format!("{p}: unknown key")),
+        }
+    }
+    Ok(Sweep {
+        key: key.ok_or_else(|| format!("{path}: missing required key \"key\""))?,
+        values: values.ok_or_else(|| format!("{path}: missing required key \"values\""))?,
+    })
+}
+
 fn parse_gates(v: &Json, path: &str) -> Result<Gates, String> {
     let mut g = Gates::default();
     for (k, v) in want_obj(v, path)? {
@@ -875,13 +941,6 @@ impl Scenario {
                     };
                 }
                 "cores" => s.cores = want_usize(v, &p)?,
-                "cores_sweep" => {
-                    s.cores_sweep = want_arr(v, &p)?
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| want_usize(c, &format!("{p}[{i}]")))
-                        .collect::<Result<_, _>>()?;
-                }
                 "kinds" => s.kinds = parse_kinds(v, &p)?,
                 "server" => {
                     s.server = match want_str(v, &p)? {
@@ -906,13 +965,7 @@ impl Scenario {
                     };
                 }
                 "rate_per_core" => s.rate_per_core = Some(want_f64(v, &p)?),
-                "rate_curve" => {
-                    s.rate_curve = want_arr(v, &p)?
-                        .iter()
-                        .enumerate()
-                        .map(|(i, m)| want_f64(m, &format!("{p}[{i}]")))
-                        .collect::<Result<_, _>>()?;
-                }
+                "rate_mult" => s.rate_mult = want_f64(v, &p)?,
                 "warmup_ms" => s.warmup = want_ms(v, &p)?,
                 "measure_ms" => s.measure = want_ms(v, &p)?,
                 "seed" => s.seed = want_u64(v, &p)?,
@@ -920,6 +973,8 @@ impl Scenario {
                 "workload" => s.workload = parse_workload(v, &p)?,
                 "steal" => s.steal = want_bool(v, &p)?,
                 "migrate" => s.migrate = want_bool(v, &p)?,
+                "lockstat" => s.lockstat = want_bool(v, &p)?,
+                "hog_ms" => s.hog = want_ms(v, &p)?,
                 "fault" => s.fault = parse_fault(v, &p)?,
                 "overload" => s.overload = parse_overload(v, &p)?,
                 "hotplug" => s.hotplug = parse_hotplug(v, &p)?,
@@ -931,6 +986,7 @@ impl Scenario {
                         format!("{p}: unknown layout {label:?} (paper or packed)")
                     })?;
                 }
+                "sweep" => s.sweep = Some(parse_sweep(v, &p)?),
                 "gates" => s.gates = parse_gates(v, &p)?,
                 "golden" => s.golden = parse_golden(v, &p)?,
                 "smoke" => s.smoke = want_bool(v, &p)?,
@@ -959,18 +1015,26 @@ impl Scenario {
             ));
         }
         let n_cores = self.machine.machine().n_cores;
-        let check_cores = |c: usize, p: &str| {
-            if c < 1 || c > n_cores {
-                return Err(format!(
-                    "{p}: {c} out of range 1..={n_cores} for machine {}",
-                    self.machine.label()
-                ));
-            }
-            Ok(())
-        };
-        check_cores(self.cores, "cores")?;
-        for (i, &c) in self.cores_sweep.iter().enumerate() {
-            check_cores(c, &format!("cores_sweep[{i}]"))?;
+        if self.cores < 1 || self.cores > n_cores {
+            return Err(format!(
+                "cores: {} out of range 1..={n_cores} for machine {}",
+                self.cores,
+                self.machine.label()
+            ));
+        }
+        // The runner wraps a core index modulo `cores`, so an index at or
+        // above it would silently land on another core.
+        let stalls = self.fault.stalls.iter().map(|w| ("fault.stalls", w.core));
+        let hotplug = self.hotplug.iter().map(|h| ("hotplug", h.core));
+        let out_of_range = stalls
+            .enumerate()
+            .chain(hotplug.enumerate())
+            .find(|&(_, (_, c))| usize::from(c) >= self.cores);
+        if let Some((i, (list, c))) = out_of_range {
+            return Err(format!(
+                "{list}[{i}].core: {c} is not below cores {}",
+                self.cores
+            ));
         }
         if self.kinds.is_empty() {
             return Err("kinds: must name at least one listen kind".to_string());
@@ -985,15 +1049,11 @@ impl Scenario {
                 return Err(format!("rate_per_core: {r} must be positive"));
             }
         }
-        if self.rate_curve.is_empty() {
-            return Err("rate_curve: must hold at least one multiplier".to_string());
-        }
-        for (i, &m) in self.rate_curve.iter().enumerate() {
-            if m <= 0.0 || !m.is_finite() {
-                return Err(format!(
-                    "rate_curve[{i}]: {m} must be a positive finite number"
-                ));
-            }
+        if self.rate_mult <= 0.0 || !self.rate_mult.is_finite() {
+            return Err(format!(
+                "rate_mult: {} must be a positive finite number",
+                self.rate_mult
+            ));
         }
         if self.measure == 0 {
             return Err("measure_ms: must be positive".to_string());
@@ -1025,6 +1085,21 @@ impl Scenario {
             if r.rto == 0 || r.max_attempts == 0 {
                 return Err("fault.retrans: rto_ms and max_attempts must be positive".to_string());
             }
+        }
+        // A duplicated or reordered packet is re-queued and rolls the dice
+        // again, so at probability 1 it never gets through: the run either
+        // never finishes or serves nothing.
+        for (p, label) in [
+            (self.fault.dup_p, "fault.dup_p"),
+            (self.fault.reorder_p, "fault.reorder_p"),
+        ] {
+            if p >= 1.0 {
+                return Err(format!("{label}: {p} must be below 1"));
+            }
+        }
+        if self.overload.watchdog.is_some_and(|w| w.interval == 0) {
+            // The scan re-arms at `now` and the run never finishes.
+            return Err("overload.watchdog.interval_ms: must be at least 1".to_string());
         }
         if self.overload.shed_low >= self.overload.shed_high {
             return Err(format!(
@@ -1083,6 +1158,7 @@ impl Scenario {
             (self.workload.think, CYCLES_PER_MS, "workload.think_ms"),
             (self.workload.timeout, CYCLES_PER_MS, "workload.timeout_ms"),
             (self.timeline_bucket, CYCLES_PER_MS, "timeline_bucket_ms"),
+            (self.hog, CYCLES_PER_MS, "hog_ms"),
             (
                 self.fault.reorder_delay,
                 CYCLES_PER_US,
@@ -1093,6 +1169,16 @@ impl Scenario {
             if v % unit != 0 {
                 return Err(format!("{label}: {v} cycles is not unit-granular"));
             }
+        }
+        if let Some(sw) = &self.sweep {
+            let top = sw.key.split('.').next().unwrap_or_default();
+            if UNSWEEPABLE.contains(&top) {
+                return Err(format!("sweep.key: {:?} cannot be swept", sw.key));
+            }
+            if sw.values.is_empty() {
+                return Err("sweep.values: must hold at least one value".to_string());
+            }
+            self.points()?;
         }
         Ok(())
     }
@@ -1143,14 +1229,7 @@ impl Scenario {
         }
         doc = doc
             .field("machine", self.machine.label())
-            .field("cores", self.cores);
-        if !self.cores_sweep.is_empty() {
-            doc = doc.field(
-                "cores_sweep",
-                Json::Arr(self.cores_sweep.iter().map(|&c| Json::from(c)).collect()),
-            );
-        }
-        doc = doc
+            .field("cores", self.cores)
             .field("kinds", kinds_json)
             .field("server", self.server.label())
             .field(
@@ -1164,10 +1243,7 @@ impl Scenario {
             doc = doc.field("rate_per_core", r);
         }
         doc = doc
-            .field(
-                "rate_curve",
-                Json::Arr(self.rate_curve.iter().map(|&m| Json::from(m)).collect()),
-            )
+            .field("rate_mult", self.rate_mult)
             .field("warmup_ms", self.warmup / CYCLES_PER_MS)
             .field("measure_ms", self.measure / CYCLES_PER_MS)
             .field("seed", self.seed)
@@ -1191,7 +1267,9 @@ impl Scenario {
                     .field("timeout_ms", self.workload.timeout / CYCLES_PER_MS),
             )
             .field("steal", self.steal)
-            .field("migrate", self.migrate);
+            .field("migrate", self.migrate)
+            .field("lockstat", self.lockstat)
+            .field("hog_ms", self.hog / CYCLES_PER_MS);
         doc = doc.field("fault", fault_json(&self.fault));
         doc = doc.field("overload", overload_json(&self.overload));
         if !self.hotplug.is_empty() {
@@ -1213,8 +1291,16 @@ impl Scenario {
         doc = doc
             .field("timeline_bucket_ms", self.timeline_bucket / CYCLES_PER_MS)
             .field("dprof_v2", self.dprof_v2)
-            .field("layout", self.layout.label())
-            .field("gates", gates_json(&self.gates));
+            .field("layout", self.layout.label());
+        if let Some(sw) = &self.sweep {
+            doc = doc.field(
+                "sweep",
+                Json::obj()
+                    .field("key", sw.key.as_str())
+                    .field("values", Json::Arr(sw.values.clone())),
+            );
+        }
+        doc = doc.field("gates", gates_json(&self.gates));
         if !self.golden.is_empty() {
             doc = doc.field("golden", golden_json(&self.golden));
         }
@@ -1334,6 +1420,8 @@ fn golden_json(golden: &[GoldenEntry]) -> Json {
 /// One run's headline numbers inside a [`KindReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
+    /// The run's sweep value ([`Json::Null`] without a sweep).
+    pub swept: Json,
     /// Active cores.
     pub cores: usize,
     /// Offered connection rate (the searched rate's starting guess under
@@ -1341,6 +1429,10 @@ pub struct RunSummary {
     pub rate: f64,
     /// Requests served in the window.
     pub served: u64,
+    /// Client-completed connections.
+    pub completed: u64,
+    /// Client-abandoned connections.
+    pub timeouts: u64,
     /// Served per second per core.
     pub rps_per_core: f64,
     /// Run fingerprint.
@@ -1384,7 +1476,7 @@ pub struct KindReport {
     pub paper_wasted_bytes_per_request: f64,
     /// Conservation-audit violations across all runs (empty = clean).
     pub audit: Vec<String>,
-    /// Per-run summaries in `(cores, rate multiplier)` order.
+    /// Per-run summaries in sweep order.
     pub runs: Vec<RunSummary>,
 }
 
@@ -1410,9 +1502,9 @@ impl KindReport {
         }
     }
 
-    fn from_results(kind: ListenKind, rs: &[(usize, f64, RunResult)]) -> Self {
-        let sum = |f: fn(&RunResult) -> u64| rs.iter().map(|(_, _, r)| f(r)).sum();
-        let fps: Vec<u64> = rs.iter().map(|(_, _, r)| r.fingerprint).collect();
+    fn from_results(kind: ListenKind, rs: &[RunResult]) -> Self {
+        let sum = |f: fn(&RunResult) -> u64| rs.iter().map(f).sum();
+        let fps: Vec<u64> = rs.iter().map(|r| r.fingerprint).collect();
         Self {
             served: sum(|r| r.served),
             completed: sum(|r| r.conns_completed),
@@ -1423,18 +1515,7 @@ impl KindReport {
             timeouts_live_owner: sum(|r| r.timeouts_live_owner),
             timeouts_dead_owner: sum(|r| r.timeouts_dead_owner),
             wasted_bytes_per_request: wasted_per_request(rs),
-            audit: audit_lines(kind, rs.iter().map(|(_, _, r)| r.audit.violations())),
-            runs: rs
-                .iter()
-                .map(|&(cores, rate, ref r)| RunSummary {
-                    cores,
-                    rate,
-                    served: r.served,
-                    rps_per_core: r.rps_per_core,
-                    fingerprint: r.fingerprint,
-                    events: r.events_executed,
-                })
-                .collect(),
+            audit: audit_lines(kind, rs.iter().map(|r| r.audit.violations())),
             ..Self::empty(kind)
         }
     }
@@ -1464,9 +1545,12 @@ impl KindReport {
                         .iter()
                         .map(|r| {
                             Json::obj()
+                                .field("swept", r.swept.clone())
                                 .field("cores", r.cores)
                                 .field("rate", r.rate)
                                 .field("served", r.served)
+                                .field("completed", r.completed)
+                                .field("timeouts", r.timeouts)
                                 .field("rps_per_core", r.rps_per_core)
                                 .field("fingerprint", format!("{:#018x}", r.fingerprint))
                                 .field("events", r.events)
@@ -1489,12 +1573,9 @@ fn audit_lines(kind: ListenKind, violations: impl Iterator<Item = Vec<String>>) 
 }
 
 /// dprof-v2 wasted bytes per served request summed over a kind's runs.
-fn wasted_per_request(rs: &[(usize, f64, RunResult)]) -> f64 {
-    let wasted: u64 = rs
-        .iter()
-        .map(|(_, _, r)| r.cacheline.totals().bytes_wasted)
-        .sum();
-    let served: u64 = rs.iter().map(|(_, _, r)| r.served).sum();
+fn wasted_per_request(rs: &[RunResult]) -> f64 {
+    let wasted: u64 = rs.iter().map(|r| r.cacheline.totals().bytes_wasted).sum();
+    let served: u64 = rs.iter().map(|r| r.served).sum();
     #[allow(clippy::cast_precision_loss)]
     let out = wasted as f64 / served.max(1) as f64;
     out
@@ -1547,12 +1628,23 @@ impl Scenario {
     /// gates compare against, and evaluates its gates and goldens.
     #[must_use]
     pub fn run(&self, workers: usize) -> ScenarioReport {
-        let mut kinds = self.run_points(workers);
+        let points = match self.points() {
+            Ok(points) => points,
+            Err(e) => {
+                return ScenarioReport {
+                    name: self.name.clone(),
+                    problems: vec![e],
+                    kinds: Vec::new(),
+                }
+            }
+        };
+        let mut kinds = self.run_points(&points, workers);
         // Under `fast` the ledger is compiled out, so both sides would
         // read zero.
         if self.gates.packed_wasted_lte_paper && !cfg!(feature = "fast") {
             self.twin(
                 workers,
+                &points,
                 &mut kinds,
                 |t| t.layout = LayoutVariant::Paper,
                 |kr, tw| kr.paper_wasted_bytes_per_request = tw.wasted_bytes_per_request,
@@ -1567,6 +1659,7 @@ impl Scenario {
             #[allow(clippy::cast_precision_loss)]
             self.twin(
                 workers,
+                &points,
                 &mut kinds,
                 |t| t.hotplug.clear(),
                 |kr, tw| kr.goodput_retained = Some(kr.served as f64 / tw.served.max(1) as f64),
@@ -1580,62 +1673,77 @@ impl Scenario {
         }
     }
 
-    /// Runs a copy of the scenario changed by `edit`, without gates or
-    /// goldens of its own, as the comparison point of a gate that
-    /// measures against a twin (`packed_wasted_lte_paper` against the
-    /// paper layout, `goodput_retained` against a fault-free run):
-    /// `read` copies each twin kind's number into the kind's report, and
-    /// the twin's audit violations join the kind's own.
+    /// Runs each point changed by `edit` as the comparison point of a
+    /// gate that measures against a twin (`packed_wasted_lte_paper`
+    /// against the paper layout, `goodput_retained` against a fault-free
+    /// run): `read` copies each twin kind's number into the kind's
+    /// report, and the twin's audit violations join the kind's own.
     fn twin(
         &self,
         workers: usize,
+        points: &[Scenario],
         kinds: &mut [KindReport],
-        edit: impl FnOnce(&mut Scenario),
+        edit: impl Fn(&mut Scenario),
         read: impl Fn(&mut KindReport, &KindReport),
     ) {
-        let mut twin = self.clone();
-        twin.gates = Gates::default();
-        twin.golden.clear();
-        edit(&mut twin);
-        for (kr, tw) in kinds.iter_mut().zip(twin.run(workers).kinds) {
+        let twin: Vec<Scenario> = points
+            .iter()
+            .cloned()
+            .map(|mut p| {
+                edit(&mut p);
+                p
+            })
+            .collect();
+        for (kr, tw) in kinds.iter_mut().zip(self.run_points(&twin, workers)) {
             read(kr, &tw);
             kr.audit
                 .extend(tw.audit.iter().map(|v| format!("twin {v}")));
         }
     }
 
-    /// One item per `(kind, cores, rate multiplier)` point, kinds
-    /// outermost, so each kind's runs are one contiguous chunk.
-    fn points<T>(&self, f: impl Fn(ListenKind, usize, f64) -> T) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.kinds.len() * self.runs_per_kind());
-        for &kind in &self.kinds {
-            for &cores in &self.cores_list() {
-                for &mult in &self.rate_curve {
-                    out.push(f(kind, cores, mult));
-                }
-            }
-        }
-        out
-    }
-
-    /// One run per point, aggregated per kind.
-    fn run_points(&self, workers: usize) -> Vec<KindReport> {
-        let cfgs = self.points(|kind, cores, mult| self.config(kind, cores, mult));
-        let shapes: Vec<(usize, f64)> = cfgs.iter().map(|c| (c.cores, c.conn_rate)).collect();
-        let results = match self.search {
-            Search::Saturation => crate::par_map(cfgs, workers, |cfg| app::find_saturation(&cfg)),
-            Search::Fixed => crate::sweep_fixed_workers(cfgs, workers),
-        };
-        let tagged: Vec<(usize, f64, RunResult)> = shapes
-            .into_iter()
-            .zip(results)
-            .map(|((cores, rate), r)| (cores, rate, r))
+    /// One run per `(kind, point)`, kinds outermost, aggregated per kind.
+    fn run_points(&self, points: &[Scenario], workers: usize) -> Vec<KindReport> {
+        let jobs: Vec<(Search, RunConfig)> = self
+            .kinds
+            .iter()
+            .flat_map(|&kind| points.iter().map(move |p| (p.search, p.config(kind))))
             .collect();
-        tagged
-            .chunks(self.runs_per_kind())
+        let shapes: Vec<(usize, f64)> = jobs.iter().map(|(_, c)| (c.cores, c.conn_rate)).collect();
+        let results = crate::par_map(jobs, workers, |(search, cfg)| match search {
+            Search::Saturation => app::find_saturation(&cfg),
+            Search::Fixed => crate::sweep::checked_run(cfg),
+        });
+        let swept = |i: usize| {
+            self.sweep
+                .as_ref()
+                .map_or(Json::Null, |sw| sw.values[i].clone())
+        };
+        results
+            .chunks(points.len())
+            .zip(shapes.chunks(points.len()))
             .zip(&self.kinds)
-            .map(|(rs, &kind)| KindReport {
-                time_to_recover_ms: self.recovery_ms(rs.iter().map(|(_, _, r)| &r.timeline[..])),
+            .map(|((rs, shapes), &kind)| KindReport {
+                time_to_recover_ms: rs
+                    .iter()
+                    .zip(points)
+                    .filter_map(|(r, p)| p.recovery_ms(&r.timeline))
+                    .reduce(f64::max),
+                runs: rs
+                    .iter()
+                    .zip(shapes)
+                    .enumerate()
+                    .map(|(i, (r, &(cores, rate)))| RunSummary {
+                        swept: swept(i),
+                        cores,
+                        rate,
+                        served: r.served,
+                        completed: r.conns_completed,
+                        timeouts: r.timeouts,
+                        rps_per_core: r.rps_per_core,
+                        fingerprint: r.fingerprint,
+                        events: r.events_executed,
+                    })
+                    .collect(),
                 ..KindReport::from_results(kind, rs)
             })
             .collect()
@@ -1843,7 +1951,9 @@ mod tests {
     #[test]
     fn default_config_is_exactly_runconfig_new() {
         let s = Scenario::base("defaults");
-        let got = s.config(ListenKind::Affinity, 8, 1.0);
+        let points = s.points().expect("no sweep: one point");
+        assert_eq!(points, vec![s.clone()]);
+        let got = points[0].config(ListenKind::Affinity);
         let want = RunConfig::new(
             Machine::amd48(),
             8,
@@ -1861,11 +1971,10 @@ mod tests {
         s.description = "every knob set".to_string();
         s.machine = MachineId::Intel80;
         s.cores = 64;
-        s.cores_sweep = vec![1, 16, 80];
         s.kinds = vec![ListenKind::Affinity, ListenKind::Twenty];
         s.server = ServerId::Lighttpd;
         s.rate_per_core = Some(1234.5);
-        s.rate_curve = vec![0.5, 1.0, 0.75];
+        s.rate_mult = 0.75;
         s.warmup = ms(120);
         s.measure = ms(250);
         s.seed = 42;
@@ -1879,6 +1988,8 @@ mod tests {
         };
         s.steal = false;
         s.migrate = false;
+        s.lockstat = true;
+        s.hog = ms(40);
         s.fault = FaultPlan {
             drop_p: 0.01,
             dup_p: 0.02,
@@ -1925,6 +2036,10 @@ mod tests {
         s.timeline_bucket = ms(10);
         s.dprof_v2 = true;
         s.layout = LayoutVariant::Packed;
+        s.sweep = Some(Sweep {
+            key: "cores".to_string(),
+            values: vec![Json::U64(16), Json::U64(80)],
+        });
         s.gates = Gates {
             audit_clean: true,
             ordering: vec![ListenKind::Affinity, ListenKind::Twenty],
@@ -1972,120 +2087,63 @@ mod tests {
         s.validate().expect("kitchen sink is valid");
         let back = Scenario::parse_str(&s.to_json().render()).expect("parses");
         assert_eq!(back, s);
+        // Each sweep point is the scenario with the value at its key.
+        let points = s.points().expect("points validate");
+        let cores: Vec<usize> = points.iter().map(|p| p.cores).collect();
+        assert_eq!(cores, [16, 80]);
+        let mut want = s.clone();
+        want.sweep = None;
+        want.cores = 80;
+        assert_eq!(points[1], want);
     }
 
-    /// Builds a random *valid* scenario from a seeded [`SimRng`] (the
-    /// vendored proptest stub has no structured strategies, so the
-    /// randomness comes from the seed it feeds us).
+    /// Builds a random *valid* scenario: a fuzz case, plus what a fuzz
+    /// case must not carry — core counts up to the machine's size, a
+    /// sweep, saturation search, gates and goldens — from a seeded
+    /// [`SimRng`] (the vendored proptest stub has no structured
+    /// strategies, so the randomness comes from the seed it feeds us).
     fn arb_scenario(seed: u64) -> Scenario {
+        let mut s = crate::fuzz::case(seed);
         let mut rng = SimRng::new(seed ^ 0x5ce7_a810);
-        let mut s = Scenario::base("gen");
-        s.name = format!("gen-{}", seed % 1000);
         if rng.chance(0.5) {
             s.description = "generated".to_string();
         }
-        s.machine = if rng.chance(0.5) {
-            MachineId::Amd48
-        } else {
-            MachineId::Intel80
-        };
         let n_cores = s.machine.machine().n_cores;
         s.cores = 1 + rng.index(n_cores);
-        if rng.chance(0.3) {
-            s.cores_sweep = (0..=rng.index(3)).map(|_| 1 + rng.index(n_cores)).collect();
+        // Stall and hotplug cores stay below every point's core count.
+        for w in &mut s.fault.stalls {
+            w.core %= s.cores as u16;
         }
-        let mut kinds: Vec<ListenKind> = ListenKind::ALL
-            .into_iter()
-            .filter(|_| rng.chance(0.5))
-            .collect();
-        if kinds.is_empty() {
-            kinds.push(ListenKind::Affinity);
-        }
-        s.kinds = kinds;
-        s.server = if rng.chance(0.5) {
-            ServerId::Apache
-        } else {
-            ServerId::Lighttpd
-        };
-        s.search = if rng.chance(0.2) {
-            Search::Saturation
-        } else {
-            Search::Fixed
-        };
-        if rng.chance(0.5) {
-            s.rate_per_core = Some(100.0 + rng.index(10_000) as f64);
+        for h in &mut s.hotplug {
+            h.core %= s.cores as u16;
         }
         if rng.chance(0.3) {
-            s.rate_curve = (0..=rng.index(3))
-                .map(|_| 0.25 * (1 + rng.index(8)) as f64)
+            let key = ["cores", "rate_mult", "fault.drop_p"][rng.index(3)];
+            let values = (0..=rng.index(3)).map(|_| match key {
+                "cores" => Json::from(s.cores + rng.index(n_cores + 1 - s.cores)),
+                "rate_mult" => Json::from(0.25 * (1 + rng.index(8)) as f64),
+                _ => Json::from(rng.index(100) as f64 / 100.0),
+            });
+            // The values as a file reads them back (`1.0` reads as `1`).
+            let values = values
+                .map(|v| Json::parse(&v.render()).expect("rendered JSON parses"))
                 .collect();
+            s.sweep = Some(Sweep {
+                key: key.to_string(),
+                values,
+            });
         }
-        s.warmup = ms(rng.below(1000));
-        s.measure = ms(1 + rng.below(1000));
-        s.seed = rng.next_u64();
-        s.tracked_files = 1 + rng.index(5000);
-        s.workload.batches = (0..=rng.index(3))
-            .map(|_| 1 + rng.below(6) as u32)
-            .collect();
-        s.workload.think = ms(rng.below(500));
-        s.workload.n_files = 1 + rng.index(30_000);
-        s.workload.file_scale = 0.5 * (1 + rng.index(6)) as f64;
-        s.workload.timeout = ms(1 + rng.below(20_000));
-        s.steal = rng.chance(0.5);
-        s.migrate = rng.chance(0.5);
-        if rng.chance(0.5) {
-            s.fault.drop_p = rng.index(100) as f64 / 100.0;
-            s.fault.dup_p = rng.index(100) as f64 / 100.0;
-            s.fault.reorder_p = rng.index(100) as f64 / 100.0;
-            s.fault.reorder_delay = us(rng.below(1000));
-            s.fault.ring_mask = rng.next_u64();
-            s.fault.syn_overflow_drop = rng.chance(0.5);
-            if rng.chance(0.5) {
-                s.fault.retrans = Some(RetransPolicy {
-                    rto: ms(1 + rng.below(200)),
-                    max_attempts: 1 + rng.below(6) as u32,
-                });
-            }
-            s.fault.stalls = (0..rng.index(3))
-                .map(|_| StallWindow {
-                    core: rng.below(16) as u16,
-                    at: ms(rng.below(500)),
-                    dur: us(rng.below(10_000)),
-                })
-                .collect();
+        // More kinds, so the ordering gate has something to order.
+        let first = s.kinds[0];
+        s.kinds.extend(
+            ListenKind::ALL
+                .into_iter()
+                .filter(|&k| k != first && rng.chance(0.3)),
+        );
+        if rng.chance(0.2) {
+            s.search = Search::Saturation;
         }
-        if rng.chance(0.5) {
-            s.overload.syn_cookies = rng.chance(0.5);
-            s.overload.shed_low = 0.1;
-            s.overload.shed_high = 0.5 + rng.index(5) as f64 / 10.0;
-            if rng.chance(0.3) {
-                s.overload.half_open_cap = Some(1 + rng.index(4096));
-            }
-            if rng.chance(0.5) {
-                s.overload.reap = Some(ReapPolicy {
-                    ttl: ms(1 + rng.below(100)),
-                    synack_retries: rng.below(6) as u32,
-                });
-            }
-            if rng.chance(0.5) {
-                s.overload.watchdog = Some(WatchdogPolicy {
-                    interval: ms(1 + rng.below(50)),
-                    dead_after: ms(1 + rng.below(200)),
-                });
-            }
-        }
-        s.hotplug = (0..rng.index(3))
-            .map(|_| HotplugEvent {
-                core: rng.below(8) as u16,
-                at: ms(rng.below(500)),
-                up: rng.chance(0.5),
-            })
-            .collect();
         s.timeline_bucket = ms(rng.below(100));
-        s.dprof_v2 = rng.chance(0.3);
-        if rng.chance(0.3) {
-            s.layout = LayoutVariant::Packed;
-        }
         s.gates.audit_clean = rng.chance(0.9);
         if s.kinds.len() >= 2 && rng.chance(0.5) {
             s.gates.ordering = s.kinds[..2].to_vec();
@@ -2209,8 +2267,48 @@ mod tests {
             ),
             (r#"{"name":"x","backend":"wheel"}"#, "backend: unknown key"),
             (
-                r#"{"name":"x","rate_curve":[0.0]}"#,
-                "rate_curve[0]: 0 must be a positive",
+                r#"{"name":"x","rate_mult":0}"#,
+                "rate_mult: 0 must be a positive",
+            ),
+            (
+                r#"{"name":"x","fault":{"dup_p":1.0}}"#,
+                "fault.dup_p: 1 must be below 1",
+            ),
+            (
+                r#"{"name":"x","fault":{"reorder_p":1}}"#,
+                "fault.reorder_p: 1 must be below 1",
+            ),
+            (
+                r#"{"name":"x","overload":{"watchdog":{"interval_ms":0}}}"#,
+                "overload.watchdog.interval_ms: must be at least 1",
+            ),
+            (
+                r#"{"name":"x","cores":4,"hotplug":[{"core":9,"at_ms":5,"up":false}]}"#,
+                "hotplug[0].core: 9 is not below cores 4",
+            ),
+            (
+                r#"{"name":"x","fault":{"stalls":[{"core":1},{"core":40}]}}"#,
+                "fault.stalls[1].core: 40 is not below cores 8",
+            ),
+            (
+                r#"{"name":"x","sweep":{"key":"bogus","values":[1]}}"#,
+                "sweep.key: \"bogus\" is not a key of the rendered scenario",
+            ),
+            (
+                r#"{"name":"x","sweep":{"key":"gates","values":[{}]}}"#,
+                "sweep.key: \"gates\" cannot be swept",
+            ),
+            (
+                r#"{"name":"x","sweep":{"key":"cores","values":[]}}"#,
+                "sweep.values: must hold at least one value",
+            ),
+            (
+                r#"{"name":"x","sweep":{"key":"cores","values":[4,99]}}"#,
+                "sweep.values[1]: cores: 99 out of range 1..=48",
+            ),
+            (
+                r#"{"name":"x","sweep":{"key":"cores"}}"#,
+                "sweep: missing required key \"values\"",
             ),
             (r#"{"name":"BAD NAME"}"#, "must be non-empty [a-z0-9_-]+"),
             (
@@ -2437,18 +2535,23 @@ mod tests {
         quick[10] = 0;
         let mut slow = quick.clone();
         slow[11..14].fill(0);
+        let worst = |s: &Scenario, runs: &[&[u64]]| {
+            runs.iter()
+                .filter_map(|t| s.recovery_ms(t))
+                .reduce(f64::max)
+        };
         let runs = [&quick[..], &slow[..]];
         // No fault scheduled: nothing to measure.
-        assert_eq!(s.recovery_ms(runs.into_iter()), None);
+        assert_eq!(worst(&s, &runs), None);
         s.hotplug = vec![HotplugEvent {
             core: 1,
             at: ms(100),
             up: false,
         }];
-        assert_eq!(s.recovery_ms(runs.into_iter()), Some(50.0));
+        assert_eq!(s.recovery_ms(&quick), Some(20.0));
+        assert_eq!(worst(&s, &runs), Some(50.0));
         let never = vec![100, 100, 100, 100, 100, 100, 100, 100, 100, 100];
-        let never = [&quick[..], &never[..]];
-        assert_eq!(s.recovery_ms(never.into_iter()), Some(f64::INFINITY));
+        assert_eq!(worst(&s, &[&quick, &never]), Some(f64::INFINITY));
     }
 
     #[test]

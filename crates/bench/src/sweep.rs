@@ -7,27 +7,17 @@
 //! `std::env::args` loop for its flags, and the `create_dir_all` +
 //! `fs::write` + "report:" dance for its JSON artifact. This module is
 //! the single home for all three; `fig6` is a thin wrapper over the
-//! scenario catalog and `chaos`/`scenario`/`simcheck` parse their flags
-//! through [`Args`] and emit their artifacts through [`write_artifact`].
+//! scenario catalog and the `scenario` driver parses its flags through
+//! [`Args`] and emits its artifact through [`write_artifact`].
 
-use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
+use app::{RunConfig, RunResult};
 use metrics::json::Json;
-use sim::time::ms;
-use sim::topology::Machine;
 
 /// Runs `configs` through the saturation search in parallel (one OS
 /// thread per hardware thread), preserving input order in the output.
 #[must_use]
 pub fn sweep_saturation(configs: Vec<RunConfig>) -> Vec<RunResult> {
     par_map(configs, default_workers(), |cfg| app::find_saturation(&cfg))
-}
-
-/// Runs `configs` directly (no rate search) on `workers` threads.
-/// Results are returned in input order and must not depend on `workers`
-/// — `simcheck` audits exactly that property at worker counts 1/2/N.
-#[must_use]
-pub fn sweep_fixed_workers(configs: Vec<RunConfig>, workers: usize) -> Vec<RunResult> {
-    par_map(configs, workers, checked_run)
 }
 
 /// Default sweep parallelism: one worker per hardware thread.
@@ -47,7 +37,7 @@ pub fn check_mode() -> bool {
 }
 
 /// Runs one config, enforcing its conservation audit in `--check` mode.
-fn checked_run(cfg: RunConfig) -> RunResult {
+pub(crate) fn checked_run(cfg: RunConfig) -> RunResult {
     let check = check_mode();
     let label = check.then(|| {
         format!(
@@ -72,9 +62,10 @@ fn checked_run(cfg: RunConfig) -> RunResult {
 }
 
 /// Runs an arbitrary job over each item on a worker pool, preserving
-/// input order in the output: the engine behind the sweeps, which the
-/// scenario runner, `simcheck` and `chaos` also call directly (with run
-/// configs, saturation searches or fuzz cases).
+/// input order in the output: the engine behind the sweeps, the
+/// scenario runner and the fuzzer (with run configs, saturation searches
+/// or fuzz cases). Results must not depend on `workers` — `scenario
+/// --fuzz` checks exactly that property at 1 and N workers.
 pub fn par_map<C, T, F>(items: Vec<C>, workers: usize, f: F) -> Vec<T>
 where
     C: Send,
@@ -110,37 +101,30 @@ where
     })
 }
 
-/// A short-window run config shared by the adversarial harnesses
-/// (`chaos`, `simcheck`): the paper's machine/workload
-/// defaults with 150 ms warmup/measure windows and a small tracked-file
-/// set, cheap enough to fuzz by the hundreds.
-#[must_use]
-pub fn quick_config(
-    machine: Machine,
-    cores: usize,
-    listen: ListenKind,
-    server: ServerKind,
-    rate: f64,
-    seed: u64,
-) -> RunConfig {
-    let mut cfg = RunConfig::new(machine, cores, listen, server, Workload::base(), rate);
-    cfg.warmup = ms(150);
-    cfg.measure = ms(150);
-    cfg.tracked_files = 200;
-    cfg.seed = seed;
-    cfg
+/// Writes a JSON artifact, creating parent directories and trailing the
+/// document with a newline, and echoes the path — the uniform tail of
+/// every report-writing binary.
+///
+/// # Errors
+///
+/// The I/O error, prefixed with the path.
+pub fn write_artifact(path: &str, report: &Json) -> Result<(), String> {
+    write_file(std::path::Path::new(path), &(report.render() + "\n"))?;
+    println!("report: {path}");
+    Ok(())
 }
 
-/// Writes a JSON artifact, creating parent directories, trailing the
-/// document with a newline, and echoing the path — the uniform tail of
-/// every report-writing binary.
-pub fn write_artifact(path: &str, report: &Json) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(parent);
+/// Writes a text file, creating its parent directories.
+///
+/// # Errors
+///
+/// The I/O error, prefixed with the path.
+pub fn write_file(path: &std::path::Path, text: &str) -> Result<(), String> {
+    let err = |e: std::io::Error| format!("{}: {e}", path.display());
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent).map_err(err)?;
     }
-    std::fs::write(path, report.render() + "\n")
-        .unwrap_or_else(|e| panic!("write report {path}: {e}"));
-    println!("report: {path}");
+    std::fs::write(path, text).map_err(err)
 }
 
 /// A tiny declarative flag parser for the harness binaries: registered
@@ -174,8 +158,9 @@ impl Args {
         }
     }
 
-    /// Keeps a bad-input error unless an earlier one is already kept.
-    fn fail(&mut self, msg: String) {
+    /// Keeps a bad-input error unless an earlier one is already kept; a
+    /// driver calls it for a bad combination of otherwise valid flags.
+    pub fn fail(&mut self, msg: String) {
         self.error.get_or_insert(msg);
     }
 

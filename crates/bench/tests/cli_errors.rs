@@ -1,42 +1,38 @@
 //! Bad command lines fail with `error: … (usage: …)` and exit status 2,
-//! before any simulation runs: never a panic, never a silent default.
+//! before any simulation runs: never a panic, never a silent default. An
+//! artifact path that cannot be written fails the same way, naming the
+//! path.
 
 use std::process::Command;
 
 #[test]
 fn bad_flags_exit_2_with_the_usage() {
-    let rows: &[(&str, &[&str], &str)] = &[
+    let rows: &[(&[&str], &str)] = &[
+        (&["--bogus"], "unknown argument --bogus"),
+        (&["--workers", "0"], "--workers got malformed value \"0\""),
+        (&["--fuzz", "x"], "--fuzz got malformed value \"x\""),
         (
-            env!("CARGO_BIN_EXE_scenario"),
-            &["--bogus"],
-            "unknown argument --bogus",
+            &["--fuzz", "4", "--smoke"],
+            "--fuzz cannot be combined with --file, --dir, --smoke or --record",
         ),
         (
-            env!("CARGO_BIN_EXE_scenario"),
-            &["--workers", "0"],
-            "--workers got malformed value \"0\"",
-        ),
-        (
-            env!("CARGO_BIN_EXE_chaos"),
-            &["--cases"],
-            "--cases requires a value",
-        ),
-        (
-            env!("CARGO_BIN_EXE_simcheck"),
-            &["--runs", "x"],
-            "--runs got malformed value \"x\"",
+            &["--fuzz", "0", "--out", "Cargo.toml/x.json"],
+            "Cargo.toml/x.json: ",
         ),
     ];
-    for &(exe, args, want) in rows {
+    let exe = env!("CARGO_BIN_EXE_scenario");
+    for &(args, want) in rows {
         let out = Command::new(exe)
             .args(args)
             .output()
             .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        // Flag errors name the usage; an I/O error names the path.
+        let usage = !args.contains(&"--out");
         assert!(
-            stderr.starts_with(&format!("error: {want}")) && stderr.contains("(usage: "),
-            "{exe} {args:?}: {stderr}"
+            stderr.starts_with(&format!("error: {want}")) && stderr.contains("(usage: ") == usage,
+            "{args:?}: {stderr}"
         );
     }
 }

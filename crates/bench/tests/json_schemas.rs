@@ -1,8 +1,8 @@
-//! Schema round-trip tests for the JSON artifacts the bench binaries write.
+//! Schema round-trip tests for the JSON artifact the `scenario` binary
+//! writes.
 //!
-//! CI uploads `results/chaos.json` and the `scenario` binary's
-//! `results/scenarios*.json` (schema `scenarios-v1`); downstream tooling
-//! reads them by field name.
+//! CI uploads its `results/scenarios*.json` and `results/fuzz.json`
+//! (schema `scenarios-v1`); downstream tooling reads them by field name.
 //! These tests run each writer in its cheapest mode, re-read the artifact
 //! through `Json::parse`, and pin the fields that must not be renamed
 //! silently. A writer-side rename now fails here instead of producing a
@@ -68,33 +68,26 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn chaos_artifact_schema_round_trips() {
-    let out = tmp("chaos.json");
-    let doc = run_binary(
-        env!("CARGO_BIN_EXE_chaos"),
-        &["--cases", "2", "--seed", "7"],
-        &out,
-    );
-    assert_u64(&doc, "cases");
-    assert_u64(&doc, "base_seed");
+fn fuzz_artifact_schema_round_trips() {
+    let out = tmp("fuzz.json");
+    let doc = run_binary(env!("CARGO_BIN_EXE_scenario"), &["--fuzz", "2"], &out);
+    assert!(matches!(obj(&doc, "schema"), Json::Str(s) if s == "scenarios-v1"));
     assert_bool(&doc, "ok");
+    assert!(arr(&doc, "scenarios").is_empty());
     let fuzz = obj(&doc, "fuzz");
     assert_u64(fuzz, "cases");
-    assert_bool(fuzz, "ok");
-    assert!(matches!(obj(fuzz, "failures"), Json::Arr(_)));
-    assert!(
-        doc.get("cluster").is_none(),
-        "removed cluster block is back"
-    );
-    let ordering = obj(&doc, "ordering");
-    assert_bool(ordering, "ok");
+    let workers = arr(fuzz, "workers");
+    assert!(workers.len() == 2 && workers.iter().all(|w| matches!(w, Json::U64(_))));
+    // The first cases pass; a failure would carry its case name, its
+    // problems and its repro path.
+    assert!(arr(fuzz, "failures").is_empty(), "{}", doc.render());
 }
 
 #[test]
 fn scenario_artifact_schema_round_trips() {
     let out = tmp("scenarios.json");
-    // A scenario without faults, and one that kills a core and whose
-    // bounds measure goodput against a twin and time to recover.
+    // A scenario without faults, one that kills a core and whose bounds
+    // measure goodput against a twin and time to recover, and a sweep.
     let doc = run_binary(
         env!("CARGO_BIN_EXE_scenario"),
         &[
@@ -102,6 +95,8 @@ fn scenario_artifact_schema_round_trips() {
             "scenarios/paper_base.json",
             "--file",
             "scenarios/recovery_kill_core_24c.json",
+            "--file",
+            "scenarios/diurnal.json",
         ],
         &out,
     );
@@ -109,7 +104,7 @@ fn scenario_artifact_schema_round_trips() {
     assert_bool(&doc, "smoke");
     assert_bool(&doc, "ok");
     let scenarios = arr(&doc, "scenarios");
-    assert_eq!(scenarios.len(), 2, "each --file produces one report");
+    assert_eq!(scenarios.len(), 3, "each --file produces one report");
     for (i, report) in scenarios.iter().enumerate() {
         assert!(matches!(obj(report, "scenario"), Json::Str(_)));
         assert_bool(report, "ok");
@@ -142,10 +137,10 @@ fn scenario_artifact_schema_round_trips() {
                 assert!(row.get(key).is_none(), "removed column {key:?} is back");
             }
             for key in ["goodput_retained", "time_to_recover_ms"] {
-                if i == 0 {
-                    assert!(matches!(obj(row, key), Json::Null), "{key:?} not null");
-                } else {
+                if i == 1 {
                     assert_num(row, key);
+                } else {
+                    assert!(matches!(obj(row, key), Json::Null), "{key:?} not null");
                 }
             }
             // The dprof-v2 waste columns the packed-layout gate reads
@@ -156,9 +151,17 @@ fn scenario_artifact_schema_round_trips() {
             let runs = arr(row, "runs");
             assert!(!runs.is_empty(), "kind reports at least one run");
             for run in runs {
+                // The sweep value of the run's point; null without a sweep.
+                if i == 2 {
+                    assert_num(run, "swept");
+                } else {
+                    assert!(matches!(obj(run, "swept"), Json::Null), "swept not null");
+                }
                 assert_u64(run, "cores");
                 assert_num(run, "rate");
                 assert_u64(run, "served");
+                assert_u64(run, "completed");
+                assert_u64(run, "timeouts");
                 assert_num(run, "rps_per_core");
                 assert!(matches!(obj(run, "fingerprint"), Json::Str(_)));
                 assert_u64(run, "events");

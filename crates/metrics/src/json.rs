@@ -1,11 +1,11 @@
 //! A minimal JSON writer and reader for machine-readable reports.
 //!
 //! The harness has no serialization dependency (the workspace builds
-//! offline), so the binaries that emit JSON — `simcheck`, `chaos`,
-//! `scenario` and the `simbench` package — build a [`Json`] tree and
-//! render it, and the schema round-trip tests read the artifacts back
-//! with [`Json::parse`]. Only what those reports need is implemented: objects
-//! keep insertion order, `u64` values are emitted exactly (not through
+//! offline), so the binaries that emit JSON — `scenario` and the
+//! `simbench` package — build a [`Json`] tree and render it, and the
+//! schema round-trip tests read the artifacts back with [`Json::parse`].
+//! Only what those reports need is implemented: objects keep insertion
+//! order, `u64` values are emitted exactly (not through
 //! `f64`, which would corrupt 64-bit fingerprints), and strings are
 //! escaped per RFC 8259. The parser guarantees `parse(s)?.render() == s`
 //! for any rendered document (integral numbers without sign parse as
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn renders_nested_document() {
         let doc = Json::obj()
-            .field("name", "simcheck")
+            .field("name", "scenario")
             .field("ok", true)
             .field("runs", 64u64)
             .field("ratio", 0.5)
@@ -442,7 +442,7 @@ mod tests {
             .field("nested", Json::obj().field("x", Json::Null));
         assert_eq!(
             doc.render(),
-            r#"{"name":"simcheck","ok":true,"runs":64,"ratio":0.5,"items":[1,2,3],"nested":{"x":null}}"#
+            r#"{"name":"scenario","ok":true,"runs":64,"ratio":0.5,"items":[1,2,3],"nested":{"x":null}}"#
         );
     }
 
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn parse_round_trips_rendered_documents() {
         let doc = Json::obj()
-            .field("name", "chaos")
+            .field("name", "fuzz")
             .field("ok", true)
             .field("none", Json::Null)
             .field("fp", 0xdead_beef_dead_beef_u64)

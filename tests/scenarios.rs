@@ -1,7 +1,8 @@
 //! End-to-end coverage of the committed scenario catalog: every
 //! `scenarios/*.json` file loads, runs, and passes its gates and golden
-//! fingerprints; and the fig6 scenario derives bit-identical configs to
-//! the figure binary's hand-built ones.
+//! fingerprints; the fig6 scenario derives bit-identical configs to the
+//! figure binary's hand-built ones; and the fuzzer's first cases pass
+//! while its shrinker reduces a failing document to the knobs that fail.
 //!
 //! The catalog is the only home of the recovery and cache-line
 //! experiments: the kill-one-core, SYN-flood and packed-layout gates all
@@ -15,6 +16,7 @@ mod common;
 
 use app::{ListenKind, ServerKind};
 use bench::scenario::{catalog_path, load_dir, load_file, Scenario, Search};
+use metrics::json::Json;
 use sim::topology::Machine;
 
 fn corpus() -> Vec<(std::path::PathBuf, Scenario)> {
@@ -27,7 +29,7 @@ fn corpus() -> Vec<(std::path::PathBuf, Scenario)> {
 #[test]
 fn corpus_is_broad_and_fully_pinned() {
     let corpus = corpus();
-    assert!(corpus.len() >= 15, "corpus shrank to {}", corpus.len());
+    assert!(corpus.len() >= 16, "corpus shrank to {}", corpus.len());
 
     let mut kinds_covered = Vec::new();
     let mut any_fault = false;
@@ -66,6 +68,7 @@ fn corpus_is_broad_and_fully_pinned() {
         "keepalive_sessions",
         "syn_flood_hotplug",
         "diurnal",
+        "loss_sweep",
     ] {
         assert!(
             corpus.iter().any(|(_, s)| s.name == name),
@@ -108,15 +111,68 @@ fn run_all(select: impl Fn(&Scenario) -> bool) {
 fn fig6_scenario_equals_the_hand_built_figure_configs() {
     let sc = load_file(&catalog_path("scenarios/fig6.json")).expect("fig6 loads");
     assert_eq!(sc.kinds, bench::IMPLS.to_vec());
-    assert_eq!(sc.cores_list(), bench::intel_core_counts());
     assert_eq!(sc.search, Search::Saturation);
+    let points = sc.points().expect("fig6 sweep points validate");
+    let cores: Vec<usize> = points.iter().map(|p| p.cores).collect();
+    assert_eq!(cores, bench::intel_core_counts());
     for &kind in &sc.kinds {
-        for &cores in &sc.cores_list() {
-            let got = sc.config(kind, cores, 1.0);
-            let want = bench::base_config(Machine::intel80(), cores, kind, ServerKind::lighttpd());
-            assert_eq!(got, want, "fig6 {kind:?} at {cores} cores diverged");
+        for p in &points {
+            let want =
+                bench::base_config(Machine::intel80(), p.cores, kind, ServerKind::lighttpd());
+            assert_eq!(p.config(kind), want, "fig6 {kind:?} at {} cores", p.cores);
         }
     }
+}
+
+/// The first cases `scenario --fuzz` runs pass at 1 and 2 workers: no
+/// panic, clean audits, and equal outcomes on both sides.
+#[test]
+fn first_fuzz_cases_pass_at_one_and_two_workers() {
+    let cases: Vec<Scenario> = (0..4).map(bench::fuzz::case).collect();
+    let problems = bench::fuzz::check(&cases, 2);
+    for (case, p) in cases.iter().zip(&problems) {
+        assert!(p.is_empty(), "{}: {p:#?}", case.name);
+    }
+}
+
+/// The shrinker on its own, with a synthetic failure and no simulator:
+/// a document that sets nearly every key, and "fails" iff it duplicates
+/// packets and a hotplug event takes a core down, shrinks to exactly
+/// those two knobs, plus the `name` and `seed` it never edits.
+#[test]
+fn shrinker_keeps_only_the_failing_knobs() {
+    let sink = r#"{
+      "name": "sink", "description": "every knob set", "machine": "intel80", "cores": 64,
+      "kinds": ["affinity", "twenty"], "server": "lighttpd", "rate_per_core": 1234.5,
+      "rate_mult": 0.75, "warmup_ms": 120, "measure_ms": 250, "seed": 42,
+      "tracked_files": 300, "steal": false, "migrate": false, "lockstat": true, "hog_ms": 40,
+      "workload": {"batches": [2, 4], "think_ms": 50, "n_files": 500, "file_scale": 2.5,
+                   "timeout_ms": 4000},
+      "fault": {"drop_p": 0.01, "dup_p": 0.02, "reorder_p": 0.03, "reorder_delay_us": 400,
+                "ring_mask": 10, "syn_overflow_drop": true,
+                "retrans": {"rto_ms": 40, "max_attempts": 4},
+                "stalls": [{"core": 3, "at_ms": 100, "dur_us": 5000}]},
+      "overload": {"syn_cookies": true, "shed_high": 0.8, "shed_low": 0.2,
+                   "half_open_cap": 4096, "reap": {"ttl_ms": 30, "synack_retries": 2},
+                   "watchdog": {"interval_ms": 5, "dead_after_ms": 60}},
+      "hotplug": [{"core": 2, "at_ms": 150, "up": false}, {"core": 2, "at_ms": 300, "up": true}],
+      "timeline_bucket_ms": 10, "dprof_v2": true, "layout": "packed",
+      "sweep": {"key": "cores", "values": [16, 80]},
+      "gates": {"ordering": ["affinity", "twenty"], "ordering_slack": 0.95,
+                "bounds": {"served": {"min": 1000}, "time_to_recover_ms": {"max": 100}}},
+      "golden": {"affinity": {"fingerprint": "0x0123456789abcdef", "served": 7266}},
+      "smoke": true
+    }"#;
+    let mut calls = 0;
+    let shrunk = bench::fuzz::shrink(Json::parse(sink).expect("sink parses"), |s| {
+        calls += 1;
+        s.fault.dup_p > 0.0 && s.hotplug.iter().any(|h| !h.up)
+    });
+    assert_eq!(
+        shrunk.render(),
+        r#"{"name":"sink","seed":42,"fault":{"dup_p":0.01},"hotplug":[{"up":false}]}"#
+    );
+    assert!(calls <= 100, "{calls} predicate calls");
 }
 
 /// The smoke subset — what CI runs on every push — passes every gate
