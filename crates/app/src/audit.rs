@@ -24,8 +24,8 @@
 //! * **bookkeeping** — the perf-counter request count mirrors `served`.
 //!
 //! The audits are cheap (a handful of integer reads at end of run) and
-//! always on; `scenario --fuzz` and the figure binaries' `--check` flag
-//! fail loudly when any law breaks.
+//! always on; `scenario --fuzz` and the figure and table binaries (through
+//! `bench::audited`) fail loudly when any law breaks.
 
 use mem::LineAgg;
 use sim::fault::FaultStats;

@@ -61,8 +61,10 @@ impl BatchJob {
     #[must_use]
     pub fn kernel_make(wall_target: Cycles, cores: Vec<CoreId>, start: Cycles) -> Self {
         let n = cores.len() as u64;
-        let p = wall_target * 48 / 100 * n;
-        let s = wall_target * 4 / 100;
+        // A job too large for the clock is capped, not wrapped: it never
+        // finishes.
+        let p = (wall_target.saturating_mul(48) / 100).saturating_mul(n);
+        let s = wall_target.saturating_mul(4) / 100;
         Self::new(
             vec![
                 Phase {
@@ -265,5 +267,7 @@ mod tests {
             (wall as f64 - ms(100) as f64).abs() / (ms(100) as f64) < 0.1,
             "wall {wall}"
         );
+        let huge = BatchJob::kernel_make(u64::MAX, cores(n), 0);
+        assert!(huge.phases.iter().all(|p| p.work >= u64::MAX / 100));
     }
 }

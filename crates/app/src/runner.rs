@@ -32,7 +32,7 @@ use sim::core_set::CoreSet;
 use sim::fastmap::FastMap;
 use sim::fault::{FaultPlan, FaultStats};
 use sim::fingerprint::ActiveFingerprint;
-use sim::overload::{HotplugEvent, OverloadConfig, OverloadStats};
+use sim::overload::{HotplugEvent, OverloadConfig, OverloadStats, SHED_HIGH, SHED_LOW};
 use sim::rng::SimRng;
 use sim::time::{ms, us, Cycles, CYCLES_PER_SEC};
 use sim::topology::{CoreId, Machine};
@@ -166,12 +166,6 @@ pub struct RunConfig {
     /// no latency changes — so toggling it is fingerprint-neutral; under
     /// the `fast` feature the whole plane compiles out.
     pub dprof_v2: bool,
-    /// Field-layout variant the cache model places objects with. The
-    /// default ([`mem::LayoutVariant::Paper`]) reproduces the paper's
-    /// kernel layouts bit-identically; [`mem::LayoutVariant::Packed`]
-    /// repacks hot fields by measured access affinity, which changes
-    /// charged latencies and therefore fingerprints — strictly opt-in.
-    pub layout: mem::LayoutVariant,
     /// Use Stock + hardware per-flow steering (§7.1 "Twenty-Policy").
     pub twenty_policy: bool,
     /// §6.5: run the batch job on the upper half of the cores, with this
@@ -242,7 +236,6 @@ impl RunConfig {
             lockstat: false,
             dprof: false,
             dprof_v2: false,
-            layout: mem::LayoutVariant::Paper,
             twenty_policy: false,
             hog_work: None,
             steal_enabled: true,
@@ -539,7 +532,7 @@ impl Runner {
     #[must_use]
     #[expect(clippy::needless_range_loop)]
     pub fn new(cfg: RunConfig) -> Self {
-        let mut k = Kernel::new_with_layout(cfg.machine.clone(), cfg.layout);
+        let mut k = Kernel::new(cfg.machine.clone());
         if cfg.lockstat {
             k.enable_lockstat();
         }
@@ -1056,12 +1049,12 @@ impl Runner {
     fn cookie_mode(&mut self, core: CoreId) -> bool {
         let i = core.index();
         let q = self.listen.queued_on(core) as f64;
-        if !self.lanes[i].shed && q >= self.cfg.overload.shed_high * self.shed_cap {
+        if !self.lanes[i].shed && q >= SHED_HIGH * self.shed_cap {
             self.lanes[i].shed = true;
             self.ostats.shed_on += 1;
             self.fingerprint
                 .fold_event(self.now, FOLD_SHED, (1 << 32) | u64::from(core.0));
-        } else if self.lanes[i].shed && q <= self.cfg.overload.shed_low * self.shed_cap {
+        } else if self.lanes[i].shed && q <= SHED_LOW * self.shed_cap {
             self.lanes[i].shed = false;
             self.ostats.shed_off += 1;
             self.fingerprint

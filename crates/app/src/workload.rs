@@ -17,8 +17,6 @@ pub struct Workload {
     pub batches: Vec<u32>,
     /// Client think time between batches (base: 100 ms).
     pub think: Cycles,
-    /// Number of distinct files served.
-    pub n_files: usize,
     /// Proportional file-size scale (Figure 9).
     pub file_scale: f64,
     /// Client gives up on an unresponsive connection after this (§6.5).
@@ -40,7 +38,6 @@ impl Workload {
         Self {
             batches: vec![1, 2, 3],
             think: ms(100),
-            n_files: crate::files::DEFAULT_N_FILES,
             file_scale: 1.0,
             timeout: secs(10),
         }
@@ -87,7 +84,7 @@ impl Workload {
     /// Builds the file set this workload serves.
     #[must_use]
     pub fn file_set(&self) -> FileSet {
-        FileSet::new(self.n_files, self.file_scale)
+        FileSet::new(crate::files::DEFAULT_N_FILES, self.file_scale)
     }
 
     /// Response bytes for a given file size.

@@ -71,7 +71,7 @@ fn main() {
         }),
     ];
     for (name, cfg) in variants {
-        let r = Runner::new(cfg).run();
+        let r = bench::audited(&cfg, Runner::new(cfg.clone()).run());
         t.row_owned(vec![
             name.into(),
             format!("{:.0}", r.rps_per_core),
@@ -93,7 +93,7 @@ fn main() {
     for ratio in [1u32, 5, 20] {
         let mut cfg = base();
         cfg.steal_ratio_local = ratio;
-        let r = Runner::new(cfg).run();
+        let r = bench::audited(&cfg, Runner::new(cfg.clone()).run());
         t.row_owned(vec![
             format!("{ratio}:1"),
             format!("{:.0}", r.rps_per_core),
@@ -115,7 +115,7 @@ fn main() {
     for per_core in [16usize, 64, 128, 256] {
         let mut cfg = base();
         cfg.max_backlog = per_core * cfg.cores;
-        let r = Runner::new(cfg).run();
+        let r = bench::audited(&cfg, Runner::new(cfg.clone()).run());
         t.row_owned(vec![
             per_core.to_string(),
             format!("{:.0}", r.rps_per_core),

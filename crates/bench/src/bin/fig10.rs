@@ -40,10 +40,12 @@ fn main() {
     for n in REUSE {
         let mut row = vec![n.to_string()];
         for listen in IMPLS {
-            let r = app::find_saturation_budgeted(&config_for(listen, n, false), 3);
+            let cfg = config_for(listen, n, false);
+            let r = bench::audited(&cfg, app::find_saturation_budgeted(&cfg, 3));
             row.push(format!("{:.0}", r.rps_per_core));
         }
-        let r = app::find_saturation_budgeted(&config_for(ListenKind::Stock, n, true), 3);
+        let cfg = config_for(ListenKind::Stock, n, true);
+        let r = bench::audited(&cfg, app::find_saturation_budgeted(&cfg, 3));
         row.push(format!("{:.0}", r.rps_per_core));
         t.row_owned(row);
         eprintln!("# fig10: req/conn {n} done");

@@ -38,7 +38,8 @@ fn main() {
     for n in REUSE {
         let mut row = vec![n.to_string()];
         for listen in IMPLS {
-            let r = app::find_saturation_budgeted(&config_for(listen, n), 4);
+            let cfg = config_for(listen, n);
+            let r = bench::audited(&cfg, app::find_saturation_budgeted(&cfg, 4));
             row.push(format!("{:.0}", r.rps_per_core));
         }
         t.row_owned(row);

@@ -49,7 +49,8 @@ fn main() {
         let mut row = vec![format!("{think_ms}")];
         let mut live = 0;
         for listen in IMPLS {
-            let r = app::find_saturation_budgeted(&config_for(listen, think), 3);
+            let cfg = config_for(listen, think);
+            let r = bench::audited(&cfg, app::find_saturation_budgeted(&cfg, 3));
             row.push(format!("{:.0}", r.rps_per_core));
             if listen == ListenKind::Affinity {
                 live = r.kernel.live_conns();

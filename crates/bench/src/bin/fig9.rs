@@ -42,7 +42,8 @@ fn main() {
         let mut row = vec![format!("{avg:.0}")];
         let mut wire = 0.0;
         for listen in IMPLS {
-            let r = app::find_saturation_budgeted(&config_for(listen, avg), 4);
+            let cfg = config_for(listen, avg);
+            let r = bench::audited(&cfg, app::find_saturation_budgeted(&cfg, 4));
             row.push(format!("{:.0}", r.rps_per_core));
             if listen == ListenKind::Affinity {
                 wire = r.wire_util;

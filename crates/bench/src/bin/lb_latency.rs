@@ -61,7 +61,7 @@ fn main() {
         "migrations",
     ]);
     for (name, cfg) in cases {
-        let r = Runner::new(cfg).run();
+        let r = bench::audited(&cfg, Runner::new(cfg.clone()).run());
         t.row_owned(vec![
             name.into(),
             format!("{:.0}", to_ms(r.latency.median())),

@@ -31,7 +31,7 @@ fn main() {
     ]);
     let mut base = None;
     for (name, cfg) in cases {
-        let r = Runner::new(cfg).run();
+        let r = bench::audited(&cfg, Runner::new(cfg.clone()).run());
         let rt = r.batch_runtime.expect("job ran");
         if base.is_none() {
             base = Some(rt as f64);

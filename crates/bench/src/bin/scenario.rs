@@ -20,7 +20,7 @@
 //! on any failure.
 //!
 //! Usage: `scenario [--file F]... [--dir D] [--smoke] [--record]
-//! [--fuzz N] [--workers N] [--out PATH] [--check]`
+//! [--fuzz N] [--workers N] [--out PATH]`
 
 use bench::scenario::{catalog_path, load_dir, load_file, record_golden, Scenario, ScenarioReport};
 use metrics::json::Json;
@@ -28,7 +28,7 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "scenario [--file F]... [--dir D] [--smoke] [--record] [--fuzz N] \
-                     [--workers N] [--out PATH] [--check]";
+                     [--workers N] [--out PATH]";
 
 fn main() {
     let mut args = bench::Args::parse(USAGE);

@@ -12,7 +12,6 @@
 
 use crate::scenario::{MachineId, Scenario, ServerId};
 use app::{ListenKind, RunAudit, RunConfig, Runner, Workload};
-use mem::LayoutVariant;
 use metrics::json::Json;
 use sim::fault::{FaultPlan, RetransPolicy, StallWindow};
 use sim::overload::{HotplugEvent, OverloadConfig, ReapPolicy, WatchdogPolicy};
@@ -64,12 +63,8 @@ pub fn case(i: u64) -> Scenario {
     s.fault = random_plan(&mut rng, s.cores);
     s.overload = random_overload(&mut rng);
     s.hotplug = random_hotplug(&mut rng, s.cores);
-    // The dprof-v2 ledger and the repacked layout, so the ledger's audit
-    // laws get fuzzed too.
+    // The dprof-v2 ledger, so its audit laws get fuzzed too.
     s.dprof_v2 = rng.chance(0.3);
-    if rng.chance(0.3) {
-        s.layout = LayoutVariant::Packed;
-    }
     s
 }
 

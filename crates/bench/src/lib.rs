@@ -23,7 +23,7 @@ pub mod scenario;
 pub mod sweep;
 
 pub use sweep::{
-    check_mode, default_workers, par_map, sweep_saturation, write_artifact, write_file, Args,
+    audited, default_workers, par_map, sweep_saturation, write_artifact, write_file, Args,
 };
 
 /// The three listen-socket implementations every figure compares.
@@ -117,7 +117,7 @@ mod tests {
                 cfg
             })
             .collect();
-        let rs = par_map(cfgs, default_workers(), sweep::checked_run);
+        let rs = par_map(cfgs, default_workers(), |cfg| app::Runner::new(cfg).run());
         assert_eq!(rs.len(), 2);
         // Both served roughly the same offered load; per-core differs ~2x.
         assert!(rs[0].served > 0 && rs[1].served > 0);

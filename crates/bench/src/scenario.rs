@@ -18,12 +18,12 @@
 //! exactly the run the golden determinism tests pin: the catalog adds no
 //! second source of truth, it points at the existing one.
 
+use app::files::DEFAULT_N_FILES;
 use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
-use mem::LayoutVariant;
 use metrics::json::Json;
 use sim::fault::{FaultPlan, RetransPolicy, StallWindow};
 use sim::overload::{HotplugEvent, OverloadConfig, ReapPolicy, WatchdogPolicy};
-use sim::time::{ms, us, Cycles, CYCLES_PER_MS, CYCLES_PER_US};
+use sim::time::{ms, Cycles, CPU_HZ, CYCLES_PER_MS, CYCLES_PER_US};
 use sim::topology::Machine;
 use std::path::{Path, PathBuf};
 
@@ -136,12 +136,6 @@ pub struct Gates {
     pub ordering: Vec<ListenKind>,
     /// Slack factor for ordering comparisons: `hi ≥ lo * slack`.
     pub ordering_slack: f64,
-    /// Require each kind's wasted-bytes-per-request under the scenario's
-    /// `packed` layout to stay at or below the same configuration re-run
-    /// with the paper layout (the dprof-v2 packing payoff gate). Needs
-    /// `dprof_v2` and `layout: "packed"`; skipped under the `fast`
-    /// feature (the ledger is compiled out).
-    pub packed_wasted_lte_paper: bool,
     /// Bounds on per-kind metrics (`gates.bounds`), in file order.
     pub bounds: Vec<Bound>,
 }
@@ -152,7 +146,6 @@ impl Default for Gates {
             audit_clean: true,
             ordering: Vec::new(),
             ordering_slack: 0.97,
-            packed_wasted_lte_paper: false,
             bounds: Vec::new(),
         }
     }
@@ -337,10 +330,6 @@ pub struct Scenario {
     /// Record the dprof-v2 per-cacheline ledger (fingerprint-neutral;
     /// compiled out under the `fast` feature).
     pub dprof_v2: bool,
-    /// Kernel-object field layout. `Packed` re-tiles hot fields by access
-    /// affinity and therefore changes charged latencies and fingerprints —
-    /// strictly opt-in; the default is the paper-faithful layout.
-    pub layout: LayoutVariant,
     /// One run per value of a swept key ([`Scenario::points`]); `None`
     /// runs the scenario once.
     pub sweep: Option<Sweep>,
@@ -381,7 +370,6 @@ impl Scenario {
             hotplug: Vec::new(),
             timeline_bucket: 0,
             dprof_v2: false,
-            layout: LayoutVariant::Paper,
             sweep: None,
             gates: Gates::default(),
             golden: Vec::new(),
@@ -463,7 +451,6 @@ impl Scenario {
         cfg.hotplug = self.hotplug.clone();
         cfg.timeline_bucket = self.timeline_bucket;
         cfg.dprof_v2 = self.dprof_v2;
-        cfg.layout = self.layout;
         cfg
     }
 
@@ -617,12 +604,43 @@ fn want_prob(v: &Json, path: &str) -> Result<f64, String> {
     Ok(p)
 }
 
+/// A duration in `unit`s (`CYCLES_PER_MS` or `CYCLES_PER_US`) as cycles;
+/// one the simulated clock cannot hold is an error, not a wrapped value.
+fn want_time(v: &Json, path: &str, unit: Cycles) -> Result<Cycles, String> {
+    let n = want_u64(v, path)?;
+    n.checked_mul(unit)
+        .ok_or_else(|| format!("{path}: {n} overflows the simulated clock"))
+}
+
 fn want_ms(v: &Json, path: &str) -> Result<Cycles, String> {
-    Ok(ms(want_u64(v, path)?))
+    want_time(v, path, CYCLES_PER_MS)
 }
 
 fn want_us(v: &Json, path: &str) -> Result<Cycles, String> {
-    Ok(us(want_u64(v, path)?))
+    want_time(v, path, CYCLES_PER_US)
+}
+
+/// Rejects an object key given twice anywhere in the document, which
+/// would otherwise keep its last value without a word.
+fn no_repeated_keys(v: &Json, path: &str) -> Result<(), String> {
+    match v {
+        Json::Obj(fields) => {
+            for (i, (k, child)) in fields.iter().enumerate() {
+                let p = sub(path, k);
+                if fields[..i].iter().any(|(seen, _)| seen == k) {
+                    return Err(format!("{p}: repeated key"));
+                }
+                no_repeated_keys(child, &p)?;
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                no_repeated_keys(item, &format!("{path}[{i}]"))?;
+            }
+        }
+        _ => {}
+    }
+    Ok(())
 }
 
 fn parse_kind(s: &str, path: &str) -> Result<ListenKind, String> {
@@ -678,7 +696,6 @@ fn parse_workload(v: &Json, path: &str) -> Result<Workload, String> {
                     .collect::<Result<_, _>>()?;
             }
             "think_ms" => w.think = want_ms(v, &p)?,
-            "n_files" => w.n_files = want_usize(v, &p)?,
             "file_scale" => w.file_scale = want_f64(v, &p)?,
             "timeout_ms" => w.timeout = want_ms(v, &p)?,
             _ => return Err(format!("{p}: unknown key")),
@@ -746,8 +763,6 @@ fn parse_overload(v: &Json, path: &str) -> Result<OverloadConfig, String> {
         let p = sub(path, k);
         match k.as_str() {
             "syn_cookies" => o.syn_cookies = want_bool(v, &p)?,
-            "shed_high" => o.shed_high = want_prob(v, &p)?,
-            "shed_low" => o.shed_low = want_prob(v, &p)?,
             "half_open_cap" => o.half_open_cap = Some(want_usize(v, &p)?),
             "reap" => {
                 let mut r = ReapPolicy::default_policy();
@@ -868,7 +883,6 @@ fn parse_gates(v: &Json, path: &str) -> Result<Gates, String> {
                 }
                 g.ordering_slack = s;
             }
-            "packed_wasted_lte_paper" => g.packed_wasted_lte_paper = want_bool(v, &p)?,
             "bounds" => g.bounds = parse_bounds(v, &p)?,
             _ => return Err(format!("{p}: unknown key")),
         }
@@ -923,6 +937,7 @@ impl Scenario {
     /// As [`Scenario::parse_str`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
         let fields = want_obj(doc, "scenario")?;
+        no_repeated_keys(doc, "")?;
         let mut s = Scenario::base("");
         for (k, v) in fields {
             let p = sub("", k);
@@ -980,12 +995,6 @@ impl Scenario {
                 "hotplug" => s.hotplug = parse_hotplug(v, &p)?,
                 "timeline_bucket_ms" => s.timeline_bucket = want_ms(v, &p)?,
                 "dprof_v2" => s.dprof_v2 = want_bool(v, &p)?,
-                "layout" => {
-                    let label = want_str(v, &p)?;
-                    s.layout = LayoutVariant::from_label(label).ok_or_else(|| {
-                        format!("{p}: unknown layout {label:?} (paper or packed)")
-                    })?;
-                }
                 "sweep" => s.sweep = Some(parse_sweep(v, &p)?),
                 "gates" => s.gates = parse_gates(v, &p)?,
                 "golden" => s.golden = parse_golden(v, &p)?,
@@ -1055,11 +1064,31 @@ impl Scenario {
                 self.rate_mult
             ));
         }
+        // The runner floors every arrival gap at one cycle, so a faster
+        // offered rate never lets the clock reach the end of the window.
+        for &kind in &self.kinds {
+            let rate = self.config(kind).conn_rate;
+            if !rate.is_finite() || rate > CPU_HZ as f64 {
+                let key = self.rate_per_core.map_or("rate_mult", |_| "rate_per_core");
+                return Err(format!(
+                    "{key}: {} offers {rate:.3e} conns/s, above one per cycle",
+                    kind.label()
+                ));
+            }
+        }
         if self.measure == 0 {
             return Err("measure_ms: must be positive".to_string());
         }
-        if self.tracked_files == 0 {
-            return Err("tracked_files: must be positive".to_string());
+        if self.warmup.checked_add(self.measure).is_none() {
+            return Err("measure_ms: warmup_ms + measure_ms overflows the clock".to_string());
+        }
+        // Requests touch one tracked object per served file, so more than
+        // that would only be allocated, never used.
+        if self.tracked_files == 0 || self.tracked_files > DEFAULT_N_FILES {
+            return Err(format!(
+                "tracked_files: {} out of range 1..={DEFAULT_N_FILES}",
+                self.tracked_files
+            ));
         }
         if self.workload.batches.is_empty() {
             return Err("workload.batches: must hold at least one batch".to_string());
@@ -1068,9 +1097,6 @@ impl Scenario {
             if b == 0 {
                 return Err(format!("workload.batches[{i}]: batches must be >= 1"));
             }
-        }
-        if self.workload.n_files == 0 {
-            return Err("workload.n_files: must be positive".to_string());
         }
         if self.workload.file_scale <= 0.0 || !self.workload.file_scale.is_finite() {
             return Err(format!(
@@ -1100,22 +1126,6 @@ impl Scenario {
         if self.overload.watchdog.is_some_and(|w| w.interval == 0) {
             // The scan re-arms at `now` and the run never finishes.
             return Err("overload.watchdog.interval_ms: must be at least 1".to_string());
-        }
-        if self.overload.shed_low >= self.overload.shed_high {
-            return Err(format!(
-                "overload: shed_low {} must be below shed_high {}",
-                self.overload.shed_low, self.overload.shed_high
-            ));
-        }
-        if self.gates.packed_wasted_lte_paper
-            && (!self.dprof_v2 || self.layout != LayoutVariant::Packed)
-        {
-            return Err(
-                "gates.packed_wasted_lte_paper: requires dprof_v2 true and layout \
-                 \"packed\" (the gate compares the packed ledger against a paper-layout \
-                 twin run)"
-                    .to_string(),
-            );
         }
         if !self.gates.ordering.is_empty() {
             if self.gates.ordering.len() < 2 {
@@ -1262,7 +1272,6 @@ impl Scenario {
                         ),
                     )
                     .field("think_ms", self.workload.think / CYCLES_PER_MS)
-                    .field("n_files", self.workload.n_files)
                     .field("file_scale", self.workload.file_scale)
                     .field("timeout_ms", self.workload.timeout / CYCLES_PER_MS),
             )
@@ -1290,8 +1299,7 @@ impl Scenario {
         }
         doc = doc
             .field("timeline_bucket_ms", self.timeline_bucket / CYCLES_PER_MS)
-            .field("dprof_v2", self.dprof_v2)
-            .field("layout", self.layout.label());
+            .field("dprof_v2", self.dprof_v2);
         if let Some(sw) = &self.sweep {
             doc = doc.field(
                 "sweep",
@@ -1344,10 +1352,7 @@ fn fault_json(f: &FaultPlan) -> Json {
 }
 
 fn overload_json(o: &OverloadConfig) -> Json {
-    let mut j = Json::obj()
-        .field("syn_cookies", o.syn_cookies)
-        .field("shed_high", o.shed_high)
-        .field("shed_low", o.shed_low);
+    let mut j = Json::obj().field("syn_cookies", o.syn_cookies);
     if let Some(cap) = o.half_open_cap {
         j = j.field("half_open_cap", cap);
     }
@@ -1378,9 +1383,7 @@ fn gates_json(g: &Gates) -> Json {
             Json::Arr(g.ordering.iter().map(|k| Json::from(k.label())).collect()),
         );
     }
-    j = j
-        .field("ordering_slack", g.ordering_slack)
-        .field("packed_wasted_lte_paper", g.packed_wasted_lte_paper);
+    j = j.field("ordering_slack", g.ordering_slack);
     if !g.bounds.is_empty() {
         let bound = |b: &Bound| {
             let mut o = Json::obj();
@@ -1471,9 +1474,6 @@ pub struct KindReport {
     /// dprof-v2 wasted bytes per served request across the kind's runs
     /// (0.0 when the ledger was off or compiled out).
     pub wasted_bytes_per_request: f64,
-    /// The same number from the paper-layout twin runs the
-    /// `packed_wasted_lte_paper` gate performs (0.0 when no twin ran).
-    pub paper_wasted_bytes_per_request: f64,
     /// Conservation-audit violations across all runs (empty = clean).
     pub audit: Vec<String>,
     /// Per-run summaries in sweep order.
@@ -1496,7 +1496,6 @@ impl KindReport {
             goodput_retained: None,
             time_to_recover_ms: None,
             wasted_bytes_per_request: 0.0,
-            paper_wasted_bytes_per_request: 0.0,
             audit: Vec::new(),
             runs: Vec::new(),
         }
@@ -1530,10 +1529,6 @@ impl KindReport {
             row = row.field(m.name(), m.of(self).map_or(Json::Null, Json::from));
         }
         row.field("wasted_bytes_per_request", self.wasted_bytes_per_request)
-            .field(
-                "paper_wasted_bytes_per_request",
-                self.paper_wasted_bytes_per_request,
-            )
             .field(
                 "audit_violations",
                 Json::Arr(self.audit.iter().map(|v| Json::from(v.as_str())).collect()),
@@ -1628,7 +1623,7 @@ impl Scenario {
     /// gates compare against, and evaluates its gates and goldens.
     #[must_use]
     pub fn run(&self, workers: usize) -> ScenarioReport {
-        let points = match self.points() {
+        let mut points = match self.points() {
             Ok(points) => points,
             Err(e) => {
                 return ScenarioReport {
@@ -1639,65 +1634,30 @@ impl Scenario {
             }
         };
         let mut kinds = self.run_points(&points, workers);
-        // Under `fast` the ledger is compiled out, so both sides would
-        // read zero.
-        if self.gates.packed_wasted_lte_paper && !cfg!(feature = "fast") {
-            self.twin(
-                workers,
-                &points,
-                &mut kinds,
-                |t| t.layout = LayoutVariant::Paper,
-                |kr, tw| kr.paper_wasted_bytes_per_request = tw.wasted_bytes_per_request,
-            );
-        }
         if self
             .gates
             .bounds
             .iter()
             .any(|b| b.metric == Metric::GoodputRetained)
         {
-            #[allow(clippy::cast_precision_loss)]
-            self.twin(
-                workers,
-                &points,
-                &mut kinds,
-                |t| t.hotplug.clear(),
-                |kr, tw| kr.goodput_retained = Some(kr.served as f64 / tw.served.max(1) as f64),
-            );
+            // The fault-free twin: each point with its hotplug schedule
+            // emptied. Its audit violations join the kind's own.
+            for p in &mut points {
+                p.hotplug.clear();
+            }
+            for (kr, tw) in kinds.iter_mut().zip(self.run_points(&points, workers)) {
+                #[allow(clippy::cast_precision_loss)]
+                let retained = kr.served as f64 / tw.served.max(1) as f64;
+                kr.goodput_retained = Some(retained);
+                kr.audit
+                    .extend(tw.audit.iter().map(|v| format!("twin {v}")));
+            }
         }
         let problems = self.evaluate(&kinds);
         ScenarioReport {
             name: self.name.clone(),
             problems,
             kinds,
-        }
-    }
-
-    /// Runs each point changed by `edit` as the comparison point of a
-    /// gate that measures against a twin (`packed_wasted_lte_paper`
-    /// against the paper layout, `goodput_retained` against a fault-free
-    /// run): `read` copies each twin kind's number into the kind's
-    /// report, and the twin's audit violations join the kind's own.
-    fn twin(
-        &self,
-        workers: usize,
-        points: &[Scenario],
-        kinds: &mut [KindReport],
-        edit: impl Fn(&mut Scenario),
-        read: impl Fn(&mut KindReport, &KindReport),
-    ) {
-        let twin: Vec<Scenario> = points
-            .iter()
-            .cloned()
-            .map(|mut p| {
-                edit(&mut p);
-                p
-            })
-            .collect();
-        for (kr, tw) in kinds.iter_mut().zip(self.run_points(&twin, workers)) {
-            read(kr, &tw);
-            kr.audit
-                .extend(tw.audit.iter().map(|v| format!("twin {v}")));
         }
     }
 
@@ -1711,7 +1671,7 @@ impl Scenario {
         let shapes: Vec<(usize, f64)> = jobs.iter().map(|(_, c)| (c.cores, c.conn_rate)).collect();
         let results = crate::par_map(jobs, workers, |(search, cfg)| match search {
             Search::Saturation => app::find_saturation(&cfg),
-            Search::Fixed => crate::sweep::checked_run(cfg),
+            Search::Fixed => app::Runner::new(cfg).run(),
         });
         let swept = |i: usize| {
             self.sweep
@@ -1775,20 +1735,6 @@ impl Scenario {
                 if let Some(max) = b.max.filter(|&max| v > max) {
                     problems.push(format!("{lbl}: {name} {v} above gate max {max}"));
                 }
-            }
-            // The packing-payoff gate: skipped under `fast` (the ledger
-            // reads zero on both sides) and when no twin ran (e.g.
-            // synthetic reports in unit tests carry no twin measurement).
-            if g.packed_wasted_lte_paper
-                && !cfg!(feature = "fast")
-                && kr.paper_wasted_bytes_per_request > 0.0
-                && kr.wasted_bytes_per_request > kr.paper_wasted_bytes_per_request
-            {
-                problems.push(format!(
-                    "{lbl}: packed layout gate: wasted {:.1} bytes/request under packed, \
-                     above the paper layout's {:.1}",
-                    kr.wasted_bytes_per_request, kr.paper_wasted_bytes_per_request
-                ));
             }
         }
         let served_of = |k: ListenKind| kinds.iter().find(|kr| kr.kind == k).map(|kr| kr.served);
@@ -1935,6 +1881,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sim::rng::SimRng;
+    use sim::time::us;
 
     #[test]
     fn base_scenario_round_trips_and_validates() {
@@ -1982,7 +1929,6 @@ mod tests {
         s.workload = Workload {
             batches: vec![2, 4],
             think: ms(50),
-            n_files: 500,
             file_scale: 2.5,
             timeout: ms(4000),
         };
@@ -2009,8 +1955,6 @@ mod tests {
         };
         s.overload = OverloadConfig {
             syn_cookies: true,
-            shed_high: 0.8,
-            shed_low: 0.2,
             half_open_cap: Some(4096),
             reap: Some(ReapPolicy {
                 ttl: ms(30),
@@ -2035,7 +1979,6 @@ mod tests {
         ];
         s.timeline_bucket = ms(10);
         s.dprof_v2 = true;
-        s.layout = LayoutVariant::Packed;
         s.sweep = Some(Sweep {
             key: "cores".to_string(),
             values: vec![Json::U64(16), Json::U64(80)],
@@ -2044,7 +1987,6 @@ mod tests {
             audit_clean: true,
             ordering: vec![ListenKind::Affinity, ListenKind::Twenty],
             ordering_slack: 0.95,
-            packed_wasted_lte_paper: false,
             bounds: vec![
                 Bound {
                     metric: Metric::Served,
@@ -2149,9 +2091,6 @@ mod tests {
             s.gates.ordering = s.kinds[..2].to_vec();
         }
         s.gates.ordering_slack = (1 + rng.index(100)) as f64 / 100.0;
-        if s.dprof_v2 && s.layout == LayoutVariant::Packed && rng.chance(0.5) {
-            s.gates.packed_wasted_lte_paper = true;
-        }
         // Any subset of the metrics the scenario can bound, each with a
         // min, a max, or both (min <= max).
         for m in Metric::ALL {
@@ -2254,8 +2193,12 @@ mod tests {
                 "bad hex fingerprint",
             ),
             (
-                r#"{"name":"x","overload":{"shed_high":0.05}}"#,
-                "shed_low 0.1 must be below shed_high 0.05",
+                r#"{"name":"x","overload":{"shed_high":0.5}}"#,
+                "overload.shed_high: unknown key",
+            ),
+            (
+                r#"{"name":"x","workload":{"n_files":500}}"#,
+                "workload.n_files: unknown key",
             ),
             (
                 r#"{"name":"x","fault":{"stalls":[{"core":0,"bogus":1}]}}"#,
@@ -2337,7 +2280,7 @@ mod tests {
             ),
             (
                 r#"{"name":"x","gates":{"bounds":{"served":{"min":1},"served":{"max":9}}}}"#,
-                "gates.bounds.served: duplicate metric",
+                "gates.bounds.served: repeated key",
             ),
             (
                 r#"{"name":"x","gates":{"bounds":{"served":{"min":5,"max":1}}}}"#,
@@ -2351,13 +2294,31 @@ mod tests {
                 r#"{"name":"x","timeline_bucket_ms":10,"hotplug":[{"core":1,"at_ms":50,"up":true}],"gates":{"bounds":{"time_to_recover_ms":{"max":100}}}}"#,
                 "gates.bounds.time_to_recover_ms: requires a fault event",
             ),
+            (r#"{"name":"x","layout":"packed"}"#, "layout: unknown key"),
+            (r#"{"name":"x","seed":1,"seed":2}"#, "seed: repeated key"),
             (
-                r#"{"name":"x","layout":"zigzag"}"#,
-                "layout: unknown layout \"zigzag\"",
+                r#"{"name":"x","warmup_ms":10000000000000}"#,
+                "warmup_ms: 10000000000000 overflows",
             ),
             (
-                r#"{"name":"x","gates":{"packed_wasted_lte_paper":true}}"#,
-                "gates.packed_wasted_lte_paper: requires dprof_v2 true and layout",
+                r#"{"name":"x","fault":{"reorder_delay_us":100000000000000000}}"#,
+                "fault.reorder_delay_us: 100000000000000000 overflows the simulated clock",
+            ),
+            (
+                r#"{"name":"x","warmup_ms":7000000000000,"measure_ms":7000000000000}"#,
+                "measure_ms: warmup_ms + measure_ms overflows the clock",
+            ),
+            (
+                r#"{"name":"x","tracked_files":30001}"#,
+                "tracked_files: 30001 out of range 1..=30000",
+            ),
+            (
+                r#"{"name":"x","rate_per_core":1e308}"#,
+                "rate_per_core: stock offers inf conns/s",
+            ),
+            (
+                r#"{"name":"x","rate_mult":1e300}"#,
+                "rate_mult: stock offers 1.667e304 conns/s",
             ),
             (
                 "{\"name\":\"x\"",
@@ -2552,44 +2513,5 @@ mod tests {
         assert_eq!(worst(&s, &runs), Some(50.0));
         let never = vec![100, 100, 100, 100, 100, 100, 100, 100, 100, 100];
         assert_eq!(worst(&s, &[&quick, &never]), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn packed_waste_gate_compares_against_the_paper_twin() {
-        let mut s = Scenario::base("packed_gate");
-        s.kinds = vec![ListenKind::Stock, ListenKind::Fine];
-        s.dprof_v2 = true;
-        s.layout = LayoutVariant::Packed;
-        s.gates.packed_wasted_lte_paper = true;
-        s.validate().expect("gate preconditions hold");
-        let back = Scenario::parse_str(&s.to_json().render()).expect("round trips");
-        assert_eq!(back, s);
-        let report = |kind: ListenKind, wasted: f64, paper: f64| KindReport {
-            served: 10,
-            completed: 10,
-            fingerprint: 0x1,
-            wasted_bytes_per_request: wasted,
-            paper_wasted_bytes_per_request: paper,
-            ..KindReport::empty(kind)
-        };
-        let fine_ok = report(ListenKind::Fine, 80.0, 90.0);
-        // Packed wasting more than paper trips the gate for that kind
-        // (instrumented builds only; `fast` compiles the ledger out and
-        // skips it).
-        let worse = s.evaluate(&[report(ListenKind::Stock, 120.0, 90.0), fine_ok.clone()]);
-        if cfg!(feature = "fast") {
-            assert!(worse.is_empty(), "{worse:?}");
-        } else {
-            assert_eq!(worse.len(), 1, "{worse:?}");
-            assert!(
-                worse[0].starts_with("stock: packed layout gate"),
-                "{worse:?}"
-            );
-        }
-        // At-or-below passes, and a missing twin (0.0) never fires.
-        let stock_ok = report(ListenKind::Stock, 90.0, 90.0);
-        assert!(s.evaluate(&[stock_ok, fine_ok.clone()]).is_empty());
-        let no_twin = report(ListenKind::Stock, 120.0, 0.0);
-        assert!(s.evaluate(&[no_twin, fine_ok]).is_empty());
     }
 }

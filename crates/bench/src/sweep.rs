@@ -15,9 +15,12 @@ use metrics::json::Json;
 
 /// Runs `configs` through the saturation search in parallel (one OS
 /// thread per hardware thread), preserving input order in the output.
+/// Each best run is [`audited`].
 #[must_use]
 pub fn sweep_saturation(configs: Vec<RunConfig>) -> Vec<RunResult> {
-    par_map(configs, default_workers(), |cfg| app::find_saturation(&cfg))
+    par_map(configs, default_workers(), |cfg| {
+        audited(&cfg, app::find_saturation(&cfg))
+    })
 }
 
 /// Default sweep parallelism: one worker per hardware thread.
@@ -28,36 +31,26 @@ pub fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// Whether `--check` was passed to the current binary: every figure
-/// binary then verifies the conservation audit of each run it performs,
-/// aborting with the violation list on the first bad run.
+/// Passes through a run of `cfg` (a fixed-rate run, or a saturation
+/// search's best probe) whose numbers a figure or table binary prints,
+/// failing the binary if the run broke its conservation audit.
+///
+/// # Panics
+///
+/// On any audit violation, naming the configuration and every violation.
 #[must_use]
-pub fn check_mode() -> bool {
-    std::env::args().any(|a| a == "--check")
-}
-
-/// Runs one config, enforcing its conservation audit in `--check` mode.
-pub(crate) fn checked_run(cfg: RunConfig) -> RunResult {
-    let check = check_mode();
-    let label = check.then(|| {
-        format!(
-            "{} {} cores={} rate={} seed={}",
-            cfg.listen.label(),
-            cfg.server.label(),
-            cfg.cores,
-            cfg.conn_rate,
-            cfg.seed
-        )
-    });
-    let r = app::Runner::new(cfg).run();
-    if let Some(label) = label {
-        let violations = r.audit.violations();
-        assert!(
-            violations.is_empty(),
-            "--check: conservation audit failed for [{label}]:\n  {}",
-            violations.join("\n  ")
-        );
-    }
+pub fn audited(cfg: &RunConfig, r: RunResult) -> RunResult {
+    let violations = r.audit.violations();
+    assert!(
+        violations.is_empty(),
+        "conservation audit failed for [{} {} cores={} rate={} seed={}]:\n  {}",
+        cfg.listen.label(),
+        cfg.server.label(),
+        cfg.cores,
+        cfg.conn_rate,
+        cfg.seed,
+        violations.join("\n  ")
+    );
     r
 }
 
@@ -210,14 +203,12 @@ impl Args {
     }
 
     /// The first bad input, if any: a recorded error, else the first
-    /// argument no `flag`/`value` call consumed. The shared `--check`
-    /// flag (honored inside the sweep engine) is always accepted.
+    /// argument no `flag`/`value` call consumed.
     ///
     /// # Errors
     ///
     /// `… (usage: …)` naming the bad input.
-    pub fn finish(mut self) -> Result<(), String> {
-        let _ = self.flag("--check");
+    pub fn finish(self) -> Result<(), String> {
         let stray = self
             .tokens
             .iter()

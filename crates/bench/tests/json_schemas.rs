@@ -87,7 +87,8 @@ fn fuzz_artifact_schema_round_trips() {
 fn scenario_artifact_schema_round_trips() {
     let out = tmp("scenarios.json");
     // A scenario without faults, one that kills a core and whose bounds
-    // measure goodput against a twin and time to recover, and a sweep.
+    // measure goodput against a twin and time to recover, a sweep, and
+    // one that records the dprof-v2 ledger.
     let doc = run_binary(
         env!("CARGO_BIN_EXE_scenario"),
         &[
@@ -97,6 +98,8 @@ fn scenario_artifact_schema_round_trips() {
             "scenarios/recovery_kill_core_24c.json",
             "--file",
             "scenarios/diurnal.json",
+            "--file",
+            "scenarios/cacheline_waste.json",
         ],
         &out,
     );
@@ -104,7 +107,7 @@ fn scenario_artifact_schema_round_trips() {
     assert_bool(&doc, "smoke");
     assert_bool(&doc, "ok");
     let scenarios = arr(&doc, "scenarios");
-    assert_eq!(scenarios.len(), 3, "each --file produces one report");
+    assert_eq!(scenarios.len(), 4, "each --file produces one report");
     for (i, report) in scenarios.iter().enumerate() {
         assert!(matches!(obj(report, "scenario"), Json::Str(_)));
         assert_bool(report, "ok");
@@ -143,10 +146,11 @@ fn scenario_artifact_schema_round_trips() {
                     assert!(matches!(obj(row, key), Json::Null), "{key:?} not null");
                 }
             }
-            // The dprof-v2 waste columns the packed-layout gate reads
-            // (zero when the scenario keeps the ledger off).
+            // The dprof-v2 waste column: zero unless the scenario runs the
+            // ledger and the `fast` feature does not compile it out.
             assert_num(row, "wasted_bytes_per_request");
-            assert_num(row, "paper_wasted_bytes_per_request");
+            let wasted = !matches!(obj(row, "wasted_bytes_per_request"), Json::U64(0));
+            assert_eq!(wasted, i == 3 && !cfg!(feature = "fast"), "{i}");
             assert!(matches!(obj(row, "audit_violations"), Json::Arr(_)));
             let runs = arr(row, "runs");
             assert!(!runs.is_empty(), "kind reports at least one run");

@@ -21,7 +21,6 @@
 
 use crate::dprof::{DProf, LineAgg, TouchSide};
 use crate::layout;
-use crate::layout::LayoutVariant;
 use crate::types::{DataType, CACHE_LINE};
 use serde::{Deserialize, Serialize};
 use sim::topology::{CoreId, Machine};
@@ -241,23 +240,15 @@ pub struct CacheModel {
     objs: Vec<Option<Obj>>,
     live: usize,
     next_id: u64,
-    /// Which field layout the model places objects with.
-    variant: LayoutVariant,
     /// The DProf profiler; enable before a run to collect Table 4 /
     /// Figure 4 data.
     pub dprof: DProf,
 }
 
 impl CacheModel {
-    /// Creates a model for the given machine with the paper-faithful layout.
+    /// Creates a model for the given machine.
     #[must_use]
     pub fn new(machine: Machine) -> Self {
-        Self::new_with_layout(machine, LayoutVariant::Paper)
-    }
-
-    /// Creates a model for the given machine using `variant` field layouts.
-    #[must_use]
-    pub fn new_with_layout(machine: Machine, variant: LayoutVariant) -> Self {
         assert!(machine.n_cores <= 128, "core masks are 128 bits");
         let chip_of: Vec<u16> = (0..machine.n_cores)
             .map(|i| machine.chip_of(CoreId(i as u16)).0)
@@ -274,7 +265,6 @@ impl CacheModel {
             objs: vec![None],
             live: 0,
             next_id: 1,
-            variant,
             dprof: DProf::disabled(),
         }
     }
@@ -283,12 +273,6 @@ impl CacheModel {
     #[must_use]
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The layout variant objects are placed with.
-    #[must_use]
-    pub fn layout_variant(&self) -> LayoutVariant {
-        self.variant
     }
 
     /// Number of live tracked objects.
@@ -309,7 +293,7 @@ impl CacheModel {
                 writers: vec![0; nf].into_boxed_slice(),
             }
         });
-        let n_lines = layout::hot_lines_v(self.variant, ty);
+        let n_lines = layout::hot_lines(ty);
         let ledger = self
             .dprof
             .is_v2_enabled()
@@ -352,12 +336,11 @@ impl CacheModel {
     pub fn recycle(&mut self, id: ObjId) {
         let enabled = self.dprof.is_enabled();
         let v2 = self.dprof.is_v2_enabled();
-        let variant = self.variant;
         if let Some(obj) = self.objs.get_mut(id.0 as usize).and_then(Option::as_mut) {
             // Fold, then reset masks for the next incarnation.
             let ty = obj.ty;
             if let Some(prof) = obj.prof.as_mut() {
-                Self::fold_profile(&mut self.dprof, variant, ty, prof);
+                self.dprof.fold_instance(ty, &prof.readers, &prof.writers);
                 prof.readers.iter_mut().for_each(|m| *m = 0);
                 prof.writers.iter_mut().for_each(|m| *m = 0);
             } else if enabled {
@@ -380,11 +363,10 @@ impl CacheModel {
     /// Folds all live objects' profiles into DProf (end of a measured run).
     pub fn fold_all_live(&mut self) {
         let dprof = &mut self.dprof;
-        let variant = self.variant;
         for obj in self.objs.iter_mut().filter_map(Option::as_mut) {
             let ty = obj.ty;
             if let Some(prof) = obj.prof.as_mut() {
-                Self::fold_profile(dprof, variant, ty, prof);
+                dprof.fold_instance(ty, &prof.readers, &prof.writers);
                 prof.readers.iter_mut().for_each(|m| *m = 0);
                 prof.writers.iter_mut().for_each(|m| *m = 0);
             }
@@ -396,15 +378,12 @@ impl CacheModel {
 
     fn fold(&mut self, obj: &mut Obj) {
         if let Some(prof) = obj.prof.as_mut() {
-            Self::fold_profile(&mut self.dprof, self.variant, obj.ty, prof);
+            self.dprof
+                .fold_instance(obj.ty, &prof.readers, &prof.writers);
         }
         if let Some(ledger) = obj.ledger.as_mut() {
             Self::fold_ledger(&mut self.dprof, obj.ty, ledger);
         }
-    }
-
-    fn fold_profile(dprof: &mut DProf, variant: LayoutVariant, ty: DataType, prof: &mut ObjProf) {
-        dprof.fold_instance_v(variant, ty, &prof.readers, &prof.writers);
     }
 
     /// Closes every line's incarnation and folds the deltas into DProf v2.
@@ -519,10 +498,9 @@ impl CacheModel {
         let lat = self.machine.lat;
         let dprof_on = self.dprof.is_enabled();
         let v2_on = self.dprof.is_v2_enabled();
-        let variant = self.variant;
         let obj = self.objs[id.0 as usize].as_mut().expect("live object");
         let ty = obj.ty;
-        let f = &layout::fields_v(variant, ty)[field_idx];
+        let f = &layout::fields(ty)[field_idx];
         let side = TouchSide::of(f.tag);
         let mut acc = Access::default();
         let mut delta = LineAgg::default();
@@ -583,10 +561,9 @@ impl CacheModel {
         let lat = self.machine.lat;
         let dprof_on = self.dprof.is_enabled();
         let v2_on = self.dprof.is_v2_enabled();
-        let variant = self.variant;
         let obj = self.objs[id.0 as usize].as_mut().expect("live object");
         let ty = obj.ty;
-        let fields = layout::fields_v(variant, ty);
+        let fields = layout::fields(ty);
         let side = TouchSide::of(tag);
         let mut acc = Access::default();
         let mut delta = LineAgg::default();
@@ -892,42 +869,6 @@ mod tests {
         assert!(t.app_touches > 0);
         assert!(t.global_touches > 0);
         assert_eq!(t.rx_touches + t.app_touches + t.global_touches, t.touches);
-    }
-
-    #[test]
-    fn packed_model_reports_its_variant_and_serves_accesses() {
-        let mut m = CacheModel::new_with_layout(Machine::amd48(), LayoutVariant::Packed);
-        assert_eq!(m.layout_variant(), LayoutVariant::Packed);
-        assert_eq!(model().layout_variant(), LayoutVariant::Paper);
-        let id = m.alloc(DataType::TcpSock, C0);
-        let a = m.access_tagged(C0, id, layout::FieldTag::BothRwByRx, true);
-        assert!(a.latency > 0);
-        m.free(id);
-    }
-
-    #[cfg(not(feature = "fast"))]
-    #[test]
-    fn v2_packed_layout_wastes_fewer_bytes_for_rx_path() {
-        // The packed layout tiles the nine BothRwByRx fields contiguously,
-        // so a softirq-side sweep fetches fewer lines and wastes fewer
-        // bytes than the paper layout, where each sits on its own line.
-        let mut waste = [0u64; 2];
-        for (i, v) in LayoutVariant::ALL.iter().enumerate() {
-            let mut m = CacheModel::new_with_layout(Machine::amd48(), *v);
-            m.dprof.enable_v2();
-            let id = m.alloc(DataType::TcpSock, C0);
-            m.access_tagged(C0, id, layout::FieldTag::BothRwByRx, true);
-            m.free(id);
-            let t = *m.dprof.v2_agg(DataType::TcpSock).expect("recorded");
-            assert_v2_laws(&t);
-            waste[i] = t.bytes_wasted;
-        }
-        assert!(
-            waste[1] < waste[0],
-            "packed {} vs paper {}",
-            waste[1],
-            waste[0]
-        );
     }
 }
 

@@ -19,7 +19,6 @@
 //! socket implementation in use.
 
 use crate::layout;
-use crate::layout::LayoutVariant;
 use crate::types::DataType;
 use metrics::Histogram;
 use std::collections::BTreeMap;
@@ -145,13 +144,6 @@ impl CachelineStats {
             t.merge(agg);
         }
         t
-    }
-
-    /// Wasted bytes per request across all types: the headline number the
-    /// packed-layout scenario gate and the scenario report read.
-    #[must_use]
-    pub fn wasted_bytes_per_request(&self, requests: u64) -> f64 {
-        self.totals().bytes_wasted as f64 / requests.max(1) as f64
     }
 
     /// The aggregate for one type, if it recorded anything.
@@ -291,22 +283,10 @@ impl DProf {
     /// Folds one finished object instance's per-field reader/writer core
     /// masks into the type aggregate. Untouched instances are skipped.
     pub fn fold_instance(&mut self, ty: DataType, readers: &[u128], writers: &[u128]) {
-        self.fold_instance_v(LayoutVariant::Paper, ty, readers, writers);
-    }
-
-    /// [`DProf::fold_instance`] under an explicit layout variant (field →
-    /// line mapping differs between variants; byte totals do not).
-    pub fn fold_instance_v(
-        &mut self,
-        variant: LayoutVariant,
-        ty: DataType,
-        readers: &[u128],
-        writers: &[u128],
-    ) {
         if !self.is_enabled() {
             return;
         }
-        let fields = layout::fields_v(variant, ty);
+        let fields = layout::fields(ty);
         debug_assert_eq!(fields.len(), readers.len());
         let mut touched = false;
         let mut shared_bytes = 0u64;
@@ -503,7 +483,7 @@ mod tests {
         assert_eq!(stats.totals().bytes_fetched, 256);
         assert_eq!(stats.agg(DataType::SkBuff), Some(agg));
         assert!(stats.agg(DataType::TcpSock).is_none());
-        assert!((stats.wasted_bytes_per_request(2) - 88.0).abs() < 1e-12);
+        assert_eq!(stats.totals().bytes_wasted, 176);
     }
 
     #[test]
@@ -523,28 +503,5 @@ mod tests {
         assert_eq!(TouchSide::of(FieldTag::BothRwByApp), TouchSide::App);
         assert_eq!(TouchSide::of(FieldTag::BothRo), TouchSide::Global);
         assert_eq!(TouchSide::of(FieldTag::GlobalNode), TouchSide::Global);
-    }
-
-    #[test]
-    fn fold_instance_v_maps_lines_through_the_variant() {
-        // Under Packed, TcpSock's nine BothRwByRx fields live on 4 lines
-        // instead of 9; a two-core instance touching only those fields
-        // must report fewer shared lines under Packed.
-        let shared_lines = |variant| {
-            let mut d = DProf::enabled();
-            let fields = layout::fields_v(variant, DataType::TcpSock);
-            let mut readers = vec![0u128; fields.len()];
-            let mut writers = vec![0u128; fields.len()];
-            for (i, f) in fields.iter().enumerate() {
-                if f.tag == FieldTag::BothRwByRx {
-                    writers[i] = 0b01;
-                    readers[i] = 0b10;
-                }
-            }
-            d.fold_instance_v(variant, DataType::TcpSock, &readers, &writers);
-            d.agg(DataType::TcpSock).expect("touched").shared_lines
-        };
-        assert_eq!(shared_lines(crate::layout::LayoutVariant::Paper), 9);
-        assert_eq!(shared_lines(crate::layout::LayoutVariant::Packed), 4);
     }
 }

@@ -18,60 +18,7 @@
 //! percentages of Table 4 are therefore *emergent* from these annotations.
 
 use crate::types::{DataType, CACHE_LINE};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-
-/// Which field layout the cache model simulates.
-///
-/// `Paper` is the faithful reproduction of the Linux 2.6.35 structures the
-/// paper measured (Table 4 emerges from it); it is the default everywhere
-/// and every recorded golden fingerprint assumes it. `Packed` repacks the
-/// `tcp_sock`/`sk_buff` hot fields by measured access affinity — the
-/// optimization the dprof-v2 cacheline ledger motivates (DESIGN.md §13):
-///
-/// * all packet-side-written shared fields (`BothRwByRx`) are contiguous,
-/// * app-side-written shared fields (`BothRwByApp`) are contiguous and on
-///   different lines from the packet-side group,
-/// * read-mostly fields (`BothRo`) are split onto their own lines instead
-///   of sharing lines with read-write state,
-/// * every `GlobalNode` linkage field (including the sock lock word) is
-///   isolated on its own cache line with only inert padding beside it.
-///
-/// Selecting `Packed` changes simulated access latencies, so it changes
-/// schedule fingerprints; it is opt-in via `RunConfig`/scenario and the
-/// default layout stays bit-identical to the pre-variant behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum LayoutVariant {
-    /// The paper-faithful field placement (default).
-    #[default]
-    Paper,
-    /// Affinity-packed placement of the `TcpSock`/`SkBuff` hot fields.
-    Packed,
-}
-
-impl LayoutVariant {
-    /// Stable lowercase label (scenario files, JSON artifacts).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            LayoutVariant::Paper => "paper",
-            LayoutVariant::Packed => "packed",
-        }
-    }
-
-    /// Parses a [`LayoutVariant::label`] back; `None` for unknown labels.
-    #[must_use]
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "paper" => Some(LayoutVariant::Paper),
-            "packed" => Some(LayoutVariant::Packed),
-            _ => None,
-        }
-    }
-
-    /// Both variants, in declaration order.
-    pub const ALL: [LayoutVariant; 2] = [LayoutVariant::Paper, LayoutVariant::Packed];
-}
 
 /// Who touches a field, and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -461,113 +408,6 @@ fn hash_bucket() -> Vec<Field> {
     b.build()
 }
 
-/// Rebuilds a layout with new placements, preserving the *index order* of
-/// the paper layout: `packed[i]` describes the same field (name and tag) as
-/// `paper[i]`, so field indices and `tag_indices` are valid for both
-/// variants and the data path never needs to know which one is live.
-/// Hot (non-`LocalOnly`) fields must keep their exact length; inert
-/// padding may be resized so the repacked object still tiles exactly.
-fn repack(paper: &[Field], place: &[(&str, usize, usize)]) -> Vec<Field> {
-    assert_eq!(paper.len(), place.len(), "repack must place every field");
-    let packed: Vec<Field> = paper
-        .iter()
-        .map(|f| {
-            let &(_, off, len) = place
-                .iter()
-                .find(|(n, _, _)| *n == f.name)
-                .unwrap_or_else(|| panic!("repack is missing field {}", f.name));
-            assert!(
-                f.tag == FieldTag::LocalOnly || len == f.len,
-                "only LocalOnly padding may resize ({} {} -> {len})",
-                f.name,
-                f.len
-            );
-            Field {
-                name: f.name.clone(),
-                off,
-                len,
-                tag: f.tag,
-            }
-        })
-        .collect();
-    // The list is ordered like the paper layout, not by offset; check
-    // overlap on a sorted copy.
-    let mut by_off: Vec<&Field> = packed.iter().collect();
-    by_off.sort_by_key(|f| f.off);
-    for w in by_off.windows(2) {
-        assert!(
-            w[0].off + w[0].len <= w[1].off,
-            "packed overlap between {} and {}",
-            w[0].name,
-            w[1].name
-        );
-    }
-    packed
-}
-
-/// Affinity-packed `tcp_sock`. The dprof-v2 ledger shows the paper layout
-/// wastes most of each fetched line under Fine-Accept: the app side pulls
-/// nine separate lines to read nine 24-byte packet-side fields (40+ bytes
-/// of packet-private filler ride along on every one). Packing by measured
-/// affinity shrinks the cross-core surface to 4 packet-RW lines, 2 app-RW
-/// lines, 3 read-mostly lines, and 4 isolated global-linkage lines.
-fn tcp_sock_packed() -> Vec<Field> {
-    #[rustfmt::skip]
-    let place: &[(&str, usize, usize)] = &[
-        // Lines 0..=3: the packet-side-written shared set, contiguous.
-        ("rcv_queue_head", 0, 24), ("rcv_nxt", 24, 24), ("copied_seq", 48, 24),
-        ("rmem_alloc", 72, 24), ("backlog_head", 96, 24), ("rcv_tstamp", 120, 24),
-        ("rx_opt", 144, 24), ("rcv_wnd", 168, 24), ("urg_data", 192, 24),
-        // Line 3 tail: packet-private filler (same side as the line owner,
-        // so the bytes it drags in are bytes the fetching core uses).
-        ("rx_priv_1", 216, 40),
-        // Lines 4..=5: the app-side-written shared set, contiguous.
-        ("snd_queue_head", 256, 24), ("wmem_queued", 280, 24),
-        ("snd_una_app", 304, 24), ("sk_wq_flags", 328, 24),
-        // Lines 5 (tail)..=7: app-private state rides with the app lines.
-        ("app_priv_0", 352, 40), ("app_priv_1", 392, 40),
-        ("app_priv_2", 432, 40), ("app_priv_3", 472, 40),
-        // Lines 8..=10: read-mostly fields split onto their own lines
-        // (they stay in Shared state, fetched once per core).
-        ("five_tuple", 512, 24), ("dst_entry", 536, 24), ("mss_cache", 560, 24),
-        ("sack_opts", 584, 24), ("wscale_opts", 608, 24), ("sock_flags", 632, 24),
-        ("hash_pad", 656, 48),
-        // Lines 11..=14: every global-linkage field isolated on its own
-        // line, padded with inert bytes (pads resize to tile exactly).
-        ("sock_lock_word", 704, 4), ("list_pad", 708, 60),
-        ("est_hash_node", 768, 16), ("acct_pad", 784, 48),
-        ("global_sock_list", 832, 16), ("cold_22", 848, 48),
-        ("proto_mem_acct", 896, 16), ("cold_23", 912, 48),
-        // Lines 15..=23: the remaining packet-private state, contiguous.
-        ("rx_priv_0", 960, 36), ("rx_priv_2", 996, 40), ("rx_priv_3", 1036, 40),
-        ("rx_priv_4", 1076, 40), ("rx_priv_5", 1116, 40), ("rx_priv_6", 1156, 40),
-        ("rx_priv_7", 1196, 40), ("rx_priv_8", 1236, 40),
-        ("setup_priv_0", 1276, 40), ("setup_priv_1", 1316, 40),
-        ("setup_priv_2", 1356, 40), ("setup_priv_3", 1396, 40),
-        ("setup_priv_4", 1436, 40), ("setup_priv_5", 1476, 40),
-        // Cold tail.
-        ("cold_24", 1516, 84), ("cold_25", 1600, 64),
-    ];
-    repack(&tcp_sock(), place)
-}
-
-/// Affinity-packed `sk_buff`: the three packet-side-written shared fields
-/// pack into the first 72 bytes (the app side fetches 2 lines instead of
-/// 3), packet-private filler follows, and the global accounting slivers
-/// keep their isolated lines.
-fn sk_buff_packed() -> Vec<Field> {
-    #[rustfmt::skip]
-    let place: &[(&str, usize, usize)] = &[
-        ("skb_data_ptrs", 0, 24), ("skb_len_state", 24, 24), ("skb_cb", 48, 24),
-        ("skb_rx_priv_0", 72, 40), ("skb_rx_priv_1", 112, 40), ("skb_rx_priv_2", 152, 40),
-        ("skb_proto_hdrs", 192, 16), ("skb_hdr_priv", 208, 48),
-        ("skb_truesize_acct", 256, 5),
-        ("skb_dma_desc", 320, 5),
-        ("skb_cold_6", 384, 64), ("skb_cold_7", 448, 64),
-    ];
-    repack(&sk_buff(), place)
-}
-
 fn build_all() -> Vec<Vec<Field>> {
     // Indexed by `DataType::index()` so the hot-path lookups below are a
     // direct array access, not a scan of `DataType::ALL`.
@@ -595,18 +435,6 @@ fn build_all() -> Vec<Vec<Field>> {
 
 static LAYOUTS: OnceLock<Vec<Vec<Field>>> = OnceLock::new();
 
-/// The packed variant: only `TcpSock`/`SkBuff` are repacked; every other
-/// type aliases the paper placement (their layouts are already either
-/// fully hot or a single shared sliver per line).
-fn build_all_packed() -> Vec<Vec<Field>> {
-    let mut all = build_all();
-    all[DataType::TcpSock.index()] = tcp_sock_packed();
-    all[DataType::SkBuff.index()] = sk_buff_packed();
-    all
-}
-
-static PACKED_LAYOUTS: OnceLock<Vec<Vec<Field>>> = OnceLock::new();
-
 /// Number of field tags (`FieldTag` discriminants).
 const N_TAGS: usize = 7;
 
@@ -632,25 +460,11 @@ fn build_tag_index() -> Vec<[Vec<u16>; N_TAGS]> {
     idx
 }
 
-/// The field layout of a data type (paper-faithful variant).
+/// The field layout of a data type.
 #[must_use]
 pub fn fields(ty: DataType) -> &'static [Field] {
     let all = LAYOUTS.get_or_init(build_all);
     &all[ty.index()]
-}
-
-/// The field layout of a data type under `variant`. Both variants list
-/// the same fields at the same indices (so [`tag_indices`] and field
-/// indices are variant-independent); only byte placement differs.
-#[must_use]
-pub fn fields_v(variant: LayoutVariant, ty: DataType) -> &'static [Field] {
-    match variant {
-        LayoutVariant::Paper => fields(ty),
-        LayoutVariant::Packed => {
-            let all = PACKED_LAYOUTS.get_or_init(build_all_packed);
-            &all[ty.index()]
-        }
-    }
 }
 
 /// Precomputed indices of `ty`'s fields carrying `tag` (hot path).
@@ -683,13 +497,7 @@ pub fn fields_with_tag(ty: DataType, tag: FieldTag) -> Vec<usize> {
 /// kernel stack's 256 lines) is never accessed at runtime.
 #[must_use]
 pub fn hot_lines(ty: DataType) -> usize {
-    hot_lines_v(LayoutVariant::Paper, ty)
-}
-
-/// [`hot_lines`] under a specific layout variant.
-#[must_use]
-pub fn hot_lines_v(variant: LayoutVariant, ty: DataType) -> usize {
-    fields_v(variant, ty)
+    fields(ty)
         .iter()
         .filter(|f| f.tag != FieldTag::LocalOnly)
         .flat_map(Field::lines)
@@ -831,117 +639,6 @@ mod tests {
         assert_eq!(hot_lines(DataType::SkBuff), 6);
         // Fully-hot objects keep their size.
         assert_eq!(hot_lines(DataType::TcpRequestSock), 2);
-    }
-
-    #[test]
-    fn packed_layouts_keep_field_identity_and_bounds() {
-        for ty in DataType::ALL {
-            let paper = fields_v(LayoutVariant::Paper, ty);
-            let packed = fields_v(LayoutVariant::Packed, ty);
-            assert_eq!(paper.len(), packed.len(), "{}", ty.label());
-            for (a, b) in paper.iter().zip(packed.iter()) {
-                // Same field at the same index: name and tag always, the
-                // exact length for everything but inert padding.
-                assert_eq!(a.name, b.name, "{}", ty.label());
-                assert_eq!(a.tag, b.tag, "{}: {}", ty.label(), a.name);
-                if a.tag != FieldTag::LocalOnly {
-                    assert_eq!(a.len, b.len, "{}: {}", ty.label(), a.name);
-                }
-                assert!(b.off + b.len <= ty.size(), "{}: {}", ty.label(), b.name);
-            }
-            let mut by_off: Vec<&Field> = packed.iter().collect();
-            by_off.sort_by_key(|f| f.off);
-            for w in by_off.windows(2) {
-                assert!(
-                    w[0].off + w[0].len <= w[1].off,
-                    "{}: {} overlaps {}",
-                    ty.label(),
-                    w[0].name,
-                    w[1].name
-                );
-            }
-        }
-    }
-
-    /// The packed variant's point: the same shared bytes live on far fewer
-    /// cache lines, and no line mixes packet-RW, app-RW, and global fields.
-    #[test]
-    fn packed_tcp_sock_concentrates_shared_lines() {
-        let count_shared_lines = |v: LayoutVariant, ty: DataType| {
-            let mut lines = std::collections::BTreeSet::new();
-            for f in fields_v(v, ty) {
-                if f.tag.shared_under_fine() {
-                    lines.extend(f.lines());
-                }
-            }
-            lines.len()
-        };
-        for ty in [DataType::TcpSock, DataType::SkBuff] {
-            let paper = count_shared_lines(LayoutVariant::Paper, ty);
-            let packed = count_shared_lines(LayoutVariant::Packed, ty);
-            assert!(
-                packed < paper,
-                "{}: packed shared lines {packed} must beat paper {paper}",
-                ty.label()
-            );
-            // Shared *bytes* are a property of the data, not the layout.
-            let bytes = |v| -> usize {
-                fields_v(v, ty)
-                    .iter()
-                    .filter(|f| f.tag.shared_under_fine())
-                    .map(|f| f.len)
-                    .sum()
-            };
-            assert_eq!(bytes(LayoutVariant::Paper), bytes(LayoutVariant::Packed));
-        }
-        assert_eq!(
-            count_shared_lines(LayoutVariant::Packed, DataType::TcpSock),
-            13
-        );
-    }
-
-    #[test]
-    fn packed_isolates_global_nodes_from_hot_fields() {
-        for ty in [DataType::TcpSock, DataType::SkBuff] {
-            let packed = fields_v(LayoutVariant::Packed, ty);
-            let global_lines: std::collections::BTreeSet<usize> = packed
-                .iter()
-                .filter(|f| f.tag == FieldTag::GlobalNode)
-                .flat_map(Field::lines)
-                .collect();
-            for f in packed {
-                if matches!(f.tag, FieldTag::GlobalNode | FieldTag::LocalOnly) {
-                    continue;
-                }
-                for l in f.lines() {
-                    assert!(
-                        !global_lines.contains(&l),
-                        "{}: {} shares line {l} with a GlobalNode field",
-                        ty.label(),
-                        f.name
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn variant_labels_round_trip_and_tables_agree() {
-        for v in LayoutVariant::ALL {
-            assert_eq!(LayoutVariant::from_label(v.label()), Some(v));
-        }
-        assert_eq!(LayoutVariant::from_label("bogus"), None);
-        assert_eq!(LayoutVariant::default(), LayoutVariant::Paper);
-        // Variant-independent index order means the precomputed tag index
-        // is valid for both variants.
-        for ty in DataType::ALL {
-            for (i, f) in fields_v(LayoutVariant::Packed, ty).iter().enumerate() {
-                assert!(tag_indices(ty, f.tag).contains(&(i as u16)));
-            }
-        }
-        assert_eq!(hot_lines_v(LayoutVariant::Paper, DataType::TcpSock), 22);
-        assert_eq!(hot_lines_v(LayoutVariant::Packed, DataType::TcpSock), 24);
-        assert_eq!(hot_lines_v(LayoutVariant::Packed, DataType::SkBuff), 6);
     }
 
     #[test]

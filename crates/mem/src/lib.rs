@@ -34,6 +34,6 @@ pub mod types;
 
 pub use cache::{CacheModel, ObjId, ServiceLevel};
 pub use dprof::{CachelineStats, DProf, LineAgg, TouchSide};
-pub use layout::{Field, FieldTag, LayoutVariant};
+pub use layout::{Field, FieldTag};
 pub use slab::SlabAllocator;
 pub use types::DataType;

@@ -57,14 +57,15 @@ impl Json {
     /// # Errors
     ///
     /// Fails on syntax errors, trailing garbage, numbers no variant can
-    /// hold exactly, and unterminated strings.
+    /// hold exactly, unterminated strings, and arrays and objects nested
+    /// more than [`MAX_DEPTH`] deep.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
             b: s.as_bytes(),
             i: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.i != p.b.len() {
             return Err(format!("trailing garbage at byte {}", p.i));
@@ -185,6 +186,10 @@ impl Json {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts: it
+/// recurses once per level, and a deeper document would overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent state over the input bytes.
 struct Parser<'a> {
     b: &'a [u8],
@@ -216,20 +221,26 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses the value at the current position, inside `depth` open
+    /// arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.b.get(self.i) {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.i
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.i)),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -239,7 +250,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.b.get(self.i) {
                 Some(b',') => self.i += 1,
@@ -252,7 +263,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -266,7 +277,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             match self.b.get(self.i) {
                 Some(b',') => self.i += 1,
@@ -506,6 +517,16 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        // Arrays and objects count alike; 50,000 levels would overflow the
+        // stack without the bound.
+        let nest = |n: usize| "[{\"a\":".repeat(n) + "0" + &"}]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH / 2)).is_ok());
+        let err = Json::parse(&nest(50_000)).expect_err("too deep");
+        assert_eq!(err, "nesting deeper than 128 levels at byte 384");
     }
 
     #[test]

@@ -90,18 +90,20 @@ pub struct HotplugEvent {
     pub up: bool,
 }
 
+/// Shedding high watermark: the fraction of the per-core backlog cap at
+/// or above which SYN handling switches to cookie mode.
+pub const SHED_HIGH: f64 = 0.75;
+
+/// Shedding low watermark: the fraction at or below which cookie mode
+/// switches back off (hysteresis).
+pub const SHED_LOW: f64 = 0.10;
+
 /// The server's overload-control configuration. The default is fully
 /// disabled and fingerprint-neutral.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
     /// Enable stateless SYN cookies when a backlog saturates.
     pub syn_cookies: bool,
-    /// Shedding high watermark: fraction of the per-core backlog cap
-    /// above which SYN handling switches to cookie mode.
-    pub shed_high: f64,
-    /// Shedding low watermark: fraction below which cookie mode switches
-    /// back off (hysteresis).
-    pub shed_low: f64,
     /// Cap on total half-open requests before cookie mode engages
     /// regardless of per-core backlogs; `None` uses the listen backlog.
     pub half_open_cap: Option<usize>,
@@ -120,8 +122,6 @@ impl OverloadConfig {
     pub fn none() -> Self {
         Self {
             syn_cookies: false,
-            shed_high: 0.75,
-            shed_low: 0.10,
             half_open_cap: None,
             reap: None,
             watchdog: None,

@@ -66,20 +66,11 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Creates a kernel for `machine` with empty tables and the
-    /// paper-faithful object layout.
+    /// Creates a kernel for `machine` with empty tables.
     #[must_use]
     pub fn new(machine: Machine) -> Self {
-        Self::new_with_layout(machine, mem::LayoutVariant::Paper)
-    }
-
-    /// Creates a kernel whose cache model places objects with `variant`
-    /// field layouts (the packed variant changes charged latencies, so it
-    /// is never the default).
-    #[must_use]
-    pub fn new_with_layout(machine: Machine, variant: mem::LayoutVariant) -> Self {
         let n_cores = machine.n_cores;
-        let mut cache = CacheModel::new_with_layout(machine.clone(), variant);
+        let mut cache = CacheModel::new(machine.clone());
         let est = EstTable::new(EST_TABLE_BUCKETS, &mut cache);
         let reqs = ReqTable::new(REQ_TABLE_BUCKETS, &mut cache);
         Self {

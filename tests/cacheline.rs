@@ -1,20 +1,17 @@
 //! dprof-v2 satellite tests: the per-cacheline ledger must be a pure
 //! observer (schedule fingerprints never move when it records, in either
-//! feature mode), the packed layout must be a real simulation change
-//! (fingerprints move, wasted bytes drop), and the ledger's independent
-//! sharing columns must agree with the original DProf Table-4 plane.
+//! feature mode), and the ledger's independent sharing columns must agree
+//! with the original DProf Table-4 plane.
 
 mod common;
 
 use affinity_accept_repro::prelude::*;
 use common::{paper_base, Ledger, GOLDEN};
-use mem::LayoutVariant;
 
-/// The `paper_base` point with the ledger and layout knobs explicit.
-fn quick(listen: ListenKind, v2: bool, layout: LayoutVariant) -> RunConfig {
+/// The `paper_base` point with the ledger knob explicit.
+fn quick(listen: ListenKind, v2: bool) -> RunConfig {
     let mut cfg = paper_base(listen);
     cfg.dprof_v2 = v2;
-    cfg.layout = layout;
     cfg
 }
 
@@ -26,8 +23,8 @@ fn quick(listen: ListenKind, v2: bool, layout: LayoutVariant) -> RunConfig {
 fn ledger_never_moves_the_schedule() {
     for pin in GOLDEN {
         let listen = pin.kind;
-        let off = Runner::new(quick(listen, false, LayoutVariant::Paper)).run();
-        let on = Runner::new(quick(listen, true, LayoutVariant::Paper)).run();
+        let off = Runner::new(quick(listen, false)).run();
+        let on = Runner::new(quick(listen, true)).run();
         assert_eq!(
             off.fingerprint, on.fingerprint,
             "{listen:?}: dprof-v2 moved the schedule"
@@ -78,46 +75,6 @@ fn ledger_never_moves_the_schedule() {
     }
 }
 
-/// Neutrality is a property of the ledger, not of one layout: under the
-/// packed layout the observer must still not move the (different)
-/// schedule. Holds in both feature modes.
-#[test]
-fn ledger_is_neutral_under_the_packed_layout_too() {
-    let off = Runner::new(quick(ListenKind::Fine, false, LayoutVariant::Packed)).run();
-    let on = Runner::new(quick(ListenKind::Fine, true, LayoutVariant::Packed)).run();
-    assert_eq!(
-        off.fingerprint, on.fingerprint,
-        "dprof-v2 moved the packed-layout schedule"
-    );
-    assert_eq!(off.served, on.served, "served diverged");
-}
-
-/// The packed layout is the opposite of the ledger: an intentional
-/// simulation change. Charged latencies shift, so every golden
-/// fingerprint must move — and the point of the repack, fewer wasted
-/// bytes per request, must hold at the paper_base Fine point.
-#[cfg(not(feature = "fast"))]
-#[test]
-fn packed_layout_changes_schedules_and_reduces_waste() {
-    for pin in GOLDEN {
-        let listen = pin.kind;
-        let packed = Runner::new(quick(listen, false, LayoutVariant::Packed)).run();
-        assert_ne!(
-            packed.fingerprint, pin.fingerprint,
-            "{listen:?}: packed layout left the paper-layout golden unchanged — \
-             the repack is not reaching the cache model"
-        );
-    }
-    let paper = Runner::new(quick(ListenKind::Fine, true, LayoutVariant::Paper)).run();
-    let packed = Runner::new(quick(ListenKind::Fine, true, LayoutVariant::Packed)).run();
-    let pw = paper.cacheline.wasted_bytes_per_request(paper.served);
-    let kw = packed.cacheline.wasted_bytes_per_request(packed.served);
-    assert!(
-        kw < pw,
-        "packed layout must waste fewer bytes per request: packed {kw:.1} vs paper {pw:.1}"
-    );
-}
-
 /// Cross-validation of the ledger's independent sharing columns against
 /// the original DProf plane (Table 4): both measure cross-core sharing
 /// per object, by different bookkeeping — v1 folds per-field reader and
@@ -127,7 +84,7 @@ fn packed_layout_changes_schedules_and_reduces_waste() {
 #[cfg(not(feature = "fast"))]
 #[test]
 fn ledger_sharing_columns_agree_with_table4() {
-    let mut cfg = quick(ListenKind::Fine, true, LayoutVariant::Paper);
+    let mut cfg = quick(ListenKind::Fine, true);
     cfg.dprof = true;
     let r = Runner::new(cfg).run();
     for ty in [

@@ -5,8 +5,8 @@
 //! while its shrinker reduces a failing document to the knobs that fail.
 //!
 //! The catalog is the only home of the recovery and cache-line
-//! experiments: the kill-one-core, SYN-flood and packed-layout gates all
-//! run here.
+//! experiments: the kill-one-core and SYN-flood gates and the cache-line
+//! waste scenario all run here.
 
 // Golden fingerprints only exist in instrumented builds; the `fast`
 // feature compiles the fingerprint plane to zero.
@@ -76,11 +76,7 @@ fn corpus_is_broad_and_fully_pinned() {
         );
     }
     // The recovery and cache-line experiments, each gated on every push.
-    for name in [
-        "syn_flood_10x",
-        "recovery_kill_core_24c",
-        "cacheline_packed",
-    ] {
+    for name in ["syn_flood_10x", "recovery_kill_core_24c", "cacheline_waste"] {
         let Some((path, s)) = corpus.iter().find(|(_, s)| s.name == name) else {
             panic!("ported scenario {name} missing from corpus");
         };
@@ -146,17 +142,15 @@ fn shrinker_keeps_only_the_failing_knobs() {
       "kinds": ["affinity", "twenty"], "server": "lighttpd", "rate_per_core": 1234.5,
       "rate_mult": 0.75, "warmup_ms": 120, "measure_ms": 250, "seed": 42,
       "tracked_files": 300, "steal": false, "migrate": false, "lockstat": true, "hog_ms": 40,
-      "workload": {"batches": [2, 4], "think_ms": 50, "n_files": 500, "file_scale": 2.5,
-                   "timeout_ms": 4000},
+      "workload": {"batches": [2, 4], "think_ms": 50, "file_scale": 2.5, "timeout_ms": 4000},
       "fault": {"drop_p": 0.01, "dup_p": 0.02, "reorder_p": 0.03, "reorder_delay_us": 400,
                 "ring_mask": 10, "syn_overflow_drop": true,
                 "retrans": {"rto_ms": 40, "max_attempts": 4},
                 "stalls": [{"core": 3, "at_ms": 100, "dur_us": 5000}]},
-      "overload": {"syn_cookies": true, "shed_high": 0.8, "shed_low": 0.2,
-                   "half_open_cap": 4096, "reap": {"ttl_ms": 30, "synack_retries": 2},
+      "overload": {"syn_cookies": true, "half_open_cap": 4096, "reap": {"ttl_ms": 30, "synack_retries": 2},
                    "watchdog": {"interval_ms": 5, "dead_after_ms": 60}},
       "hotplug": [{"core": 2, "at_ms": 150, "up": false}, {"core": 2, "at_ms": 300, "up": true}],
-      "timeline_bucket_ms": 10, "dprof_v2": true, "layout": "packed",
+      "timeline_bucket_ms": 10, "dprof_v2": true,
       "sweep": {"key": "cores", "values": [16, 80]},
       "gates": {"ordering": ["affinity", "twenty"], "ordering_slack": 0.95,
                 "bounds": {"served": {"min": 1000}, "time_to_recover_ms": {"max": 100}}},
