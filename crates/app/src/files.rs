@@ -14,6 +14,10 @@ pub const MAX_FILE: u32 = 5670;
 pub const DEFAULT_N_FILES: usize = 30_000;
 /// Target mean of the base mix (§6.6: "around 700 bytes").
 pub const TARGET_MEAN: f64 = 700.0;
+/// Largest scale whose largest response, headers included, still fits the
+/// `u32` that response sizes travel in (about 757,000).
+pub const MAX_SCALE: f64 =
+    (u32::MAX - crate::workload::RESPONSE_HEADER_BYTES) as f64 / MAX_FILE as f64;
 
 /// The file set: deterministic sizes, SpecWeb-like skew (many small files,
 /// a long tail of larger ones), optionally scaled.
@@ -25,10 +29,15 @@ pub struct FileSet {
 impl FileSet {
     /// Builds `n` files spanning [`MIN_FILE`], [`MAX_FILE`] with mean near
     /// [`TARGET_MEAN`], scaled by `scale` (Figure 9 sweeps this).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0 or `scale` is not in `(0, MAX_SCALE]`.
     #[must_use]
     pub fn new(n: usize, scale: f64) -> Self {
         assert!(n > 0, "need at least one file");
         assert!(scale > 0.0, "scale must be positive");
+        assert!(scale <= MAX_SCALE, "scale {scale} overflows a u32 response");
         // size(x) = MIN + (MAX-MIN) · x^p for x uniform in [0,1]:
         // mean = MIN + (MAX-MIN)/(p+1); p ≈ 7.4 gives a ~700-byte mean.
         let p = (f64::from(MAX_FILE - MIN_FILE)) / (TARGET_MEAN - f64::from(MIN_FILE)) - 1.0;
@@ -100,6 +109,21 @@ mod tests {
     fn tiny_scale_clamps_to_one_byte() {
         let f = FileSet::new(100, 0.0001);
         assert!((0..100).all(|i| f.size(i) >= 1));
+    }
+
+    #[test]
+    fn largest_scale_fits_the_largest_response() {
+        let f = FileSet::new(1000, MAX_SCALE);
+        let max = (0..f.len()).map(|i| f.size(i)).max().unwrap();
+        assert!(max
+            .checked_add(crate::workload::RESPONSE_HEADER_BYTES)
+            .is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a u32 response")]
+    fn oversized_scale_panics() {
+        let _ = FileSet::new(10, 1e6);
     }
 
     #[test]

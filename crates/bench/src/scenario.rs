@@ -1104,6 +1104,13 @@ impl Scenario {
                 self.workload.file_scale
             ));
         }
+        if self.workload.file_scale > app::files::MAX_SCALE {
+            return Err(format!(
+                "workload.file_scale: {} is above {:.0}, where the largest response overflows u32",
+                self.workload.file_scale,
+                app::files::MAX_SCALE.floor()
+            ));
+        }
         if self.workload.timeout == 0 {
             return Err("workload.timeout_ms: must be positive".to_string());
         }
@@ -2199,6 +2206,10 @@ mod tests {
             (
                 r#"{"name":"x","workload":{"n_files":500}}"#,
                 "workload.n_files: unknown key",
+            ),
+            (
+                r#"{"name":"x","workload":{"file_scale":1000000}}"#,
+                "workload.file_scale: 1000000 is above 757489",
             ),
             (
                 r#"{"name":"x","fault":{"stalls":[{"core":0,"bogus":1}]}}"#,

@@ -1,9 +1,10 @@
 //! The cache-coherence cost model.
 //!
 //! Tracked kernel objects are split into 64-byte lines; each line carries a
-//! MESI-flavoured state: the set of cores holding a copy, the last writer
-//! (owner), and a dirty bit. An access is served — at the Table 1 latency —
-//! from:
+//! MESI-flavoured state: the set of cores holding a copy, the most recent
+//! toucher, and a dirty bit. The owner needs no field of its own: a dirty
+//! line has exactly one holder, its last writer. An access is served — at
+//! the Table 1 latency — from:
 //!
 //! * **L1** if this core touched the line most recently,
 //! * **L2** if this core still holds a valid copy,
@@ -23,7 +24,7 @@ use crate::dprof::{DProf, LineAgg, TouchSide};
 use crate::layout;
 use crate::types::{DataType, CACHE_LINE};
 use serde::{Deserialize, Serialize};
-use sim::topology::{CoreId, Machine};
+use sim::topology::{CoreId, LatencyProfile, Machine};
 
 /// Identifies one tracked object instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -47,6 +48,17 @@ impl ServiceLevel {
     pub fn is_l2_miss(self) -> bool {
         !matches!(self, ServiceLevel::L1 | ServiceLevel::L2)
     }
+
+    fn cycles(self, lat: &LatencyProfile) -> u64 {
+        match self {
+            ServiceLevel::L1 => lat.l1,
+            ServiceLevel::L2 => lat.l2,
+            ServiceLevel::L3 => lat.l3,
+            ServiceLevel::Ram => lat.ram,
+            ServiceLevel::RemoteL3 => lat.remote_l3,
+            ServiceLevel::RemoteRam => lat.remote_ram,
+        }
+    }
 }
 
 /// Cost summary of one (possibly multi-line) access.
@@ -66,23 +78,50 @@ impl Access {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LineState {
-    /// Bitmask of cores holding a valid copy.
-    sharers: u128,
-    /// Last writer.
-    owner: u16,
-    /// Most recent toucher (L1 heuristic).
-    last: u16,
-    /// Whether the owner's copy is modified.
-    dirty: bool,
-    /// Whether the line has ever been cached (cold lines come from DRAM).
-    warm: bool,
+/// Cores a line's sharer mask can name.
+const MAX_CORES: usize = 120;
+
+/// Lines per arena chunk: 512 KiB of line state. A constant, so the chunks
+/// one model frees are reused whole by the next model built in the process.
+const CHUNK_LINES: usize = 32_768;
+
+/// One line's coherence state in 16 bytes: the sharer mask in bits 0..120,
+/// the most recent toucher (the L1 heuristic) in the next 7 bits, and the
+/// dirty bit in bit 127. Two invariants make a fuller state redundant:
+///
+/// * a dirty line has exactly one holder, its last writer, so the owner is
+///   the mask's lowest set bit;
+/// * a line that was cached once never returns to zero holders, so an empty
+///   mask means the line was never fetched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LineState(u128);
+
+const _: () = assert!(std::mem::size_of::<LineState>() == 16);
+
+impl LineState {
+    const SHARERS: u128 = (1 << MAX_CORES) - 1;
+    const DIRTY: u128 = 1 << 127;
+
+    fn new(sharers: u128, last: usize, dirty: bool) -> Self {
+        Self(sharers | (last as u128) << MAX_CORES | u128::from(dirty) << 127)
+    }
+
+    fn sharers(self) -> u128 {
+        self.0 & Self::SHARERS
+    }
+
+    fn last(self) -> usize {
+        (self.0 >> MAX_CORES) as usize & 0x7f
+    }
+
+    fn dirty(self) -> bool {
+        self.0 & Self::DIRTY != 0
+    }
 }
 
 /// Per-line dprof-v2 ledger: byte-granular fetch/touch accounting between
 /// fill and eviction (a *generation*) plus sharing across an object
-/// incarnation (alloc/recycle to free/recycle).
+/// incarnation (alloc or recycle to the next recycle or fold).
 ///
 /// The ledger is pure bookkeeping layered on top of [`LineState`]: it never
 /// feeds back into service levels or latencies, which is what keeps dprof-v2
@@ -106,7 +145,6 @@ struct LineLedger {
 // The ledger rides alongside every modeled hot line when dprof-v2 is on;
 // keep it within one cache line of host memory per three modeled lines.
 const _: () = assert!(std::mem::size_of::<LineLedger>() <= 48);
-const _: () = assert!(std::mem::size_of::<LineState>() <= 32);
 
 impl LineLedger {
     /// No open generation.
@@ -210,36 +248,140 @@ fn line_byte_mask(f: &layout::Field, line: usize) -> u64 {
     }
 }
 
-#[derive(Debug)]
-struct ObjProf {
-    readers: Box<[u128]>,
-    writers: Box<[u128]>,
+/// Serves one access by core `c` (on `my_chip`) to line `ls` of an object
+/// homed on `home_chip`, and applies the coherence transition.
+#[inline]
+fn touch_one(
+    chip_of: &[u16],
+    chip_mask: &[u128],
+    home_chip: u16,
+    ls: &mut LineState,
+    c: usize,
+    my_chip: u16,
+    write: bool,
+) -> ServiceLevel {
+    let me = 1u128 << c;
+    let sharers = ls.sharers();
+    let level = if sharers & me != 0 {
+        if write && sharers != me {
+            // Upgrade: invalidate other sharers.
+            let others = sharers & !me;
+            if others & chip_mask[my_chip as usize] == others {
+                ServiceLevel::L3
+            } else {
+                ServiceLevel::RemoteL3
+            }
+        } else if ls.last() == c {
+            ServiceLevel::L1
+        } else {
+            ServiceLevel::L2
+        }
+    } else if sharers == 0 {
+        // Cold lines are charged local DRAM: they are brought in by the
+        // allocating core whose chip is the home node.
+        ServiceLevel::Ram
+    } else if ls.dirty() {
+        // The one holder of a dirty line is its last writer.
+        let owner = sharers.trailing_zeros() as usize;
+        if chip_of[owner] == my_chip {
+            ServiceLevel::L3
+        } else {
+            ServiceLevel::RemoteL3
+        }
+    } else if sharers & chip_mask[my_chip as usize] != 0 {
+        ServiceLevel::L3
+    } else if home_chip == my_chip {
+        ServiceLevel::Ram
+    } else {
+        ServiceLevel::RemoteRam
+    };
+    *ls = if write {
+        LineState::new(me, c, true)
+    } else {
+        // A read by another core downgrades Modified to Shared (the
+        // owner's copy is written back).
+        LineState::new(sharers | me, c, ls.dirty() && sharers & me != 0)
+    };
+    level
 }
 
-#[derive(Debug)]
-struct Obj {
-    ty: DataType,
+/// What the arena knows of one object: 8 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    /// Arena index of the object's first line, `chunk * CHUNK_LINES +
+    /// offset`; its `layout::hot_lines` lines follow it in the same chunk.
+    first: u32,
+    /// The chip whose DRAM node backs the object.
     home_chip: u16,
-    lines: Box<[LineState]>,
-    prof: Option<ObjProf>,
-    /// dprof-v2 ledger, one entry per materialized line; `None` unless v2
-    /// was enabled when the object was allocated (or first recycled).
+    ty: DataType,
+}
+
+const _: () = assert!(std::mem::size_of::<Header>() <= 12);
+
+/// DProf's state for one object. Each part is `None` until its profiler is
+/// on at the object's alloc or at a later recycle.
+#[derive(Debug, Default)]
+struct ObjProf {
+    /// Per-field core masks (Table 4): the readers of every field, then
+    /// the writers.
+    masks: Option<Box<[u128]>>,
+    /// dprof-v2 ledger, one entry per modeled line.
     ledger: Option<Box<[LineLedger]>>,
 }
 
+impl ObjProf {
+    /// Starts tracking every part whose profiler is on.
+    fn start(&mut self, ty: DataType, n_lines: usize, dprof: &DProf) {
+        if self.masks.is_none() && dprof.is_enabled() {
+            self.masks = Some(vec![0; 2 * layout::fields(ty).len()].into());
+        }
+        if self.ledger.is_none() && dprof.is_v2_enabled() {
+            self.ledger = Some(vec![LineLedger::new(); n_lines].into());
+        }
+    }
+
+    /// Folds this incarnation into DProf and resets for the next one.
+    fn fold(&mut self, ty: DataType, dprof: &mut DProf) {
+        if let Some(masks) = self.masks.as_mut() {
+            let (readers, writers) = masks.split_at(masks.len() / 2);
+            dprof.fold_instance(ty, readers, writers);
+            masks.fill(0);
+        }
+        if let Some(ledger) = self.ledger.as_mut() {
+            let mut delta = LineAgg::default();
+            let mut touched = false;
+            for ll in ledger.iter_mut() {
+                touched |= ll.close_incarnation(&mut delta);
+            }
+            if touched {
+                delta.instances += 1;
+            }
+            dprof.v2_fold(ty, &delta);
+        }
+    }
+}
+
 /// The machine-wide coherence model. See the module docs.
+///
+/// Objects are never freed, only recycled through the slab pools, so they
+/// live in an arena without holes: one [`Header`] per object, indexed by
+/// id, and every object's line states back to back in fixed chunks of
+/// [`CHUNK_LINES`] that no object straddles.
 #[derive(Debug)]
 pub struct CacheModel {
     machine: Machine,
     chip_of: Vec<u16>,
     chip_mask: Vec<u128>,
-    /// Object ids are assigned sequentially and recycled through the slab
-    /// pools, so the table is a plain slab indexed by id (slot 0 unused)
-    /// rather than a hash map — every tracked access starts with this
-    /// lookup.
-    objs: Vec<Option<Obj>>,
-    live: usize,
-    next_id: u64,
+    /// `layout::hot_lines` per type, indexed by `DataType::index`.
+    hot_lines: [usize; DataType::ALL.len()],
+    /// `ObjId(n)` is `headers[n - 1]`.
+    headers: Vec<Header>,
+    chunks: Vec<Box<[LineState]>>,
+    /// Lines used in the last chunk.
+    fill: usize,
+    /// Profiler state, indexed like `headers`; empty until a profiler is
+    /// on at an alloc or recycle.
+    profs: Vec<ObjProf>,
     /// The DProf profiler; enable before a run to collect Table 4 /
     /// Figure 4 data.
     pub dprof: DProf,
@@ -249,7 +391,7 @@ impl CacheModel {
     /// Creates a model for the given machine.
     #[must_use]
     pub fn new(machine: Machine) -> Self {
-        assert!(machine.n_cores <= 128, "core masks are 128 bits");
+        assert!(machine.n_cores <= MAX_CORES, "core masks are 120 bits");
         let chip_of: Vec<u16> = (0..machine.n_cores)
             .map(|i| machine.chip_of(CoreId(i as u16)).0)
             .collect();
@@ -258,13 +400,20 @@ impl CacheModel {
         for (core, chip) in chip_of.iter().enumerate() {
             chip_mask[*chip as usize] |= 1u128 << core;
         }
+        let mut hot_lines = [0; DataType::ALL.len()];
+        for ty in DataType::ALL {
+            hot_lines[ty.index()] = layout::hot_lines(ty);
+        }
         Self {
             machine,
             chip_of,
             chip_mask,
-            objs: vec![None],
-            live: 0,
-            next_id: 1,
+            hot_lines,
+            headers: Vec::new(),
+            chunks: Vec::new(),
+            // Full, so the first alloc opens a chunk.
+            fill: CHUNK_LINES,
+            profs: Vec::new(),
             dprof: DProf::disabled(),
         }
     }
@@ -278,38 +427,37 @@ impl CacheModel {
     /// Number of live tracked objects.
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        self.live
+        self.headers.len()
     }
 
     /// Allocates a fresh object of `ty`, homed on `core`'s chip. All its
     /// lines start uncached (first accesses are compulsory misses).
     pub fn alloc(&mut self, ty: DataType, core: CoreId) -> ObjId {
-        let id = self.next_id;
-        self.next_id += 1;
-        let prof = self.dprof.is_enabled().then(|| {
-            let nf = layout::fields(ty).len();
-            ObjProf {
-                readers: vec![0; nf].into_boxed_slice(),
-                writers: vec![0; nf].into_boxed_slice(),
-            }
-        });
-        let n_lines = layout::hot_lines(ty);
-        let ledger = self
-            .dprof
-            .is_v2_enabled()
-            .then(|| vec![LineLedger::new(); n_lines].into_boxed_slice());
-        debug_assert_eq!(self.objs.len() as u64, id);
-        self.objs.push(Some(Obj {
-            ty,
+        // Only the hot prefix is materialized; cold LocalOnly tails are
+        // never touched by the data path.
+        let n_lines = self.hot_lines[ty.index()];
+        if self.fill + n_lines > CHUNK_LINES {
+            self.chunks
+                .push(vec![LineState::default(); CHUNK_LINES].into());
+            self.fill = 0;
+        }
+        let first = (self.chunks.len() - 1) * CHUNK_LINES + self.fill;
+        self.fill += n_lines;
+        self.headers.push(Header {
+            first: u32::try_from(first).expect("line arena index fits u32"),
             home_chip: self.chip_of[core.index()],
-            // Only the hot prefix is materialized; cold LocalOnly
-            // tails are never touched by the data path.
-            lines: vec![LineState::default(); n_lines].into_boxed_slice(),
-            prof,
-            ledger,
-        }));
-        self.live += 1;
-        ObjId(id)
+            ty,
+        });
+        let n = self.headers.len();
+        if self.dprof.is_enabled() || self.dprof.is_v2_enabled() {
+            self.profs.resize_with(n, ObjProf::default);
+            self.profs[n - 1].start(ty, n_lines, &self.dprof);
+        }
+        ObjId(n as u64)
+    }
+
+    fn slot(id: ObjId) -> usize {
+        (id.0 - 1) as usize
     }
 
     /// The type of a live object.
@@ -319,166 +467,103 @@ impl CacheModel {
     /// Panics if the object does not exist.
     #[must_use]
     pub fn type_of(&self, id: ObjId) -> DataType {
-        self.objs[id.0 as usize].as_ref().expect("live object").ty
-    }
-
-    /// Frees an object: folds its sharing profile into DProf and drops it.
-    pub fn free(&mut self, id: ObjId) {
-        if let Some(mut obj) = self.objs.get_mut(id.0 as usize).and_then(Option::take) {
-            self.live -= 1;
-            self.fold(&mut obj);
-        }
+        self.headers[Self::slot(id)].ty
     }
 
     /// Recycles an object for slab reuse: folds and resets its sharing
     /// profile but **keeps the line coherence state**, because reusing
     /// memory freed by another core starts from that core's cached lines.
+    /// An object allocated before a profiler was on starts being tracked
+    /// here.
     pub fn recycle(&mut self, id: ObjId) {
-        let enabled = self.dprof.is_enabled();
-        let v2 = self.dprof.is_v2_enabled();
-        if let Some(obj) = self.objs.get_mut(id.0 as usize).and_then(Option::as_mut) {
-            // Fold, then reset masks for the next incarnation.
-            let ty = obj.ty;
-            if let Some(prof) = obj.prof.as_mut() {
-                self.dprof.fold_instance(ty, &prof.readers, &prof.writers);
-                prof.readers.iter_mut().for_each(|m| *m = 0);
-                prof.writers.iter_mut().for_each(|m| *m = 0);
-            } else if enabled {
-                // Profiling was enabled after allocation; start tracking.
-                let nf = layout::fields(ty).len();
-                obj.prof = Some(ObjProf {
-                    readers: vec![0; nf].into_boxed_slice(),
-                    writers: vec![0; nf].into_boxed_slice(),
-                });
-            }
-            if let Some(ledger) = obj.ledger.as_mut() {
-                Self::fold_ledger(&mut self.dprof, ty, ledger);
-            } else if v2 {
-                // v2 was enabled after allocation; start tracking.
-                obj.ledger = Some(vec![LineLedger::new(); obj.lines.len()].into_boxed_slice());
-            }
+        let idx = Self::slot(id);
+        let ty = self.headers[idx].ty;
+        if (self.dprof.is_enabled() || self.dprof.is_v2_enabled()) && self.profs.len() <= idx {
+            self.profs.resize_with(idx + 1, ObjProf::default);
+        }
+        if let Some(p) = self.profs.get_mut(idx) {
+            p.fold(ty, &mut self.dprof);
+            p.start(ty, self.hot_lines[ty.index()], &self.dprof);
         }
     }
 
     /// Folds all live objects' profiles into DProf (end of a measured run).
     pub fn fold_all_live(&mut self) {
-        let dprof = &mut self.dprof;
-        for obj in self.objs.iter_mut().filter_map(Option::as_mut) {
-            let ty = obj.ty;
-            if let Some(prof) = obj.prof.as_mut() {
-                dprof.fold_instance(ty, &prof.readers, &prof.writers);
-                prof.readers.iter_mut().for_each(|m| *m = 0);
-                prof.writers.iter_mut().for_each(|m| *m = 0);
-            }
-            if let Some(ledger) = obj.ledger.as_mut() {
-                Self::fold_ledger(dprof, ty, ledger);
-            }
+        for (p, h) in self.profs.iter_mut().zip(&self.headers) {
+            p.fold(h.ty, &mut self.dprof);
         }
     }
 
-    fn fold(&mut self, obj: &mut Obj) {
-        if let Some(prof) = obj.prof.as_mut() {
-            self.dprof
-                .fold_instance(obj.ty, &prof.readers, &prof.writers);
-        }
-        if let Some(ledger) = obj.ledger.as_mut() {
-            Self::fold_ledger(&mut self.dprof, obj.ty, ledger);
-        }
-    }
-
-    /// Closes every line's incarnation and folds the deltas into DProf v2.
-    fn fold_ledger(dprof: &mut DProf, ty: DataType, ledger: &mut [LineLedger]) {
-        let mut delta = LineAgg::default();
-        let mut touched = false;
-        for ll in ledger.iter_mut() {
-            touched |= ll.close_incarnation(&mut delta);
-        }
-        if touched {
-            delta.instances += 1;
-        }
-        dprof.v2_fold(ty, &delta);
-    }
-
-    #[expect(clippy::too_many_arguments)]
+    /// Touches fields `fis` of the object in slot `idx` from `core`, and
+    /// records the accesses with the profilers tracking the object.
     #[inline]
-    fn touch_one(
-        lat: &sim::topology::LatencyProfile,
-        chip_of: &[u16],
-        chip_mask: &[u128],
-        home_chip: u16,
-        ls: &mut LineState,
-        c: usize,
-        my_chip: u16,
+    fn access(
+        &mut self,
+        core: CoreId,
+        idx: usize,
+        fis: impl IntoIterator<Item = usize>,
         write: bool,
-    ) -> (u64, ServiceLevel) {
-        let me = 1u128 << c;
-        let level;
-        if ls.sharers & me != 0 {
-            if write && ls.sharers != me {
-                // Upgrade: invalidate other sharers.
-                let others = ls.sharers & !me;
-                let same_chip = others & chip_mask[my_chip as usize] == others;
-                level = if same_chip {
-                    ServiceLevel::L3
-                } else {
-                    ServiceLevel::RemoteL3
-                };
-            } else {
-                level = if ls.last == c as u16 {
-                    ServiceLevel::L1
-                } else {
-                    ServiceLevel::L2
-                };
-            }
-        } else if ls.sharers == 0 {
-            level = if !ls.warm || home_chip == my_chip {
-                // Cold lines are charged local DRAM: they are brought in by
-                // the allocating core whose chip is the home node.
-                ServiceLevel::Ram
-            } else {
-                ServiceLevel::RemoteRam
-            };
-        } else if ls.dirty {
-            let owner_chip = chip_of[ls.owner as usize];
-            level = if owner_chip == my_chip {
-                ServiceLevel::L3
-            } else {
-                ServiceLevel::RemoteL3
-            };
-        } else if ls.sharers & chip_mask[my_chip as usize] != 0 {
-            level = ServiceLevel::L3;
-        } else {
-            level = if home_chip == my_chip {
-                ServiceLevel::Ram
-            } else {
-                ServiceLevel::RemoteRam
-            };
-        }
-
-        if write {
-            ls.sharers = me;
-            ls.dirty = true;
-            ls.owner = c as u16;
-        } else {
-            // A read by another core downgrades Modified to Shared (the
-            // owner's copy is written back).
-            if ls.dirty && ls.owner != c as u16 {
-                ls.dirty = false;
-            }
-            ls.sharers |= me;
-        }
-        ls.last = c as u16;
-        ls.warm = true;
-
-        let cycles = match level {
-            ServiceLevel::L1 => lat.l1,
-            ServiceLevel::L2 => lat.l2,
-            ServiceLevel::L3 => lat.l3,
-            ServiceLevel::Ram => lat.ram,
-            ServiceLevel::RemoteL3 => lat.remote_l3,
-            ServiceLevel::RemoteRam => lat.remote_ram,
+    ) -> Access {
+        let c = core.index();
+        let my_chip = self.chip_of[c];
+        let lat = self.machine.lat;
+        let h = self.headers[idx];
+        let (home_chip, ty) = (h.home_chip, h.ty);
+        let fields = layout::fields(ty);
+        let (chunk, span) = self.span(h);
+        let lines = &mut self.chunks[chunk][span];
+        let dprof_on = self.dprof.is_enabled();
+        let v2_on = self.dprof.is_v2_enabled();
+        let (mut masks, mut ledger) = match self.profs.get_mut(idx) {
+            Some(p) => (
+                p.masks.as_deref_mut().filter(|_| dprof_on),
+                p.ledger.as_deref_mut().filter(|_| v2_on),
+            ),
+            None => (None, None),
         };
-        (cycles, level)
+        let mut acc = Access::default();
+        let mut delta = LineAgg::default();
+        for fi in fis {
+            let f = &fields[fi];
+            let mut field_acc = Access::default();
+            for line in f.lines() {
+                let ls = &mut lines[line];
+                // A fill is an access by a core holding no copy — computed
+                // before `touch_one` mutates the sharer set.
+                let filled = (ls.sharers() >> c) & 1 == 0;
+                let level = touch_one(
+                    &self.chip_of,
+                    &self.chip_mask,
+                    home_chip,
+                    ls,
+                    c,
+                    my_chip,
+                    write,
+                );
+                field_acc.latency += level.cycles(&lat);
+                if level.is_l2_miss() {
+                    field_acc.l2_misses += 1;
+                }
+                if let Some(ledger) = ledger.as_deref_mut() {
+                    let mask = line_byte_mask(f, line);
+                    ledger[line].touch(&mut delta, c, filled, mask, TouchSide::of(f.tag));
+                }
+            }
+            if dprof_on {
+                if let Some(masks) = masks.as_deref_mut() {
+                    let writers = if write { masks.len() / 2 } else { 0 };
+                    masks[writers + fi] |= 1u128 << c;
+                }
+                if f.tag.shared_under_fine() {
+                    self.dprof.record_shared_access(ty, field_acc.latency);
+                }
+            }
+            acc.add(field_acc);
+        }
+        if v2_on {
+            self.dprof.v2_fold(ty, &delta);
+        }
+        acc
     }
 
     /// Accesses one field of an object; returns the total cost.
@@ -493,59 +578,7 @@ impl CacheModel {
         field_idx: usize,
         write: bool,
     ) -> Access {
-        let c = core.index();
-        let my_chip = self.chip_of[c];
-        let lat = self.machine.lat;
-        let dprof_on = self.dprof.is_enabled();
-        let v2_on = self.dprof.is_v2_enabled();
-        let obj = self.objs[id.0 as usize].as_mut().expect("live object");
-        let ty = obj.ty;
-        let f = &layout::fields(ty)[field_idx];
-        let side = TouchSide::of(f.tag);
-        let mut acc = Access::default();
-        let mut delta = LineAgg::default();
-        for line in f.lines() {
-            let ls = &mut obj.lines[line];
-            // A fill is an access by a core holding no copy — computed
-            // before `touch_one` mutates the sharer set.
-            let filled = v2_on && (ls.sharers >> c) & 1 == 0;
-            let (cycles, level) = Self::touch_one(
-                &lat,
-                &self.chip_of,
-                &self.chip_mask,
-                obj.home_chip,
-                ls,
-                c,
-                my_chip,
-                write,
-            );
-            acc.latency += cycles;
-            if level.is_l2_miss() {
-                acc.l2_misses += 1;
-            }
-            if v2_on {
-                if let Some(ledger) = obj.ledger.as_mut() {
-                    ledger[line].touch(&mut delta, c, filled, line_byte_mask(f, line), side);
-                }
-            }
-        }
-        if dprof_on {
-            if let Some(prof) = obj.prof.as_mut() {
-                let me = 1u128 << c;
-                if write {
-                    prof.writers[field_idx] |= me;
-                } else {
-                    prof.readers[field_idx] |= me;
-                }
-            }
-            if f.tag.shared_under_fine() {
-                self.dprof.record_shared_access(ty, acc.latency);
-            }
-        }
-        if v2_on {
-            self.dprof.v2_fold(ty, &delta);
-        }
-        acc
+        self.access(core, Self::slot(id), [field_idx], write)
     }
 
     /// Accesses every field of `id` carrying `tag`.
@@ -556,84 +589,33 @@ impl CacheModel {
         tag: layout::FieldTag,
         write: bool,
     ) -> Access {
-        let c = core.index();
-        let my_chip = self.chip_of[c];
-        let lat = self.machine.lat;
-        let dprof_on = self.dprof.is_enabled();
-        let v2_on = self.dprof.is_v2_enabled();
-        let obj = self.objs[id.0 as usize].as_mut().expect("live object");
-        let ty = obj.ty;
-        let fields = layout::fields(ty);
-        let side = TouchSide::of(tag);
-        let mut acc = Access::default();
-        let mut delta = LineAgg::default();
-        let shared_set = tag.shared_under_fine();
-        let me = 1u128 << c;
-        for &idx in layout::tag_indices(ty, tag) {
-            let f = &fields[idx as usize];
-            let mut field_acc = Access::default();
-            for line in f.lines() {
-                let ls = &mut obj.lines[line];
-                let filled = v2_on && (ls.sharers >> c) & 1 == 0;
-                let (cycles, level) = Self::touch_one(
-                    &lat,
-                    &self.chip_of,
-                    &self.chip_mask,
-                    obj.home_chip,
-                    ls,
-                    c,
-                    my_chip,
-                    write,
-                );
-                field_acc.latency += cycles;
-                if level.is_l2_miss() {
-                    field_acc.l2_misses += 1;
-                }
-                if v2_on {
-                    if let Some(ledger) = obj.ledger.as_mut() {
-                        ledger[line].touch(&mut delta, c, filled, line_byte_mask(f, line), side);
-                    }
-                }
-            }
-            if dprof_on {
-                if let Some(prof) = obj.prof.as_mut() {
-                    if write {
-                        prof.writers[idx as usize] |= me;
-                    } else {
-                        prof.readers[idx as usize] |= me;
-                    }
-                }
-                if shared_set {
-                    self.dprof.record_shared_access(ty, field_acc.latency);
-                }
-            }
-            acc.add(field_acc);
-        }
-        if v2_on {
-            self.dprof.v2_fold(ty, &delta);
-        }
-        acc
+        let idx = Self::slot(id);
+        let fis = layout::tag_indices(self.headers[idx].ty, tag);
+        self.access(core, idx, fis.iter().map(|&fi| usize::from(fi)), write)
+    }
+
+    /// The chunk holding an object's lines, and their range in it.
+    fn span(&self, h: Header) -> (usize, std::ops::Range<usize>) {
+        let first = h.first as usize;
+        let off = first % CHUNK_LINES;
+        (first / CHUNK_LINES, off..off + self.hot_lines[h.ty.index()])
+    }
+
+    fn line(&self, id: ObjId, line: usize) -> LineState {
+        let (chunk, span) = self.span(self.headers[Self::slot(id)]);
+        self.chunks[chunk][span][line]
     }
 
     /// Whether the given line of an object is currently dirty in some cache.
     #[must_use]
     pub fn line_dirty(&self, id: ObjId, line: usize) -> bool {
-        self.objs[id.0 as usize]
-            .as_ref()
-            .expect("live object")
-            .lines[line]
-            .dirty
+        self.line(id, line).dirty()
     }
 
     /// Sharer count of a line (for invariants and tests).
     #[must_use]
     pub fn line_sharers(&self, id: ObjId, line: usize) -> u32 {
-        self.objs[id.0 as usize]
-            .as_ref()
-            .expect("live object")
-            .lines[line]
-            .sharers
-            .count_ones()
+        self.line(id, line).sharers().count_ones()
     }
 }
 
@@ -758,15 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn free_removes_object() {
-        let mut m = model();
-        let id = m.alloc(DataType::SkBuff, C0);
-        assert_eq!(m.live_objects(), 1);
-        m.free(id);
-        assert_eq!(m.live_objects(), 0);
-    }
-
-    #[test]
     fn access_tagged_touches_all_tagged_fields() {
         let mut m = model();
         let id = m.alloc(DataType::TcpSock, C0);
@@ -805,7 +778,7 @@ mod tests {
         m.access_field(C0, id, 0, false); // reuse, same generation
         m.access_field(C6, id, 0, false); // fill on C6 (new generation)
         m.access_field(C0, id, 0, true); // upgrade: C0 still holds a copy
-        m.free(id);
+        m.fold_all_live();
         let t = *m.dprof.v2_agg(DataType::TcpRequestSock).expect("recorded");
         assert_v2_laws(&t);
         assert_eq!(t.instances, 1);
@@ -829,7 +802,7 @@ mod tests {
         m.access_field(C0, id, 0, true);
         m.recycle(id); // closes the incarnation — and its open generation
         m.access_field(C0, id, 0, false); // line still resident: warm gen
-        m.free(id);
+        m.fold_all_live();
         let t = *m.dprof.v2_agg(DataType::TcpRequestSock).expect("recorded");
         assert_v2_laws(&t);
         assert_eq!(t.fills, 1);
@@ -846,7 +819,7 @@ mod tests {
         m.dprof.enable_v2();
         m.recycle(id);
         m.access_field(C0, id, 0, false);
-        m.free(id);
+        m.fold_all_live();
         let t = *m.dprof.v2_agg(DataType::TcpRequestSock).expect("recorded");
         assert_v2_laws(&t);
         assert_eq!(t.warm_gens, 1);
@@ -877,6 +850,85 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The explicit-field line state that [`LineState`] packs into 16
+    /// bytes, kept as the reference for the differential test below.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct RefLine {
+        sharers: u128,
+        /// Last writer.
+        owner: u16,
+        last: u16,
+        dirty: bool,
+        /// Whether the line has ever been cached.
+        warm: bool,
+    }
+
+    /// [`touch_one`] over the explicit fields, as the model computed it
+    /// before `owner` and `warm` became implied.
+    fn ref_touch_one(
+        chip_of: &[u16],
+        chip_mask: &[u128],
+        home_chip: u16,
+        ls: &mut RefLine,
+        c: usize,
+        my_chip: u16,
+        write: bool,
+    ) -> ServiceLevel {
+        let me = 1u128 << c;
+        let level;
+        if ls.sharers & me != 0 {
+            if write && ls.sharers != me {
+                let others = ls.sharers & !me;
+                let same_chip = others & chip_mask[my_chip as usize] == others;
+                level = if same_chip {
+                    ServiceLevel::L3
+                } else {
+                    ServiceLevel::RemoteL3
+                };
+            } else {
+                level = if ls.last == c as u16 {
+                    ServiceLevel::L1
+                } else {
+                    ServiceLevel::L2
+                };
+            }
+        } else if ls.sharers == 0 {
+            level = if !ls.warm || home_chip == my_chip {
+                ServiceLevel::Ram
+            } else {
+                ServiceLevel::RemoteRam
+            };
+        } else if ls.dirty {
+            let owner_chip = chip_of[ls.owner as usize];
+            level = if owner_chip == my_chip {
+                ServiceLevel::L3
+            } else {
+                ServiceLevel::RemoteL3
+            };
+        } else if ls.sharers & chip_mask[my_chip as usize] != 0 {
+            level = ServiceLevel::L3;
+        } else {
+            level = if home_chip == my_chip {
+                ServiceLevel::Ram
+            } else {
+                ServiceLevel::RemoteRam
+            };
+        }
+        if write {
+            ls.sharers = me;
+            ls.dirty = true;
+            ls.owner = c as u16;
+        } else {
+            if ls.dirty && ls.owner != c as u16 {
+                ls.dirty = false;
+            }
+            ls.sharers |= me;
+        }
+        ls.last = c as u16;
+        ls.warm = true;
+        level
+    }
+
     proptest! {
         /// Coherence invariant: a dirty line has exactly one sharer; the
         /// owner of a dirty line is always in the sharer set.
@@ -890,6 +942,80 @@ mod proptests {
                     prop_assert_eq!(m.line_sharers(id, 0), 1);
                 }
                 prop_assert!(m.line_sharers(id, 0) >= 1);
+            }
+        }
+
+        /// The packed line state against the explicit-field reference:
+        /// the same random field reads, writes and recycles on objects of
+        /// every type, spread over three arena chunks, cost the same and
+        /// leave the same sharers and dirty bits, on both machines and
+        /// with the profilers on or off.
+        #[test]
+        fn packed_lines_match_the_explicit_reference(
+            intel in any::<bool>(),
+            profiled in any::<bool>(),
+            steps in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>(), 0u8..5), 1..300),
+        ) {
+            let machine = if intel { Machine::intel80() } else { Machine::amd48() };
+            let n_cores = machine.n_cores;
+            let mut m = CacheModel::new(machine.clone());
+            if profiled {
+                m.dprof = DProf::enabled();
+                m.dprof.enable_v2();
+            }
+            let chip_of = m.chip_of.clone();
+            let chip_mask = m.chip_mask.clone();
+            let mut reference: Vec<(u16, Vec<RefLine>)> = Vec::new();
+            let mut ids = Vec::new();
+            for k in 0.. {
+                if m.chunks.len() == 3 && m.fill > CHUNK_LINES / 2 {
+                    break;
+                }
+                let ty = DataType::ALL[k % DataType::ALL.len()];
+                let core = CoreId((k % n_cores) as u16);
+                ids.push(m.alloc(ty, core));
+                reference.push((chip_of[core.index()], vec![RefLine::default(); layout::hot_lines(ty)]));
+            }
+            // A working set with the objects on both sides of each chunk
+            // boundary, and a spread of others.
+            let chunk_of = |i: usize| m.span(m.headers[i]).0;
+            let set: Vec<usize> = (0..ids.len())
+                .filter(|&i| {
+                    i % 997 == 0
+                        || i + 1 == ids.len()
+                        || (i > 0 && chunk_of(i) != chunk_of(i - 1))
+                        || (i + 1 < ids.len() && chunk_of(i) != chunk_of(i + 1))
+                })
+                .collect();
+            for (obj, core, field, op) in steps {
+                let i = set[obj % set.len()];
+                let id = ids[i];
+                let ty = m.type_of(id);
+                let (home_chip, lines) = &mut reference[i];
+                if op == 4 {
+                    m.recycle(id);
+                } else {
+                    let c = core % n_cores;
+                    let write = op >= 2;
+                    let hot = layout::hot_lines(ty);
+                    let fields: Vec<usize> = (0..layout::fields(ty).len())
+                        .filter(|&fi| layout::fields(ty)[fi].lines().all(|l| l < hot))
+                        .collect();
+                    let fi = fields[field % fields.len()];
+                    let got = m.access_field(CoreId(c as u16), id, fi, write);
+                    let mut want = Access::default();
+                    for l in layout::fields(ty)[fi].lines() {
+                        let level = ref_touch_one(&chip_of, &chip_mask, *home_chip, &mut lines[l], c, chip_of[c], write);
+                        want.latency += level.cycles(&machine.lat);
+                        want.l2_misses += u64::from(level.is_l2_miss());
+                    }
+                    prop_assert_eq!(got, want, "{:?} field {} core {} write {}", ty, fi, c, write);
+                }
+                for (l, r) in lines.iter().enumerate() {
+                    prop_assert_eq!(m.line_dirty(id, l), r.dirty, "{:?} line {} dirty", ty, l);
+                    prop_assert_eq!(m.line_sharers(id, l), r.sharers.count_ones(), "{:?} line {} sharers", ty, l);
+                    prop_assert_eq!(m.line(id, l).sharers(), r.sharers);
+                }
             }
         }
 

@@ -51,7 +51,7 @@ impl TouchSide {
 /// Per-`DataType` aggregate of the dprof-v2 per-cacheline access ledger
 /// (DESIGN.md §13). A *generation* is the interval between a line's fill
 /// (an access served beyond L2, pulling all 64 bytes) and its eviction
-/// (the next fill, or the object's free/recycle/end-of-run fold). An
+/// (the next fill, or the object's recycle or end-of-run fold). An
 /// *incarnation* is one allocate-to-fold lifetime of the object.
 ///
 /// All byte counters are accounted at generation close, so

@@ -474,12 +474,6 @@ pub fn tag_indices(ty: DataType, tag: FieldTag) -> &'static [u16] {
     &idx[ty.index()][tag_pos(tag)]
 }
 
-/// Finds a field's index by name (for cost tables and tests).
-#[must_use]
-pub fn field_index(ty: DataType, name: &str) -> Option<usize> {
-    fields(ty).iter().position(|f| f.name == name)
-}
-
 /// Indices of all fields of `ty` carrying tag `tag`.
 #[must_use]
 pub fn fields_with_tag(ty: DataType, tag: FieldTag) -> Vec<usize> {
@@ -505,31 +499,28 @@ pub fn hot_lines(ty: DataType) -> usize {
         .map_or(1, |l| l + 1)
 }
 
-/// Static sharing expectation for a type: `(lines_shared, bytes_shared,
-/// bytes_shared_rw)` assuming packet side and app side run on different
-/// cores (the Fine-Accept situation). Used by tests to check the layouts
-/// against Table 4.
-#[must_use]
-pub fn fine_sharing_profile(ty: DataType) -> (usize, usize, usize) {
-    let fs = fields(ty);
-    let mut shared_lines = std::collections::BTreeSet::new();
-    let mut bytes = 0;
-    let mut rw = 0;
-    for f in fs {
-        if f.tag.shared_under_fine() {
-            bytes += f.len;
-            if f.tag.written() {
-                rw += f.len;
-            }
-            shared_lines.extend(f.lines());
-        }
-    }
-    (shared_lines.len(), bytes, rw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Static sharing expectation for a type: `(lines_shared, bytes_shared,
+    /// bytes_shared_rw)` assuming packet side and app side run on different
+    /// cores (the Fine-Accept situation).
+    fn fine_sharing_profile(ty: DataType) -> (usize, usize, usize) {
+        let mut shared_lines = std::collections::BTreeSet::new();
+        let mut bytes = 0;
+        let mut rw = 0;
+        for f in fields(ty) {
+            if f.tag.shared_under_fine() {
+                bytes += f.len;
+                if f.tag.written() {
+                    rw += f.len;
+                }
+                shared_lines.extend(f.lines());
+            }
+        }
+        (shared_lines.len(), bytes, rw)
+    }
 
     /// Checks a layout's emergent sharing against a Table 4 row, with a
     /// tolerance of a few percentage points (the paper's own numbers are
@@ -615,13 +606,6 @@ mod tests {
             names.dedup();
             assert_eq!(names.len(), n, "{} duplicate names", ty.label());
         }
-    }
-
-    #[test]
-    fn field_index_roundtrip() {
-        let i = field_index(DataType::TcpSock, "rcv_nxt").expect("exists");
-        assert_eq!(fields(DataType::TcpSock)[i].name, "rcv_nxt");
-        assert!(field_index(DataType::TcpSock, "nope").is_none());
     }
 
     #[test]

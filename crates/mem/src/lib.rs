@@ -14,9 +14,10 @@
 //!   writes them; the annotations, not hard-coded percentages, produce
 //!   Table 4's sharing profile.
 //! * [`cache`] — a MESI-flavoured coherence cost model: each tracked cache
-//!   line knows its last writer and sharer set, and an access is served
-//!   from local L1/L2, the chip-local L3, a remote chip's cache, or DRAM
-//!   accordingly, at Table 1 latencies.
+//!   line knows its sharer set and whether it is dirty (a dirty line's one
+//!   sharer is its owner), and an access is served from local L1/L2, the
+//!   chip-local L3, a remote chip's cache, or DRAM accordingly, at Table 1
+//!   latencies.
 //! * [`slab`] — the per-core object pools (§2.2's packet-buffer allocation
 //!   problem: remote frees are slower and poison locality).
 //! * [`dprof`] — a model of DProf [Pesterev et al., EuroSys 2010], which

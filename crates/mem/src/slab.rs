@@ -183,7 +183,7 @@ mod tests {
         slab.free(C0, a, &mut cache); // recycle: closes the incarnation
         let (b, _) = slab.alloc(C0, DataType::SkBuff, &mut cache);
         assert_eq!(a, b);
-        cache.free(b);
+        cache.fold_all_live();
         let t = *cache.dprof.v2_agg(DataType::SkBuff).expect("recorded");
         assert_eq!(t.bytes_touched + t.bytes_wasted, t.bytes_fetched);
         assert_eq!(t.fills, 1, "local reuse must not re-fetch");

@@ -34,7 +34,6 @@ fn simulate_requests(cache: &mut CacheModel, rx: CoreId, app: CoreId, n: u32) ->
             .access_tagged(app, sock, FieldTag::BothRwByApp, true)
             .latency;
     }
-    cache.free(sock);
     cycles
 }
 
