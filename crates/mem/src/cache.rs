@@ -19,16 +19,68 @@
 //! side and the application side re-fetches the line from a remote cache.
 //!
 //! An access beyond L2 counts as an L2 miss (Table 3's third counter).
+//!
+//! An access reads only the line states it touches: a line state is 12
+//! bytes, an [`ObjId`] carries the object's type, home chip and the arena
+//! index of its first line, and each type's fields are compiled once into
+//! line runs (`layout::plans`).
 
 use crate::dprof::{DProf, LineAgg, TouchSide};
-use crate::layout;
+use crate::layout::{self, Plan, Run};
 use crate::types::{DataType, CACHE_LINE};
 use serde::{Deserialize, Serialize};
-use sim::topology::{CoreId, LatencyProfile, Machine};
+use sim::topology::{CoreId, Machine};
 
-/// Identifies one tracked object instance.
+/// Identifies one tracked object instance, and says where its lines are:
+/// bits 0..32 hold the arena index of its first line, bits 32..36 its
+/// [`DataType::index`], bits 36..40 its home chip, and bits 40..64 its
+/// allocation ordinal, which indexes the profilers' side table. The
+/// ordinal is the top field, so ids compare in allocation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ObjId(pub u64);
+
+const _: () = assert!(DataType::ALL.len() <= 16);
+
+impl ObjId {
+    const TYPE_SHIFT: u32 = 32;
+    const CHIP_SHIFT: u32 = 36;
+    const ORDINAL_SHIFT: u32 = 40;
+
+    fn new(first: usize, ty: DataType, home_chip: u16, ordinal: usize) -> Self {
+        let first = u32::try_from(first).expect("line arena index fits 32 bits");
+        assert!(home_chip < 16, "home chip {home_chip} does not fit 4 bits");
+        assert!(
+            ordinal < 1 << 24,
+            "allocation ordinal {ordinal} does not fit 24 bits"
+        );
+        Self(
+            u64::from(first)
+                | (ty.index() as u64) << Self::TYPE_SHIFT
+                | u64::from(home_chip) << Self::CHIP_SHIFT
+                | (ordinal as u64) << Self::ORDINAL_SHIFT,
+        )
+    }
+
+    fn first_line(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    fn type_index(self) -> usize {
+        (self.0 >> Self::TYPE_SHIFT) as usize & 0xf
+    }
+
+    fn ty(self) -> DataType {
+        DataType::from_index(self.type_index())
+    }
+
+    fn home_chip(self) -> u16 {
+        (self.0 >> Self::CHIP_SHIFT) as u16 & 0xf
+    }
+
+    fn ordinal(self) -> usize {
+        (self.0 >> Self::ORDINAL_SHIFT) as usize
+    }
+}
 
 /// Where an access was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,17 +99,6 @@ impl ServiceLevel {
     #[must_use]
     pub fn is_l2_miss(self) -> bool {
         !matches!(self, ServiceLevel::L1 | ServiceLevel::L2)
-    }
-
-    fn cycles(self, lat: &LatencyProfile) -> u64 {
-        match self {
-            ServiceLevel::L1 => lat.l1,
-            ServiceLevel::L2 => lat.l2,
-            ServiceLevel::L3 => lat.l3,
-            ServiceLevel::Ram => lat.ram,
-            ServiceLevel::RemoteL3 => lat.remote_l3,
-            ServiceLevel::RemoteRam => lat.remote_ram,
-        }
     }
 }
 
@@ -79,43 +120,57 @@ impl Access {
 }
 
 /// Cores a line's sharer mask can name.
-const MAX_CORES: usize = 120;
+const MAX_CORES: usize = 88;
 
-/// Lines per arena chunk: 512 KiB of line state. A constant, so the chunks
+/// Lines per arena chunk: 384 KiB of line state. A constant, so the chunks
 /// one model frees are reused whole by the next model built in the process.
 const CHUNK_LINES: usize = 32_768;
 
-/// One line's coherence state in 16 bytes: the sharer mask in bits 0..120,
+/// One line's coherence state in 12 bytes: the sharer mask in bits 0..88,
 /// the most recent toucher (the L1 heuristic) in the next 7 bits, and the
-/// dirty bit in bit 127. Two invariants make a fuller state redundant:
+/// dirty flag in bit 95. Two invariants make a fuller state redundant:
 ///
 /// * a dirty line has exactly one holder, its last writer, so the owner is
 ///   the mask's lowest set bit;
 /// * a line that was cached once never returns to zero holders, so an empty
 ///   mask means the line was never fetched.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct LineState(u128);
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, packed(4))]
+struct LineState {
+    /// Bits 0..64.
+    lo: u64,
+    /// Bits 64..96.
+    hi: u32,
+}
 
-const _: () = assert!(std::mem::size_of::<LineState>() == 16);
+const _: () = assert!(std::mem::size_of::<LineState>() == 12);
 
 impl LineState {
     const SHARERS: u128 = (1 << MAX_CORES) - 1;
-    const DIRTY: u128 = 1 << 127;
+    const DIRTY: u128 = 1 << 95;
 
     fn new(sharers: u128, last: usize, dirty: bool) -> Self {
-        Self(sharers | (last as u128) << MAX_CORES | u128::from(dirty) << 127)
+        let bits = sharers | (last as u128) << MAX_CORES | u128::from(dirty) << 95;
+        Self {
+            lo: bits as u64,
+            hi: (bits >> 64) as u32,
+        }
+    }
+
+    fn bits(self) -> u128 {
+        u128::from(self.lo) | u128::from(self.hi) << 64
     }
 
     fn sharers(self) -> u128 {
-        self.0 & Self::SHARERS
+        self.bits() & Self::SHARERS
     }
 
     fn last(self) -> usize {
-        (self.0 >> MAX_CORES) as usize & 0x7f
+        (self.bits() >> MAX_CORES) as usize & 0x7f
     }
 
     fn dirty(self) -> bool {
-        self.0 & Self::DIRTY != 0
+        self.bits() & Self::DIRTY != 0
     }
 }
 
@@ -233,21 +288,6 @@ impl LineLedger {
     }
 }
 
-/// The slice of a field that overlaps `line`, as a byte bitmask relative to
-/// the line start.
-fn line_byte_mask(f: &layout::Field, line: usize) -> u64 {
-    let line_lo = line * CACHE_LINE;
-    let lo = f.off.max(line_lo) - line_lo;
-    let hi = (f.off + f.len).min(line_lo + CACHE_LINE) - line_lo;
-    debug_assert!(lo < hi && hi <= CACHE_LINE);
-    let width = hi - lo;
-    if width >= 64 {
-        u64::MAX
-    } else {
-        ((1u64 << width) - 1) << lo
-    }
-}
-
 /// Serves one access by core `c` (on `my_chip`) to line `ls` of an object
 /// homed on `home_chip`, and applies the coherence transition.
 #[inline]
@@ -305,23 +345,11 @@ fn touch_one(
     level
 }
 
-/// What the arena knows of one object: 8 bytes.
-#[derive(Debug, Clone, Copy)]
-struct Header {
-    /// Arena index of the object's first line, `chunk * CHUNK_LINES +
-    /// offset`; its `layout::hot_lines` lines follow it in the same chunk.
-    first: u32,
-    /// The chip whose DRAM node backs the object.
-    home_chip: u16,
-    ty: DataType,
-}
-
-const _: () = assert!(std::mem::size_of::<Header>() <= 12);
-
 /// DProf's state for one object. Each part is `None` until its profiler is
 /// on at the object's alloc or at a later recycle.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ObjProf {
+    ty: DataType,
     /// Per-field core masks (Table 4): the readers of every field, then
     /// the writers.
     masks: Option<Box<[u128]>>,
@@ -330,10 +358,18 @@ struct ObjProf {
 }
 
 impl ObjProf {
+    fn new(ty: DataType) -> Self {
+        Self {
+            ty,
+            masks: None,
+            ledger: None,
+        }
+    }
+
     /// Starts tracking every part whose profiler is on.
-    fn start(&mut self, ty: DataType, n_lines: usize, dprof: &DProf) {
+    fn start(&mut self, n_lines: usize, dprof: &DProf) {
         if self.masks.is_none() && dprof.is_enabled() {
-            self.masks = Some(vec![0; 2 * layout::fields(ty).len()].into());
+            self.masks = Some(vec![0; 2 * layout::fields(self.ty).len()].into());
         }
         if self.ledger.is_none() && dprof.is_v2_enabled() {
             self.ledger = Some(vec![LineLedger::new(); n_lines].into());
@@ -341,10 +377,10 @@ impl ObjProf {
     }
 
     /// Folds this incarnation into DProf and resets for the next one.
-    fn fold(&mut self, ty: DataType, dprof: &mut DProf) {
+    fn fold(&mut self, dprof: &mut DProf) {
         if let Some(masks) = self.masks.as_mut() {
             let (readers, writers) = masks.split_at(masks.len() / 2);
-            dprof.fold_instance(ty, readers, writers);
+            dprof.fold_instance(self.ty, readers, writers);
             masks.fill(0);
         }
         if let Some(ledger) = self.ledger.as_mut() {
@@ -356,32 +392,34 @@ impl ObjProf {
             if touched {
                 delta.instances += 1;
             }
-            dprof.v2_fold(ty, &delta);
+            dprof.v2_fold(self.ty, &delta);
         }
     }
 }
 
 /// The machine-wide coherence model. See the module docs.
 ///
-/// Objects are never freed, only recycled through the slab pools, so they
-/// live in an arena without holes: one [`Header`] per object, indexed by
-/// id, and every object's line states back to back in fixed chunks of
-/// [`CHUNK_LINES`] that no object straddles.
+/// Objects are never freed, only recycled through the slab pools, so their
+/// line states live in an arena without holes: back to back in fixed
+/// chunks of [`CHUNK_LINES`] that no object straddles. An [`ObjId`] holds
+/// everything needed to reach them, so the model keeps no per-object table.
 #[derive(Debug)]
 pub struct CacheModel {
     machine: Machine,
+    /// Table 1 latencies, indexed by `ServiceLevel as usize`.
+    lat: [u64; 6],
+    /// Every type's compiled fields, `layout::plans()`.
+    plans: &'static [Plan],
     chip_of: Vec<u16>,
     chip_mask: Vec<u128>,
-    /// `layout::hot_lines` per type, indexed by `DataType::index`.
-    hot_lines: [usize; DataType::ALL.len()],
-    /// `ObjId(n)` is `headers[n - 1]`.
-    headers: Vec<Header>,
     chunks: Vec<Box<[LineState]>>,
     /// Lines used in the last chunk.
     fill: usize,
-    /// Profiler state, indexed like `headers`; empty until a profiler is
-    /// on at an alloc or recycle.
-    profs: Vec<ObjProf>,
+    /// Objects allocated so far: the next allocation ordinal.
+    live: usize,
+    /// Profiler state, indexed by allocation ordinal; empty until a
+    /// profiler is on at an alloc or recycle.
+    profs: Vec<Option<ObjProf>>,
     /// The DProf profiler; enable before a run to collect Table 4 /
     /// Figure 4 data.
     pub dprof: DProf,
@@ -391,7 +429,7 @@ impl CacheModel {
     /// Creates a model for the given machine.
     #[must_use]
     pub fn new(machine: Machine) -> Self {
-        assert!(machine.n_cores <= MAX_CORES, "core masks are 120 bits");
+        assert!(machine.n_cores <= MAX_CORES, "core masks are 88 bits");
         let chip_of: Vec<u16> = (0..machine.n_cores)
             .map(|i| machine.chip_of(CoreId(i as u16)).0)
             .collect();
@@ -400,19 +438,17 @@ impl CacheModel {
         for (core, chip) in chip_of.iter().enumerate() {
             chip_mask[*chip as usize] |= 1u128 << core;
         }
-        let mut hot_lines = [0; DataType::ALL.len()];
-        for ty in DataType::ALL {
-            hot_lines[ty.index()] = layout::hot_lines(ty);
-        }
+        let l = machine.lat;
         Self {
+            lat: [l.l1, l.l2, l.l3, l.ram, l.remote_l3, l.remote_ram],
             machine,
+            plans: layout::plans(),
             chip_of,
             chip_mask,
-            hot_lines,
-            headers: Vec::new(),
             chunks: Vec::new(),
             // Full, so the first alloc opens a chunk.
             fill: CHUNK_LINES,
+            live: 0,
             profs: Vec::new(),
             dprof: DProf::disabled(),
         }
@@ -427,15 +463,19 @@ impl CacheModel {
     /// Number of live tracked objects.
     #[must_use]
     pub fn live_objects(&self) -> usize {
-        self.headers.len()
+        self.live
     }
 
     /// Allocates a fresh object of `ty`, homed on `core`'s chip. All its
     /// lines start uncached (first accesses are compulsory misses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part of the new [`ObjId`] overflows its bits.
     pub fn alloc(&mut self, ty: DataType, core: CoreId) -> ObjId {
         // Only the hot prefix is materialized; cold LocalOnly tails are
         // never touched by the data path.
-        let n_lines = self.hot_lines[ty.index()];
+        let n_lines = usize::from(self.plans[ty.index()].hot_lines);
         if self.fill + n_lines > CHUNK_LINES {
             self.chunks
                 .push(vec![LineState::default(); CHUNK_LINES].into());
@@ -443,31 +483,22 @@ impl CacheModel {
         }
         let first = (self.chunks.len() - 1) * CHUNK_LINES + self.fill;
         self.fill += n_lines;
-        self.headers.push(Header {
-            first: u32::try_from(first).expect("line arena index fits u32"),
-            home_chip: self.chip_of[core.index()],
-            ty,
-        });
-        let n = self.headers.len();
+        let ordinal = self.live;
+        let id = ObjId::new(first, ty, self.chip_of[core.index()], ordinal);
+        self.live += 1;
         if self.dprof.is_enabled() || self.dprof.is_v2_enabled() {
-            self.profs.resize_with(n, ObjProf::default);
-            self.profs[n - 1].start(ty, n_lines, &self.dprof);
+            self.profs.resize_with(ordinal, || None);
+            let mut p = ObjProf::new(ty);
+            p.start(n_lines, &self.dprof);
+            self.profs.push(Some(p));
         }
-        ObjId(n as u64)
+        id
     }
 
-    fn slot(id: ObjId) -> usize {
-        (id.0 - 1) as usize
-    }
-
-    /// The type of a live object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object does not exist.
+    /// The type `id` was allocated with.
     #[must_use]
     pub fn type_of(&self, id: ObjId) -> DataType {
-        self.headers[Self::slot(id)].ty
+        id.ty()
     }
 
     /// Recycles an object for slab reuse: folds and resets its sharing
@@ -476,57 +507,50 @@ impl CacheModel {
     /// An object allocated before a profiler was on starts being tracked
     /// here.
     pub fn recycle(&mut self, id: ObjId) {
-        let idx = Self::slot(id);
-        let ty = self.headers[idx].ty;
-        if (self.dprof.is_enabled() || self.dprof.is_v2_enabled()) && self.profs.len() <= idx {
-            self.profs.resize_with(idx + 1, ObjProf::default);
+        let ord = id.ordinal();
+        if (self.dprof.is_enabled() || self.dprof.is_v2_enabled()) && self.profs.len() <= ord {
+            self.profs.resize_with(ord + 1, || None);
         }
-        if let Some(p) = self.profs.get_mut(idx) {
-            p.fold(ty, &mut self.dprof);
-            p.start(ty, self.hot_lines[ty.index()], &self.dprof);
+        if let Some(slot) = self.profs.get_mut(ord) {
+            let p = slot.get_or_insert_with(|| ObjProf::new(id.ty()));
+            p.fold(&mut self.dprof);
+            p.start(
+                usize::from(self.plans[id.type_index()].hot_lines),
+                &self.dprof,
+            );
         }
     }
 
     /// Folds all live objects' profiles into DProf (end of a measured run).
     pub fn fold_all_live(&mut self) {
-        for (p, h) in self.profs.iter_mut().zip(&self.headers) {
-            p.fold(h.ty, &mut self.dprof);
+        for p in self.profs.iter_mut().flatten() {
+            p.fold(&mut self.dprof);
         }
     }
 
-    /// Touches fields `fis` of the object in slot `idx` from `core`, and
-    /// records the accesses with the profilers tracking the object.
+    /// Touches the lines of `runs` in object `id` from `core`, and records
+    /// the accesses with the profilers tracking the object.
     #[inline]
-    fn access(
-        &mut self,
-        core: CoreId,
-        idx: usize,
-        fis: impl IntoIterator<Item = usize>,
-        write: bool,
-    ) -> Access {
+    fn access(&mut self, core: CoreId, id: ObjId, runs: &[Run], write: bool) -> Access {
         let c = core.index();
         let my_chip = self.chip_of[c];
-        let lat = self.machine.lat;
-        let h = self.headers[idx];
-        let (home_chip, ty) = (h.home_chip, h.ty);
-        let fields = layout::fields(ty);
-        let (chunk, span) = self.span(h);
+        let home_chip = id.home_chip();
+        let (chunk, span) = self.span(id);
         let lines = &mut self.chunks[chunk][span];
         let dprof_on = self.dprof.is_enabled();
         let v2_on = self.dprof.is_v2_enabled();
-        let (mut masks, mut ledger) = match self.profs.get_mut(idx) {
-            Some(p) => (
+        let (mut masks, mut ledger) = match self.profs.get_mut(id.ordinal()) {
+            Some(Some(p)) => (
                 p.masks.as_deref_mut().filter(|_| dprof_on),
                 p.ledger.as_deref_mut().filter(|_| v2_on),
             ),
-            None => (None, None),
+            _ => (None, None),
         };
         let mut acc = Access::default();
         let mut delta = LineAgg::default();
-        for fi in fis {
-            let f = &fields[fi];
-            let mut field_acc = Access::default();
-            for line in f.lines() {
+        for run in runs {
+            let mut latency = 0;
+            for line in run.lines() {
                 let ls = &mut lines[line];
                 // A fill is an access by a core holding no copy — computed
                 // before `touch_one` mutates the sharer set.
@@ -540,28 +564,26 @@ impl CacheModel {
                     my_chip,
                     write,
                 );
-                field_acc.latency += level.cycles(&lat);
-                if level.is_l2_miss() {
-                    field_acc.l2_misses += 1;
-                }
+                latency += self.lat[level as usize];
+                acc.l2_misses += u64::from(level.is_l2_miss());
                 if let Some(ledger) = ledger.as_deref_mut() {
-                    let mask = line_byte_mask(f, line);
-                    ledger[line].touch(&mut delta, c, filled, mask, TouchSide::of(f.tag));
+                    let side = TouchSide::of(run.tag);
+                    ledger[line].touch(&mut delta, c, filled, run.byte_mask(line), side);
                 }
             }
             if dprof_on {
                 if let Some(masks) = masks.as_deref_mut() {
                     let writers = if write { masks.len() / 2 } else { 0 };
-                    masks[writers + fi] |= 1u128 << c;
+                    masks[writers + usize::from(run.field)] |= 1u128 << c;
                 }
-                if f.tag.shared_under_fine() {
-                    self.dprof.record_shared_access(ty, field_acc.latency);
+                if run.tag.shared_under_fine() {
+                    self.dprof.record_shared_access(id.ty(), latency);
                 }
             }
-            acc.add(field_acc);
+            acc.latency += latency;
         }
         if v2_on {
-            self.dprof.v2_fold(ty, &delta);
+            self.dprof.v2_fold(id.ty(), &delta);
         }
         acc
     }
@@ -570,7 +592,8 @@ impl CacheModel {
     ///
     /// # Panics
     ///
-    /// Panics if the object is not live or the field index is out of range.
+    /// Panics if the field index is out of range or the field lies in the
+    /// type's unmodeled cold tail.
     pub fn access_field(
         &mut self,
         core: CoreId,
@@ -578,10 +601,14 @@ impl CacheModel {
         field_idx: usize,
         write: bool,
     ) -> Access {
-        self.access(core, Self::slot(id), [field_idx], write)
+        let plans = self.plans;
+        let run = &plans[id.type_index()].fields[field_idx];
+        self.access(core, id, std::slice::from_ref(run), write)
     }
 
-    /// Accesses every field of `id` carrying `tag`.
+    /// Accesses every field of `id` carrying `tag`, in field order. Fields
+    /// in the type's unmodeled cold tail (`LocalOnly` past
+    /// `layout::hot_lines`) are not touched.
     pub fn access_tagged(
         &mut self,
         core: CoreId,
@@ -589,20 +616,35 @@ impl CacheModel {
         tag: layout::FieldTag,
         write: bool,
     ) -> Access {
-        let idx = Self::slot(id);
-        let fis = layout::tag_indices(self.headers[idx].ty, tag);
-        self.access(core, idx, fis.iter().map(|&fi| usize::from(fi)), write)
+        let plans = self.plans;
+        self.access(core, id, plans[id.type_index()].tagged(tag), write)
+    }
+
+    /// [`Self::access_tagged`] over only the first `n` of those fields (all
+    /// of them if fewer carry `tag`).
+    pub fn access_tagged_first(
+        &mut self,
+        core: CoreId,
+        id: ObjId,
+        tag: layout::FieldTag,
+        write: bool,
+        n: usize,
+    ) -> Access {
+        let plans = self.plans;
+        let runs = plans[id.type_index()].tagged(tag);
+        self.access(core, id, &runs[..n.min(runs.len())], write)
     }
 
     /// The chunk holding an object's lines, and their range in it.
-    fn span(&self, h: Header) -> (usize, std::ops::Range<usize>) {
-        let first = h.first as usize;
+    fn span(&self, id: ObjId) -> (usize, std::ops::Range<usize>) {
+        let first = id.first_line();
         let off = first % CHUNK_LINES;
-        (first / CHUNK_LINES, off..off + self.hot_lines[h.ty.index()])
+        let hot = usize::from(self.plans[id.type_index()].hot_lines);
+        (first / CHUNK_LINES, off..off + hot)
     }
 
     fn line(&self, id: ObjId, line: usize) -> LineState {
-        let (chunk, span) = self.span(self.headers[Self::slot(id)]);
+        let (chunk, span) = self.span(id);
         self.chunks[chunk][span][line]
     }
 
@@ -848,9 +890,11 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::layout::FieldTag;
     use proptest::prelude::*;
+    use sim::topology::LatencyProfile;
 
-    /// The explicit-field line state that [`LineState`] packs into 16
+    /// The explicit-field line state that [`LineState`] packs into 12
     /// bytes, kept as the reference for the differential test below.
     #[derive(Debug, Clone, Copy, Default)]
     struct RefLine {
@@ -929,6 +973,28 @@ mod proptests {
         level
     }
 
+    /// A level's Table 1 latency, matched out field by field.
+    fn ref_cycles(level: ServiceLevel, lat: &LatencyProfile) -> u64 {
+        match level {
+            ServiceLevel::L1 => lat.l1,
+            ServiceLevel::L2 => lat.l2,
+            ServiceLevel::L3 => lat.l3,
+            ServiceLevel::Ram => lat.ram,
+            ServiceLevel::RemoteL3 => lat.remote_l3,
+            ServiceLevel::RemoteRam => lat.remote_ram,
+        }
+    }
+
+    const TAGS: [FieldTag; 7] = [
+        FieldTag::RxOnly,
+        FieldTag::AppOnly,
+        FieldTag::BothRwByRx,
+        FieldTag::BothRwByApp,
+        FieldTag::BothRo,
+        FieldTag::GlobalNode,
+        FieldTag::LocalOnly,
+    ];
+
     proptest! {
         /// Coherence invariant: a dirty line has exactly one sharer; the
         /// owner of a dirty line is always in the sharer set.
@@ -945,16 +1011,19 @@ mod proptests {
             }
         }
 
-        /// The packed line state against the explicit-field reference:
-        /// the same random field reads, writes and recycles on objects of
-        /// every type, spread over three arena chunks, cost the same and
+        /// The packed line state and compiled runs against the
+        /// explicit-field reference walked over `layout::fields`: the same
+        /// random reads and writes, of one field, of every field with a
+        /// tag and of the first n of them, and recycles, on objects of
+        /// every type spread over three arena chunks, cost the same and
         /// leave the same sharers and dirty bits, on both machines and
-        /// with the profilers on or off.
+        /// with the profilers on or off. Every id decodes to the type,
+        /// home chip and first line it was allocated with.
         #[test]
         fn packed_lines_match_the_explicit_reference(
             intel in any::<bool>(),
             profiled in any::<bool>(),
-            steps in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>(), 0u8..5), 1..300),
+            steps in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>(), 0u8..7), 1..300),
         ) {
             let machine = if intel { Machine::intel80() } else { Machine::amd48() };
             let n_cores = machine.n_cores;
@@ -976,9 +1045,25 @@ mod proptests {
                 ids.push(m.alloc(ty, core));
                 reference.push((chip_of[core.index()], vec![RefLine::default(); layout::hot_lines(ty)]));
             }
+            prop_assert_eq!(m.live_objects(), ids.len());
+            // The arena's rule: objects back to back, none straddling a
+            // chunk.
+            let mut expect_first = 0;
+            for (k, &id) in ids.iter().enumerate() {
+                let ty = DataType::ALL[k % DataType::ALL.len()];
+                let hot = layout::hot_lines(ty);
+                if expect_first % CHUNK_LINES + hot > CHUNK_LINES {
+                    expect_first = expect_first.next_multiple_of(CHUNK_LINES);
+                }
+                prop_assert_eq!(m.type_of(id), ty);
+                prop_assert_eq!(id.home_chip(), reference[k].0);
+                prop_assert_eq!(id.first_line(), expect_first, "{:?} #{}", ty, k);
+                prop_assert_eq!(id.ordinal(), k);
+                expect_first += hot;
+            }
             // A working set with the objects on both sides of each chunk
             // boundary, and a spread of others.
-            let chunk_of = |i: usize| m.span(m.headers[i]).0;
+            let chunk_of = |i: usize| ids[i].first_line() / CHUNK_LINES;
             let set: Vec<usize> = (0..ids.len())
                 .filter(|&i| {
                     i % 997 == 0
@@ -987,29 +1072,44 @@ mod proptests {
                         || (i + 1 < ids.len() && chunk_of(i) != chunk_of(i + 1))
                 })
                 .collect();
-            for (obj, core, field, op) in steps {
+            for (obj, core, pick, op) in steps {
                 let i = set[obj % set.len()];
                 let id = ids[i];
                 let ty = m.type_of(id);
                 let (home_chip, lines) = &mut reference[i];
-                if op == 4 {
+                if op == 0 {
                     m.recycle(id);
                 } else {
                     let c = core % n_cores;
-                    let write = op >= 2;
+                    let write = op % 2 == 0;
+                    let fields = layout::fields(ty);
                     let hot = layout::hot_lines(ty);
-                    let fields: Vec<usize> = (0..layout::fields(ty).len())
-                        .filter(|&fi| layout::fields(ty)[fi].lines().all(|l| l < hot))
+                    let modeled: Vec<usize> = (0..fields.len())
+                        .filter(|&fi| fields[fi].lines().all(|l| l < hot))
                         .collect();
-                    let fi = fields[field % fields.len()];
-                    let got = m.access_field(CoreId(c as u16), id, fi, write);
+                    let tag = TAGS[pick % TAGS.len()];
+                    let tagged = modeled.iter().copied().filter(|&fi| fields[fi].tag == tag);
+                    let core_id = CoreId(c as u16);
+                    let (got, fis): (Access, Vec<usize>) = match op {
+                        1 | 2 => {
+                            let fi = modeled[pick % modeled.len()];
+                            (m.access_field(core_id, id, fi, write), vec![fi])
+                        }
+                        3 | 4 => (m.access_tagged(core_id, id, tag, write), tagged.collect()),
+                        _ => {
+                            let n = pick / TAGS.len() % 5;
+                            (m.access_tagged_first(core_id, id, tag, write, n), tagged.take(n).collect())
+                        }
+                    };
                     let mut want = Access::default();
-                    for l in layout::fields(ty)[fi].lines() {
-                        let level = ref_touch_one(&chip_of, &chip_mask, *home_chip, &mut lines[l], c, chip_of[c], write);
-                        want.latency += level.cycles(&machine.lat);
-                        want.l2_misses += u64::from(level.is_l2_miss());
+                    for &fi in &fis {
+                        for l in fields[fi].lines() {
+                            let level = ref_touch_one(&chip_of, &chip_mask, *home_chip, &mut lines[l], c, chip_of[c], write);
+                            want.latency += ref_cycles(level, &machine.lat);
+                            want.l2_misses += u64::from(level.is_l2_miss());
+                        }
                     }
-                    prop_assert_eq!(got, want, "{:?} field {} core {} write {}", ty, fi, c, write);
+                    prop_assert_eq!(got, want, "{:?} op {} fields {:?} core {} write {}", ty, op, fis, c, write);
                 }
                 for (l, r) in lines.iter().enumerate() {
                     prop_assert_eq!(m.line_dirty(id, l), r.dirty, "{:?} line {} dirty", ty, l);

@@ -435,31 +435,6 @@ fn build_all() -> Vec<Vec<Field>> {
 
 static LAYOUTS: OnceLock<Vec<Vec<Field>>> = OnceLock::new();
 
-/// Number of field tags (`FieldTag` discriminants).
-const N_TAGS: usize = 7;
-
-/// Dense index of a tag: its declaration discriminant.
-#[inline]
-fn tag_pos(tag: FieldTag) -> usize {
-    tag as usize
-}
-
-static TAG_INDEX: OnceLock<Vec<[Vec<u16>; N_TAGS]>> = OnceLock::new();
-
-fn build_tag_index() -> Vec<[Vec<u16>; N_TAGS]> {
-    // Indexed by `DataType::index()` / `tag as usize`.
-    let mut idx: Vec<[Vec<u16>; N_TAGS]> = (0..DataType::ALL.len())
-        .map(|_| Default::default())
-        .collect();
-    for ty in DataType::ALL {
-        let by_tag = &mut idx[ty.index()];
-        for (i, f) in fields(ty).iter().enumerate() {
-            by_tag[tag_pos(f.tag)].push(i as u16);
-        }
-    }
-    idx
-}
-
 /// The field layout of a data type.
 #[must_use]
 pub fn fields(ty: DataType) -> &'static [Field] {
@@ -467,11 +442,129 @@ pub fn fields(ty: DataType) -> &'static [Field] {
     &all[ty.index()]
 }
 
-/// Precomputed indices of `ty`'s fields carrying `tag` (hot path).
+/// Number of field tags (`FieldTag` discriminants).
+const N_TAGS: usize = 7;
+
+/// One field compiled for the cache model's hot path: the lines it
+/// overlaps and what the profilers record of it, in 10 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    /// First line the field overlaps.
+    pub(crate) first: u8,
+    /// One past the last line it overlaps.
+    pub(crate) end: u8,
+    /// Who touches the field.
+    pub(crate) tag: FieldTag,
+    /// The field's index in [`fields`].
+    pub(crate) field: u16,
+    /// Byte offset within the object.
+    pub(crate) off: u16,
+    /// Length in bytes.
+    pub(crate) len: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Run>() == 10);
+
+impl Run {
+    fn new(field: usize, f: &Field) -> Self {
+        let narrow = |v: usize| u16::try_from(v).expect("modeled field fits u16");
+        let line = |l: usize| u8::try_from(l).expect("modeled line fits u8");
+        Self {
+            first: line(f.off / CACHE_LINE),
+            end: line((f.off + f.len).div_ceil(CACHE_LINE)),
+            tag: f.tag,
+            field: narrow(field),
+            off: narrow(f.off),
+            len: narrow(f.len),
+        }
+    }
+
+    /// The lines the field overlaps.
+    #[inline]
+    #[must_use]
+    pub(crate) fn lines(&self) -> std::ops::Range<usize> {
+        usize::from(self.first)..usize::from(self.end)
+    }
+
+    /// The slice of the field that overlaps `line`, as a byte bitmask
+    /// relative to the line start.
+    #[must_use]
+    pub(crate) fn byte_mask(&self, line: usize) -> u64 {
+        let (off, len) = (usize::from(self.off), usize::from(self.len));
+        let line_lo = line * CACHE_LINE;
+        let lo = off.max(line_lo) - line_lo;
+        let hi = (off + len).min(line_lo + CACHE_LINE) - line_lo;
+        debug_assert!(lo < hi && hi <= CACHE_LINE);
+        let width = hi - lo;
+        if width >= 64 {
+            u64::MAX
+        } else {
+            ((1u64 << width) - 1) << lo
+        }
+    }
+}
+
+/// A type's layout compiled once into [`Run`]s, for the fields in its
+/// modeled prefix (the first [`hot_lines`] lines). Fields in the cold tail
+/// have no run: the data path never touches them.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    /// [`hot_lines`] of the type.
+    pub(crate) hot_lines: u8,
+    /// One run per modeled field, in field order: the modeled fields are a
+    /// prefix of [`fields`], so a field's index is its run's.
+    pub(crate) fields: Box<[Run]>,
+    /// The same runs grouped by tag, in field order within a tag.
+    by_tag: Box<[Run]>,
+    /// `by_tag[tag_start[t]..tag_start[t + 1]]` carry tag `t`.
+    tag_start: [u16; N_TAGS + 1],
+}
+
+impl Plan {
+    fn new(ty: DataType) -> Self {
+        let hot = hot_lines(ty);
+        let fields: Box<[Run]> = fields(ty)
+            .iter()
+            .take_while(|f| f.lines().all(|l| l < hot))
+            .enumerate()
+            .map(|(i, f)| Run::new(i, f))
+            .collect();
+        let mut by_tag = fields.to_vec();
+        by_tag.sort_by_key(|r| r.tag as usize);
+        let mut tag_start = [0u16; N_TAGS + 1];
+        for r in &by_tag {
+            tag_start[r.tag as usize + 1] += 1;
+        }
+        for t in 0..N_TAGS {
+            tag_start[t + 1] += tag_start[t];
+        }
+        Self {
+            hot_lines: u8::try_from(hot).expect("hot lines fit u8"),
+            fields,
+            by_tag: by_tag.into(),
+            tag_start,
+        }
+    }
+
+    /// The runs of the modeled fields carrying `tag`, in field order.
+    #[inline]
+    #[must_use]
+    pub(crate) fn tagged(&self, tag: FieldTag) -> &[Run] {
+        let t = tag as usize;
+        &self.by_tag[usize::from(self.tag_start[t])..usize::from(self.tag_start[t + 1])]
+    }
+}
+
+static PLANS: OnceLock<Vec<Plan>> = OnceLock::new();
+
+/// Every type's [`Plan`], indexed by [`DataType::index`].
 #[must_use]
-pub fn tag_indices(ty: DataType, tag: FieldTag) -> &'static [u16] {
-    let idx = TAG_INDEX.get_or_init(build_tag_index);
-    &idx[ty.index()][tag_pos(tag)]
+pub(crate) fn plans() -> &'static [Plan] {
+    PLANS.get_or_init(|| {
+        (0..DataType::ALL.len())
+            .map(|i| Plan::new(DataType::from_index(i)))
+            .collect()
+    })
 }
 
 /// Indices of all fields of `ty` carrying tag `tag`.
@@ -635,5 +728,51 @@ mod tests {
         };
         let lines: Vec<_> = f.lines().collect();
         assert_eq!(lines, vec![0, 1]);
+        let run = Run::new(0, &f);
+        assert_eq!(run.lines(), 0..2);
+        assert_eq!(run.byte_mask(0), 0xf << 60);
+        assert_eq!(run.byte_mask(1), 0x3f);
+    }
+
+    #[test]
+    fn plans_compile_every_modeled_field_by_index_and_tag() {
+        let tags = [
+            FieldTag::RxOnly,
+            FieldTag::AppOnly,
+            FieldTag::BothRwByRx,
+            FieldTag::BothRwByApp,
+            FieldTag::BothRo,
+            FieldTag::GlobalNode,
+            FieldTag::LocalOnly,
+        ];
+        for ty in DataType::ALL {
+            let plan = &plans()[ty.index()];
+            let fs = fields(ty);
+            let hot = hot_lines(ty);
+            assert_eq!(usize::from(plan.hot_lines), hot);
+            let modeled: Vec<usize> = (0..fs.len())
+                .filter(|&i| fs[i].lines().all(|l| l < hot))
+                .collect();
+            assert_eq!(modeled, (0..plan.fields.len()).collect::<Vec<_>>());
+            for (i, r) in plan.fields.iter().enumerate() {
+                let f = &fs[i];
+                assert_eq!(usize::from(r.field), i);
+                assert!(r.lines().eq(f.lines()), "{} {}", ty.label(), f.name);
+                assert_eq!((r.tag, usize::from(r.off)), (f.tag, f.off));
+                assert_eq!(usize::from(r.len), f.len);
+            }
+            for tag in tags {
+                let want: Vec<usize> = fields_with_tag(ty, tag)
+                    .into_iter()
+                    .filter(|i| modeled.contains(i))
+                    .collect();
+                let got: Vec<usize> = plan
+                    .tagged(tag)
+                    .iter()
+                    .map(|r| usize::from(r.field))
+                    .collect();
+                assert_eq!(got, want, "{} {tag:?}", ty.label());
+            }
+        }
     }
 }

@@ -12,12 +12,14 @@
 //! * [`layout`] — field-granularity layouts for each type, annotated with
 //!   which side (packet processing vs application syscalls) reads and
 //!   writes them; the annotations, not hard-coded percentages, produce
-//!   Table 4's sharing profile.
+//!   Table 4's sharing profile. Each layout is compiled once into the line
+//!   runs the cache model walks.
 //! * [`cache`] — a MESI-flavoured coherence cost model: each tracked cache
-//!   line knows its sharer set and whether it is dirty (a dirty line's one
-//!   sharer is its owner), and an access is served from local L1/L2, the
-//!   chip-local L3, a remote chip's cache, or DRAM accordingly, at Table 1
-//!   latencies.
+//!   line knows, in 12 bytes, its sharer set and whether it is dirty (a
+//!   dirty line's one sharer is its owner), and an access is served from
+//!   local L1/L2, the chip-local L3, a remote chip's cache, or DRAM
+//!   accordingly, at Table 1 latencies. An object id says where the
+//!   object's lines are, so an access reads nothing but them.
 //! * [`slab`] — the per-core object pools (§2.2's packet-buffer allocation
 //!   problem: remote frees are slower and poison locality).
 //! * [`dprof`] — a model of DProf [Pesterev et al., EuroSys 2010], which

@@ -89,6 +89,35 @@ impl DataType {
         self as usize
     }
 
+    /// The type whose [`DataType::index`] is `i`. [`DataType::ALL`] is in
+    /// Table 4 order, where `SocketFd` comes before `Slab192`, so it cannot
+    /// serve as this table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no type has index `i`.
+    #[inline]
+    #[must_use]
+    pub fn from_index(i: usize) -> DataType {
+        match i {
+            0 => DataType::TcpSock,
+            1 => DataType::SkBuff,
+            2 => DataType::TcpRequestSock,
+            3 => DataType::Slab16384,
+            4 => DataType::Slab128,
+            5 => DataType::Slab1024,
+            6 => DataType::Slab4096,
+            7 => DataType::Slab192,
+            8 => DataType::SocketFd,
+            9 => DataType::TaskStruct,
+            10 => DataType::File,
+            11 => DataType::ListenSock,
+            12 => DataType::BusyBitmap,
+            13 => DataType::HashBucket,
+            _ => panic!("no DataType has index {i}"),
+        }
+    }
+
     /// Object size in bytes (Table 4's "Size of Object" column).
     #[must_use]
     pub fn size(self) -> usize {
@@ -166,6 +195,28 @@ mod tests {
     fn labels_match_dprof_output() {
         assert_eq!(DataType::Slab16384.label(), "slab:size-16384");
         assert_eq!(DataType::TcpSock.label(), "tcp_sock");
+    }
+
+    #[test]
+    fn from_index_inverts_index() {
+        for ty in DataType::ALL {
+            assert_eq!(DataType::from_index(ty.index()), ty, "{}", ty.label());
+        }
+        for i in 0..DataType::ALL.len() {
+            assert_eq!(DataType::from_index(i).index(), i);
+        }
+        // `ALL` is not in index order: decoding through it would swap these.
+        assert_ne!(DataType::ALL[DataType::Slab192.index()], DataType::Slab192);
+        assert_ne!(
+            DataType::ALL[DataType::SocketFd.index()],
+            DataType::SocketFd
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no DataType has index 14")]
+    fn from_index_rejects_out_of_range() {
+        let _ = DataType::from_index(14);
     }
 
     #[test]

@@ -97,6 +97,11 @@ pub struct LockStat {
     stats: [LockClassStats; LockClass::COUNT],
 }
 
+/// Whether [`LockStat::record`] records: `false` under the `fast` feature,
+/// which compiles the recording out (the [`LockStat::op_overhead`]
+/// perturbation stays). Tests that read the counters check this.
+pub const ENABLED: bool = cfg!(not(feature = "fast"));
+
 /// Default per-operation accounting cost. `lock_stat` takes timestamps and
 /// updates a global table on every acquire and release; a few hundred cycles
 /// per pair is consistent with the paper's observed throughput drop.
@@ -155,7 +160,7 @@ impl LockStat {
     /// deliberately untouched, so fast and instrumented builds walk
     /// identical schedules and only the recorded statistics differ.
     pub fn record(&mut self, class: LockClass, wait_spin: u64, wait_mutex: u64, hold: u64) {
-        if cfg!(feature = "fast") || !self.enabled {
+        if !ENABLED || !self.enabled {
             return;
         }
         let s = &mut self.stats[class as usize];

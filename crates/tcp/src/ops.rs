@@ -42,12 +42,7 @@ fn access_some(
     write: bool,
     max_n: usize,
 ) -> Access {
-    let ty = cache.type_of(obj);
-    let mut acc = Access::default();
-    for &idx in mem::layout::tag_indices(ty, tag).iter().take(max_n) {
-        acc.add(cache.access_field(core, obj, usize::from(idx), write));
-    }
-    acc
+    cache.access_tagged_first(core, obj, tag, write, max_n)
 }
 
 /// Cost of taking the sock lock: the lock word itself is a cache line

@@ -117,7 +117,7 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 159_827,
             kernel_calls: 74_359,
             l2_misses: 3_195_229,
-            allocs: 39_041,
+            allocs: 39_025,
         },
         ledger: Ledger {
             touches: 2_388_855,
@@ -134,7 +134,7 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 157_642,
             kernel_calls: 73_969,
             l2_misses: 3_170_716,
-            allocs: 39_148,
+            allocs: 39_132,
         },
         ledger: Ledger {
             touches: 2_375_575,
@@ -151,7 +151,7 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 155_980,
             kernel_calls: 73_931,
             l2_misses: 2_373_132,
-            allocs: 39_025,
+            allocs: 39_009,
         },
         ledger: Ledger {
             touches: 2_379_538,
@@ -168,7 +168,7 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 159_787,
             kernel_calls: 74_372,
             l2_misses: 3_200_675,
-            allocs: 39_156,
+            allocs: 39_140,
         },
         ledger: Ledger {
             touches: 2_392_502,
@@ -185,7 +185,7 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 284_076,
             kernel_calls: 73_962,
             l2_misses: 2_374_095,
-            allocs: 39_077,
+            allocs: 39_061,
         },
         ledger: Ledger {
             touches: 2_379_958,
