@@ -21,6 +21,9 @@
 //! * **cycles** — window busy time never exceeds `cores × span` of the
 //!   time the run actually covered (plus a bounded in-flight overhang),
 //!   so busy + idle accounting sums to the window capacity;
+//! * **half-open requests** — every request socket ever created either
+//!   established a connection, was dropped at a full accept queue, or is
+//!   still half-open;
 //! * **bookkeeping** — the perf-counter request count mirrors `served`.
 //!
 //! The audits are cheap (a handful of integer reads at end of run) and
@@ -28,8 +31,6 @@
 //! `bench::audited`) fail loudly when any law breaks.
 
 use mem::LineAgg;
-use sim::fault::FaultStats;
-use sim::overload::OverloadStats;
 use sim::time::{ms, Cycles};
 
 /// Window busy time may legitimately overrun the measurement span by
@@ -47,9 +48,6 @@ pub struct ClientAudit {
     pub completed: u64,
     /// Connections abandoned at the client timeout.
     pub timed_out: u64,
-    /// Connections abandoned at the SYN-retransmission cap (nonzero only
-    /// under fault injection).
-    pub retry_capped: u64,
     /// Connections still live when the run ended.
     pub live: u64,
 }
@@ -156,21 +154,7 @@ pub struct RunAudit {
     pub perf_requests: u64,
     /// Events still pending when the run ended (informational).
     pub events_pending: u64,
-    /// Faults actually injected. Part of the audit so replay equality
-    /// covers the fault schedule itself.
-    pub fault: FaultStats,
-    /// Whether the run's [`sim::fault::FaultPlan`] could inject anything;
-    /// when false, every fault counter must be zero (the fault plane is
-    /// inert when disabled).
-    pub fault_active: bool,
-    /// Overload-plane actions taken (cookies, reaping, re-homing).
-    pub overload: OverloadStats,
-    /// Whether the overload plane could act (an active
-    /// [`sim::overload::OverloadConfig`] or a hotplug schedule); when
-    /// false, every overload counter must be zero.
-    pub overload_active: bool,
-    /// Request-table entries ever created (stateful half-open
-    /// handshakes; the cookie path never touches the table).
+    /// Request-table entries ever created (half-open handshakes).
     pub reqs_created: u64,
     /// Request-table entries still half-open at end of run.
     pub reqs_residual: u64,
@@ -206,11 +190,10 @@ impl RunAudit {
 
         let c = &self.client;
         check(
-            c.started == c.completed + c.timed_out + c.retry_capped + c.live,
+            c.started == c.completed + c.timed_out + c.live,
             format!(
-                "client conservation: started {} != completed {} + timed_out {} \
-                 + retry_capped {} + live {}",
-                c.started, c.completed, c.timed_out, c.retry_capped, c.live
+                "client conservation: started {} != completed {} + timed_out {} + live {}",
+                c.started, c.completed, c.timed_out, c.live
             ),
         );
 
@@ -316,75 +299,15 @@ impl RunAudit {
             ),
         );
 
-        check(
-            self.fault_active || self.fault.is_zero(),
-            format!("fault plane fired with a disabled plan: {:?}", self.fault),
-        );
-        check(
-            self.fault.retry_capped == c.retry_capped,
-            format!(
-                "retry-cap accounting: fault plane counted {} give-ups, client fleet {}",
-                self.fault.retry_capped, c.retry_capped
-            ),
-        );
-
-        // A client gives up at the SYN-retry cap only when something
-        // actually got in the handshake's way: a fault-plane drop, a
-        // backlog or ring drop, or a stall window delaying the SYN/ACK
-        // past the whole backoff schedule.
-        check(
-            self.fault.retry_capped == 0
-                || self.fault.dropped
-                    + self.fault.syn_backlog_drops
-                    + self.fault.stalls_run
-                    + p.drops_ring_full
-                    + p.drops_flush
-                    > 0,
-            format!(
-                "retry-cap closing: {} client give-ups with no drop or stall to cause them",
-                self.fault.retry_capped
-            ),
-        );
-
-        let o = &self.overload;
-        check(
-            o.cookies_issued == o.cookies_validated + o.cookies_expired,
-            format!(
-                "cookie conservation: issued {} != validated {} + expired {}",
-                o.cookies_issued, o.cookies_validated, o.cookies_expired
-            ),
-        );
-        check(
-            o.cookies_validated == o.cookies_established + o.cookie_drops,
-            format!(
-                "cookie validation accounting: validated {} != established {} + dropped {}",
-                o.cookies_validated, o.cookies_established, o.cookie_drops
-            ),
-        );
         // Every half-open request ever created either established a
-        // connection, was dropped at a full accept queue, was reaped at
-        // the SYN/ACK retry cap, or is still half-open. Cookie
-        // establishes/drops never touch the request table, so they are
-        // added to the left side to cancel their share of the kernel and
-        // overflow counters.
+        // connection, was dropped at a full accept queue, or is still
+        // half-open.
         check(
-            self.reqs_created + o.cookies_established + o.cookie_drops
-                == k.created + l.dropped_overflow + o.reaped + self.reqs_residual,
+            self.reqs_created == k.created + l.dropped_overflow + self.reqs_residual,
             format!(
-                "request conservation: created {} + cookie_est {} + cookie_drops {} != \
-                 socks {} + overflow {} + reaped {} + half_open {}",
-                self.reqs_created,
-                o.cookies_established,
-                o.cookie_drops,
-                k.created,
-                l.dropped_overflow,
-                o.reaped,
-                self.reqs_residual
+                "request conservation: created {} != socks {} + overflow {} + half_open {}",
+                self.reqs_created, k.created, l.dropped_overflow, self.reqs_residual
             ),
-        );
-        check(
-            self.overload_active || o.is_zero(),
-            format!("overload plane acted while disabled: {o:?}"),
         );
 
         // dprof-v2 cacheline-ledger laws (DESIGN.md §13): the ledger is
@@ -446,7 +369,6 @@ mod tests {
                 started: 10,
                 completed: 7,
                 timed_out: 1,
-                retry_capped: 0,
                 live: 2,
             },
             listen: ListenAudit {
@@ -489,11 +411,7 @@ mod tests {
             served: 42,
             perf_requests: 42,
             events_pending: 5,
-            fault: FaultStats::default(),
-            fault_active: false,
-            overload: OverloadStats::default(),
-            overload_active: false,
-            // 9 established + 1 overflow-dropped, nothing reaped or left.
+            // 9 established + 1 overflow-dropped, nothing left half-open.
             reqs_created: 10,
             reqs_residual: 0,
             cacheline: LineAgg::default(),
@@ -614,102 +532,12 @@ mod tests {
             .violations()
             .iter()
             .any(|m| m.contains("request accounting")));
-    }
-
-    #[test]
-    fn cookie_laws_are_checked() {
-        let mut a = consistent();
-        a.overload_active = true;
-        a.overload.cookies_issued = 5;
-        a.overload.cookies_validated = 3;
-        a.overload.cookies_expired = 1; // 3 + 1 != 5
-        a.overload.cookies_established = 3;
-        assert!(a
-            .violations()
-            .iter()
-            .any(|m| m.contains("cookie conservation")));
 
         let mut a = consistent();
-        a.overload_active = true;
-        a.overload.cookies_issued = 4;
-        a.overload.cookies_validated = 3;
-        a.overload.cookies_expired = 1;
-        a.overload.cookies_established = 1;
-        a.overload.cookie_drops = 1; // 1 + 1 != 3
-        assert!(a
-            .violations()
-            .iter()
-            .any(|m| m.contains("cookie validation")));
-    }
-
-    #[test]
-    fn request_conservation_balances_cookies() {
-        // 2 cookie establishes join the 9 request-path socks (total
-        // created 11) and 1 cookie drop joins the overflow drop (total
-        // 2); the request-side ledger still closes.
-        let mut a = consistent();
-        a.overload_active = true;
-        a.overload.cookies_issued = 3;
-        a.overload.cookies_validated = 3;
-        a.overload.cookies_established = 2;
-        a.overload.cookie_drops = 1;
-        a.kernel.created = 11;
-        a.kernel.live = 4;
-        a.listen.dropped_overflow = 2;
-        a.listen.enqueued = 11;
-        a.listen.accepts_local = 10;
-        a.listen.runner_accepts = 11;
-        a.kernel.est_len = 4;
-        assert!(
-            !a.violations()
-                .iter()
-                .any(|m| m.contains("request conservation")),
-            "{:?}",
-            a.violations()
-        );
-        a.overload.reaped = 1; // ledger now over-counts the right side
+        a.reqs_created += 1;
         assert!(a
             .violations()
             .iter()
             .any(|m| m.contains("request conservation")));
-    }
-
-    #[test]
-    fn inactive_overload_plane_must_be_silent() {
-        let mut a = consistent();
-        a.overload.rehome_ops = 1;
-        a.overload.core_downs = 1;
-        assert!(a
-            .violations()
-            .iter()
-            .any(|m| m.contains("overload plane acted")));
-        a.overload_active = true;
-        assert!(!a
-            .violations()
-            .iter()
-            .any(|m| m.contains("overload plane acted")));
-    }
-
-    #[test]
-    fn retry_caps_require_a_cause() {
-        let mut a = consistent();
-        // Remove the fixture's NIC drops so no cause remains.
-        a.packets.drops_ring_full = 0;
-        a.packets.drops_flush = 0;
-        a.packets.offered = 97;
-        a.fault_active = true;
-        a.fault.retry_capped = 1;
-        a.client.retry_capped = 1;
-        a.client.started += 1;
-        assert!(a
-            .violations()
-            .iter()
-            .any(|m| m.contains("retry-cap closing")));
-        // Any loss (here: a fault-plane drop) legitimizes the give-up.
-        a.fault.dropped = 4;
-        assert!(!a
-            .violations()
-            .iter()
-            .any(|m| m.contains("retry-cap closing")));
     }
 }

@@ -49,21 +49,6 @@ struct CConn {
 enum Finish {
     Completed,
     TimedOut,
-    /// Gave up at the SYN-retransmission cap (fault injection only).
-    RetryCapped,
-}
-
-/// Outcome of a SYN-retransmission timer firing.
-#[derive(Debug)]
-pub enum SynRetrans {
-    /// Still connecting and under the cap: retransmit this SYN.
-    Resend(Packet),
-    /// Still connecting at the cap: the client gave up; the connection
-    /// is finished and counted as retry-capped.
-    GiveUp,
-    /// The handshake already completed (or the connection is gone); the
-    /// timer dies with no action.
-    Stale,
 }
 
 /// What the client does in response to a stimulus.
@@ -95,8 +80,6 @@ pub struct Clients {
     pub responses: u64,
     /// Connections abandoned at the timeout.
     pub timeouts: u64,
-    /// Connections abandoned at the SYN-retry cap during measurement.
-    pub retry_capped: u64,
     /// Connections started during measurement.
     pub started: u64,
     /// Connections started over the whole run (never reset; the
@@ -107,9 +90,6 @@ pub struct Clients {
     /// Connections abandoned at the timeout over the whole run (never
     /// reset).
     pub total_timeouts: u64,
-    /// Connections abandoned at the SYN-retry cap over the whole run
-    /// (never reset; only nonzero under fault injection).
-    pub total_retry_capped: u64,
 }
 
 impl Clients {
@@ -129,12 +109,10 @@ impl Clients {
             completed: 0,
             responses: 0,
             timeouts: 0,
-            retry_capped: 0,
             started: 0,
             total_started: 0,
             total_completed: 0,
             total_timeouts: 0,
-            total_retry_capped: 0,
         }
     }
 
@@ -145,7 +123,6 @@ impl Clients {
         self.completed = 0;
         self.responses = 0;
         self.timeouts = 0;
-        self.retry_capped = 0;
         self.started = 0;
     }
 
@@ -220,14 +197,12 @@ impl Clients {
             match how {
                 Finish::Completed => self.total_completed += 1,
                 Finish::TimedOut => self.total_timeouts += 1,
-                Finish::RetryCapped => self.total_retry_capped += 1,
             }
             if self.measuring {
                 self.latencies.record(now - c.started);
                 match how {
                     Finish::Completed => self.completed += 1,
                     Finish::TimedOut => self.timeouts += 1,
-                    Finish::RetryCapped => self.retry_capped += 1,
                 }
             }
             let tuple = c.tuple;
@@ -321,31 +296,6 @@ impl Clients {
         let tuple = c.tuple;
         self.finish(id, now, Finish::TimedOut);
         Some(Packet::new(tuple, PacketKind::Fin, 0))
-    }
-
-    /// SYN-retransmission timer fired for `id` after `attempt`
-    /// transmissions. While the connection is still in the handshake the
-    /// client either retransmits the SYN or — once `attempt` reaches
-    /// `max_attempts` — gives up, finishing the connection as
-    /// retry-capped. A completed handshake makes the timer stale.
-    pub fn on_syn_retrans(
-        &mut self,
-        now: Cycles,
-        id: CConnId,
-        attempt: u32,
-        max_attempts: u32,
-    ) -> SynRetrans {
-        let Some(c) = self.conns.get(&id) else {
-            return SynRetrans::Stale;
-        };
-        if c.state != CState::Connecting {
-            return SynRetrans::Stale;
-        }
-        if attempt >= max_attempts {
-            self.finish(id, now, Finish::RetryCapped);
-            return SynRetrans::GiveUp;
-        }
-        SynRetrans::Resend(Packet::new(c.tuple, PacketKind::Syn, 0))
     }
 }
 

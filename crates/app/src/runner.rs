@@ -16,7 +16,7 @@ use crate::audit::{
     ClientAudit, CycleAudit, KernelAudit, ListenAudit, PacketAudit, RingAudit, RunAudit,
 };
 use crate::batch::BatchJob;
-use crate::client::{CConnId, Clients, SynRetrans};
+use crate::client::{CConnId, Clients};
 use crate::evpool::{LazyTimers, PktSlab};
 use crate::server::{STask, ServerKind, TaskRole};
 use crate::workload::Workload;
@@ -30,15 +30,13 @@ use nic::packet::RingId;
 use nic::{Nic, Packet, PacketKind, RxOutcome, Steering};
 use sim::core_set::CoreSet;
 use sim::fastmap::FastMap;
-use sim::fault::{FaultPlan, FaultStats};
 use sim::fingerprint::ActiveFingerprint;
-use sim::overload::{HotplugEvent, OverloadConfig, OverloadStats, SHED_HIGH, SHED_LOW};
 use sim::rng::SimRng;
 use sim::time::{ms, us, Cycles, CYCLES_PER_SEC};
 use sim::topology::{CoreId, Machine};
 use sim::EventQueue;
 use std::cell::RefCell;
-use tcp::{ops, ConnId, ConnState, Kernel, ReqId};
+use tcp::{ops, ConnId, ConnState, Kernel};
 
 /// One-way client↔server propagation delay (LAN).
 pub const PROP_DELAY: Cycles = us(40);
@@ -64,31 +62,6 @@ pub const MSS: u32 = tcp::ops::MSS;
 pub const BUSY_POLL_INTERVAL: Cycles = us(50);
 /// Cycles one empty busy-poll probe of the accept queue costs.
 pub const BUSY_POLL_PROBE: Cycles = 120;
-
-// Fingerprint event-kind codes for fault-plane decisions. The `Ev`
-// variants fold as kinds 0..=14; fault markers use a disjoint range so a
-// fault schedule is visible in the fingerprint even when its consequences
-// happen to be invisible (e.g. dropping a packet that would have been
-// ignored anyway).
-const FOLD_FAULT_DROP: u64 = 16;
-const FOLD_FAULT_DUP: u64 = 17;
-const FOLD_FAULT_REORDER: u64 = 18;
-const FOLD_FAULT_SYN_DROP: u64 = 19;
-
-// Overload-plane markers. The `Ev` variants `CoreDown`/`CoreUp`/
-// `Watchdog`/`ReqReap` fold as kinds 20..=23; these mark the plane's
-// *decisions* (a cookie issued, a queue re-homed) so two runs that differ
-// only in a defense taken still differ in fingerprint.
-const FOLD_COOKIE_ISSUE: u64 = 24;
-const FOLD_COOKIE_OK: u64 = 25;
-const FOLD_REAP: u64 = 26;
-const FOLD_REHOME: u64 = 27;
-const FOLD_SHED: u64 = 28;
-
-/// Salt for the dedicated fault-decision RNG stream: forked off the run
-/// seed by XOR (like the client fleet's stream) so fault draws never
-/// perturb the main stream — a disabled plan is fingerprint-neutral.
-const FAULT_RNG_SALT: u64 = 0xFA17_0FA1_7D5E_ED01;
 
 /// Which listen-socket implementation a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,25 +159,13 @@ pub struct RunConfig {
     pub app_cycles: Cycles,
     /// Tracked `file` objects (bounded subset of the 30,000-file set).
     pub tracked_files: usize,
-    /// Fault-injection plan. The default ([`FaultPlan::none`]) schedules
-    /// no events and draws no randomness: fingerprints are bit-identical
-    /// to a build without the fault plane.
-    pub fault: FaultPlan,
-    /// Overload-control plane (SYN cookies, adaptive shedding, half-open
-    /// reaping, silent-core watchdog). The default
-    /// ([`OverloadConfig::none`]) is fingerprint-neutral like the fault
-    /// plane: no events, no RNG draws, bit-identical goldens.
-    pub overload: OverloadConfig,
-    /// Explicit core-hotplug schedule (each event's core is taken modulo
-    /// the active core count). Empty by default.
-    pub hotplug: Vec<HotplugEvent>,
     /// Bucket width for [`RunResult::timeline`]; 0 (the default) disables
     /// collection. Pure accounting — no events and no RNG draws, so
     /// enabling it never perturbs fingerprints.
     pub timeline_bucket: Cycles,
     /// Absolute simulation time the run boots at. Every
     /// constructor-scheduled event (arrival seed, measurement switch,
-    /// balancer and watchdog chains) shifts by this offset, the run ends
+    /// balancer chains) shifts by this offset, the run ends
     /// at `start_at + warmup + measure`, and timeline buckets count from
     /// time 0. The default `0` is the classic run.
     pub start_at: Cycles,
@@ -244,9 +205,6 @@ impl RunConfig {
             steal_ratio_local: 5,
             max_backlog: 128 * cores,
             tracked_files: 2_000,
-            fault: FaultPlan::none(),
-            overload: OverloadConfig::none(),
-            hotplug: Vec::new(),
             timeline_bucket: 0,
             start_at: 0,
         }
@@ -300,23 +258,9 @@ pub struct RunResult {
     pub cascaded: u64,
     /// End-of-run conservation audit (see [`crate::audit`]).
     pub audit: RunAudit,
-    /// Faults actually injected (all zero when the plan is disabled).
-    pub fault: FaultStats,
-    /// Overload-plane actions taken (all zero when the plane is disabled
-    /// and no hotplug schedule exists).
-    pub overload: OverloadStats,
     /// Served requests per [`RunConfig::timeline_bucket`]-wide bucket over
-    /// the whole run (warmup included); empty when collection is off. The
-    /// scenario catalog's `time_to_recover_ms` gate reads goodput dips
-    /// and time-to-recover off this.
+    /// the whole run (warmup included); empty when collection is off.
     pub timeline: Vec<u64>,
-    /// Whole-run client-abandoned connections that were established and
-    /// owned by a live core when abandoned — the kill-one-core recovery
-    /// gate requires this to stay zero.
-    pub timeouts_live_owner: u64,
-    /// Whole-run client-abandoned established connections owned by a down
-    /// core (expected casualties of a kill).
-    pub timeouts_dead_owner: u64,
     /// dprof-v2 cacheline report: per-type wasted-bytes and eviction-reuse
     /// aggregates (empty with `enabled: false` unless
     /// [`RunConfig::dprof_v2`] was set in an instrumented build).
@@ -363,22 +307,8 @@ enum Ev {
     SchedBalance,
     Hog(u16),
     MeasureStart,
-    /// Client SYN-retransmission timer: `(client conn id, attempt)`.
-    SynRetrans(u32, u32),
-    /// One [`sim::fault::StallWindow`] firing (index into the plan).
-    CoreStall(u32),
     /// Busy-poll tick of core's acceptor ([`ListenKind::BusyPoll`]).
     PollAccept(u16),
-    /// Hotplug: take a core offline (explicit schedule).
-    CoreDown(u16),
-    /// Hotplug: bring a core back online.
-    CoreUp(u16),
-    /// Periodic silent-core watchdog scan.
-    Watchdog,
-    /// Half-open request TTL timer: `(request id, attempt, SYN core)`.
-    /// The core rides along because the timer runs in softirq context on
-    /// the core that processed the SYN (or its re-home target).
-    ReqReap(u32, u16, u16),
 }
 
 const _: () = assert!(
@@ -403,15 +333,15 @@ struct ConnApp {
 
 /// The mutable scheduling state owned by exactly one core. Every field
 /// here is only ever read or written while handling an event on this
-/// core's lane (or at a global point such as hotplug).
+/// core's lane.
 ///
 /// Field order is by measured access affinity (the same analysis dprof-v2
 /// applies to the modeled kernel structs, turned on the simulator's own
-/// lanes): the per-event hot set — both task stacks, the acceptor id, the
-/// redirection, and the shedding flag — is packed into the first host
-/// cache line; the rare hotplug/hog bookkeeping forms the cold tail.
-/// `repr(C)` pins the declared order so the split is real, and the size
-/// assert below keeps the lane from quietly outgrowing two lines.
+/// lanes): the per-event hot set — both task stacks and the acceptor id —
+/// is packed into the first host cache line; the rare lazy-growth and hog
+/// bookkeeping forms the cold tail. `repr(C)` pins the declared order so
+/// the split is real, and the size assert below keeps the lane from
+/// quietly outgrowing two lines.
 #[derive(Debug)]
 #[repr(C)]
 struct CoreState {
@@ -421,44 +351,25 @@ struct CoreState {
     idle_workers: Vec<u32>,
     /// The core's Apache acceptor task (`u32::MAX` when lighttpd).
     acceptor: u32,
-    /// Ring-core → executing-core redirection (identity while up). A
-    /// dead core's ring keeps receiving already-steered packets; its
-    /// softirq work runs on the redirect target.
-    redirect: u16,
-    /// Adaptive shedding engaged (answering SYNs with cookies until the
-    /// queue drains below the low watermark).
-    shed: bool,
-    /// Core offline (explicit hotplug or watchdog).
-    down: bool,
-    // --- cold tail: touched only by hotplug, lazy growth and hog polls ---
+    // --- cold tail: touched only by lazy growth and hog polls ---
     /// Workers spawned so far (for the lazy-growth cap).
     workers_spawned: usize,
     /// (busy_cycles, wall) seen at the last idle-scavenging hog poll.
     hog_seen: (Cycles, Cycles),
-    /// Whether the watchdog (not the schedule) took the core down; only
-    /// those cores revive automatically when their stall clears.
-    watchdog_marked: bool,
 }
 
-// The hot set (two Vec headers + acceptor + redirect + shed + down) must
-// stay within the first 64 host bytes, and a lane within two lines.
+// The hot set (two Vec headers + acceptor) must stay within the first 64
+// host bytes, and a lane within two lines.
 const _: () = assert!(std::mem::size_of::<CoreState>() <= 128);
-const _: () = {
-    assert!(std::mem::offset_of!(CoreState, down) < 64); // 1-byte field ends in line 0
-    assert!(std::mem::offset_of!(CoreState, workers_spawned) >= 56);
-};
+const _: () = assert!(std::mem::offset_of!(CoreState, acceptor) + 4 <= 64);
 
 impl CoreState {
-    fn new(core: u16) -> Self {
+    fn new() -> Self {
         Self {
             sleep_acceptors: Vec::new(),
             idle_workers: Vec::new(),
             acceptor: u32::MAX,
             workers_spawned: 0,
-            shed: false,
-            down: false,
-            watchdog_marked: false,
-            redirect: core,
             hog_seen: (0, 0),
         }
     }
@@ -487,29 +398,12 @@ pub struct Runner {
     hog: Option<BatchJob>,
     softirq_pending: Vec<bool>,
     rng: SimRng,
-    /// Dedicated RNG stream for fault-plane decisions; never touched when
-    /// the plan has no packet faults, so the main stream stays aligned
-    /// with fault-free builds.
-    fault_rng: SimRng,
-    fstats: FaultStats,
-    /// Overload-plane action counters (audited at end of run).
-    ostats: OverloadStats,
-    /// Outstanding SYN cookies by flow tuple (value: issue time). Entries
-    /// leave on validation, on supersession by a normal handshake, or
-    /// into `cookies_expired` at end of run.
-    cookie_pending: FastMap<nic::FlowTuple, Cycles>,
-    /// Per-core backlog cap the shedding watermarks scale against.
-    shed_cap: f64,
     measuring: bool,
     end_at: Cycles,
     served: u64,
     affinity_served: u64,
     /// Whole-run served counts per `cfg.timeline_bucket` (empty when off).
     timeline: Vec<u64>,
-    /// Established connections abandoned by the client, split by whether
-    /// their owning core was live or down at that moment.
-    timeouts_live_owner: u64,
-    timeouts_dead_owner: u64,
     fingerprint: ActiveFingerprint,
     /// Events dispatched by the run loop.
     events_executed: u64,
@@ -568,7 +462,7 @@ impl Runner {
 
         let clients = Clients::new(cfg.workload.clone(), cfg.seed);
         let mut tasks = Vec::new();
-        let mut lanes: Vec<CoreState> = (0..cfg.cores as u16).map(CoreState::new).collect();
+        let mut lanes: Vec<CoreState> = (0..cfg.cores).map(|_| CoreState::new()).collect();
         match cfg.server {
             ServerKind::ApacheWorker { .. } => {
                 for c in 0..cfg.cores {
@@ -605,13 +499,6 @@ impl Runner {
         });
 
         let twenty = twenty_mode.then(TwentyPolicy::new);
-        // The queue the shedding watermarks scale against: the global
-        // backlog for the single-queue kinds, the per-core split for the
-        // rest (mirrors `ListenSocket::backlogged`).
-        let shed_cap = match cfg.listen {
-            ListenKind::Stock | ListenKind::Twenty => cfg.max_backlog,
-            _ => (cfg.max_backlog / cfg.cores.max(1)).max(1),
-        } as f64;
         let arrival_interval_mean = CYCLES_PER_SEC as f64 / cfg.conn_rate.max(1e-9);
         let end_at = cfg.start_at + cfg.warmup + cfg.measure;
         let n_rings = nic.n_rings();
@@ -621,11 +508,6 @@ impl Runner {
 
         let mut r = Self {
             rng: SimRng::new(cfg.seed),
-            fault_rng: SimRng::new(cfg.seed ^ FAULT_RNG_SALT),
-            fstats: FaultStats::default(),
-            ostats: OverloadStats::default(),
-            cookie_pending: FastMap::default(),
-            shed_cap,
             q,
             pkts,
             timers,
@@ -646,8 +528,6 @@ impl Runner {
             served: 0,
             affinity_served: 0,
             timeline: Vec::new(),
-            timeouts_live_owner: 0,
-            timeouts_dead_owner: 0,
             fingerprint: ActiveFingerprint::new(),
             events_executed: 0,
             accepts_seen: 0,
@@ -675,23 +555,10 @@ impl Runner {
                 r.q.push(t0, Ev::Hog(c.0));
             }
         }
-        for (i, w) in r.cfg.fault.stalls.iter().enumerate() {
-            r.q.push(t0 + w.at, Ev::CoreStall(i as u32));
-        }
         if r.cfg.listen == ListenKind::BusyPoll {
             for c in 0..r.cfg.cores {
                 r.q.push(t0 + BUSY_POLL_INTERVAL, Ev::PollAccept(c as u16));
             }
-        }
-        for h in r.cfg.hotplug.clone() {
-            let c = h.core % r.cfg.cores as u16;
-            r.q.push(
-                t0 + h.at,
-                if h.up { Ev::CoreUp(c) } else { Ev::CoreDown(c) },
-            );
-        }
-        if let Some(w) = r.cfg.overload.watchdog {
-            r.q.push(t0 + w.interval, Ev::Watchdog);
         }
         r
     }
@@ -819,9 +686,6 @@ impl Runner {
         let mut extra = 0;
         let mut woken = 0usize;
         'outer: for core in &buf {
-            if self.lanes[core.index()].down {
-                continue;
-            }
             while let Some(tid) = self.lanes[core.index()].sleep_acceptors.pop() {
                 let t = &mut self.tasks[tid as usize];
                 t.sleeping = false;
@@ -1028,157 +892,9 @@ impl Runner {
         }
     }
 
-    /// Narrows a request id for event storage (ids are sequential from 1,
-    /// like client connection ids; panic rather than alias on overflow).
-    fn ev_req(req: ReqId) -> u32 {
-        u32::try_from(req.0).expect("request id overflows event storage")
-    }
-
-    /// Whether the listen path uses per-bucket request-table locks (the
-    /// per-core kinds) rather than the single stock socket lock.
-    fn fine_locks(&self) -> bool {
-        !matches!(self.cfg.listen, ListenKind::Stock | ListenKind::Twenty)
-    }
-
-    /// Decides whether a SYN arriving on `core` is answered statelessly,
-    /// updating the per-core shedding hysteresis on the way: crossing the
-    /// high watermark switches the core into cookie mode, and it stays
-    /// there until the queue drains below the low watermark, so the mode
-    /// cannot flap on every packet. A saturated accept backlog or request
-    /// table forces cookies regardless of the hysteresis state.
-    fn cookie_mode(&mut self, core: CoreId) -> bool {
-        let i = core.index();
-        let q = self.listen.queued_on(core) as f64;
-        if !self.lanes[i].shed && q >= SHED_HIGH * self.shed_cap {
-            self.lanes[i].shed = true;
-            self.ostats.shed_on += 1;
-            self.fingerprint
-                .fold_event(self.now, FOLD_SHED, (1 << 32) | u64::from(core.0));
-        } else if self.lanes[i].shed && q <= SHED_LOW * self.shed_cap {
-            self.lanes[i].shed = false;
-            self.ostats.shed_off += 1;
-            self.fingerprint
-                .fold_event(self.now, FOLD_SHED, u64::from(core.0));
-        }
-        let half_open_cap = self
-            .cfg
-            .overload
-            .half_open_cap
-            .unwrap_or(self.cfg.max_backlog);
-        self.lanes[i].shed || self.listen.backlogged(core) || self.k.reqs.len() >= half_open_cap
-    }
-
-    /// Takes core `c` offline: re-homes its accept queue to the
-    /// least-loaded live core, steers its flow groups to that core's
-    /// ring, and redirects its softirq work there so established
-    /// connections owned elsewhere keep being served. Refuses to take
-    /// the last live core down.
-    fn core_offline(&mut self, c: u16, by_watchdog: bool) {
-        let i = usize::from(c);
-        if self.lanes[i].down {
-            return;
-        }
-        // Deterministic target: least-loaded live core, ties by index.
-        let Some(target) = (0..self.cfg.cores)
-            .filter(|j| *j != i && !self.lanes[*j].down)
-            .min_by_key(|j| (self.cores.load(CoreId(*j as u16)), *j))
-        else {
-            return;
-        };
-        self.lanes[i].down = true;
-        self.ostats.core_downs += 1;
-        if by_watchdog {
-            self.lanes[i].watchdog_marked = true;
-            self.ostats.watchdog_marks += 1;
-        }
-        let from = CoreId(c);
-        let to = CoreId(target as u16);
-        let start = self.cores.start_time(to, self.now);
-        let (d, moved) = self.listen.rehome(&mut self.k, from, to, start);
-        let mut end = if d > 0 {
-            self.cores.run(to, start, d)
-        } else {
-            start
-        };
-        self.ostats.rehomed_conns += moved;
-        self.ostats.rehome_ops += 1;
-        self.fingerprint
-            .fold_event(self.now, FOLD_REHOME, u64::from(c) | moved << 16);
-        // Point the dead core's flow groups at the target's ring so new
-        // packets land there directly. Per-flow (Twenty) steering needs
-        // no rewrite: the redirect below covers its ring too.
-        if usize::from(c) < self.nic.n_rings() && target < self.nic.n_rings() {
-            if let Some(groups) = self.nic.steering.groups_mut() {
-                for g in groups.groups_of(RingId(c)) {
-                    let d = groups.migrate(g, RingId(to.0));
-                    end = self.cores.run(to, end, d);
-                }
-            }
-        }
-        // Re-point the dead core — and anything already redirected to it —
-        // at the target, so redirect chains always end at a live core.
-        for lane in &mut self.lanes {
-            if lane.redirect == c {
-                lane.redirect = to.0;
-            }
-        }
-        // Anything re-homed must get served: wake the target's acceptors.
-        if moved > 0 {
-            let extra = self.wake_acceptors(to, to, end);
-            if extra > 0 {
-                self.cores.run(to, end, extra);
-            }
-        }
-    }
-
-    /// Brings core `c` back online: new work lands on it again (flow
-    /// groups migrated away stay put until the balancer moves them back),
-    /// and tasks that accumulated ready work while parked are rewoken.
-    fn core_online(&mut self, c: u16) {
-        let i = usize::from(c);
-        if !self.lanes[i].down {
-            return;
-        }
-        self.lanes[i].down = false;
-        self.lanes[i].watchdog_marked = false;
-        self.lanes[i].redirect = c;
-        self.ostats.core_ups += 1;
-        for tid in 0..self.tasks.len() as u32 {
-            let t = &self.tasks[tid as usize];
-            if t.core.index() != i || !t.sleeping || t.ready.is_empty() {
-                continue;
-            }
-            let t = &mut self.tasks[tid as usize];
-            t.sleeping = false;
-            t.just_woken = true;
-            self.lanes[i].sleep_acceptors.retain(|x| *x != tid);
-            let run_at = self.cores.start_time(CoreId(c), self.now);
-            self.schedule_task(tid, run_at);
-        }
-        if self.listen.queued_on(CoreId(c)) > 0 {
-            let start = self.cores.start_time(CoreId(c), self.now);
-            let extra = self.wake_acceptors(CoreId(c), CoreId(c), start);
-            if extra > 0 {
-                self.cores.run(CoreId(c), start, extra);
-            }
-        }
-    }
-
     fn task_run(&mut self, tid: u32) {
         self.tasks[tid as usize].queued = false;
         let core = self.tasks[tid as usize].core;
-        if self.lanes[core.index()].down {
-            // The core is offline: park the task. Hotplug-up (or a wake
-            // for new data, once the core is back) reschedules it.
-            let role = self.tasks[tid as usize].role;
-            let t = &mut self.tasks[tid as usize];
-            t.sleeping = true;
-            if role != TaskRole::Worker && !self.lanes[core.index()].sleep_acceptors.contains(&tid)
-            {
-                self.lanes[core.index()].sleep_acceptors.push(tid);
-            }
-            return;
-        }
         let role = self.tasks[tid as usize].role;
         let objs = self.tasks[tid as usize].objs;
         // Context switch into the task (only on a sleep→run transition;
@@ -1273,94 +989,13 @@ impl Runner {
     fn dispatch_packet(&mut self, core: CoreId, start: Cycles, pkt: Packet) -> Cycles {
         match pkt.kind {
             PacketKind::Syn => {
-                if self.k.est.lookup(&pkt.tuple).is_some() {
-                    // A stale retransmitted SYN for an already-established
-                    // connection (possible only under fault injection):
-                    // real TCP answers with a challenge ACK; the sim just
-                    // ignores it rather than double-inserting the tuple.
-                    return ops::SYN_DUP_COST;
-                }
-                if self.cfg.overload.syn_cookies && self.cookie_mode(core) {
-                    // Stateless answer: no request sock is allocated; the
-                    // cookie is validated when (if) the completing ACK
-                    // comes back.
-                    let d = ops::cookie_synack(&mut self.k, core, start, pkt.tuple);
-                    if self.cookie_pending.insert(pkt.tuple, self.now).is_some() {
-                        // A retransmitted SYN supersedes its predecessor.
-                        self.ostats.cookies_expired += 1;
-                    }
-                    self.ostats.cookies_issued += 1;
-                    self.fingerprint
-                        .fold_event(self.now, FOLD_COOKIE_ISSUE, pkt.tuple.hash());
-                    self.tx_control(start + d, pkt.tuple, PacketKind::SynAck);
-                    return d;
-                }
-                if self.cfg.fault.syn_overflow_drop && self.listen.backlogged(core) {
-                    // Accept backlog full: drop the SYN instead of
-                    // allocating a request socket for a handshake that
-                    // cannot be accepted. The client's retransmission
-                    // timer recovers (or gives up at the cap).
-                    self.fstats.syn_backlog_drops += 1;
-                    self.fingerprint
-                        .fold_event(self.now, FOLD_FAULT_SYN_DROP, pkt.tuple.hash());
-                    return ops::SYN_DUP_COST;
-                }
-                let fresh =
-                    self.cfg.overload.reap.is_some() && self.k.reqs.lookup(&pkt.tuple).is_none();
                 let d = self.listen.on_syn(&mut self.k, core, start, pkt.tuple);
-                if fresh {
-                    // Arm the half-open TTL for the request this SYN
-                    // created (a duplicate SYN keeps its existing timer).
-                    if let Some(rp) = self.cfg.overload.reap {
-                        if let Some(req) = self.k.reqs.lookup(&pkt.tuple) {
-                            self.q.push(
-                                self.now + rp.backoff(1),
-                                Ev::ReqReap(Self::ev_req(req), 1, core.0),
-                            );
-                        }
-                    }
-                }
                 self.tx_control(start + d, pkt.tuple, PacketKind::SynAck);
                 d
             }
             PacketKind::Ack => {
-                if self.cfg.overload.syn_cookies
-                    && self.cookie_pending.contains_key(&pkt.tuple)
-                    && self.k.reqs.lookup(&pkt.tuple).is_none()
-                {
-                    // The completing ACK of a stateless handshake: the
-                    // cookie validates and the connection is rebuilt at
-                    // ACK time (Linux's `cookie_v4_check` path), subject
-                    // to the same backlog caps as a normal handshake.
-                    self.cookie_pending.remove(&pkt.tuple);
-                    self.ostats.cookies_validated += 1;
-                    self.fingerprint
-                        .fold_event(self.now, FOLD_COOKIE_OK, pkt.tuple.hash());
-                    let (d, outcome) =
-                        self.listen
-                            .on_cookie_ack(&mut self.k, core, start, pkt.tuple);
-                    return match outcome {
-                        AckOutcome::Enqueued { queue_core, .. } => {
-                            self.ostats.cookies_established += 1;
-                            let extra = self.wake_acceptors(queue_core, core, start + d);
-                            d + extra
-                        }
-                        AckOutcome::DroppedOverflow => {
-                            self.ostats.cookie_drops += 1;
-                            d
-                        }
-                    };
-                }
                 let (d, outcome) = self.listen.on_ack(&mut self.k, core, start, pkt.tuple);
                 if let AckOutcome::Enqueued { queue_core, .. } = outcome {
-                    // A normal handshake won; any cookie still outstanding
-                    // for the tuple (issued for a retransmitted SYN that
-                    // raced the mode switch) is dead.
-                    if self.cfg.overload.syn_cookies
-                        && self.cookie_pending.remove(&pkt.tuple).is_some()
-                    {
-                        self.ostats.cookies_expired += 1;
-                    }
                     let extra = self.wake_acceptors(queue_core, core, start + d);
                     d + extra
                 } else {
@@ -1411,10 +1046,7 @@ impl Runner {
     }
 
     fn softirq(&mut self, ring: u16) {
-        // A dead ring-core's softirq work runs on its redirect target
-        // (identity while every core is up), so packets already steered
-        // to the ring — established connections included — still flow.
-        let core = CoreId(self.lanes[self.nic.ring_core(RingId(ring)).index()].redirect);
+        let core = self.nic.ring_core(RingId(ring));
         let mut budget = SOFTIRQ_BUDGET;
         while budget > 0 {
             let start = self.cores.start_time(core, self.now);
@@ -1465,16 +1097,9 @@ impl Runner {
             Ev::SchedBalance => (9, 0),
             Ev::Hog(core) => (10, u64::from(*core)),
             Ev::MeasureStart => (11, 0),
-            Ev::SynRetrans(cid, attempt) => (12, u64::from(*cid) ^ u64::from(*attempt) << 48),
-            Ev::CoreStall(i) => (13, u64::from(*i)),
+            // Codes 12 and 13 are unassigned: busy-poll ticks keep 14 so
+            // every recorded golden stays valid.
             Ev::PollAccept(core) => (14, u64::from(*core)),
-            Ev::CoreDown(core) => (20, u64::from(*core)),
-            Ev::CoreUp(core) => (21, u64::from(*core)),
-            Ev::Watchdog => (22, 0),
-            Ev::ReqReap(rid, attempt, core) => (
-                23,
-                u64::from(*rid) ^ u64::from(*attempt) << 48 ^ u64::from(*core) << 32,
-            ),
         };
         self.fingerprint.fold_event(t, kind, payload);
     }
@@ -1484,12 +1109,6 @@ impl Runner {
             Ev::Arrival => {
                 let (cid, syn) = self.clients.start_conn(self.now);
                 self.send_to_server(syn, self.now + PROP_DELAY);
-                if let Some(rp) = self.cfg.fault.retrans {
-                    self.q.push(
-                        self.now + rp.backoff(1),
-                        Ev::SynRetrans(Self::ev_cid(cid), 1),
-                    );
-                }
                 let gen = self.timers.arm(cid);
                 self.q.push(
                     self.now + self.clients.workload().timeout,
@@ -1498,20 +1117,15 @@ impl Runner {
                 let gap = self.rng.exp(self.arrival_interval_mean).max(1.0) as Cycles;
                 self.q.push(self.now + gap, Ev::Arrival);
             }
-            Ev::Wire(handle) => {
-                if self.cfg.fault.has_packet_faults() && !self.wire_fault(handle) {
-                    return;
-                }
-                match self.nic.rx(self.now, self.pkts.take(handle)) {
-                    RxOutcome::Delivered { ring, at } => {
-                        if !self.softirq_pending[ring.0 as usize] {
-                            self.softirq_pending[ring.0 as usize] = true;
-                            self.q.push(at + IRQ_LATENCY, Ev::Softirq(ring.0));
-                        }
+            Ev::Wire(handle) => match self.nic.rx(self.now, self.pkts.take(handle)) {
+                RxOutcome::Delivered { ring, at } => {
+                    if !self.softirq_pending[ring.0 as usize] {
+                        self.softirq_pending[ring.0 as usize] = true;
+                        self.q.push(at + IRQ_LATENCY, Ev::Softirq(ring.0));
                     }
-                    RxOutcome::DroppedRingFull | RxOutcome::DroppedFlush => {}
                 }
-            }
+                RxOutcome::DroppedRingFull | RxOutcome::DroppedFlush => {}
+            },
             Ev::Softirq(ring) => self.softirq(ring),
             Ev::TaskRun(tid) => self.task_run(tid),
             Ev::Think(cid) => {
@@ -1528,17 +1142,6 @@ impl Runner {
                 if self.timers.is_current(cid, gen) {
                     self.timers.cancel(cid);
                     if let Some(fin) = self.clients.on_timeout(self.now, cid) {
-                        // Attribute the loss: an established connection
-                        // owned by a live core must never be abandoned
-                        // (the kill-one-core recovery gate); dead-core
-                        // casualties are expected.
-                        if let Some(conn) = self.k.est.lookup(&fin.tuple) {
-                            if self.lanes[self.k.conn(conn).rx_core.index()].down {
-                                self.timeouts_dead_owner += 1;
-                            } else {
-                                self.timeouts_live_owner += 1;
-                            }
-                        }
                         self.send_to_server(fin, self.now + PROP_DELAY);
                     }
                 }
@@ -1658,52 +1261,8 @@ impl Runner {
                 self.base_wire_bytes = self.nic.wire.bytes;
                 self.base_migrations = self.listen.stats().flow_migrations;
             }
-            Ev::SynRetrans(cid, attempt) => {
-                let id = CConnId::from(cid);
-                let Some(rp) = self.cfg.fault.retrans else {
-                    return;
-                };
-                match self
-                    .clients
-                    .on_syn_retrans(self.now, id, attempt, rp.max_attempts)
-                {
-                    SynRetrans::Resend(syn) => {
-                        self.fstats.retrans_sent += 1;
-                        self.send_to_server(syn, self.now + PROP_DELAY);
-                        self.q.push(
-                            self.now + rp.backoff(attempt + 1),
-                            Ev::SynRetrans(cid, attempt + 1),
-                        );
-                    }
-                    SynRetrans::GiveUp => {
-                        // The client abandoned the handshake at the retry
-                        // cap; nothing established server-side, so no FIN.
-                        self.fstats.retry_capped += 1;
-                        self.timers.cancel(id);
-                    }
-                    SynRetrans::Stale => {}
-                }
-            }
-            Ev::CoreStall(i) => {
-                let w = self.cfg.fault.stalls[i as usize];
-                let core = CoreId(w.core % self.cfg.cores as u16);
-                // Stolen CPU time: charged like softirq work (above any
-                // user thread), starting when the core next frees up.
-                let start = self.cores.start_time(core, self.now);
-                self.cores.run(core, start, w.dur);
-                self.fstats.stalls_run += 1;
-            }
             Ev::PollAccept(core_idx) => {
                 let core = CoreId(core_idx);
-                if self.lanes[core.index()].down {
-                    // Offline: skip the probe but keep the poll chain
-                    // alive so polling resumes when the core returns.
-                    if self.now < self.end_at {
-                        self.q
-                            .push(self.now + BUSY_POLL_INTERVAL, Ev::PollAccept(core_idx));
-                    }
-                    return;
-                }
                 // Busy-polling acceptor: probe the local queue instead of
                 // waiting for the enqueue-side wakeup. A hit wakes the
                 // core's sleeping acceptor; a miss just burns the probe.
@@ -1724,112 +1283,7 @@ impl Runner {
                         .push(self.now + BUSY_POLL_INTERVAL, Ev::PollAccept(core_idx));
                 }
             }
-            Ev::CoreDown(c) => self.core_offline(c, false),
-            Ev::CoreUp(c) => self.core_online(c),
-            Ev::Watchdog => {
-                let Some(w) = self.cfg.overload.watchdog else {
-                    return;
-                };
-                for c in 0..self.cfg.cores as u16 {
-                    let i = usize::from(c);
-                    if !self.lanes[i].down {
-                        // A core whose busy horizon runs this far past the
-                        // present has stopped making timely progress (a
-                        // stall window froze it): declare it dead.
-                        if self.cores.core(CoreId(c)).busy_until > self.now + w.dead_after {
-                            self.core_offline(c, true);
-                        }
-                    } else if self.lanes[i].watchdog_marked
-                        && self.cores.core(CoreId(c)).busy_until <= self.now
-                    {
-                        // The stall cleared: revive the core. Explicitly
-                        // scheduled downs wait for their CoreUp event.
-                        self.core_online(c);
-                    }
-                }
-                if self.now < self.end_at {
-                    self.q.push(self.now + w.interval, Ev::Watchdog);
-                }
-            }
-            Ev::ReqReap(rid, attempt, core_idx) => {
-                let Some(rp) = self.cfg.overload.reap else {
-                    return;
-                };
-                let req = ReqId(u64::from(rid));
-                if self.k.reqs.get(req).is_none() {
-                    // The handshake (or an overflow drop) consumed the
-                    // request before its TTL: the timer dies in place.
-                    return;
-                }
-                // Timer context on the SYN core (or its re-home target).
-                let core = CoreId(self.lanes[usize::from(core_idx)].redirect);
-                let start = self.cores.start_time(core, self.now);
-                if u32::from(attempt) <= rp.synack_retries {
-                    if let Some(d) = ops::synack_retransmit(&mut self.k, core, req) {
-                        self.cores.run(core, start, d);
-                        self.ostats.synack_retrans += 1;
-                        let tuple = self.k.reqs.get(req).expect("checked above").tuple;
-                        self.tx_control(start + d, tuple, PacketKind::SynAck);
-                    }
-                    self.q.push(
-                        self.now + rp.backoff(u32::from(attempt) + 1),
-                        Ev::ReqReap(rid, attempt + 1, core_idx),
-                    );
-                } else if let Some(d) = {
-                    let fine = self.fine_locks();
-                    ops::reap_request(&mut self.k, core, start, req, fine)
-                } {
-                    self.cores.run(core, start, d);
-                    self.ostats.reaped += 1;
-                    self.fingerprint
-                        .fold_event(self.now, FOLD_REAP, u64::from(rid));
-                }
-            }
         }
-    }
-
-    /// Applies the packet fault plan to an in-flight client→server
-    /// packet. Returns `false` when the packet was consumed here (dropped,
-    /// or deferred to a later delivery time); `true` lets delivery
-    /// proceed. A duplicate is cloned into the slab and delivered through
-    /// its own `Ev::Wire` event, where it rolls its own fault dice.
-    fn wire_fault(&mut self, handle: u32) -> bool {
-        let (key, ring) = {
-            let pkt = self.pkts.get(handle);
-            let ring = self.nic.steering.route(&pkt.tuple, self.nic.n_rings());
-            (pkt.tuple.hash(), ring)
-        };
-        if !self.cfg.fault.ring_enabled(ring.0) {
-            return true;
-        }
-        let (drop_p, dup_p, reorder_p, reorder_delay) = (
-            self.cfg.fault.drop_p,
-            self.cfg.fault.dup_p,
-            self.cfg.fault.reorder_p,
-            self.cfg.fault.reorder_delay,
-        );
-        if self.fault_rng.chance(drop_p) {
-            let _ = self.pkts.take(handle);
-            self.fstats.dropped += 1;
-            self.fingerprint.fold_event(self.now, FOLD_FAULT_DROP, key);
-            return false;
-        }
-        if self.fault_rng.chance(dup_p) {
-            let copy = *self.pkts.get(handle);
-            let dup = self.pkts.intern(copy);
-            self.q.push(self.now, Ev::Wire(dup));
-            self.fstats.duplicated += 1;
-            self.fingerprint.fold_event(self.now, FOLD_FAULT_DUP, key);
-        }
-        if self.fault_rng.chance(reorder_p) {
-            let extra = 1 + self.fault_rng.below(reorder_delay.max(1));
-            self.q.push(self.now + extra, Ev::Wire(handle));
-            self.fstats.reordered += 1;
-            self.fingerprint
-                .fold_event(self.now, FOLD_FAULT_REORDER, key);
-            return false;
-        }
-        true
     }
 
     /// Dispatches one popped event: advances the clock, folds the
@@ -1929,16 +1383,12 @@ impl Runner {
                 dropped: r.dropped,
             })
             .collect();
-        // Cookies still outstanding (or superseded and never replaced by
-        // an ACK) at run end count as expired, closing the cookie law.
-        self.ostats.cookies_expired += self.cookie_pending.len() as u64;
         let busy_of = |c: usize| self.cores.core(CoreId(c as u16)).busy_cycles;
         let audit = RunAudit {
             client: ClientAudit {
                 started: self.clients.total_started,
                 completed: self.clients.total_completed,
                 timed_out: self.clients.total_timeouts,
-                retry_capped: self.clients.total_retry_capped,
                 live: self.clients.live() as u64,
             },
             listen: ListenAudit {
@@ -1979,10 +1429,6 @@ impl Runner {
             served,
             perf_requests: self.k.perf.requests,
             events_pending: self.q.len() as u64,
-            fault: self.fstats,
-            fault_active: self.cfg.fault.is_active(),
-            overload: self.ostats,
-            overload_active: self.cfg.overload.is_active() || !self.cfg.hotplug.is_empty(),
             reqs_created: self.k.reqs.created(),
             reqs_residual: self.k.reqs.len() as u64,
             cacheline: cacheline.totals(),
@@ -2030,11 +1476,7 @@ impl Runner {
             events_executed: self.events_executed,
             cascaded,
             audit,
-            fault: self.fstats,
-            overload: self.ostats,
             timeline: self.timeline,
-            timeouts_live_owner: self.timeouts_live_owner,
-            timeouts_dead_owner: self.timeouts_dead_owner,
             cacheline,
             kernel: self.k,
         }
@@ -2124,153 +1566,5 @@ mod tests {
             r.drops_overflow + r.drops_nic > 0,
             "expected drops under overload"
         );
-    }
-
-    #[test]
-    fn disabled_overload_plane_is_fingerprint_neutral() {
-        // The config carries the new fields; leaving them at their
-        // defaults must not move a single bit of the fingerprint.
-        let base = Runner::new(quick_cfg(ListenKind::Affinity, 2, 1_000.0)).run();
-        let mut cfg = quick_cfg(ListenKind::Affinity, 2, 1_000.0);
-        cfg.overload = sim::overload::OverloadConfig::none();
-        cfg.hotplug = Vec::new();
-        let r = Runner::new(cfg).run();
-        assert_eq!(base.fingerprint, r.fingerprint);
-        assert!(r.overload.is_zero(), "{:?}", r.overload);
-        assert!(r.audit.is_ok(), "{:?}", r.audit.violations());
-    }
-
-    #[test]
-    fn syn_cookies_keep_accepting_under_flood() {
-        for kind in [ListenKind::Stock, ListenKind::Affinity] {
-            let mut cfg = quick_cfg(kind, 2, 150_000.0);
-            cfg.overload.syn_cookies = true;
-            cfg.overload.reap = Some(sim::overload::ReapPolicy::default_policy());
-            let r = Runner::new(cfg).run();
-            assert!(r.served > 0, "{kind:?} starved under flood");
-            assert!(
-                r.overload.cookies_issued > 0,
-                "{kind:?} never engaged cookies: {:?}",
-                r.overload
-            );
-            assert!(
-                r.audit.is_ok(),
-                "{kind:?} audit: {:?}",
-                r.audit.violations()
-            );
-        }
-    }
-
-    #[test]
-    fn shedding_hysteresis_switches_on_and_off() {
-        let mut cfg = quick_cfg(ListenKind::Affinity, 2, 150_000.0);
-        cfg.overload.syn_cookies = true;
-        let r = Runner::new(cfg).run();
-        assert!(r.overload.shed_on > 0, "{:?}", r.overload);
-        assert!(
-            r.overload.shed_on >= r.overload.shed_off,
-            "more off- than on-transitions: {:?}",
-            r.overload
-        );
-        assert!(r.audit.is_ok(), "{:?}", r.audit.violations());
-    }
-
-    #[test]
-    fn half_open_requests_are_reaped() {
-        // Drop a third of client→server packets: lost ACKs strand
-        // half-open requests that only the reaper can reclaim.
-        let mut cfg = quick_cfg(ListenKind::Affinity, 4, 2_000.0);
-        cfg.fault.drop_p = 0.3;
-        cfg.fault.retrans = Some(sim::fault::RetransPolicy::default_policy());
-        cfg.overload.reap = Some(sim::overload::ReapPolicy {
-            ttl: ms(5),
-            synack_retries: 1,
-        });
-        let r = Runner::new(cfg).run();
-        assert!(
-            r.overload.reaped > 0,
-            "nothing reaped: {:?} fault {:?}",
-            r.overload,
-            r.fault
-        );
-        assert!(r.overload.synack_retrans > 0);
-        assert!(r.audit.is_ok(), "{:?}", r.audit.violations());
-    }
-
-    #[test]
-    fn killed_core_rehomes_and_recovers() {
-        for kind in [ListenKind::Affinity, ListenKind::Fine, ListenKind::Stock] {
-            let mut cfg = quick_cfg(kind, 4, 2_000.0);
-            cfg.hotplug = vec![
-                sim::overload::HotplugEvent {
-                    core: 1,
-                    at: ms(70),
-                    up: false,
-                },
-                sim::overload::HotplugEvent {
-                    core: 1,
-                    at: ms(130),
-                    up: true,
-                },
-            ];
-            let r = Runner::new(cfg).run();
-            assert_eq!(r.overload.core_downs, 1, "{kind:?}");
-            assert_eq!(r.overload.core_ups, 1, "{kind:?}");
-            assert_eq!(r.overload.rehome_ops, 1, "{kind:?}");
-            assert!(r.served > 0, "{kind:?} stopped serving");
-            assert!(
-                r.audit.is_ok(),
-                "{kind:?} audit: {:?}",
-                r.audit.violations()
-            );
-        }
-    }
-
-    #[test]
-    fn watchdog_declares_and_revives_a_stalled_core() {
-        let mut cfg = quick_cfg(ListenKind::Affinity, 4, 2_000.0);
-        // Freeze core 2 for 40 ms starting mid-warmup: the watchdog
-        // (10 ms scans, 20 ms horizon) must declare it dead, re-home its
-        // queue, and revive it once the stall clears.
-        cfg.fault.stalls = vec![sim::fault::StallWindow {
-            core: 2,
-            at: ms(30),
-            dur: ms(40),
-        }];
-        cfg.overload.watchdog = Some(sim::overload::WatchdogPolicy {
-            interval: ms(10),
-            dead_after: ms(20),
-        });
-        let r = Runner::new(cfg).run();
-        assert!(r.overload.watchdog_marks >= 1, "{:?}", r.overload);
-        assert!(r.overload.core_downs >= 1);
-        assert!(
-            r.overload.core_ups >= 1,
-            "stalled core never revived: {:?}",
-            r.overload
-        );
-        assert!(r.audit.is_ok(), "{:?}", r.audit.violations());
-    }
-
-    #[test]
-    fn hotplug_kill_retains_goodput() {
-        // The recovery gate in miniature: killing one of four cores
-        // mid-window must retain well over half of baseline goodput for
-        // the per-core kinds (the target inherits the dead core's queue).
-        let base = Runner::new(quick_cfg(ListenKind::Affinity, 4, 4_000.0)).run();
-        let mut cfg = quick_cfg(ListenKind::Affinity, 4, 4_000.0);
-        cfg.hotplug = vec![sim::overload::HotplugEvent {
-            core: 3,
-            at: ms(70),
-            up: false,
-        }];
-        let r = Runner::new(cfg).run();
-        assert!(
-            r.served as f64 >= 0.5 * base.served as f64,
-            "kill lost too much goodput: {} vs baseline {}",
-            r.served,
-            base.served
-        );
-        assert!(r.audit.is_ok(), "{:?}", r.audit.violations());
     }
 }

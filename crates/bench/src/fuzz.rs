@@ -13,17 +13,14 @@
 use crate::scenario::{MachineId, Scenario, ServerId};
 use app::{ListenKind, RunAudit, RunConfig, Runner, Workload};
 use metrics::json::Json;
-use sim::fault::{FaultPlan, RetransPolicy, StallWindow};
-use sim::overload::{HotplugEvent, OverloadConfig, ReapPolicy, WatchdogPolicy};
 use sim::rng::SimRng;
-use sim::time::{ms, us};
+use sim::time::ms;
 
 /// Fuzz case `i`, named `fuzz-<i>` and drawn from seed `i` alone, so
 /// `--fuzz 2560` runs the cases of `--fuzz 80` as its prefix and a case's
 /// name reproduces it. One fixed-rate run of one listen kind, with the
 /// perturbing knobs (stealing and migration toggles, lock_stat, a batch
-/// job), a fault plan, an overload plane, a hotplug schedule and the
-/// cache-line ledger drawn at random.
+/// job) and the cache-line ledger drawn at random.
 #[must_use]
 pub fn case(i: u64) -> Scenario {
     let mut rng = SimRng::new(i);
@@ -60,104 +57,9 @@ pub fn case(i: u64) -> Scenario {
     if rng.chance(0.15) && s.cores >= 2 {
         s.hog = ms(rng.range(20, 150));
     }
-    s.fault = random_plan(&mut rng, s.cores);
-    s.overload = random_overload(&mut rng);
-    s.hotplug = random_hotplug(&mut rng, s.cores);
     // The dprof-v2 ledger, so its audit laws get fuzzed too.
     s.dprof_v2 = rng.chance(0.3);
     s
-}
-
-/// Draws one randomized fault plan. Probabilities come from bounded
-/// discrete sets: duplication and reordering compound (a duplicate can be
-/// duplicated again), so rates near 1.0 would melt the event queue
-/// without testing anything new; stall windows stay well inside the
-/// audit's busy-overhang allowance.
-fn random_plan(rng: &mut SimRng, cores: usize) -> FaultPlan {
-    let mut p = FaultPlan::none();
-    if rng.chance(0.2) {
-        // Every fifth case runs the disabled plan, so the neutral path
-        // (no extra events, no RNG draws) stays fuzzed too.
-        return p;
-    }
-    p.drop_p = [0.0, 0.0, 0.01, 0.02, 0.05, 0.1][rng.index(6)];
-    p.dup_p = [0.0, 0.0, 0.01, 0.05, 0.15][rng.index(5)];
-    p.reorder_p = [0.0, 0.0, 0.05, 0.2, 0.4][rng.index(5)];
-    p.reorder_delay = [us(5), us(50), ms(1)][rng.index(3)];
-    if rng.chance(0.15) {
-        // Restrict packet faults to a random subset of rings; bit 0 is
-        // forced so at least one ring can fault.
-        p.ring_mask = rng.next_u64() | 1;
-    }
-    p.syn_overflow_drop = rng.chance(0.4);
-    if rng.chance(0.7) {
-        p.retrans = Some(RetransPolicy {
-            rto: [ms(20), ms(50)][rng.index(2)],
-            max_attempts: rng.range(2, 6) as u32,
-        });
-    }
-    for _ in 0..rng.below(3) {
-        p.stalls.push(StallWindow {
-            core: rng.below(cores as u64) as u16,
-            at: ms(10 + rng.below(250)),
-            dur: us(rng.range(50, 2_000)),
-        });
-    }
-    p
-}
-
-/// Draws one randomized overload plane. Disabled ~40% of the time so the
-/// neutral path (no cookie checks, no reap timers, no watchdog events)
-/// stays fuzzed against the fingerprint-neutrality guarantee.
-fn random_overload(rng: &mut SimRng) -> OverloadConfig {
-    let mut o = OverloadConfig::none();
-    if rng.chance(0.4) {
-        return o;
-    }
-    o.syn_cookies = rng.chance(0.6);
-    if rng.chance(0.5) {
-        o.reap = Some(ReapPolicy {
-            ttl: [ms(5), ms(20), ms(50)][rng.index(3)],
-            synack_retries: rng.range(0, 3) as u32,
-        });
-    }
-    if rng.chance(0.4) {
-        o.watchdog = Some(WatchdogPolicy {
-            interval: [ms(5), ms(10)][rng.index(2)],
-            dead_after: [ms(20), ms(50)][rng.index(2)],
-        });
-    }
-    if rng.chance(0.3) {
-        o.half_open_cap = Some(rng.range(8, 256) as usize);
-    }
-    o
-}
-
-/// Draws a random hotplug schedule: ~30% of multi-core cases get one or
-/// two core deaths, most followed by a revival, all inside the run
-/// window so both transitions actually dispatch.
-fn random_hotplug(rng: &mut SimRng, cores: usize) -> Vec<HotplugEvent> {
-    let mut h = Vec::new();
-    if cores < 2 || !rng.chance(0.3) {
-        return h;
-    }
-    for _ in 0..rng.range(1, 2) {
-        let core = rng.below(cores as u64) as u16;
-        let down_at = 10 + rng.below(200);
-        h.push(HotplugEvent {
-            core,
-            at: ms(down_at),
-            up: false,
-        });
-        if rng.chance(0.7) {
-            h.push(HotplugEvent {
-                core,
-                at: ms(down_at + rng.range(10, 120)),
-                up: true,
-            });
-        }
-    }
-    h
 }
 
 /// Runs every fixed-rate run of every case twice through
@@ -258,9 +160,7 @@ fn run_problems(
     out
 }
 
-/// The first field on which two runs of one config differ. The audit
-/// carries the fault and overload counters, so comparing it covers the
-/// fault schedule and the defenses it triggered.
+/// The first field on which two runs of one config differ.
 fn diverges(a: &Outcome, b: &Outcome) -> Option<String> {
     if a.fingerprint != b.fingerprint {
         return Some(format!(

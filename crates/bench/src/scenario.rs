@@ -2,10 +2,9 @@
 //!
 //! A [`Scenario`] is a complete end-to-end experiment described as data:
 //! machine and core counts, the listen-socket implementations to compare,
-//! workload shape, fault plan, overload plane, hotplug schedule, plus the
-//! *gates* the outcome must pass (audit cleanliness, cross-implementation
-//! ordering, and numeric bounds on per-kind metrics such as served
-//! requests, goodput retained after a fault, or time to recover) and the
+//! workload shape and the perturbing knobs, plus the *gates* the outcome
+//! must pass (audit cleanliness, cross-implementation ordering, and
+//! numeric bounds on per-kind metrics such as served requests) and the
 //! *golden* fingerprints that pin it bit-for-bit. Scenarios are stored
 //! as JSON files under `scenarios/`
 //! (parsed with the repo's own [`metrics::json`] parser — no serde), run
@@ -21,9 +20,7 @@
 use app::files::DEFAULT_N_FILES;
 use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
 use metrics::json::Json;
-use sim::fault::{FaultPlan, RetransPolicy, StallWindow};
-use sim::overload::{HotplugEvent, OverloadConfig, ReapPolicy, WatchdogPolicy};
-use sim::time::{ms, Cycles, CPU_HZ, CYCLES_PER_MS, CYCLES_PER_US};
+use sim::time::{ms, Cycles, CPU_HZ, CYCLES_PER_MS};
 use sim::topology::Machine;
 use std::path::{Path, PathBuf};
 
@@ -111,7 +108,7 @@ pub struct GoldenEntry {
 }
 
 /// A sweep axis: one run per value. Each value is substituted at the
-/// dotted `key` (`"cores"`, `"fault.drop_p"`, …) of the scenario's
+/// dotted `key` (`"cores"`, `"workload.think_ms"`, …) of the scenario's
 /// rendered document ([`Scenario::points`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
@@ -164,43 +161,18 @@ pub struct Bound {
 }
 
 /// A per-kind outcome a [`Bound`] can constrain. Counters sum over the
-/// kind's runs; times take the worst run.
+/// kind's runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Requests served in the measurement windows.
     Served,
     /// Completed / (completed + timed-out) client connections.
     CompletedFrac,
-    /// SYN cookies issued.
-    Cookies,
-    /// Accept-queue re-home operations.
-    Rehomes,
-    /// Client timeouts on established connections a live core owned
-    /// (the recovery plane's no-collateral-damage bound).
-    TimeoutsLiveOwner,
-    /// Client timeouts on established connections a down core owned.
-    TimeoutsDeadOwner,
-    /// Served divided by the served of a fault-free twin run (the same
-    /// scenario with `hotplug` emptied).
-    GoodputRetained,
-    /// Milliseconds from the first core going down until the served rate
-    /// is back at 90 % of its pre-fault level, read off the run's
-    /// timeline; infinite when a run never recovers.
-    TimeToRecoverMs,
 }
 
 impl Metric {
     /// Every metric, in report-row order.
-    pub const ALL: [Metric; 8] = [
-        Metric::Served,
-        Metric::CompletedFrac,
-        Metric::Cookies,
-        Metric::Rehomes,
-        Metric::TimeoutsLiveOwner,
-        Metric::TimeoutsDeadOwner,
-        Metric::GoodputRetained,
-        Metric::TimeToRecoverMs,
-    ];
+    pub const ALL: [Metric; 2] = [Metric::Served, Metric::CompletedFrac];
 
     /// The metric's key in `gates.bounds` and in the report row.
     #[must_use]
@@ -208,71 +180,24 @@ impl Metric {
         match self {
             Metric::Served => "served",
             Metric::CompletedFrac => "completed_frac",
-            Metric::Cookies => "cookies",
-            Metric::Rehomes => "rehomes",
-            Metric::TimeoutsLiveOwner => "timeouts_live_owner",
-            Metric::TimeoutsDeadOwner => "timeouts_dead_owner",
-            Metric::GoodputRetained => "goodput_retained",
-            Metric::TimeToRecoverMs => "time_to_recover_ms",
         }
     }
 
-    /// The metric's value in one kind's report; `None` when the run did
-    /// not measure it (no twin ran, or no fault to recover from).
+    /// The metric's value in one kind's report.
     #[allow(clippy::cast_precision_loss)]
-    fn of(self, kr: &KindReport) -> Option<f64> {
-        let n = |v: u64| Some(v as f64);
+    fn of(self, kr: &KindReport) -> f64 {
         match self {
-            Metric::Served => n(kr.served),
+            Metric::Served => kr.served as f64,
             Metric::CompletedFrac => {
                 let total = kr.completed + kr.timeouts;
-                Some(if total == 0 {
+                if total == 0 {
                     0.0
                 } else {
                     kr.completed as f64 / total as f64
-                })
+                }
             }
-            Metric::Cookies => n(kr.cookies),
-            Metric::Rehomes => n(kr.rehomes),
-            Metric::TimeoutsLiveOwner => n(kr.timeouts_live_owner),
-            Metric::TimeoutsDeadOwner => n(kr.timeouts_dead_owner),
-            Metric::GoodputRetained => kr.goodput_retained,
-            Metric::TimeToRecoverMs => kr.time_to_recover_ms,
         }
     }
-}
-
-/// The fraction of the pre-fault served rate a timeline bucket must reach
-/// to count as recovered.
-const RECOVERY_THRESHOLD: f64 = 0.90;
-
-/// Reads the time to recover off a served-requests timeline of
-/// `bucket`-wide buckets: from `fault_at` to the end of the first
-/// post-fault bucket whose count is back at [`RECOVERY_THRESHOLD`] of the
-/// mean over the pre-fault buckets. Only complete buckets count on both
-/// sides: the pre-fault window is the buckets wholly inside
-/// `(warmup, fault_at)`, and the scan skips the bucket the fault lands
-/// in and stops before the partial bucket at `end`. `None` when the
-/// pre-fault window is empty or the rate never recovers.
-#[allow(clippy::cast_precision_loss)]
-fn time_to_recover(
-    timeline: &[u64],
-    bucket: Cycles,
-    warmup: Cycles,
-    fault_at: Cycles,
-    end: Cycles,
-) -> Option<Cycles> {
-    let b = |t: Cycles| (t / bucket) as usize;
-    let count = |i: usize| timeline.get(i).copied().unwrap_or(0);
-    let (pre_lo, pre_hi) = (b(warmup) + 1, b(fault_at));
-    if pre_hi <= pre_lo {
-        return None;
-    }
-    let pre: u64 = (pre_lo..pre_hi).map(count).sum();
-    let threshold = RECOVERY_THRESHOLD * pre as f64 / (pre_hi - pre_lo) as f64;
-    (b(fault_at) + 1..b(end))
-        .find(|&i| count(i) as f64 >= threshold)
-        .map(|i| (i as u64 + 1) * bucket - fault_at)
 }
 
 /// A complete declarative experiment. See the module docs; every field's
@@ -319,14 +244,6 @@ pub struct Scenario {
     /// CPU work of the §6.5 batch job on the upper half of the cores
     /// (`hog_ms`; 0 runs none).
     pub hog: Cycles,
-    /// Fault-injection plan.
-    pub fault: FaultPlan,
-    /// Overload-control plane.
-    pub overload: OverloadConfig,
-    /// Explicit core-hotplug schedule.
-    pub hotplug: Vec<HotplugEvent>,
-    /// Timeline bucket width (0 disables collection).
-    pub timeline_bucket: Cycles,
     /// Record the dprof-v2 per-cacheline ledger (fingerprint-neutral;
     /// compiled out under the `fast` feature).
     pub dprof_v2: bool,
@@ -365,10 +282,6 @@ impl Scenario {
             migrate: true,
             lockstat: false,
             hog: 0,
-            fault: FaultPlan::none(),
-            overload: OverloadConfig::none(),
-            hotplug: Vec::new(),
-            timeline_bucket: 0,
             dprof_v2: false,
             sweep: None,
             gates: Gates::default(),
@@ -446,33 +359,8 @@ impl Scenario {
         cfg.migrate_enabled = self.migrate;
         cfg.lockstat = self.lockstat;
         cfg.hog_work = (self.hog > 0).then_some(self.hog);
-        cfg.fault = self.fault.clone();
-        cfg.overload = self.overload.clone();
-        cfg.hotplug = self.hotplug.clone();
-        cfg.timeline_bucket = self.timeline_bucket;
         cfg.dprof_v2 = self.dprof_v2;
         cfg
-    }
-
-    /// The first scheduled fault: a core going down.
-    fn first_fault(&self) -> Option<Cycles> {
-        self.hotplug.iter().filter(|h| !h.up).map(|h| h.at).min()
-    }
-
-    /// [`time_to_recover`] off one run's timeline, in milliseconds
-    /// (infinite if the run never recovers); `None` unless the scenario
-    /// collects a timeline and schedules a fault.
-    #[allow(clippy::cast_precision_loss)]
-    fn recovery_ms(&self, timeline: &[u64]) -> Option<f64> {
-        let fault_at = self.first_fault()?;
-        if self.timeline_bucket == 0 {
-            return None;
-        }
-        let end = self.warmup + self.measure;
-        Some(
-            time_to_recover(timeline, self.timeline_bucket, self.warmup, fault_at, end)
-                .map_or(f64::INFINITY, |c| c as f64 / CYCLES_PER_MS as f64),
-        )
     }
 }
 
@@ -496,7 +384,7 @@ pub fn combine_fingerprints(fps: &[u64]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Parsing. Every helper threads a dotted `path` ("fault.stalls[2].core")
+// Parsing. Every helper threads a dotted `path` ("workload.batches[2]")
 // so a malformed file fails with the exact key at fault, not a panic.
 // ---------------------------------------------------------------------
 
@@ -520,7 +408,7 @@ fn sub(path: &str, key: &str) -> String {
     }
 }
 
-/// The value at a dotted key of an object tree (`"fault.drop_p"`).
+/// The value at a dotted key of an object tree (`"workload.think_ms"`).
 fn json_slot<'a>(doc: &'a mut Json, dotted: &str) -> Option<&'a mut Json> {
     dotted.split('.').try_fold(doc, |node, key| match node {
         Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -577,11 +465,6 @@ fn want_u32(v: &Json, path: &str) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("{path}: {n} does not fit u32"))
 }
 
-fn want_u16(v: &Json, path: &str) -> Result<u16, String> {
-    let n = want_u64(v, path)?;
-    u16::try_from(n).map_err(|_| format!("{path}: {n} does not fit u16"))
-}
-
 fn want_f64(v: &Json, path: &str) -> Result<f64, String> {
     #[allow(clippy::cast_precision_loss)]
     let n = match v {
@@ -596,28 +479,12 @@ fn want_f64(v: &Json, path: &str) -> Result<f64, String> {
     Ok(n)
 }
 
-fn want_prob(v: &Json, path: &str) -> Result<f64, String> {
-    let p = want_f64(v, path)?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("{path}: probability {p} out of range [0, 1]"));
-    }
-    Ok(p)
-}
-
-/// A duration in `unit`s (`CYCLES_PER_MS` or `CYCLES_PER_US`) as cycles;
-/// one the simulated clock cannot hold is an error, not a wrapped value.
-fn want_time(v: &Json, path: &str, unit: Cycles) -> Result<Cycles, String> {
-    let n = want_u64(v, path)?;
-    n.checked_mul(unit)
-        .ok_or_else(|| format!("{path}: {n} overflows the simulated clock"))
-}
-
+/// A duration in milliseconds as cycles; one the simulated clock cannot
+/// hold is an error, not a wrapped value.
 fn want_ms(v: &Json, path: &str) -> Result<Cycles, String> {
-    want_time(v, path, CYCLES_PER_MS)
-}
-
-fn want_us(v: &Json, path: &str) -> Result<Cycles, String> {
-    want_time(v, path, CYCLES_PER_US)
+    let n = want_u64(v, path)?;
+    n.checked_mul(CYCLES_PER_MS)
+        .ok_or_else(|| format!("{path}: {n} overflows the simulated clock"))
 }
 
 /// Rejects an object key given twice anywhere in the document, which
@@ -702,128 +569,6 @@ fn parse_workload(v: &Json, path: &str) -> Result<Workload, String> {
         }
     }
     Ok(w)
-}
-
-fn parse_fault(v: &Json, path: &str) -> Result<FaultPlan, String> {
-    let mut f = FaultPlan::none();
-    for (k, v) in want_obj(v, path)? {
-        let p = sub(path, k);
-        match k.as_str() {
-            "drop_p" => f.drop_p = want_prob(v, &p)?,
-            "dup_p" => f.dup_p = want_prob(v, &p)?,
-            "reorder_p" => f.reorder_p = want_prob(v, &p)?,
-            "reorder_delay_us" => f.reorder_delay = want_us(v, &p)?,
-            "ring_mask" => f.ring_mask = want_u64(v, &p)?,
-            "syn_overflow_drop" => f.syn_overflow_drop = want_bool(v, &p)?,
-            "retrans" => {
-                let mut r = RetransPolicy::default_policy();
-                for (rk, rv) in want_obj(v, &p)? {
-                    let rp = sub(&p, rk);
-                    match rk.as_str() {
-                        "rto_ms" => r.rto = want_ms(rv, &rp)?,
-                        "max_attempts" => r.max_attempts = want_u32(rv, &rp)?,
-                        _ => return Err(format!("{rp}: unknown key")),
-                    }
-                }
-                f.retrans = Some(r);
-            }
-            "stalls" => {
-                f.stalls = want_arr(v, &p)?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sv)| {
-                        let sp = format!("{p}[{i}]");
-                        let mut s = StallWindow {
-                            core: 0,
-                            at: 0,
-                            dur: 0,
-                        };
-                        for (sk, svv) in want_obj(sv, &sp)? {
-                            let spp = sub(&sp, sk);
-                            match sk.as_str() {
-                                "core" => s.core = want_u16(svv, &spp)?,
-                                "at_ms" => s.at = want_ms(svv, &spp)?,
-                                "dur_us" => s.dur = want_us(svv, &spp)?,
-                                _ => return Err(format!("{spp}: unknown key")),
-                            }
-                        }
-                        Ok(s)
-                    })
-                    .collect::<Result<_, String>>()?;
-            }
-            _ => return Err(format!("{p}: unknown key")),
-        }
-    }
-    Ok(f)
-}
-
-fn parse_overload(v: &Json, path: &str) -> Result<OverloadConfig, String> {
-    let mut o = OverloadConfig::none();
-    for (k, v) in want_obj(v, path)? {
-        let p = sub(path, k);
-        match k.as_str() {
-            "syn_cookies" => o.syn_cookies = want_bool(v, &p)?,
-            "half_open_cap" => o.half_open_cap = Some(want_usize(v, &p)?),
-            "reap" => {
-                let mut r = ReapPolicy::default_policy();
-                for (rk, rv) in want_obj(v, &p)? {
-                    let rp = sub(&p, rk);
-                    match rk.as_str() {
-                        "ttl_ms" => r.ttl = want_ms(rv, &rp)?,
-                        "synack_retries" => r.synack_retries = want_u32(rv, &rp)?,
-                        _ => return Err(format!("{rp}: unknown key")),
-                    }
-                }
-                o.reap = Some(r);
-            }
-            "watchdog" => {
-                let mut w = WatchdogPolicy::default_policy();
-                for (wk, wv) in want_obj(v, &p)? {
-                    let wp = sub(&p, wk);
-                    match wk.as_str() {
-                        "interval_ms" => w.interval = want_ms(wv, &wp)?,
-                        "dead_after_ms" => w.dead_after = want_ms(wv, &wp)?,
-                        _ => return Err(format!("{wp}: unknown key")),
-                    }
-                }
-                o.watchdog = Some(w);
-            }
-            _ => return Err(format!("{p}: unknown key")),
-        }
-    }
-    Ok(o)
-}
-
-fn parse_hotplug(v: &Json, path: &str) -> Result<Vec<HotplugEvent>, String> {
-    want_arr(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, hv)| {
-            let hp = format!("{path}[{i}]");
-            let mut h = HotplugEvent {
-                core: 0,
-                at: 0,
-                up: false,
-            };
-            let mut saw_up = false;
-            for (hk, hvv) in want_obj(hv, &hp)? {
-                let hpp = sub(&hp, hk);
-                match hk.as_str() {
-                    "core" => h.core = want_u16(hvv, &hpp)?,
-                    "at_ms" => h.at = want_ms(hvv, &hpp)?,
-                    "up" => {
-                        h.up = want_bool(hvv, &hpp)?;
-                        saw_up = true;
-                    }
-                    _ => return Err(format!("{hpp}: unknown key")),
-                }
-            }
-            if !saw_up {
-                return Err(format!("{hp}: missing required key \"up\""));
-            }
-            Ok(h)
-        })
-        .collect()
 }
 
 fn parse_bounds(v: &Json, path: &str) -> Result<Vec<Bound>, String> {
@@ -990,10 +735,6 @@ impl Scenario {
                 "migrate" => s.migrate = want_bool(v, &p)?,
                 "lockstat" => s.lockstat = want_bool(v, &p)?,
                 "hog_ms" => s.hog = want_ms(v, &p)?,
-                "fault" => s.fault = parse_fault(v, &p)?,
-                "overload" => s.overload = parse_overload(v, &p)?,
-                "hotplug" => s.hotplug = parse_hotplug(v, &p)?,
-                "timeline_bucket_ms" => s.timeline_bucket = want_ms(v, &p)?,
                 "dprof_v2" => s.dprof_v2 = want_bool(v, &p)?,
                 "sweep" => s.sweep = Some(parse_sweep(v, &p)?),
                 "gates" => s.gates = parse_gates(v, &p)?,
@@ -1029,20 +770,6 @@ impl Scenario {
                 "cores: {} out of range 1..={n_cores} for machine {}",
                 self.cores,
                 self.machine.label()
-            ));
-        }
-        // The runner wraps a core index modulo `cores`, so an index at or
-        // above it would silently land on another core.
-        let stalls = self.fault.stalls.iter().map(|w| ("fault.stalls", w.core));
-        let hotplug = self.hotplug.iter().map(|h| ("hotplug", h.core));
-        let out_of_range = stalls
-            .enumerate()
-            .chain(hotplug.enumerate())
-            .find(|&(_, (_, c))| usize::from(c) >= self.cores);
-        if let Some((i, (list, c))) = out_of_range {
-            return Err(format!(
-                "{list}[{i}].core: {c} is not below cores {}",
-                self.cores
             ));
         }
         if self.kinds.is_empty() {
@@ -1114,26 +841,6 @@ impl Scenario {
         if self.workload.timeout == 0 {
             return Err("workload.timeout_ms: must be positive".to_string());
         }
-        if let Some(r) = self.fault.retrans {
-            if r.rto == 0 || r.max_attempts == 0 {
-                return Err("fault.retrans: rto_ms and max_attempts must be positive".to_string());
-            }
-        }
-        // A duplicated or reordered packet is re-queued and rolls the dice
-        // again, so at probability 1 it never gets through: the run either
-        // never finishes or serves nothing.
-        for (p, label) in [
-            (self.fault.dup_p, "fault.dup_p"),
-            (self.fault.reorder_p, "fault.reorder_p"),
-        ] {
-            if p >= 1.0 {
-                return Err(format!("{label}: {p} must be below 1"));
-            }
-        }
-        if self.overload.watchdog.is_some_and(|w| w.interval == 0) {
-            // The scan re-arms at `now` and the run never finishes.
-            return Err("overload.watchdog.interval_ms: must be at least 1".to_string());
-        }
         if !self.gates.ordering.is_empty() {
             if self.gates.ordering.len() < 2 {
                 return Err("gates.ordering: needs at least two kinds to order".to_string());
@@ -1170,20 +877,14 @@ impl Scenario {
             );
         }
         let granular = [
-            (self.warmup, CYCLES_PER_MS, "warmup_ms"),
-            (self.measure, CYCLES_PER_MS, "measure_ms"),
-            (self.workload.think, CYCLES_PER_MS, "workload.think_ms"),
-            (self.workload.timeout, CYCLES_PER_MS, "workload.timeout_ms"),
-            (self.timeline_bucket, CYCLES_PER_MS, "timeline_bucket_ms"),
-            (self.hog, CYCLES_PER_MS, "hog_ms"),
-            (
-                self.fault.reorder_delay,
-                CYCLES_PER_US,
-                "fault.reorder_delay_us",
-            ),
+            (self.warmup, "warmup_ms"),
+            (self.measure, "measure_ms"),
+            (self.workload.think, "workload.think_ms"),
+            (self.workload.timeout, "workload.timeout_ms"),
+            (self.hog, "hog_ms"),
         ];
-        for (v, unit, label) in granular {
-            if v % unit != 0 {
+        for (v, label) in granular {
+            if v % CYCLES_PER_MS != 0 {
                 return Err(format!("{label}: {v} cycles is not unit-granular"));
             }
         }
@@ -1200,9 +901,8 @@ impl Scenario {
         Ok(())
     }
 
-    /// The `gates.bounds` rules: a known metric at most once, a
-    /// non-empty range, and the timeline and fault that
-    /// `time_to_recover_ms` reads.
+    /// The `gates.bounds` rules: a known metric at most once and a
+    /// non-empty range.
     fn validate_bounds(&self) -> Result<(), String> {
         for (i, b) in self.gates.bounds.iter().enumerate() {
             let p = format!("gates.bounds.{}", b.metric.name());
@@ -1215,16 +915,6 @@ impl Scenario {
                     return Err(format!("{p}: min {min} above max {max}"));
                 }
                 _ => {}
-            }
-            if b.metric == Metric::TimeToRecoverMs {
-                if self.timeline_bucket == 0 {
-                    return Err(format!("{p}: requires timeline_bucket_ms > 0"));
-                }
-                if self.first_fault().is_none() {
-                    return Err(format!(
-                        "{p}: requires a fault event (a hotplug core going down)"
-                    ));
-                }
             }
         }
         Ok(())
@@ -1285,27 +975,7 @@ impl Scenario {
             .field("steal", self.steal)
             .field("migrate", self.migrate)
             .field("lockstat", self.lockstat)
-            .field("hog_ms", self.hog / CYCLES_PER_MS);
-        doc = doc.field("fault", fault_json(&self.fault));
-        doc = doc.field("overload", overload_json(&self.overload));
-        if !self.hotplug.is_empty() {
-            doc = doc.field(
-                "hotplug",
-                Json::Arr(
-                    self.hotplug
-                        .iter()
-                        .map(|h| {
-                            Json::obj()
-                                .field("core", u64::from(h.core))
-                                .field("at_ms", h.at / CYCLES_PER_MS)
-                                .field("up", h.up)
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        doc = doc
-            .field("timeline_bucket_ms", self.timeline_bucket / CYCLES_PER_MS)
+            .field("hog_ms", self.hog / CYCLES_PER_MS)
             .field("dprof_v2", self.dprof_v2);
         if let Some(sw) = &self.sweep {
             doc = doc.field(
@@ -1321,65 +991,6 @@ impl Scenario {
         }
         doc.field("smoke", self.smoke)
     }
-}
-
-fn fault_json(f: &FaultPlan) -> Json {
-    let mut j = Json::obj()
-        .field("drop_p", f.drop_p)
-        .field("dup_p", f.dup_p)
-        .field("reorder_p", f.reorder_p)
-        .field("reorder_delay_us", f.reorder_delay / CYCLES_PER_US)
-        .field("ring_mask", f.ring_mask)
-        .field("syn_overflow_drop", f.syn_overflow_drop);
-    if let Some(r) = f.retrans {
-        j = j.field(
-            "retrans",
-            Json::obj()
-                .field("rto_ms", r.rto / CYCLES_PER_MS)
-                .field("max_attempts", r.max_attempts),
-        );
-    }
-    if !f.stalls.is_empty() {
-        j = j.field(
-            "stalls",
-            Json::Arr(
-                f.stalls
-                    .iter()
-                    .map(|s| {
-                        Json::obj()
-                            .field("core", u64::from(s.core))
-                            .field("at_ms", s.at / CYCLES_PER_MS)
-                            .field("dur_us", s.dur / CYCLES_PER_US)
-                    })
-                    .collect(),
-            ),
-        );
-    }
-    j
-}
-
-fn overload_json(o: &OverloadConfig) -> Json {
-    let mut j = Json::obj().field("syn_cookies", o.syn_cookies);
-    if let Some(cap) = o.half_open_cap {
-        j = j.field("half_open_cap", cap);
-    }
-    if let Some(r) = o.reap {
-        j = j.field(
-            "reap",
-            Json::obj()
-                .field("ttl_ms", r.ttl / CYCLES_PER_MS)
-                .field("synack_retries", r.synack_retries),
-        );
-    }
-    if let Some(w) = o.watchdog {
-        j = j.field(
-            "watchdog",
-            Json::obj()
-                .field("interval_ms", w.interval / CYCLES_PER_MS)
-                .field("dead_after_ms", w.dead_after / CYCLES_PER_MS),
-        );
-    }
-    j
 }
 
 fn gates_json(g: &Gates) -> Json {
@@ -1465,19 +1076,6 @@ pub struct KindReport {
     pub timeouts: u64,
     /// Combined fingerprint over the runs ([`combine_fingerprints`]).
     pub fingerprint: u64,
-    /// SYN cookies issued.
-    pub cookies: u64,
-    /// Accept-queue re-home operations.
-    pub rehomes: u64,
-    /// Client timeouts on live-owner established connections.
-    pub timeouts_live_owner: u64,
-    /// Client timeouts on dead-owner established connections.
-    pub timeouts_dead_owner: u64,
-    /// [`Metric::GoodputRetained`]; `None` unless a bound asked for the
-    /// fault-free twin.
-    pub goodput_retained: Option<f64>,
-    /// [`Metric::TimeToRecoverMs`]; `None` without a fault or a timeline.
-    pub time_to_recover_ms: Option<f64>,
     /// dprof-v2 wasted bytes per served request across the kind's runs
     /// (0.0 when the ledger was off or compiled out).
     pub wasted_bytes_per_request: f64,
@@ -1496,12 +1094,6 @@ impl KindReport {
             completed: 0,
             timeouts: 0,
             fingerprint: 0,
-            cookies: 0,
-            rehomes: 0,
-            timeouts_live_owner: 0,
-            timeouts_dead_owner: 0,
-            goodput_retained: None,
-            time_to_recover_ms: None,
             wasted_bytes_per_request: 0.0,
             audit: Vec::new(),
             runs: Vec::new(),
@@ -1516,10 +1108,6 @@ impl KindReport {
             completed: sum(|r| r.conns_completed),
             timeouts: sum(|r| r.timeouts),
             fingerprint: combine_fingerprints(&fps),
-            cookies: sum(|r| r.overload.cookies_issued),
-            rehomes: sum(|r| r.overload.rehome_ops),
-            timeouts_live_owner: sum(|r| r.timeouts_live_owner),
-            timeouts_dead_owner: sum(|r| r.timeouts_dead_owner),
             wasted_bytes_per_request: wasted_per_request(rs),
             audit: audit_lines(kind, rs.iter().map(|r| r.audit.violations())),
             ..Self::empty(kind)
@@ -1533,7 +1121,7 @@ impl KindReport {
             .field("timeouts", self.timeouts)
             .field("fingerprint", format!("{:#018x}", self.fingerprint));
         for m in Metric::ALL {
-            row = row.field(m.name(), m.of(self).map_or(Json::Null, Json::from));
+            row = row.field(m.name(), m.of(self));
         }
         row.field("wasted_bytes_per_request", self.wasted_bytes_per_request)
             .field(
@@ -1626,11 +1214,11 @@ impl ScenarioReport {
 }
 
 impl Scenario {
-    /// Runs the scenario on `workers` sweep threads, runs the twins its
-    /// gates compare against, and evaluates its gates and goldens.
+    /// Runs the scenario on `workers` sweep threads and evaluates its
+    /// gates and goldens.
     #[must_use]
     pub fn run(&self, workers: usize) -> ScenarioReport {
-        let mut points = match self.points() {
+        let points = match self.points() {
             Ok(points) => points,
             Err(e) => {
                 return ScenarioReport {
@@ -1640,26 +1228,7 @@ impl Scenario {
                 }
             }
         };
-        let mut kinds = self.run_points(&points, workers);
-        if self
-            .gates
-            .bounds
-            .iter()
-            .any(|b| b.metric == Metric::GoodputRetained)
-        {
-            // The fault-free twin: each point with its hotplug schedule
-            // emptied. Its audit violations join the kind's own.
-            for p in &mut points {
-                p.hotplug.clear();
-            }
-            for (kr, tw) in kinds.iter_mut().zip(self.run_points(&points, workers)) {
-                #[allow(clippy::cast_precision_loss)]
-                let retained = kr.served as f64 / tw.served.max(1) as f64;
-                kr.goodput_retained = Some(retained);
-                kr.audit
-                    .extend(tw.audit.iter().map(|v| format!("twin {v}")));
-            }
-        }
+        let kinds = self.run_points(&points, workers);
         let problems = self.evaluate(&kinds);
         ScenarioReport {
             name: self.name.clone(),
@@ -1690,11 +1259,6 @@ impl Scenario {
             .zip(shapes.chunks(points.len()))
             .zip(&self.kinds)
             .map(|((rs, shapes), &kind)| KindReport {
-                time_to_recover_ms: rs
-                    .iter()
-                    .zip(points)
-                    .filter_map(|(r, p)| p.recovery_ms(&r.timeline))
-                    .reduce(f64::max),
                 runs: rs
                     .iter()
                     .zip(shapes)
@@ -1732,10 +1296,7 @@ impl Scenario {
             }
             for b in &g.bounds {
                 let name = b.metric.name();
-                let Some(v) = b.metric.of(kr) else {
-                    problems.push(format!("{lbl}: {name} was not measured"));
-                    continue;
-                };
+                let v = b.metric.of(kr);
                 if let Some(min) = b.min.filter(|&min| v < min) {
                     problems.push(format!("{lbl}: {name} {v} below gate min {min}"));
                 }
@@ -1888,7 +1449,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sim::rng::SimRng;
-    use sim::time::us;
 
     #[test]
     fn base_scenario_round_trips_and_validates() {
@@ -1943,48 +1503,6 @@ mod tests {
         s.migrate = false;
         s.lockstat = true;
         s.hog = ms(40);
-        s.fault = FaultPlan {
-            drop_p: 0.01,
-            dup_p: 0.02,
-            reorder_p: 0.03,
-            reorder_delay: us(400),
-            ring_mask: 0b1010,
-            syn_overflow_drop: true,
-            retrans: Some(RetransPolicy {
-                rto: ms(40),
-                max_attempts: 4,
-            }),
-            stalls: vec![StallWindow {
-                core: 3,
-                at: ms(100),
-                dur: us(5000),
-            }],
-        };
-        s.overload = OverloadConfig {
-            syn_cookies: true,
-            half_open_cap: Some(4096),
-            reap: Some(ReapPolicy {
-                ttl: ms(30),
-                synack_retries: 2,
-            }),
-            watchdog: Some(WatchdogPolicy {
-                interval: ms(5),
-                dead_after: ms(60),
-            }),
-        };
-        s.hotplug = vec![
-            HotplugEvent {
-                core: 2,
-                at: ms(150),
-                up: false,
-            },
-            HotplugEvent {
-                core: 2,
-                at: ms(300),
-                up: true,
-            },
-        ];
-        s.timeline_bucket = ms(10);
         s.dprof_v2 = true;
         s.sweep = Some(Sweep {
             key: "cores".to_string(),
@@ -2003,27 +1521,7 @@ mod tests {
                 Bound {
                     metric: Metric::CompletedFrac,
                     min: Some(0.9),
-                    max: None,
-                },
-                Bound {
-                    metric: Metric::Cookies,
-                    min: Some(5.0),
-                    max: None,
-                },
-                Bound {
-                    metric: Metric::Rehomes,
-                    min: Some(1.0),
-                    max: None,
-                },
-                Bound {
-                    metric: Metric::TimeoutsLiveOwner,
-                    min: None,
-                    max: Some(0.0),
-                },
-                Bound {
-                    metric: Metric::TimeToRecoverMs,
-                    min: None,
-                    max: Some(100.0),
+                    max: Some(1.0),
                 },
             ],
         };
@@ -2059,19 +1557,12 @@ mod tests {
         }
         let n_cores = s.machine.machine().n_cores;
         s.cores = 1 + rng.index(n_cores);
-        // Stall and hotplug cores stay below every point's core count.
-        for w in &mut s.fault.stalls {
-            w.core %= s.cores as u16;
-        }
-        for h in &mut s.hotplug {
-            h.core %= s.cores as u16;
-        }
         if rng.chance(0.3) {
-            let key = ["cores", "rate_mult", "fault.drop_p"][rng.index(3)];
+            let key = ["cores", "rate_mult", "workload.think_ms"][rng.index(3)];
             let values = (0..=rng.index(3)).map(|_| match key {
                 "cores" => Json::from(s.cores + rng.index(n_cores + 1 - s.cores)),
                 "rate_mult" => Json::from(0.25 * (1 + rng.index(8)) as f64),
-                _ => Json::from(rng.index(100) as f64 / 100.0),
+                _ => Json::from(rng.index(200)),
             });
             // The values as a file reads them back (`1.0` reads as `1`).
             let values = values
@@ -2092,7 +1583,6 @@ mod tests {
         if rng.chance(0.2) {
             s.search = Search::Saturation;
         }
-        s.timeline_bucket = ms(rng.below(100));
         s.gates.audit_clean = rng.chance(0.9);
         if s.kinds.len() >= 2 && rng.chance(0.5) {
             s.gates.ordering = s.kinds[..2].to_vec();
@@ -2101,8 +1591,7 @@ mod tests {
         // Any subset of the metrics the scenario can bound, each with a
         // min, a max, or both (min <= max).
         for m in Metric::ALL {
-            let ttr_ok = s.timeline_bucket > 0 && s.first_fault().is_some();
-            if (m == Metric::TimeToRecoverMs && !ttr_ok) || !rng.chance(0.3) {
+            if !rng.chance(0.3) {
                 continue;
             }
             let lo = rng.index(1000) as f64 / 4.0;
@@ -2156,8 +1645,8 @@ mod tests {
                 "cores: expected unsigned integer, got string",
             ),
             (
-                r#"{"name":"x","fault":{"drop_p":1.5}}"#,
-                "fault.drop_p: probability 1.5 out of range",
+                r#"{"name":"x","fault":{"drop_p":0.02}}"#,
+                "fault: unknown key",
             ),
             (
                 r#"{"name":"x","kinds":["stok"]}"#,
@@ -2199,10 +1688,7 @@ mod tests {
                 r#"{"name":"x","golden":{"stock":{"fingerprint":"0xzz","served":1}}}"#,
                 "bad hex fingerprint",
             ),
-            (
-                r#"{"name":"x","overload":{"shed_high":0.5}}"#,
-                "overload.shed_high: unknown key",
-            ),
+            (r#"{"name":"x","overload":{}}"#, "overload: unknown key"),
             (
                 r#"{"name":"x","workload":{"n_files":500}}"#,
                 "workload.n_files: unknown key",
@@ -2212,37 +1698,17 @@ mod tests {
                 "workload.file_scale: 1000000 is above 757489",
             ),
             (
-                r#"{"name":"x","fault":{"stalls":[{"core":0,"bogus":1}]}}"#,
-                "fault.stalls[0].bogus: unknown key",
+                r#"{"name":"x","hotplug":[{"core":0,"at_ms":5,"up":false}]}"#,
+                "hotplug: unknown key",
             ),
             (
-                r#"{"name":"x","hotplug":[{"core":0,"at_ms":5}]}"#,
-                "hotplug[0]: missing required key \"up\"",
+                r#"{"name":"x","timeline_bucket_ms":10}"#,
+                "timeline_bucket_ms: unknown key",
             ),
             (r#"{"name":"x","backend":"wheel"}"#, "backend: unknown key"),
             (
                 r#"{"name":"x","rate_mult":0}"#,
                 "rate_mult: 0 must be a positive",
-            ),
-            (
-                r#"{"name":"x","fault":{"dup_p":1.0}}"#,
-                "fault.dup_p: 1 must be below 1",
-            ),
-            (
-                r#"{"name":"x","fault":{"reorder_p":1}}"#,
-                "fault.reorder_p: 1 must be below 1",
-            ),
-            (
-                r#"{"name":"x","overload":{"watchdog":{"interval_ms":0}}}"#,
-                "overload.watchdog.interval_ms: must be at least 1",
-            ),
-            (
-                r#"{"name":"x","cores":4,"hotplug":[{"core":9,"at_ms":5,"up":false}]}"#,
-                "hotplug[0].core: 9 is not below cores 4",
-            ),
-            (
-                r#"{"name":"x","fault":{"stalls":[{"core":1},{"core":40}]}}"#,
-                "fault.stalls[1].core: 40 is not below cores 8",
             ),
             (
                 r#"{"name":"x","sweep":{"key":"bogus","values":[1]}}"#,
@@ -2297,14 +1763,6 @@ mod tests {
                 r#"{"name":"x","gates":{"bounds":{"served":{"min":5,"max":1}}}}"#,
                 "gates.bounds.served: min 5 above max 1",
             ),
-            (
-                r#"{"name":"x","hotplug":[{"core":1,"at_ms":50,"up":false}],"gates":{"bounds":{"time_to_recover_ms":{"max":100}}}}"#,
-                "gates.bounds.time_to_recover_ms: requires timeline_bucket_ms > 0",
-            ),
-            (
-                r#"{"name":"x","timeline_bucket_ms":10,"hotplug":[{"core":1,"at_ms":50,"up":true}],"gates":{"bounds":{"time_to_recover_ms":{"max":100}}}}"#,
-                "gates.bounds.time_to_recover_ms: requires a fault event",
-            ),
             (r#"{"name":"x","layout":"packed"}"#, "layout: unknown key"),
             (r#"{"name":"x","seed":1,"seed":2}"#, "seed: repeated key"),
             (
@@ -2312,8 +1770,8 @@ mod tests {
                 "warmup_ms: 10000000000000 overflows",
             ),
             (
-                r#"{"name":"x","fault":{"reorder_delay_us":100000000000000000}}"#,
-                "fault.reorder_delay_us: 100000000000000000 overflows the simulated clock",
+                r#"{"name":"x","workload":{"think_ms":100000000000000}}"#,
+                "workload.think_ms: 100000000000000 overflows the simulated clock",
             ),
             (
                 r#"{"name":"x","warmup_ms":7000000000000,"measure_ms":7000000000000}"#,
@@ -2403,11 +1861,11 @@ mod tests {
         ]);
         let expect = usize::from(!cfg!(feature = "fast")); // golden served 50 != 150
         assert_eq!(clean.len(), expect, "{clean:?}");
-        // An audit violation (a twin's included) fails audit_clean.
+        // An audit violation fails audit_clean.
         let mut dirty = report(ListenKind::Stock, 120, 0x3);
         dirty
             .audit
-            .push("twin stock run[0]: request conservation".to_string());
+            .push("stock run[0]: request conservation".to_string());
         let audit = s.evaluate(&[report(ListenKind::Affinity, 150, 0x1), dirty]);
         assert!(
             audit
@@ -2425,29 +1883,15 @@ mod tests {
         let good = KindReport {
             served: 150,
             completed: 150,
-            goodput_retained: Some(0.97),
-            time_to_recover_ms: Some(15.0),
             ..KindReport::empty(ListenKind::Affinity)
         };
         type Corrupt = fn(&mut KindReport);
         let rows: &[(Metric, Corrupt)] = &[
             (Metric::Served, |k| k.served = 50),
             (Metric::CompletedFrac, |k| k.timeouts = 50),
-            (Metric::Cookies, |k| k.cookies = 1),
-            (Metric::Rehomes, |k| k.rehomes = 1),
-            (Metric::TimeoutsLiveOwner, |k| k.timeouts_live_owner = 3),
-            (Metric::TimeoutsDeadOwner, |k| k.timeouts_dead_owner = 2),
-            (Metric::GoodputRetained, |k| k.goodput_retained = Some(0.5)),
-            (Metric::GoodputRetained, |k| k.goodput_retained = None),
-            (Metric::TimeToRecoverMs, |k| {
-                k.time_to_recover_ms = Some(130.0)
-            }),
-            (Metric::TimeToRecoverMs, |k| {
-                k.time_to_recover_ms = Some(f64::INFINITY)
-            }),
         ];
         for &(metric, corrupt) in rows {
-            let v = metric.of(&good);
+            let v = Some(metric.of(&good));
             let mut s = Scenario::base("bounds");
             s.gates.bounds = vec![Bound {
                 metric,
@@ -2465,64 +1909,5 @@ mod tests {
             );
         }
         assert!(Metric::ALL.iter().all(|m| rows.iter().any(|r| r.0 == *m)));
-    }
-
-    #[test]
-    fn time_to_recover_reads_synthetic_timelines() {
-        let b = ms(10);
-        // Warmup ends at 50 ms and the fault lands at 100 ms, so the
-        // pre-fault mean is over buckets 6..=9 (100 each) and the
-        // recovery threshold is 90 per bucket.
-        let (warmup, fault, end) = (ms(50), ms(100), ms(200));
-        // A dip, then recovery in bucket 12 (120-130 ms): 30 ms.
-        let mut dip = vec![100; 20];
-        dip[10] = 10;
-        dip[11] = 50;
-        dip[12] = 90;
-        assert_eq!(time_to_recover(&dip, b, warmup, fault, end), Some(ms(30)));
-        // Never back at 90 % before the end.
-        let mut sunk = vec![100; 20];
-        sunk[10..].fill(89);
-        assert_eq!(time_to_recover(&sunk, b, warmup, fault, end), None);
-        // A fault before the first complete pre-fault bucket leaves an
-        // empty pre-window: not recovered.
-        let flat = vec![100; 20];
-        assert_eq!(time_to_recover(&flat, b, warmup, ms(65), end), None);
-        assert_eq!(time_to_recover(&flat, b, ms(0), ms(5), end), None);
-        // The partial final bucket (190-195 ms of a run ending at
-        // 195 ms) is ignored; the same bucket counts once complete.
-        let mut late = vec![100; 20];
-        late[10..19].fill(50);
-        assert_eq!(time_to_recover(&late, b, warmup, fault, ms(195)), None);
-        assert_eq!(time_to_recover(&late, b, warmup, fault, end), Some(ms(100)));
-    }
-
-    #[test]
-    fn recovery_metric_takes_the_worst_run() {
-        let mut s = Scenario::base("ttr");
-        s.warmup = ms(50);
-        s.measure = ms(150);
-        s.timeline_bucket = ms(10);
-        let mut quick = vec![100; 20];
-        quick[10] = 0;
-        let mut slow = quick.clone();
-        slow[11..14].fill(0);
-        let worst = |s: &Scenario, runs: &[&[u64]]| {
-            runs.iter()
-                .filter_map(|t| s.recovery_ms(t))
-                .reduce(f64::max)
-        };
-        let runs = [&quick[..], &slow[..]];
-        // No fault scheduled: nothing to measure.
-        assert_eq!(worst(&s, &runs), None);
-        s.hotplug = vec![HotplugEvent {
-            core: 1,
-            at: ms(100),
-            up: false,
-        }];
-        assert_eq!(s.recovery_ms(&quick), Some(20.0));
-        assert_eq!(worst(&s, &runs), Some(50.0));
-        let never = vec![100, 100, 100, 100, 100, 100, 100, 100, 100, 100];
-        assert_eq!(worst(&s, &[&quick, &never]), Some(f64::INFINITY));
     }
 }

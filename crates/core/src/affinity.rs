@@ -192,75 +192,6 @@ impl ListenSocket for AffinityAccept {
         )
     }
 
-    fn on_cookie_ack(
-        &mut self,
-        k: &mut Kernel,
-        core: CoreId,
-        at: Cycles,
-        tuple: FlowTuple,
-    ) -> (Cycles, AckOutcome) {
-        if self.queues[core.index()].items.len() >= self.cfg.max_local_queue()
-            || self.total_queued() >= self.cfg.max_backlog
-        {
-            // Nothing was allocated for a cookie, so nothing leaks.
-            self.stats.dropped_overflow += 1;
-            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
-        }
-        let (work, conn, req_obj) = ops::cookie_establish(k, core, at, tuple);
-        let enq = self.queues[core.index()].enqueue_access(k, core);
-        let (_, spin) = self.queues[core.index()].lock.run_locked(
-            at + work,
-            QUEUE_LOCK_HOLD + enq.latency,
-            &mut k.lockstat,
-        );
-        self.queues[core.index()]
-            .items
-            .push_back(AcceptItem { conn, req_obj });
-        let len = self.queues[core.index()].items.len();
-        self.busy.on_enqueue(k, core, len);
-        self.stats.enqueued += 1;
-        (
-            work + spin + QUEUE_LOCK_HOLD + enq.latency + k.lockstat.op_overhead(),
-            AckOutcome::Enqueued {
-                conn,
-                queue_core: core,
-            },
-        )
-    }
-
-    fn rehome(&mut self, k: &mut Kernel, from: CoreId, to: CoreId, at: Cycles) -> (Cycles, u64) {
-        let (fi, ti) = (from.index(), to.index());
-        if fi == ti || self.queues[fi].items.is_empty() {
-            return (0, 0);
-        }
-        let mut cycles = 0u64;
-        let mut moved = 0u64;
-        // The live core pulls every migrated line off the dead clone. The
-        // target may temporarily exceed its local split — the cap is
-        // enforced at enqueue time only, as in Linux.
-        while let Some(item) = self.queues[fi].items.pop_front() {
-            let deq = self.queues[fi].dequeue_access(k, to);
-            let enq = self.queues[ti].enqueue_access(k, to);
-            self.queues[ti].items.push_back(item);
-            cycles += deq.latency + enq.latency;
-            moved += 1;
-        }
-        let (_, w1) = self.queues[fi]
-            .lock
-            .run_locked(at, QUEUE_LOCK_HOLD, &mut k.lockstat);
-        let o1 = k.lockstat.op_overhead();
-        let (_, w2) = self.queues[ti]
-            .lock
-            .run_locked(at, QUEUE_LOCK_HOLD, &mut k.lockstat);
-        let o2 = k.lockstat.op_overhead();
-        // The dead core's busy state is stale by definition; update both
-        // ends so stealing and wakeups see the new shape immediately.
-        self.busy.clear(k, from);
-        let len = self.queues[ti].items.len();
-        self.busy.on_enqueue(k, to, len);
-        (cycles + w1 + w2 + 2 * QUEUE_LOCK_HOLD + o1 + o2, moved)
-    }
-
     fn try_accept(&mut self, k: &mut Kernel, core: CoreId, at: Cycles) -> AcceptOutcome {
         let me = core.index();
         // One read of the busy bit vector tells us every core's status.
@@ -337,13 +268,6 @@ impl ListenSocket for AffinityAccept {
     fn wakes_all_pollers(&self) -> bool {
         // Affinity-Accept only wakes threads polling on the local core.
         false
-    }
-
-    fn backlogged(&self, core: CoreId) -> bool {
-        // Mirror `on_ack`'s drop decision exactly: the local split *or*
-        // the socket-wide backlog (see `FineAccept::backlogged`).
-        self.queues[core.index()].items.len() >= self.cfg.max_local_queue()
-            || self.total_queued() >= self.cfg.max_backlog
     }
 
     fn queued_on(&self, core: CoreId) -> usize {
@@ -622,47 +546,6 @@ mod tests {
         // Steal counts reset: a second tick with no new steals migrates
         // nothing.
         assert!(s.balance_tick(&mut k, &mut groups, at).is_empty());
-    }
-
-    #[test]
-    fn rehome_moves_queue_and_clears_busy_state() {
-        let mut k = Kernel::new(Machine::amd48());
-        let mut cfg = ListenConfig::paper(4);
-        cfg.max_backlog = 32; // max local 8, high watermark 6
-        let mut s = AffinityAccept::new(&mut k, cfg);
-        let mut at = 0;
-        for p in 0..7u16 {
-            establish(&mut s, &mut k, CoreId(1), p, at);
-            at += 10_000;
-        }
-        assert!(s.busy_tracker().is_busy(CoreId(1)));
-        let (cycles, moved) = s.rehome(&mut k, CoreId(1), CoreId(2), at);
-        assert_eq!(moved, 7);
-        assert!(cycles > 0);
-        assert_eq!(s.queued_on(CoreId(1)), 0);
-        assert_eq!(s.queued_on(CoreId(2)), 7);
-        assert!(!s.busy_tracker().is_busy(CoreId(1)), "dead core unmarked");
-        // The target inherited the backlog and its busy status reflects it.
-        assert!(s.busy_tracker().is_busy(CoreId(2)));
-        // Every re-homed connection is still acceptable.
-        let mut got = 0;
-        while let AcceptOutcome::Accepted { .. } = s.try_accept(&mut k, CoreId(2), at) {
-            got += 1;
-            at += 10_000;
-        }
-        assert_eq!(got, 7);
-    }
-
-    #[test]
-    fn cookie_ack_enqueues_locally_and_tracks_busy() {
-        let (mut s, mut k) = setup(4);
-        let (_, out) = s.on_cookie_ack(&mut k, CoreId(1), 0, tuple(9));
-        assert!(matches!(
-            out,
-            AckOutcome::Enqueued { queue_core, .. } if queue_core == CoreId(1)
-        ));
-        assert_eq!(s.queued_on(CoreId(1)), 1);
-        assert!(k.reqs.is_empty());
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub struct BusyTracker {
     pub bitmap_obj: ObjId,
     high: f64,
     low: f64,
-    max_local_queue: usize,
     /// Busy-status transitions (for diagnostics).
     pub transitions: u64,
 }
@@ -61,17 +60,8 @@ impl BusyTracker {
             bitmap_obj: k.cache.alloc(DataType::BusyBitmap, CoreId(0)),
             high: high_frac * max,
             low: low_frac * max,
-            max_local_queue,
             transitions: 0,
         }
-    }
-
-    /// Forcibly clears `core`'s busy status and resets its queue EWMA
-    /// (hotplug: the core is offline and its queue has been re-homed, so
-    /// its history is meaningless).
-    pub fn clear(&mut self, k: &mut Kernel, core: CoreId) {
-        self.cores[core.index()].ewma = Ewma::for_accept_queue(self.max_local_queue);
-        self.set_busy(k, core, false);
     }
 
     /// Whether `core` is currently marked busy.
@@ -207,22 +197,6 @@ mod tests {
             t.reconsider(&mut k, CoreId(0), 0);
         }
         assert_eq!(t.transitions, 2); // busy, then non-busy
-    }
-
-    #[test]
-    fn clear_resets_status_and_history() {
-        let (mut t, mut k) = setup(64);
-        for _ in 0..200 {
-            t.on_enqueue(&mut k, CoreId(1), 50);
-        }
-        assert!(t.is_busy(CoreId(1)));
-        t.clear(&mut k, CoreId(1));
-        assert!(!t.is_busy(CoreId(1)));
-        assert_eq!(t.bitmap() & 0b10, 0);
-        // The EWMA restarted: one small enqueue does not re-mark busy and
-        // reconsider sees a fresh low history.
-        t.on_enqueue(&mut k, CoreId(1), 1);
-        assert!(!t.is_busy(CoreId(1)));
     }
 
     #[test]

@@ -103,71 +103,6 @@ impl ListenSocket for FineAccept {
         )
     }
 
-    fn on_cookie_ack(
-        &mut self,
-        k: &mut Kernel,
-        core: CoreId,
-        at: Cycles,
-        tuple: FlowTuple,
-    ) -> (Cycles, AckOutcome) {
-        if self.queues[core.index()].items.len() >= self.cfg.max_local_queue()
-            || self.total_queued() >= self.cfg.max_backlog
-        {
-            // Nothing was allocated for a cookie, so nothing leaks.
-            self.stats.dropped_overflow += 1;
-            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
-        }
-        let (work, conn, req_obj) = ops::cookie_establish(k, core, at, tuple);
-        let q = &self.queues[core.index()];
-        let enq = q.enqueue_access(k, core);
-        let (_, spin) = self.queues[core.index()].lock.run_locked(
-            at + work,
-            QUEUE_LOCK_HOLD + enq.latency,
-            &mut k.lockstat,
-        );
-        self.queues[core.index()]
-            .items
-            .push_back(AcceptItem { conn, req_obj });
-        self.stats.enqueued += 1;
-        (
-            work + spin + QUEUE_LOCK_HOLD + enq.latency + k.lockstat.op_overhead(),
-            AckOutcome::Enqueued {
-                conn,
-                queue_core: core,
-            },
-        )
-    }
-
-    fn rehome(&mut self, k: &mut Kernel, from: CoreId, to: CoreId, at: Cycles) -> (Cycles, u64) {
-        let (fi, ti) = (from.index(), to.index());
-        if fi == ti || self.queues[fi].items.is_empty() {
-            return (0, 0);
-        }
-        let mut cycles = 0u64;
-        let mut moved = 0u64;
-        // The live core pulls every migrated line: unlink from the dead
-        // clone, link onto its own. The target may temporarily exceed its
-        // local split — the cap is enforced at enqueue time only, as in
-        // Linux.
-        while let Some(item) = self.queues[fi].items.pop_front() {
-            let deq = self.queues[fi].dequeue_access(k, to);
-            let enq = self.queues[ti].enqueue_access(k, to);
-            self.queues[ti].items.push_back(item);
-            cycles += deq.latency + enq.latency;
-            moved += 1;
-        }
-        // Both queue locks are taken once for the whole splice.
-        let (_, w1) = self.queues[fi]
-            .lock
-            .run_locked(at, QUEUE_LOCK_HOLD, &mut k.lockstat);
-        let o1 = k.lockstat.op_overhead();
-        let (_, w2) = self.queues[ti]
-            .lock
-            .run_locked(at, QUEUE_LOCK_HOLD, &mut k.lockstat);
-        let o2 = k.lockstat.op_overhead();
-        (cycles + w1 + w2 + 2 * QUEUE_LOCK_HOLD + o1 + o2, moved)
-    }
-
     fn try_accept(&mut self, k: &mut Kernel, core: CoreId, at: Cycles) -> AcceptOutcome {
         // Round-robin over all clones, starting at this core's cursor.
         let n = self.cfg.n_cores;
@@ -220,15 +155,6 @@ impl ListenSocket for FineAccept {
         for i in 0..n {
             out.push(CoreId(((self.wake_rr + i) % n) as u16));
         }
-    }
-
-    fn backlogged(&self, core: CoreId) -> bool {
-        // Mirror `on_ack`'s drop decision exactly: the local split *or*
-        // the socket-wide backlog. Reporting only the local queue would
-        // let the fault plane admit SYNs into handshakes the global cap
-        // is guaranteed to drop.
-        self.queues[core.index()].items.len() >= self.cfg.max_local_queue()
-            || self.total_queued() >= self.cfg.max_backlog
     }
 
     fn queued_on(&self, core: CoreId) -> usize {
@@ -357,36 +283,6 @@ mod tests {
         assert_eq!(s.total_queued(), 2);
         assert_eq!(s.stats().dropped_overflow, 2);
         assert!(k.reqs.is_empty(), "dropped requests must not leak");
-    }
-
-    #[test]
-    fn rehome_moves_a_dead_cores_queue() {
-        let (mut s, mut k) = setup(4);
-        for p in 0..3u16 {
-            establish(&mut s, &mut k, CoreId(1), p, u64::from(p) * 1_000_000);
-        }
-        establish(&mut s, &mut k, CoreId(2), 50, 10_000_000);
-        let before = s.total_queued();
-        let (cycles, moved) = s.rehome(&mut k, CoreId(1), CoreId(3), 20_000_000);
-        assert_eq!(moved, 3);
-        assert!(cycles > 0);
-        assert_eq!(s.queued_on(CoreId(1)), 0);
-        assert_eq!(s.queued_on(CoreId(3)), 3);
-        assert_eq!(s.total_queued(), before, "re-homing conserves items");
-        // Idempotent once empty.
-        assert_eq!(s.rehome(&mut k, CoreId(1), CoreId(3), 21_000_000), (0, 0));
-    }
-
-    #[test]
-    fn cookie_ack_enqueues_locally() {
-        let (mut s, mut k) = setup(4);
-        let (_, out) = s.on_cookie_ack(&mut k, CoreId(2), 0, tuple(9));
-        assert!(matches!(
-            out,
-            AckOutcome::Enqueued { queue_core, .. } if queue_core == CoreId(2)
-        ));
-        assert_eq!(s.queued_on(CoreId(2)), 1);
-        assert!(k.reqs.is_empty());
     }
 
     #[test]

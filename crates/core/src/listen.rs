@@ -195,35 +195,6 @@ pub trait ListenSocket {
         tuple: FlowTuple,
     ) -> (Cycles, AckOutcome);
 
-    /// An ACK carrying a valid SYN cookie arrived on `core` (softirq
-    /// context): no request socket exists — the connection is rebuilt
-    /// statelessly ([`tcp::ops::cookie_establish`]) and enqueued like a
-    /// normal handshake, subject to the same backlog caps. The runner
-    /// only calls this when cookie mode is enabled.
-    fn on_cookie_ack(
-        &mut self,
-        k: &mut Kernel,
-        core: CoreId,
-        at: Cycles,
-        tuple: FlowTuple,
-    ) -> (Cycles, AckOutcome);
-
-    /// Migrates everything queued on dead core `from` to live core `to`
-    /// (the hotplug/watchdog recovery path, §4.3's load balancer taken to
-    /// its conclusion). Cache costs are charged on `to`, which pulls the
-    /// migrated lines. Returns `(cycles, items_moved)`. Implementations
-    /// with one global queue have nothing core-local to move — the
-    /// default no-op is correct for them.
-    fn rehome(
-        &mut self,
-        _k: &mut Kernel,
-        _from: CoreId,
-        _to: CoreId,
-        _at: Cycles,
-    ) -> (Cycles, u64) {
-        (0, 0)
-    }
-
     /// An application thread on `core` attempts to accept at time `at`.
     fn try_accept(&mut self, k: &mut Kernel, core: CoreId, at: Cycles) -> AcceptOutcome;
 
@@ -237,13 +208,6 @@ pub trait ListenSocket {
     fn wakes_all_pollers(&self) -> bool {
         true
     }
-
-    /// Whether a handshake arriving on `core` would find its accept queue
-    /// already full: the global backlog for stock, `core`'s local queue
-    /// for the per-core implementations. The fault plane uses this to
-    /// drop SYNs at a saturated backlog (Linux with syncookies off)
-    /// instead of allocating request sockets for doomed handshakes.
-    fn backlogged(&self, core: CoreId) -> bool;
 
     /// Pending connections on `core`'s queue (or the global queue).
     fn queued_on(&self, core: CoreId) -> usize;

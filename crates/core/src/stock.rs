@@ -112,37 +112,6 @@ impl ListenSocket for StockAccept {
         )
     }
 
-    fn on_cookie_ack(
-        &mut self,
-        k: &mut Kernel,
-        core: CoreId,
-        at: Cycles,
-        tuple: FlowTuple,
-    ) -> (Cycles, AckOutcome) {
-        let lock_word = self.touch_lock_word(k, core);
-        let acq = self.lock.lock_spin(at);
-        if self.queue.items.len() >= self.cfg.max_backlog {
-            // A valid cookie met a full queue: nothing was allocated, so
-            // nothing leaks; the client retries or times out.
-            self.stats.dropped_overflow += 1;
-            self.lock.unlock(acq, EMPTY_SCAN_COST, 0, &mut k.lockstat);
-            return (acq.spin_wait + EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
-        }
-        let (work, conn, req_obj) = ops::cookie_establish(k, core, acq.entry, tuple);
-        let enq = self.queue.enqueue_access(k, core);
-        self.queue.items.push_back(AcceptItem { conn, req_obj });
-        self.stats.enqueued += 1;
-        let hold = work + lock_word.latency + enq.latency;
-        self.lock.unlock(acq, hold, 0, &mut k.lockstat);
-        (
-            acq.spin_wait + hold + k.lockstat.op_overhead(),
-            AckOutcome::Enqueued {
-                conn,
-                queue_core: CoreId(0),
-            },
-        )
-    }
-
     fn try_accept(&mut self, k: &mut Kernel, core: CoreId, at: Cycles) -> AcceptOutcome {
         // Syscall context takes the lock in mutex mode: the task sleeps
         // (idle) until its FIFO turn, then runs its critical section.
@@ -200,10 +169,6 @@ impl ListenSocket for StockAccept {
         for i in 0..n {
             out.push(CoreId(((self.wake_rr + i) % n) as u16));
         }
-    }
-
-    fn backlogged(&self, _core: CoreId) -> bool {
-        self.queue.items.len() >= self.cfg.max_backlog
     }
 
     fn queued_on(&self, _core: CoreId) -> usize {
@@ -324,45 +289,6 @@ mod tests {
         assert_eq!(s.stats().dropped_overflow, 1);
         // The dropped request must not leak.
         assert!(k.reqs.is_empty());
-    }
-
-    #[test]
-    fn cookie_ack_enqueues_without_a_request() {
-        let (mut s, mut k) = setup(4);
-        let (_, out) = s.on_cookie_ack(&mut k, CoreId(1), 0, tuple(9));
-        assert!(matches!(out, AckOutcome::Enqueued { .. }));
-        assert_eq!(s.total_queued(), 1);
-        assert_eq!(s.stats().enqueued, 1);
-        assert!(k.reqs.is_empty());
-        assert_eq!(k.live_conns(), 1);
-    }
-
-    #[test]
-    fn cookie_ack_respects_the_backlog() {
-        let mut k = Kernel::new(Machine::amd48());
-        let mut cfg = ListenConfig::paper(1);
-        cfg.max_backlog = 1;
-        let mut s = StockAccept::new(&mut k, cfg);
-        let (_, a) = s.on_cookie_ack(&mut k, CoreId(0), 0, tuple(1));
-        let (_, b) = s.on_cookie_ack(&mut k, CoreId(0), 1_000_000, tuple(2));
-        assert!(matches!(a, AckOutcome::Enqueued { .. }));
-        assert_eq!(b, AckOutcome::DroppedOverflow);
-        assert_eq!(s.stats().dropped_overflow, 1);
-        assert_eq!(k.live_conns(), 1, "the dropped cookie allocated nothing");
-    }
-
-    #[test]
-    fn rehome_is_a_noop_for_the_global_queue() {
-        let (mut s, mut k) = setup(4);
-        s.on_syn(&mut k, CoreId(0), 0, tuple(1));
-        s.on_ack(&mut k, CoreId(0), 10_000, tuple(1));
-        let (cycles, moved) = s.rehome(&mut k, CoreId(0), CoreId(1), 20_000);
-        assert_eq!((cycles, moved), (0, 0));
-        // The queue stays reachable from any core.
-        assert!(matches!(
-            s.try_accept(&mut k, CoreId(3), 20_000_000),
-            AcceptOutcome::Accepted { .. }
-        ));
     }
 
     #[test]

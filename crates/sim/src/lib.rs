@@ -17,12 +17,6 @@
 //!   fingerprints, making any lost determinism loud.
 //! * [`rng`] — a seeded, dependency-free PRNG so a `(config, seed)` pair
 //!   reproduces a run event-for-event.
-//! * [`fault`] — the deterministic fault-injection plane: replayable
-//!   packet drop/duplicate/reorder schedules, SYN-retransmission policy,
-//!   and core-stall windows, all derived from the run seed.
-//! * [`overload`] — the overload-control plane the server defends itself
-//!   with: SYN cookies, adaptive shedding watermarks, half-open reaping,
-//!   and core-hotplug/watchdog policies.
 //! * [`lock`] — the timeline lock model: locks are resources with a
 //!   `free_at` horizon; acquisitions either spin (charged as busy cycles)
 //!   or sleep (charged as idle time, Linux's socket-lock "mutex mode"),
@@ -39,10 +33,8 @@
 pub mod core_set;
 pub mod events;
 pub mod fastmap;
-pub mod fault;
 pub mod fingerprint;
 pub mod lock;
-pub mod overload;
 pub mod rng;
 pub mod sched;
 pub mod time;
@@ -52,10 +44,8 @@ pub mod wheel;
 pub use core_set::{CoreSet, TaskId};
 pub use events::EventQueue;
 pub use fastmap::FastMap;
-pub use fault::{FaultPlan, FaultStats, RetransPolicy, StallWindow};
 pub use fingerprint::{ActiveFingerprint, Fingerprint, NoOpFingerprint};
 pub use lock::TimelineLock;
-pub use overload::{HotplugEvent, OverloadConfig, OverloadStats, ReapPolicy, WatchdogPolicy};
 pub use rng::SimRng;
 pub use time::Cycles;
 pub use topology::{CoreId, Machine};

@@ -77,17 +77,8 @@ fn wake_access(cache: &mut CacheModel, core: CoreId, target: &TaskObjs) -> Acces
     acc
 }
 
-/// Softirq cost of recognizing a retransmitted SYN whose request socket
-/// already exists: hash lookup plus a SYN-ACK retransmit, no allocation.
-pub const SYN_DUP_COST: Cycles = 2_000;
-
 /// SYN arrival (softirq): allocates a request socket, inserts it into the
 /// request hash table, and emits a SYN-ACK (the caller transmits it).
-///
-/// A retransmitted SYN (possible only under fault injection: a duplicated
-/// or reordered packet, or a client retry racing the original) finds the
-/// existing request socket and resends the SYN-ACK instead of inserting a
-/// second entry for the tuple, which would leak.
 pub fn syn(
     k: &mut Kernel,
     core: CoreId,
@@ -95,9 +86,6 @@ pub fn syn(
     tuple: FlowTuple,
     fine_locks: bool,
 ) -> (Cycles, ReqId) {
-    if let Some(existing) = k.reqs.lookup(&tuple) {
-        return (SYN_DUP_COST, existing);
-    }
     let mut tracked = Access::default();
     let (obj, cost) = k.slab.alloc(core, DataType::TcpRequestSock, &mut k.cache);
     tracked.add(cost);
@@ -122,160 +110,6 @@ pub fn syn(
     let id = k.reqs.insert(tuple, obj);
     let cycles = k.charge(costs::SOFTIRQ_SYN, tracked);
     (cycles + spin + lock_overhead, id)
-}
-
-/// Extra computation cycles for encoding or validating a SYN cookie
-/// (the ISN hash Linux computes in `cookie_v4_init_sequence` /
-/// `cookie_v4_check`).
-pub const COOKIE_HASH_COST: Cycles = 1_200;
-
-/// Stateless SYN handling in cookie mode (softirq): probes the request
-/// table (finding nothing — saturation is why cookies are on), encodes
-/// the cookie into the SYN/ACK's sequence number, and emits the SYN/ACK
-/// (the caller transmits it). **No allocation, no table insert** — that
-/// is the whole point of the defense.
-pub fn cookie_synack(k: &mut Kernel, core: CoreId, at: Cycles, tuple: FlowTuple) -> Cycles {
-    let _ = at;
-    let head = k.reqs.bucket_head(&tuple);
-    let tracked = k
-        .cache
-        .access_tagged(core, head, FieldTag::GlobalNode, false);
-    k.charge(costs::SOFTIRQ_SYN, tracked) + COOKIE_HASH_COST
-}
-
-/// Handshake-completing ACK that carries a valid SYN cookie (softirq):
-/// Linux's `cookie_v4_check` path. The request socket is rebuilt *at ACK
-/// time* from the cookie (it was never in the request table), then the
-/// child `tcp_sock` is created and inserted into the established table
-/// exactly as in [`ack_establish`]. Returns the connection and the
-/// rebuilt request-socket object for the accept queue.
-pub fn cookie_establish(
-    k: &mut Kernel,
-    core: CoreId,
-    at: Cycles,
-    tuple: FlowTuple,
-) -> (Cycles, ConnId, ObjId) {
-    let mut tracked = Access::default();
-    // The probe that found no half-open entry for the tuple.
-    let head = k.reqs.bucket_head(&tuple);
-    tracked.add(
-        k.cache
-            .access_tagged(core, head, FieldTag::GlobalNode, false),
-    );
-    // Rebuild the request socket from the cookie.
-    let (req_obj, cost) = k.slab.alloc(core, DataType::TcpRequestSock, &mut k.cache);
-    tracked.add(cost);
-    tracked.add(
-        k.cache
-            .access_tagged(core, req_obj, FieldTag::BothRwByRx, true),
-    );
-    tracked.add(k.cache.access_tagged(core, req_obj, FieldTag::RxOnly, true));
-
-    // Create the child socket and initialize the packet-side state.
-    let (sock, cost) = k.slab.alloc(core, DataType::TcpSock, &mut k.cache);
-    tracked.add(cost);
-    tracked.add(
-        k.cache
-            .access_tagged(core, sock, FieldTag::BothRwByRx, true),
-    );
-    tracked.add(access_some(
-        &mut k.cache,
-        core,
-        sock,
-        FieldTag::RxOnly,
-        true,
-        5,
-    ));
-    tracked.add(k.cache.access_tagged(core, sock, FieldTag::BothRo, false));
-
-    // Insert into the established table under its bucket lock.
-    let (_, spin) = k
-        .est
-        .bucket_lock(&tuple)
-        .run_locked(at, BUCKET_LOCK_HOLD, &mut k.lockstat);
-    let lock_overhead = k.lockstat.op_overhead();
-    let est_head = k.est.bucket_head(&tuple);
-    tracked.add(
-        k.cache
-            .access_tagged(core, est_head, FieldTag::GlobalNode, true),
-    );
-    tracked.add(
-        k.cache
-            .access_tagged(core, sock, FieldTag::GlobalNode, true),
-    );
-
-    let (meta, mcost) = k.slab.alloc(core, DataType::Slab128, &mut k.cache);
-    tracked.add(mcost);
-    tracked.add(
-        k.cache
-            .access_tagged(core, meta, FieldTag::BothRwByRx, true),
-    );
-    let conn = k.new_conn(tuple, sock, core);
-    k.conn_mut(conn).meta = Some(meta);
-    k.est.insert(tuple, conn);
-    if let Some(nb) = k.est.chain_neighbor(&tuple, conn) {
-        let nb_sock = k.conn(nb).sock;
-        tracked.add(access_some(
-            &mut k.cache,
-            core,
-            nb_sock,
-            FieldTag::GlobalNode,
-            true,
-            2,
-        ));
-    }
-    let cycles = k.charge(costs::SOFTIRQ_ACK_EST, tracked);
-    (
-        cycles + COOKIE_HASH_COST + spin + lock_overhead,
-        conn,
-        req_obj,
-    )
-}
-
-/// SYN/ACK retransmission for a half-open request whose TTL expired
-/// (timer context): reads the request state and re-emits the SYN/ACK.
-/// No allocation; returns `None` if the request is already gone.
-pub fn synack_retransmit(k: &mut Kernel, core: CoreId, req: ReqId) -> Option<Cycles> {
-    let obj = k.reqs.get(req)?.obj;
-    let tracked = k
-        .cache
-        .access_tagged(core, obj, FieldTag::BothRwByRx, false);
-    Some(k.charge(costs::SOFTIRQ_SYN, tracked))
-}
-
-/// Reaps a half-open request at the SYN/ACK retry cap (timer context):
-/// unlinks it from its bucket chain and frees the request socket.
-/// Returns `None` if the request is already gone (the handshake won the
-/// race).
-pub fn reap_request(
-    k: &mut Kernel,
-    core: CoreId,
-    at: Cycles,
-    req: ReqId,
-    fine_locks: bool,
-) -> Option<Cycles> {
-    let tuple = k.reqs.get(req)?.tuple;
-    let mut spin = 0;
-    let mut lock_overhead = 0;
-    if fine_locks {
-        let (_, w) = k
-            .reqs
-            .bucket_lock(&tuple)
-            .run_locked(at, BUCKET_LOCK_HOLD, &mut k.lockstat);
-        spin = w;
-        lock_overhead = k.lockstat.op_overhead();
-    }
-    let head = k.reqs.bucket_head(&tuple);
-    let mut tracked = k
-        .cache
-        .access_tagged(core, head, FieldTag::GlobalNode, true);
-    let r = k.reqs.remove(req)?;
-    tracked.add(
-        k.cache
-            .access_tagged(core, r.obj, FieldTag::BothRwByRx, false),
-    );
-    tracked.add(k.slab.free(core, r.obj, &mut k.cache));
-    Some(k.charge(costs::SOFTIRQ_SYN, tracked) + spin + lock_overhead)
 }
 
 /// Handshake-completing ACK (softirq): removes the request from the hash
@@ -1047,57 +881,6 @@ mod tests {
         };
         let with = data_rx(&mut k, RX, 0, conn, 300, 0, Some(&t));
         assert!(with > without, "wake adds cost: {with} vs {without}");
-    }
-
-    #[test]
-    fn cookie_synack_is_stateless() {
-        let mut k = kernel();
-        let allocs = k.slab.fresh_allocs + k.slab.recycled_allocs;
-        let tuple = FlowTuple::client(1, 5555, 80);
-        let c = cookie_synack(&mut k, RX, 0, tuple);
-        assert!(c >= COOKIE_HASH_COST);
-        assert!(k.reqs.is_empty(), "cookie path must not insert a request");
-        assert_eq!(
-            k.slab.fresh_allocs + k.slab.recycled_allocs,
-            allocs,
-            "cookie path must not allocate"
-        );
-    }
-
-    #[test]
-    fn cookie_establish_builds_a_full_connection() {
-        let mut k = kernel();
-        let tuple = FlowTuple::client(2, 5556, 80);
-        cookie_synack(&mut k, RX, 0, tuple);
-        let (_, conn, req_obj) = cookie_establish(&mut k, RX, 1000, tuple);
-        assert_eq!(k.live_conns(), 1);
-        assert_eq!(k.est.len(), 1);
-        assert!(k.reqs.is_empty());
-        assert_eq!(k.reqs.created(), 0, "cookies bypass the request table");
-        // The rebuilt request socket feeds the normal accept path.
-        accept_established(&mut k, APP_LOCAL, 2000, conn, req_obj);
-        assert!(k.conn(conn).has_affinity());
-        fin_rx(&mut k, RX, 3000, conn, None);
-        sys_close(&mut k, APP_LOCAL, 4000, conn);
-        k.remove_conn(conn);
-        assert_eq!(k.live_conns(), 0);
-    }
-
-    #[test]
-    fn reap_removes_and_frees_the_request() {
-        let mut k = kernel();
-        let tuple = FlowTuple::client(3, 5557, 80);
-        let (_, req) = syn(&mut k, RX, 0, tuple, true);
-        assert_eq!(k.reqs.len(), 1);
-        let frees = k.slab.frees;
-        assert!(synack_retransmit(&mut k, RX, req).is_some());
-        assert!(reap_request(&mut k, RX, 1000, req, true).is_some());
-        assert!(k.reqs.is_empty());
-        assert_eq!(k.slab.frees, frees + 1);
-        // Both are None once the request is gone.
-        assert!(synack_retransmit(&mut k, RX, req).is_none());
-        assert!(reap_request(&mut k, RX, 2000, req, true).is_none());
-        assert_eq!(k.reqs.created(), 1);
     }
 
     #[test]

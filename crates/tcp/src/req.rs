@@ -87,8 +87,7 @@ impl ReqTable {
     }
 
     /// Total requests ever inserted (never decremented; the conservation
-    /// audit balances this against establishes + drops + reaps +
-    /// residual).
+    /// audit balances this against establishes + drops + residual).
     #[must_use]
     pub fn created(&self) -> u64 {
         self.next - 1

@@ -103,10 +103,6 @@ fn client_counters_are_audited() {
     assert_caught(|a| a.client.completed += 1, "client conservation");
     assert_caught(|a| a.client.timed_out += 1, "client conservation");
     assert_caught(|a| a.client.live += 1, "client conservation");
-    // retry_capped feeds two laws: the client lifecycle sum and the
-    // cross-check against the fault plane's own give-up counter.
-    assert_caught(|a| a.client.retry_capped += 1, "client conservation");
-    assert_caught(|a| a.client.retry_capped += 1, "retry-cap accounting");
 }
 
 #[test]
@@ -187,65 +183,13 @@ fn request_counters_are_audited() {
 }
 
 #[test]
-fn fault_counters_are_audited() {
-    // The baseline run has no fault plan, so any nonzero fault counter
-    // means the fault plane fired while disabled.
-    assert!(!clean_audit().fault_active);
-    assert_caught(|a| a.fault.dropped += 1, "disabled plan");
-    assert_caught(|a| a.fault.duplicated += 1, "disabled plan");
-    assert_caught(|a| a.fault.reordered += 1, "disabled plan");
-    assert_caught(|a| a.fault.syn_backlog_drops += 1, "disabled plan");
-    assert_caught(|a| a.fault.retrans_sent += 1, "disabled plan");
-    assert_caught(|a| a.fault.stalls_run += 1, "disabled plan");
-    assert_caught(|a| a.fault.retry_capped += 1, "retry-cap accounting");
-    // An active plan that injected nothing is legal (probabilities can
-    // simply never fire) — flipping the flag alone must NOT violate.
-    let mut a = clean_audit().clone();
-    a.fault_active = true;
-    assert!(a.is_ok(), "{:?}", a.violations());
-}
-
-#[test]
-fn overload_counters_are_audited() {
-    // The baseline run has no overload plane and no hotplug schedule, so
-    // any nonzero overload counter means the plane acted while disabled.
-    assert!(!clean_audit().overload_active);
-    assert_caught(|a| a.overload.rehome_ops += 1, "overload plane acted");
-    assert_caught(|a| a.overload.core_downs += 1, "overload plane acted");
-    assert_caught(|a| a.overload.shed_on += 1, "overload plane acted");
-    assert_caught(|a| a.overload.watchdog_marks += 1, "overload plane acted");
-    // The cookie ledgers are checked even when the plane is active.
-    assert_caught(
-        |a| {
-            a.overload_active = true;
-            a.overload.cookies_issued += 1;
-        },
-        "cookie conservation",
-    );
-    assert_caught(
-        |a| {
-            a.overload_active = true;
-            a.overload.cookies_issued += 1;
-            a.overload.cookies_validated += 1;
-        },
-        "cookie validation accounting",
-    );
-    // A reap that never had a matching request breaks the request ledger,
-    // as does corrupting either end of it directly.
-    assert_caught(
-        |a| {
-            a.overload_active = true;
-            a.overload.reaped += 1;
-        },
-        "request conservation",
-    );
+fn half_open_request_counters_are_audited() {
+    // A request created and then lost (neither established, dropped at
+    // the accept queue, nor still half-open) breaks the request ledger, as
+    // does a phantom half-open request or overflow drop.
     assert_caught(|a| a.reqs_created += 1, "request conservation");
     assert_caught(|a| a.reqs_residual += 1, "request conservation");
-    // An active plane that did nothing is legal (load may simply never
-    // cross the watermarks) — flipping the flag alone must NOT violate.
-    let mut a = clean_audit().clone();
-    a.overload_active = true;
-    assert!(a.is_ok(), "{:?}", a.violations());
+    assert_caught(|a| a.listen.dropped_overflow += 1, "request conservation");
 }
 
 #[test]
@@ -316,26 +260,5 @@ fn cacheline_counters_are_audited() {
     assert_caught_v2(
         |a| a.cacheline_active = false,
         "cacheline ledger recorded while disabled",
-    );
-}
-
-#[test]
-fn retry_caps_must_have_a_cause() {
-    // A client give-up with no drop or stall anywhere in the run to cause
-    // it must trip the closing law. The other ledgers are kept consistent
-    // first: the give-up is mirrored on both retry-cap counters and into
-    // the client lifecycle, and the fixture's NIC drops are removed so no
-    // legitimate cause remains.
-    assert_caught(
-        |a| {
-            a.fault_active = true;
-            a.fault.retry_capped += 1;
-            a.client.retry_capped += 1;
-            a.client.started += 1;
-            a.packets.offered = a.packets.enqueued;
-            a.packets.drops_ring_full = 0;
-            a.packets.drops_flush = 0;
-        },
-        "retry-cap closing",
     );
 }

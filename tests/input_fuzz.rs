@@ -4,12 +4,14 @@
 //! a number becomes an extreme value, a key is dropped or repeated, the
 //! text is cut short or one byte is overwritten. Random text goes through
 //! the same checks. A document that validates must round-trip through
-//! `to_json`, and every run it describes must build a `Runner`.
+//! `to_json`, and every run it describes must build a `Runner` and step
+//! through its first 2 simulated milliseconds.
 
 use app::Runner;
 use bench::scenario::{catalog_path, load_dir, Scenario};
 use metrics::json::Json;
 use sim::rng::SimRng;
+use sim::time::ms;
 use std::panic::catch_unwind;
 
 /// Walks from the root towards a random leaf: at each object it drops or
@@ -76,8 +78,8 @@ fn check(text: &str) -> Result<(), String> {
     }
     for p in s.points()? {
         for &kind in &s.kinds {
-            catch_unwind(|| drop(Runner::new(p.config(kind))))
-                .map_err(|_| format!("Runner::new panicked for {}", kind.label()))?;
+            catch_unwind(|| Runner::new(p.config(kind)).run_until(ms(2)))
+                .map_err(|_| format!("a 2 ms run panicked for {}", kind.label()))?;
         }
     }
     Ok(())

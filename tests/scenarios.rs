@@ -4,9 +4,9 @@
 //! figure binary's hand-built ones; and the fuzzer's first cases pass
 //! while its shrinker reduces a failing document to the knobs that fail.
 //!
-//! The catalog is the only home of the recovery and cache-line
-//! experiments: the kill-one-core and SYN-flood gates and the cache-line
-//! waste scenario all run here.
+//! The catalog is the only home of the ordering gate above Stock's knee
+//! (`overload_ordering`) and of the cache-line waste scenario; both run
+//! here.
 
 // Golden fingerprints only exist in instrumented builds; the `fast`
 // feature compiles the fingerprint plane to zero.
@@ -24,16 +24,14 @@ fn corpus() -> Vec<(std::path::PathBuf, Scenario)> {
 }
 
 /// Structural requirements on the committed corpus: breadth across
-/// listen kinds and planes, goldens on every fixed-rate entry, and a
-/// non-empty smoke subset for CI's push job.
+/// listen kinds, goldens on every fixed-rate entry, and a non-empty smoke
+/// subset for CI's push job.
 #[test]
 fn corpus_is_broad_and_fully_pinned() {
     let corpus = corpus();
-    assert!(corpus.len() >= 16, "corpus shrank to {}", corpus.len());
+    assert!(corpus.len() >= 9, "corpus shrank to {}", corpus.len());
 
     let mut kinds_covered = Vec::new();
-    let mut any_fault = false;
-    let mut any_overload_or_hotplug = false;
     let mut smoke = 0;
     for (path, s) in &corpus {
         for k in &s.kinds {
@@ -41,8 +39,6 @@ fn corpus_is_broad_and_fully_pinned() {
                 kinds_covered.push(*k);
             }
         }
-        any_fault |= s.fault.is_active();
-        any_overload_or_hotplug |= s.overload.is_active() || !s.hotplug.is_empty();
         smoke += usize::from(s.smoke);
         if s.search == Search::Fixed {
             assert!(
@@ -57,31 +53,28 @@ fn corpus_is_broad_and_fully_pinned() {
         ListenKind::ALL.len(),
         "corpus must exercise all five listen kinds, got {kinds_covered:?}"
     );
-    assert!(any_fault, "corpus must include a fault-plane scenario");
-    assert!(
-        any_overload_or_hotplug,
-        "corpus must include an overload/hotplug scenario"
-    );
     assert!(smoke >= 3, "smoke subset shrank to {smoke}");
-    for name in [
-        "rpc_short",
-        "keepalive_sessions",
-        "syn_flood_hotplug",
-        "diurnal",
-        "loss_sweep",
-    ] {
+    for name in ["rpc_short", "keepalive_sessions", "diurnal"] {
         assert!(
             corpus.iter().any(|(_, s)| s.name == name),
             "beyond-paper scenario {name} missing from corpus"
         );
     }
-    // The recovery and cache-line experiments, each gated on every push.
-    for name in ["syn_flood_10x", "recovery_kill_core_24c", "cacheline_waste"] {
-        let Some((path, s)) = corpus.iter().find(|(_, s)| s.name == name) else {
-            panic!("ported scenario {name} missing from corpus");
-        };
-        assert!(s.smoke, "{}: must be in the smoke subset", path.display());
-    }
+    // The cache-line experiment, gated on every push.
+    let Some((path, s)) = corpus.iter().find(|(_, s)| s.name == "cacheline_waste") else {
+        panic!("ported scenario cacheline_waste missing from corpus");
+    };
+    assert!(s.smoke, "{}: must be in the smoke subset", path.display());
+    // The paper's ranking above Stock's saturation knee.
+    let Some((path, s)) = corpus.iter().find(|(_, s)| s.name == "overload_ordering") else {
+        panic!("overload_ordering missing from corpus");
+    };
+    assert_eq!(
+        s.gates.ordering,
+        [ListenKind::Affinity, ListenKind::Fine, ListenKind::Stock],
+        "{}: must gate the paper's ranking",
+        path.display()
+    );
 }
 
 /// Runs every selected scenario, spreading them over the host's CPUs
@@ -132,9 +125,9 @@ fn first_fuzz_cases_pass_at_one_and_two_workers() {
 }
 
 /// The shrinker on its own, with a synthetic failure and no simulator:
-/// a document that sets nearly every key, and "fails" iff it duplicates
-/// packets and a hotplug event takes a core down, shrinks to exactly
-/// those two knobs, plus the `name` and `seed` it never edits.
+/// a document that sets nearly every key, and "fails" iff it runs
+/// lock_stat and sweeps a key, shrinks to exactly those two knobs, plus
+/// the `name` and `seed` it never edits.
 #[test]
 fn shrinker_keeps_only_the_failing_knobs() {
     let sink = r#"{
@@ -143,28 +136,21 @@ fn shrinker_keeps_only_the_failing_knobs() {
       "rate_mult": 0.75, "warmup_ms": 120, "measure_ms": 250, "seed": 42,
       "tracked_files": 300, "steal": false, "migrate": false, "lockstat": true, "hog_ms": 40,
       "workload": {"batches": [2, 4], "think_ms": 50, "file_scale": 2.5, "timeout_ms": 4000},
-      "fault": {"drop_p": 0.01, "dup_p": 0.02, "reorder_p": 0.03, "reorder_delay_us": 400,
-                "ring_mask": 10, "syn_overflow_drop": true,
-                "retrans": {"rto_ms": 40, "max_attempts": 4},
-                "stalls": [{"core": 3, "at_ms": 100, "dur_us": 5000}]},
-      "overload": {"syn_cookies": true, "half_open_cap": 4096, "reap": {"ttl_ms": 30, "synack_retries": 2},
-                   "watchdog": {"interval_ms": 5, "dead_after_ms": 60}},
-      "hotplug": [{"core": 2, "at_ms": 150, "up": false}, {"core": 2, "at_ms": 300, "up": true}],
-      "timeline_bucket_ms": 10, "dprof_v2": true,
+      "dprof_v2": true,
       "sweep": {"key": "cores", "values": [16, 80]},
       "gates": {"ordering": ["affinity", "twenty"], "ordering_slack": 0.95,
-                "bounds": {"served": {"min": 1000}, "time_to_recover_ms": {"max": 100}}},
+                "bounds": {"served": {"min": 1000}, "completed_frac": {"min": 0.9}}},
       "golden": {"affinity": {"fingerprint": "0x0123456789abcdef", "served": 7266}},
       "smoke": true
     }"#;
     let mut calls = 0;
     let shrunk = bench::fuzz::shrink(Json::parse(sink).expect("sink parses"), |s| {
         calls += 1;
-        s.fault.dup_p > 0.0 && s.hotplug.iter().any(|h| !h.up)
+        s.lockstat && s.sweep.is_some()
     });
     assert_eq!(
         shrunk.render(),
-        r#"{"name":"sink","seed":42,"fault":{"dup_p":0.01},"hotplug":[{"up":false}]}"#
+        r#"{"name":"sink","seed":42,"lockstat":true,"sweep":{"key":"cores","values":[1]}}"#
     );
     assert!(calls <= 100, "{calls} predicate calls");
 }
