@@ -253,8 +253,8 @@ pub struct RunResult {
     /// Events dispatched by the run loop over the whole run; with the
     /// wall-clock time this gives the scheduler's events/sec.
     pub events_executed: u64,
-    /// Event-queue entries moved down a wheel level by cascades over the
-    /// whole run ([`sim::wheel::TimerWheel::cascaded`]).
+    /// Event-queue entries moved out of a level-1 or higher wheel slot by
+    /// cascades over the whole run ([`sim::wheel::TimerWheel::cascaded`]).
     pub cascaded: u64,
     /// End-of-run conservation audit (see [`crate::audit`]).
     pub audit: RunAudit,
@@ -317,8 +317,9 @@ const _: () = assert!(
 );
 
 // Pool of event queues, packet slabs and timer tables recycled across the
-// runs of a sweep: the wheel's slot vectors and the slab's backing store
-// are sized by the first run and reused warm by the rest.
+// runs of a sweep: the wheel's node slab and ready queue and the packet
+// slab's backing store are sized by the first run and reused warm by the
+// rest.
 thread_local! {
     static Q_POOL: RefCell<Vec<(EventQueue<Ev>, PktSlab, LazyTimers)>> = const { RefCell::new(Vec::new()) };
 }
@@ -1304,11 +1305,11 @@ impl Runner {
     /// [`Runner::run`] executes exactly the event sequence a straight
     /// `run` would; simbench times its runs as such slices.
     pub fn run_until(&mut self, bound: Cycles) {
-        // The bounded peek keeps the wheel's cursor short of `bound`, so
-        // an event pushed between slices (at a time >= the previous
-        // bound but before a far-future housekeeping event) is filed at
-        // its own time; an unbounded peek would cascade past it and
-        // clamp it to the cursor.
+        // The bounded peek keeps the wheel short of `bound`, so an event
+        // pushed between slices (at a time >= the previous bound but
+        // before a far-future housekeeping event) is filed at its own
+        // time; an unbounded peek could advance the wheel past it and
+        // clamp it.
         let bound = bound.min(self.end_at);
         while self.q.peek_time_before(bound).is_some() {
             let (t, ev) = self.q.pop().expect("peeked a nonempty queue");

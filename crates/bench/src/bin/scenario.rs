@@ -22,7 +22,10 @@
 //! Usage: `scenario [--file F]... [--dir D] [--smoke] [--record]
 //! [--fuzz N] [--workers N] [--out PATH]`
 
-use bench::scenario::{catalog_path, load_dir, load_file, record_golden, Scenario, ScenarioReport};
+use bench::scenario::{
+    catalog_path, load_dir, load_file, record_golden, Scenario, ScenarioReport, GOLDENS_UNCHECKED,
+    INSTRUMENTATION,
+};
 use metrics::json::Json;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
@@ -49,6 +52,10 @@ fn main() {
     args.done();
 
     bench::header("scenario", "declarative scenario catalog");
+    let fast = cfg!(feature = "fast");
+    if fast {
+        println!("{GOLDENS_UNCHECKED}: the fast feature compiles fingerprints to zero");
+    }
 
     if let Some(n) = fuzz {
         run_fuzz(n, workers.max(2), &out);
@@ -64,7 +71,7 @@ fn main() {
     );
 
     if record {
-        if cfg!(feature = "fast") {
+        if fast {
             fail(
                 "--record needs the instrumented build: the fast feature \
                  compiles fingerprints to zero",
@@ -96,8 +103,13 @@ fn main() {
         let t0 = std::time::Instant::now();
         let r = s.run(workers);
         let served: u64 = r.kinds.iter().map(|k| k.served).sum();
+        let unchecked = if fast && !s.golden.is_empty() {
+            format!("   {GOLDENS_UNCHECKED}")
+        } else {
+            String::new()
+        };
         println!(
-            "{:<28} {:>4}   kinds={} served={} [{:.1}s]",
+            "{:<28} {:>4}   kinds={} served={} [{:.1}s]{unchecked}",
             r.name,
             if r.ok() { "ok" } else { "FAIL" },
             r.kinds.len(),
@@ -113,6 +125,7 @@ fn main() {
     let all_ok = reports.iter().all(ScenarioReport::ok);
     let artifact = Json::obj()
         .field("schema", "scenarios-v1")
+        .field("instrumentation", INSTRUMENTATION)
         .field("smoke", smoke)
         .field("ok", all_ok)
         .field(
@@ -121,11 +134,19 @@ fn main() {
         );
     bench::write_artifact(&out, &artifact).unwrap_or_else(|e| fail(&e));
 
+    let unchecked = if fast {
+        format!("; {GOLDENS_UNCHECKED}")
+    } else {
+        String::new()
+    };
     if all_ok {
-        println!("scenario: OK ({} scenarios)", reports.len());
+        println!("scenario: OK ({} scenarios{unchecked})", reports.len());
     } else {
         let failed = reports.iter().filter(|r| !r.ok()).count();
-        println!("scenario: FAILED ({failed} of {} scenarios)", reports.len());
+        println!(
+            "scenario: FAILED ({failed} of {} scenarios{unchecked})",
+            reports.len()
+        );
         std::process::exit(1);
     }
 }
@@ -180,6 +201,7 @@ fn run_fuzz(n: u64, workers: usize, out: &str) {
     let ok = failed == 0;
     let artifact = Json::obj()
         .field("schema", "scenarios-v1")
+        .field("instrumentation", INSTRUMENTATION)
         .field("smoke", false)
         .field("ok", ok)
         .field("scenarios", Json::Arr(Vec::new()))

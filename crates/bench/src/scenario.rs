@@ -92,6 +92,18 @@ pub enum Search {
     Saturation,
 }
 
+/// Which observer build this is, as the `scenarios-v1` artifact's
+/// `instrumentation` field records it. The `fast` feature compiles
+/// fingerprints to zero, so only an `"instrumented"` build checks goldens.
+pub const INSTRUMENTATION: &str = if cfg!(feature = "fast") {
+    "fast"
+} else {
+    "instrumented"
+};
+
+/// What a `fast` build says wherever it would have checked a golden.
+pub const GOLDENS_UNCHECKED: &str = "goldens not checked (fast build)";
+
 /// One recorded golden outcome: the combined run fingerprint and total
 /// served requests for one listen kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1322,7 +1334,8 @@ impl Scenario {
         }
         // The `fast` feature compiles the fingerprint plane to a no-op
         // (fingerprints read 0), so goldens are only meaningful in the
-        // instrumented build.
+        // instrumented build; the `scenario` binary says so
+        // ([`GOLDENS_UNCHECKED`]).
         if !cfg!(feature = "fast") {
             for ge in &self.golden {
                 let Some(kr) = kinds.iter().find(|kr| kr.kind == ge.kind) else {

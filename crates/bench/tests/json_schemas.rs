@@ -61,6 +61,21 @@ fn assert_bool(doc: &Json, key: &str) {
     );
 }
 
+/// The build that wrote the artifact: a `fast` one checks no golden and
+/// must say so.
+fn assert_instrumentation(doc: &Json) {
+    let expect = if cfg!(feature = "fast") {
+        "fast"
+    } else {
+        "instrumented"
+    };
+    assert!(
+        matches!(obj(doc, "instrumentation"), Json::Str(s) if s == expect),
+        "instrumentation is not {expect:?}: {}",
+        doc.render()
+    );
+}
+
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("bench-json-schemas");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -72,6 +87,7 @@ fn fuzz_artifact_schema_round_trips() {
     let out = tmp("fuzz.json");
     let doc = run_binary(env!("CARGO_BIN_EXE_scenario"), &["--fuzz", "2"], &out);
     assert!(matches!(obj(&doc, "schema"), Json::Str(s) if s == "scenarios-v1"));
+    assert_instrumentation(&doc);
     assert_bool(&doc, "ok");
     assert!(arr(&doc, "scenarios").is_empty());
     let fuzz = obj(&doc, "fuzz");
@@ -101,6 +117,7 @@ fn scenario_artifact_schema_round_trips() {
         &out,
     );
     assert!(matches!(obj(&doc, "schema"), Json::Str(_)));
+    assert_instrumentation(&doc);
     assert_bool(&doc, "smoke");
     assert_bool(&doc, "ok");
     let scenarios = arr(&doc, "scenarios");

@@ -6,12 +6,14 @@
 //! internals.
 //!
 //! [`EventQueue`] is the hierarchical timer wheel of [`crate::wheel`]
-//! (O(1) amortized push and pop), so the run loop pushes and pops through
-//! one concrete type. The original `BinaryHeap` scheduler survives only
-//! as the test reference below: the differential proptest holds the
-//! wheel to its `(time, seq, event)` stream for any interleaving of
-//! pushes, pops and bounded peeks, and the golden fingerprints in the
-//! root tests were captured on it.
+//! (O(1) amortized push and pop, level-0 slots one 2^11-cycle quantum
+//! wide, every parked event in one node slab), so the run loop pushes and
+//! pops through one concrete type. The original `BinaryHeap` scheduler
+//! survives only as the test reference below: the differential proptest
+//! holds the wheel to its `(time, seq, event)` stream for any
+//! interleaving of pushes (ties, the quantum being delivered, every level
+//! up to `Cycles::MAX`), pops and bounded peeks and pops, and the golden
+//! fingerprints in the root tests were captured on it.
 
 /// A min-queue of `(time, event)` pairs with stable FIFO tie-breaking.
 ///
@@ -97,15 +99,26 @@ mod proptests {
             }
             prop_assert!(seen.iter().all(|s| *s));
         }
+    }
+
+    /// Cycles one level-0 wheel slot spans (2^11).
+    const QUANTUM: Cycles = 1 << 11;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The differential test the wheel hangs on: for any interleaving
-        /// of pushes (near-future, same-time ties, and far-future cascades
-        /// across several wheel levels), pops and bounded peeks, the wheel
-        /// and the heap produce identical `(time, event)` streams — which,
-        /// with distinct event ids, pins the `(time, seq)` order.
+        /// of pushes, pops and bounded peeks and pops, the wheel and the
+        /// heap produce identical `(time, event)` streams — which, with
+        /// distinct event ids, pins the `(time, seq)` order. The pushes
+        /// cover same-time ties, the quantum being delivered (before,
+        /// between and after entries already in the ready queue), deltas
+        /// of 2^0–2^40 cycles (every level and its cascades) and
+        /// `Cycles::MAX`; the bounds fall inside quanta as well as on and
+        /// across their edges.
         #[test]
         fn wheel_matches_heap_reference(
-            ops in proptest::collection::vec((0u8..8, 0u64..1_000), 1..300),
+            ops in proptest::collection::vec((0u8..12, 0u64..1_000, 0u32..41), 1..300),
         ) {
             let mut wheel = EventQueue::new();
             let mut heap = HeapQueue::default();
@@ -116,10 +129,10 @@ mod proptests {
                 heap.push(t, next_id);
                 next_id += 1;
             };
-            for (op, x) in ops {
+            for (op, x, k) in ops {
                 match op {
                     // Pop from both; streams must match step for step.
-                    0 => {
+                    0 | 1 => {
                         let a = wheel.pop();
                         let b = heap.pop();
                         prop_assert_eq!(a, b);
@@ -128,26 +141,49 @@ mod proptests {
                         }
                     }
                     // Same-time tie at the current clock.
-                    1 => push(now, &mut wheel, &mut heap),
-                    // Far future: forces multi-level parking + cascades.
-                    2 => push(now + 1 + x * 77_777_777, &mut wheel, &mut heap),
-                    // Bounded peek (near or far bound), then pushes at and
-                    // just past the bound: the cursor contract
-                    // `Runner::run_until` relies on. Like that loop, the
-                    // caller's clock moves to the peeked event, or to the
-                    // bound when nothing is left before it. A peek that
-                    // parked the cursor on a later event would clamp these
-                    // pushes forward and reorder the stream.
-                    6 | 7 => {
-                        let bound = if op == 6 { now + x } else { now + x * 7_777_777 };
+                    2 => push(now, &mut wheel, &mut heap),
+                    // Within a quantum of the clock: mostly into the quantum
+                    // being delivered, ahead of, among or behind what its
+                    // ready queue holds.
+                    3 => push(now.saturating_add(x % QUANTUM), &mut wheel, &mut heap),
+                    // 2^k cycles ahead, k in 0..=40: every level.
+                    4 => push(now.saturating_add((1 << k) + x % 7), &mut wheel, &mut heap),
+                    // The last representable tick (rarely), else near.
+                    5 => {
+                        let t = if x < 50 { Cycles::MAX } else { now.saturating_add(x) };
+                        push(t, &mut wheel, &mut heap);
+                    }
+                    // Bounded peek, then pushes at and just past the bound:
+                    // the contract `Runner::run_until` relies on. Like that
+                    // loop, the caller's clock moves to the peeked event, or
+                    // to the bound when nothing is left before it. A peek
+                    // that advanced the wheel past the bound would clamp
+                    // these pushes forward and reorder the stream. Bounds
+                    // land near the clock (6), far ahead (7), inside the
+                    // next quantum (8) or 2^k ahead (9).
+                    6..=9 => {
+                        let bound = match op {
+                            6 => now.saturating_add(x),
+                            7 => now.saturating_add(x * 7_777_777),
+                            8 => (now | (QUANTUM - 1)).saturating_add(1 + x % QUANTUM),
+                            _ => now.saturating_add(1 << k),
+                        };
                         let peeked = wheel.peek_time_before(bound);
                         prop_assert_eq!(peeked, heap.peek_time_before(bound));
                         now = peeked.unwrap_or(bound);
                         push(bound, &mut wheel, &mut heap);
-                        push(bound + x % 5, &mut wheel, &mut heap);
+                        push(bound.saturating_add(x % 5), &mut wheel, &mut heap);
                     }
-                    // Near future (level 0/1).
-                    _ => push(now + x, &mut wheel, &mut heap),
+                    // Bounded pop: delivers only what the peek would report.
+                    10 => {
+                        let bound = now.saturating_add(x * 997);
+                        let expect = heap.peek_time_before(bound).and_then(|_| heap.pop());
+                        let got = wheel.pop_before(bound);
+                        prop_assert_eq!(got, expect);
+                        now = got.map_or(bound, |(t, _)| t);
+                    }
+                    // Near future.
+                    _ => push(now.saturating_add(x), &mut wheel, &mut heap),
                 }
                 prop_assert_eq!(wheel.len(), heap.len());
             }

@@ -33,18 +33,17 @@ pub struct Acquired {
 pub struct TimelineLock {
     class: LockClass,
     free_at: Cycles,
-    acquisitions: u64,
 }
+
+// Embedded in every established-table bucket, request bucket and
+// connection: a class byte and the horizon, two words.
+const _: () = assert!(std::mem::size_of::<TimelineLock>() == 16);
 
 impl TimelineLock {
     /// Creates a free lock of the given class.
     #[must_use]
     pub fn new(class: LockClass) -> Self {
-        Self {
-            class,
-            free_at: 0,
-            acquisitions: 0,
-        }
+        Self { class, free_at: 0 }
     }
 
     /// The lock's class, for profiling.
@@ -59,12 +58,6 @@ impl TimelineLock {
         self.free_at
     }
 
-    /// Total acquisitions so far.
-    #[must_use]
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
     /// Whether the lock is held at time `now`.
     #[must_use]
     pub fn is_held_at(&self, now: Cycles) -> bool {
@@ -74,7 +67,6 @@ impl TimelineLock {
     /// Spin-acquires at `now`, busy-waiting until the lock is free.
     pub fn lock_spin(&mut self, now: Cycles) -> Acquired {
         let entry = now.max(self.free_at);
-        self.acquisitions += 1;
         Acquired {
             entry,
             spin_wait: entry - now,
@@ -91,7 +83,6 @@ impl TimelineLock {
         if self.is_held_at(now) {
             Err(self.free_at)
         } else {
-            self.acquisitions += 1;
             Ok(Acquired {
                 entry: now,
                 spin_wait: 0,

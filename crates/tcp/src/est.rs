@@ -20,6 +20,10 @@ struct Bucket {
     items: Vec<(FlowTuple, ConnId)>,
 }
 
+// `EST_TABLE_BUCKETS` (65,536) per run: every byte here is 64 KiB of host
+// memory.
+const _: () = assert!(std::mem::size_of::<Bucket>() == 48);
+
 /// The established-connections table.
 pub struct EstTable {
     buckets: Vec<Bucket>,

@@ -37,7 +37,7 @@ pub fn paper_base(listen: ListenKind) -> RunConfig {
 pub struct Work {
     /// Events the run loop dispatched.
     pub events: u64,
-    /// Timer-wheel entries moved down a level by cascades.
+    /// Timer-wheel entries moved out of a level-1+ slot by cascades.
     pub cascaded: u64,
     /// Kernel-entry invocations charged to `PerfCounters`.
     pub kernel_calls: u64,
@@ -114,7 +114,7 @@ pub const GOLDEN: [Pin; 5] = [
         served: 7262,
         work: Work {
             events: 80_853,
-            cascaded: 159_827,
+            cascaded: 32_155,
             kernel_calls: 74_359,
             l2_misses: 3_195_229,
             allocs: 39_025,
@@ -131,7 +131,7 @@ pub const GOLDEN: [Pin; 5] = [
         served: 7262,
         work: Work {
             events: 79_638,
-            cascaded: 157_642,
+            cascaded: 31_611,
             kernel_calls: 73_969,
             l2_misses: 3_170_716,
             allocs: 39_132,
@@ -148,7 +148,7 @@ pub const GOLDEN: [Pin; 5] = [
         served: 7266,
         work: Work {
             events: 79_449,
-            cascaded: 155_980,
+            cascaded: 30_233,
             kernel_calls: 73_931,
             l2_misses: 2_373_132,
             allocs: 39_009,
@@ -165,7 +165,7 @@ pub const GOLDEN: [Pin; 5] = [
         served: 7271,
         work: Work {
             events: 80_804,
-            cascaded: 159_787,
+            cascaded: 32_044,
             kernel_calls: 74_372,
             l2_misses: 3_200_675,
             allocs: 39_140,
@@ -182,7 +182,7 @@ pub const GOLDEN: [Pin; 5] = [
         served: 7271,
         work: Work {
             events: 143_582,
-            cascaded: 284_076,
+            cascaded: 44_754,
             kernel_calls: 73_962,
             l2_misses: 2_374_095,
             allocs: 39_061,
