@@ -105,25 +105,6 @@ impl BatchJob {
         self.phases[self.cur].parallel || core == self.cores[0]
     }
 
-    /// Pulls up to [`SLICE`] of work for `core` at time `now`; returns the
-    /// slice granted (0 when none). Advances phases as pools drain.
-    pub fn pull(&mut self, core: CoreId, now: Cycles) -> Cycles {
-        if !self.runnable_on(core) {
-            return 0;
-        }
-        let slice = SLICE.min(self.remaining);
-        self.remaining -= slice;
-        if self.remaining == 0 {
-            self.cur += 1;
-            if self.cur >= self.phases.len() {
-                self.finished_at = Some(now + slice);
-            } else {
-                self.remaining = self.phases[self.cur].work;
-            }
-        }
-        slice
-    }
-
     /// Credits `amount` of make progress earned by time-slicing with web
     /// work on `core` (the make threads run in the gaps the scheduler
     /// gives them while the web side executes).
@@ -167,6 +148,20 @@ mod tests {
         (0..n).map(CoreId).collect()
     }
 
+    /// Credits every assigned core one [`SLICE`] per step, as an
+    /// undisturbed run of the job would; returns the finish time.
+    fn drain(j: &mut BatchJob, n: u16, limit: Cycles) -> Cycles {
+        let mut now = 0;
+        while !j.is_finished() {
+            now += SLICE;
+            for c in 0..n {
+                j.credit(CoreId(c), SLICE, now);
+            }
+            assert!(now < limit, "terminates");
+        }
+        j.finished_at.unwrap()
+    }
+
     #[test]
     fn serial_phase_runs_on_first_core_only() {
         let mut j = BatchJob::new(
@@ -179,15 +174,27 @@ mod tests {
         );
         assert!(j.runnable_on(CoreId(0)));
         assert!(!j.runnable_on(CoreId(1)));
-        assert_eq!(j.pull(CoreId(1), 0), 0);
-        assert_eq!(j.pull(CoreId(0), 0), SLICE);
+        j.credit(CoreId(1), ms(10), ms(10));
+        assert!(!j.is_finished(), "a non-first core earns nothing");
+        j.credit(CoreId(0), ms(10), ms(10));
+        assert_eq!(j.finished_at, Some(ms(10)));
     }
 
     #[test]
     fn unassigned_cores_get_nothing() {
-        let mut j = BatchJob::kernel_make(ms(100), cores(2), 0);
+        let mut j = BatchJob::new(
+            vec![Phase {
+                work: ms(1),
+                parallel: true,
+            }],
+            cores(2),
+            0,
+        );
         assert!(!j.runnable_on(CoreId(5)));
-        assert_eq!(j.pull(CoreId(5), 0), 0);
+        j.credit(CoreId(5), ms(1), ms(1));
+        assert!(!j.is_finished());
+        j.credit(CoreId(1), ms(1), ms(1));
+        assert!(j.is_finished());
     }
 
     #[test]
@@ -206,23 +213,22 @@ mod tests {
             cores(2),
             0,
         );
-        let mut now = 0;
-        let mut pulled = 0;
-        while !j.is_finished() {
-            for c in 0..2u16 {
-                let s = j.pull(CoreId(c), now);
-                pulled += s;
-            }
-            now += SLICE;
-            assert!(now < ms(100), "terminates");
-        }
-        assert_eq!(pulled, ms(3));
+        j.credit(CoreId(0), ms(1), ms(1));
+        j.credit(CoreId(1), ms(1), ms(1));
+        // The parallel pool is drained; only the first core runs the
+        // serial phase.
+        assert!(j.runnable_on(CoreId(0)) && !j.runnable_on(CoreId(1)));
+        j.credit(CoreId(1), ms(1), ms(2));
+        assert!(!j.is_finished());
+        j.credit(CoreId(0), ms(1), ms(2));
+        assert_eq!(j.finished_at, Some(ms(2)));
+        assert!(!j.runnable_on(CoreId(0)), "a finished job runs nowhere");
     }
 
     #[test]
     fn ideal_parallel_runtime_scales_with_cores() {
         // Drain a purely parallel job with 1 vs 4 cores.
-        let drain = |n: u16| {
+        let run = |n: u16| {
             let mut j = BatchJob::new(
                 vec![Phase {
                     work: ms(40),
@@ -231,17 +237,10 @@ mod tests {
                 cores(n),
                 0,
             );
-            let mut now = 0;
-            while !j.is_finished() {
-                for c in 0..n {
-                    j.pull(CoreId(c), now);
-                }
-                now += SLICE;
-            }
-            j.finished_at.unwrap()
+            drain(&mut j, n, ms(100))
         };
-        let t1 = drain(1);
-        let t4 = drain(4);
+        let t1 = run(1);
+        let t4 = run(4);
         assert!(t1 >= 3 * t4, "t1 {t1} t4 {t4}");
     }
 
@@ -254,15 +253,7 @@ mod tests {
         assert!(!j.phases[1].parallel);
         assert!(j.phases[2].parallel);
         // Drain with all cores continuously available: wall ≈ target.
-        let mut now = 0;
-        while !j.is_finished() {
-            for c in 0..n {
-                j.pull(CoreId(c), now);
-            }
-            now += SLICE;
-            assert!(now < ms(300));
-        }
-        let wall = j.finished_at.unwrap();
+        let wall = drain(&mut j, n, ms(300));
         assert!(
             (wall as f64 - ms(100) as f64).abs() / (ms(100) as f64) < 0.1,
             "wall {wall}"

@@ -30,7 +30,7 @@ use nic::packet::RingId;
 use nic::{Nic, Packet, PacketKind, RxOutcome, Steering};
 use sim::core_set::CoreSet;
 use sim::fastmap::FastMap;
-use sim::fingerprint::ActiveFingerprint;
+use sim::fingerprint::Fingerprint;
 use sim::rng::SimRng;
 use sim::time::{ms, us, Cycles, CYCLES_PER_SEC};
 use sim::topology::{CoreId, Machine};
@@ -405,7 +405,8 @@ pub struct Runner {
     affinity_served: u64,
     /// Whole-run served counts per `cfg.timeline_bucket` (empty when off).
     timeline: Vec<u64>,
-    fingerprint: ActiveFingerprint,
+    /// Folded only when `sim::fingerprint::ENABLED`.
+    fingerprint: Fingerprint,
     /// Events dispatched by the run loop.
     events_executed: u64,
     /// Accepted outcomes observed (audit: must equal the listen socket's
@@ -529,7 +530,7 @@ impl Runner {
             served: 0,
             affinity_served: 0,
             timeline: Vec::new(),
-            fingerprint: ActiveFingerprint::new(),
+            fingerprint: Fingerprint::new(),
             events_executed: 0,
             accepts_seen: 0,
             dispatched: 0,
@@ -1203,11 +1204,11 @@ impl Runner {
                         if t.pinned || !hogged[t.core.index()] {
                             continue;
                         }
-                        // Least-loaded non-hogged destination.
-                        let Some(dest) = (0..self.cfg.cores)
-                            .filter(|i| !hogged[*i])
-                            .min_by_key(|i| self.cores.load(CoreId(*i as u16)))
-                        else {
+                        // The lowest-numbered non-hogged core: the model
+                        // keeps no run queues, so every process goes there
+                        // (Linux would spread them; EXPERIMENTS.md, Known
+                        // deviations).
+                        let Some(dest) = (0..self.cfg.cores).find(|i| !hogged[*i]) else {
                             break;
                         };
                         let dest = CoreId(dest as u16);
@@ -1353,14 +1354,8 @@ impl Runner {
         let secs = sim::time::to_secs(window);
         let served = self.served;
         let rps = served as f64 / secs;
-        let idle = {
-            // Busy accounting was reset at window start.
-            let capacity = window as f64 * self.cfg.cores as f64;
-            let busy: f64 = (0..self.cfg.cores)
-                .map(|c| self.cores.core(CoreId(c as u16)).busy_cycles.min(window) as f64)
-                .sum();
-            ((capacity - busy) / capacity).clamp(0.0, 1.0)
-        };
+        // Busy accounting was reset at window start.
+        let idle = self.cores.idle_fraction(window, self.cfg.cores);
         let stats_now = self.listen.stats();
         let listen_stats = affinity_accept::listen::ListenStats {
             enqueued: stats_now.enqueued - self.base_listen.enqueued,
@@ -1473,7 +1468,11 @@ impl Runner {
             batch_runtime: self.hog.as_ref().map(|j| j.runtime(self.now)),
             migrations: listen_stats.flow_migrations,
             wire_util: wire_util.min(1.0),
-            fingerprint: self.fingerprint.value(),
+            fingerprint: if sim::fingerprint::ENABLED {
+                self.fingerprint.value()
+            } else {
+                0
+            },
             events_executed: self.events_executed,
             cascaded,
             audit,

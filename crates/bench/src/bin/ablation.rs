@@ -29,7 +29,6 @@ fn base() -> RunConfig {
         wl,
         0.55 * 14_000.0 * 16.0 / 6.0,
     );
-    cfg.app_cycles = cfg.server.app_cycles();
     cfg.warmup = ms(500);
     cfg.measure = secs(2);
     cfg.hog_work = Some(secs(20));

@@ -31,7 +31,6 @@ fn config(hog: bool, stealing: bool, migration: bool) -> RunConfig {
         wl,
         rate,
     );
-    cfg.app_cycles = cfg.server.app_cycles();
     cfg.warmup = ms(800);
     cfg.measure = secs(3);
     cfg.hog_work = hog.then_some(secs(40)); // still running at window end

@@ -20,11 +20,7 @@ fn main() {
     let impls = [ListenKind::Fine, ListenKind::Affinity];
     let cfgs = impls
         .iter()
-        .map(|l| {
-            let mut c = base_config(Machine::amd48(), 48, *l, ServerKind::apache());
-            c.dprof = true;
-            c
-        })
+        .map(|l| base_config(Machine::amd48(), 48, *l, ServerKind::apache()))
         .collect();
     let rs = sweep_saturation(cfgs);
     let (fine, aff) = (&rs[0], &rs[1]);

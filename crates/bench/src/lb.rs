@@ -54,7 +54,6 @@ pub fn lb_migration_config(web: bool, migration: bool) -> RunConfig {
         wl,
         rate,
     );
-    cfg.app_cycles = cfg.server.app_cycles();
     cfg.warmup = ms(600);
     cfg.measure = ms(400);
     cfg.hog_work = Some(LB_MAKE_WORK);

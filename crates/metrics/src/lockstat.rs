@@ -25,17 +25,11 @@ pub enum LockClass {
     EstablishedBucket,
     /// A per-connection (`tcp_sock`) lock.
     Connection,
-    /// The per-core packet-buffer slab pool lock.
-    SlabPool,
-    /// Run-queue locks taken by the scheduler and load balancer.
-    RunQueue,
-    /// NIC administrative lock guarding FDir table updates.
-    NicAdmin,
 }
 
 impl LockClass {
     /// Number of lock classes.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 5;
 
     /// Every class, in declaration (and reporting) order.
     pub const ALL: [LockClass; LockClass::COUNT] = [
@@ -44,9 +38,6 @@ impl LockClass {
         LockClass::RequestBucket,
         LockClass::EstablishedBucket,
         LockClass::Connection,
-        LockClass::SlabPool,
-        LockClass::RunQueue,
-        LockClass::NicAdmin,
     ];
 
     /// Human-readable label.
@@ -58,9 +49,6 @@ impl LockClass {
             LockClass::RequestBucket => "request_bucket",
             LockClass::EstablishedBucket => "established_bucket",
             LockClass::Connection => "connection",
-            LockClass::SlabPool => "slab_pool",
-            LockClass::RunQueue => "run_queue",
-            LockClass::NicAdmin => "nic_admin",
         }
     }
 }
@@ -179,26 +167,6 @@ impl LockStat {
         self.stats[class as usize]
     }
 
-    /// Iterates over all classes with recorded activity, in declaration
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (LockClass, &LockClassStats)> {
-        LockClass::ALL
-            .iter()
-            .map(|c| (*c, &self.stats[*c as usize]))
-            .filter(|(_, s)| s.acquisitions > 0)
-    }
-
-    /// Merges another profiler's records into this one.
-    pub fn merge(&mut self, other: &LockStat) {
-        for (dst, s) in self.stats.iter_mut().zip(other.stats.iter()) {
-            dst.acquisitions += s.acquisitions;
-            dst.contended += s.contended;
-            dst.wait_spin_cycles += s.wait_spin_cycles;
-            dst.wait_mutex_cycles += s.wait_mutex_cycles;
-            dst.hold_cycles += s.hold_cycles;
-        }
-    }
-
     /// Clears all recorded statistics.
     pub fn clear(&mut self) {
         self.stats = [LockClassStats::default(); LockClass::COUNT];
@@ -233,18 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_classes() {
-        let mut a = LockStat::enabled();
-        let mut b = LockStat::enabled();
-        a.record(LockClass::AcceptQueue, 1, 0, 2);
-        b.record(LockClass::AcceptQueue, 3, 0, 4);
-        b.record(LockClass::SlabPool, 0, 0, 9);
-        a.merge(&b);
-        assert_eq!(a.class(LockClass::AcceptQueue).wait_spin_cycles, 4);
-        assert_eq!(a.class(LockClass::SlabPool).hold_cycles, 9);
-    }
-
-    #[test]
     fn labels_are_distinct() {
         let mut labels: Vec<_> = LockClass::ALL.iter().map(|c| c.label()).collect();
         labels.sort_unstable();
@@ -253,13 +209,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_skips_idle_classes_in_declaration_order() {
+    fn clear_resets_every_class() {
         let mut ls = LockStat::enabled();
-        ls.record(LockClass::RunQueue, 0, 0, 1);
-        ls.record(LockClass::ListenSocket, 0, 0, 1);
-        let classes: Vec<LockClass> = ls.iter().map(|(c, _)| c).collect();
-        assert_eq!(classes, vec![LockClass::ListenSocket, LockClass::RunQueue]);
+        for c in LockClass::ALL {
+            ls.record(c, 1, 2, 3);
+        }
         ls.clear();
-        assert_eq!(ls.iter().count(), 0);
+        for c in LockClass::ALL {
+            assert_eq!(ls.class(c), LockClassStats::default(), "{c:?}");
+        }
     }
 }

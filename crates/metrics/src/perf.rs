@@ -164,12 +164,6 @@ impl PerfCounters {
             .sum()
     }
 
-    /// Total cycles across all entries.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.entries.iter().map(|e| e.cycles).sum()
-    }
-
     /// Total L2 misses across all entries.
     #[must_use]
     pub fn total_l2_misses(&self) -> u64 {

@@ -6,7 +6,8 @@
 //!
 //! * up to 64 hardware RX/TX DMA ring pairs per port ([`rings`]);
 //! * **RSS**: a 128-entry indirection table of 4-bit ring ids, i.e. at most
-//!   16 distinct rings ([`steering::RssTable`]);
+//!   16 distinct rings ([`steering::RssTable`]), the per-flow mode's
+//!   fallback for flows without an FDir entry;
 //! * **FDir** in flow-group mode: the paper reprograms the card to hash
 //!   only the low 12 bits of the source port, yielding 4,096 *flow groups*
 //!   that are mapped to rings through the FDir table

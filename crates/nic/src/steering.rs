@@ -240,8 +240,6 @@ impl PerFlowTable {
 /// The NIC's active steering configuration.
 #[derive(Debug)]
 pub enum Steering {
-    /// RSS only (≤ 16 rings on this card).
-    Rss(RssTable),
     /// FDir flow-group mode — Affinity-Accept's configuration.
     Groups(FlowGroupTable),
     /// FDir per-flow mode — Twenty-Policy's configuration.
@@ -255,12 +253,6 @@ impl Steering {
         Steering::Groups(FlowGroupTable::new(n_rings, n_groups))
     }
 
-    /// RSS steering.
-    #[must_use]
-    pub fn rss(n_rings: usize) -> Self {
-        Steering::Rss(RssTable::new(n_rings))
-    }
-
     /// Per-flow FDir steering with an RSS fallback.
     #[must_use]
     pub fn per_flow(n_rings: usize, capacity: usize) -> Self {
@@ -271,7 +263,6 @@ impl Steering {
     #[must_use]
     pub fn route(&self, tuple: &FlowTuple, n_rings: usize) -> RingId {
         let ring = match self {
-            Steering::Rss(t) => t.route(tuple.hash()),
             Steering::Groups(t) => t.route(tuple),
             Steering::PerFlow(t) => t.route(tuple),
         };

@@ -3,16 +3,10 @@
 //! Each simulated core is a serial resource: it executes one piece of work
 //! at a time and is busy until `busy_until`. Work arriving earlier is
 //! delayed; the gap between completed work accumulates as idle time
-//! (Table 2's third column). Each core also carries a FIFO run queue of
-//! task ids used by the process scheduler ([`crate::sched`]).
+//! (Table 2's third column).
 
 use crate::time::Cycles;
 use crate::topology::CoreId;
-use std::collections::VecDeque;
-
-/// Identifies a schedulable task (a simulated process or thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskId(pub u32);
 
 /// State of one core.
 #[derive(Debug, Clone, Default)]
@@ -21,8 +15,6 @@ pub struct CoreState {
     pub busy_until: Cycles,
     /// Total cycles spent executing work (for idle-time accounting).
     pub busy_cycles: Cycles,
-    /// Runnable tasks waiting for the core.
-    pub run_queue: VecDeque<TaskId>,
 }
 
 /// The set of cores participating in a run.
@@ -58,11 +50,6 @@ impl CoreSet {
         &self.cores[id.index()]
     }
 
-    /// Mutable access to one core.
-    pub fn core_mut(&mut self, id: CoreId) -> &mut CoreState {
-        &mut self.cores[id.index()]
-    }
-
     /// Earliest time at which `core` can start new work arriving at `now`.
     #[must_use]
     pub fn start_time(&self, core: CoreId, now: Cycles) -> Cycles {
@@ -74,38 +61,10 @@ impl CoreSet {
     pub fn run(&mut self, core: CoreId, now: Cycles, duration: Cycles) -> Cycles {
         let start = self.start_time(core, now);
         let end = start + duration;
-        let c = self.core_mut(core);
+        let c = &mut self.cores[core.index()];
         c.busy_until = end;
         c.busy_cycles += duration;
         end
-    }
-
-    /// Enqueues a runnable task on `core`'s run queue.
-    pub fn enqueue(&mut self, core: CoreId, task: TaskId) {
-        self.core_mut(core).run_queue.push_back(task);
-    }
-
-    /// Pops the next runnable task from `core`'s run queue.
-    pub fn dequeue(&mut self, core: CoreId) -> Option<TaskId> {
-        self.core_mut(core).run_queue.pop_front()
-    }
-
-    /// Removes a specific task from a core's run queue (for migration);
-    /// returns whether it was present.
-    pub fn remove(&mut self, core: CoreId, task: TaskId) -> bool {
-        let q = &mut self.core_mut(core).run_queue;
-        if let Some(pos) = q.iter().position(|t| *t == task) {
-            q.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Run-queue length of `core` (the scheduler's load signal).
-    #[must_use]
-    pub fn load(&self, core: CoreId) -> usize {
-        self.core(core).run_queue.len()
     }
 
     /// Aggregate idle fraction over a window that started at 0 and ended at
@@ -168,29 +127,6 @@ mod tests {
         cs.run(C0, 0, 500);
         let idle = cs.idle_fraction(1000, 1);
         assert!((idle - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_queue_fifo() {
-        let mut cs = CoreSet::new(1);
-        cs.enqueue(C0, TaskId(1));
-        cs.enqueue(C0, TaskId(2));
-        assert_eq!(cs.load(C0), 2);
-        assert_eq!(cs.dequeue(C0), Some(TaskId(1)));
-        assert_eq!(cs.dequeue(C0), Some(TaskId(2)));
-        assert_eq!(cs.dequeue(C0), None);
-    }
-
-    #[test]
-    fn remove_specific_task() {
-        let mut cs = CoreSet::new(1);
-        cs.enqueue(C0, TaskId(1));
-        cs.enqueue(C0, TaskId(2));
-        cs.enqueue(C0, TaskId(3));
-        assert!(cs.remove(C0, TaskId(2)));
-        assert!(!cs.remove(C0, TaskId(2)));
-        assert_eq!(cs.dequeue(C0), Some(TaskId(1)));
-        assert_eq!(cs.dequeue(C0), Some(TaskId(3)));
     }
 
     #[test]

@@ -17,13 +17,12 @@
 //!
 //! # The `fast` feature
 //!
-//! Under `--features fast` the folding plane compiles away entirely:
-//! [`ActiveFingerprint`] resolves to [`NoOpFingerprint`], whose fold
-//! methods are empty inlined bodies, and [`ENABLED`] is `false` so
-//! callers can gate payload construction out too. A fast run reports a
-//! fingerprint of 0 and is verified against the instrumented build by
-//! end-state metric equality instead (`tests/feature_matrix.rs`) — the
-//! instrumented serial build stays the ground-truth oracle.
+//! Under `--features fast` [`ENABLED`] is `false`, and the runner gates
+//! each fold, payload construction included, on it, so the folding plane
+//! const-folds away. A fast run reports a fingerprint of 0 and is verified
+//! against the instrumented build by end-state metric equality instead
+//! (`tests/feature_matrix.rs`) — the instrumented serial build stays the
+//! ground-truth oracle.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -81,45 +80,6 @@ impl Fingerprint {
 /// `if sim::fingerprint::ENABLED { ... }` const-folds away.
 pub const ENABLED: bool = cfg!(not(feature = "fast"));
 
-/// The zero-cost stand-in compiled in under `--features fast`: the same
-/// API as [`Fingerprint`] with empty inlined bodies, so every fold site
-/// disappears at compile time (the `Profiler`/`NoOpProfiler` pattern —
-/// static dispatch through a type alias, no runtime branch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NoOpFingerprint;
-
-impl NoOpFingerprint {
-    /// An empty fingerprint.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// No-op fold; the word is never computed into a hash.
-    #[inline(always)]
-    pub fn fold(&mut self, _word: u64) {}
-
-    /// No-op event fold.
-    #[inline(always)]
-    pub fn fold_event(&mut self, _time: u64, _kind: u64, _payload: u64) {}
-
-    /// Always 0 — a fast-mode run carries no fingerprint.
-    #[must_use]
-    pub fn value(&self) -> u64 {
-        0
-    }
-}
-
-/// The fingerprint type the runner folds into: [`Fingerprint`] in
-/// instrumented builds, [`NoOpFingerprint`] under `fast`.
-#[cfg(not(feature = "fast"))]
-pub type ActiveFingerprint = Fingerprint;
-
-/// The fingerprint type the runner folds into: [`Fingerprint`] in
-/// instrumented builds, [`NoOpFingerprint`] under `fast`.
-#[cfg(feature = "fast")]
-pub type ActiveFingerprint = NoOpFingerprint;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,25 +120,6 @@ mod tests {
             m.fold_event(t, k, p);
             assert_ne!(m.value(), base.value(), "({t}, {k}, {p})");
         }
-    }
-
-    #[test]
-    fn noop_fingerprint_is_inert() {
-        let mut f = NoOpFingerprint::new();
-        f.fold(1);
-        f.fold_event(100, 3, 42);
-        assert_eq!(f.value(), 0);
-        assert_eq!(f, NoOpFingerprint);
-    }
-
-    #[test]
-    fn active_alias_tracks_the_feature() {
-        let active = ActiveFingerprint::new();
-        #[cfg(not(feature = "fast"))]
-        assert_eq!(active.value(), Fingerprint::new().value());
-        #[cfg(feature = "fast")]
-        assert_eq!(active.value(), 0);
-        assert_eq!(ENABLED, cfg!(not(feature = "fast")));
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //!   `free_at` horizon; acquisitions either spin (charged as busy cycles)
 //!   or sleep (charged as idle time, Linux's socket-lock "mutex mode"),
 //!   with wait/hold accounting wired to [`metrics::lockstat`].
-//! * [`core_set`] — per-core execution state: `busy_until` horizons, run
-//!   queues, idle accounting.
-//! * [`sched`] — a Linux-like process load balancer that occasionally
-//!   migrates unpinned tasks between cores (§4.2 relies on it migrating
-//!   rarely when load is even).
+//! * [`core_set`] — per-core execution state: `busy_until` horizons and
+//!   idle accounting.
+//!
+//! The process load balancer that §4.2 and §6.5 depend on (Linux moving
+//! unpinned lighttpd processes off cores a batch job holds) is modelled
+//! in the runner, `app::runner`'s `SchedBalance` event; this crate has no
+//! run queues or wait queues.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,15 +38,14 @@ pub mod fastmap;
 pub mod fingerprint;
 pub mod lock;
 pub mod rng;
-pub mod sched;
 pub mod time;
 pub mod topology;
 pub mod wheel;
 
-pub use core_set::{CoreSet, TaskId};
+pub use core_set::CoreSet;
 pub use events::EventQueue;
 pub use fastmap::FastMap;
-pub use fingerprint::{ActiveFingerprint, Fingerprint, NoOpFingerprint};
+pub use fingerprint::Fingerprint;
 pub use lock::TimelineLock;
 pub use rng::SimRng;
 pub use time::Cycles;

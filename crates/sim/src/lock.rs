@@ -58,35 +58,12 @@ impl TimelineLock {
         self.free_at
     }
 
-    /// Whether the lock is held at time `now`.
-    #[must_use]
-    pub fn is_held_at(&self, now: Cycles) -> bool {
-        self.free_at > now
-    }
-
     /// Spin-acquires at `now`, busy-waiting until the lock is free.
     pub fn lock_spin(&mut self, now: Cycles) -> Acquired {
         let entry = now.max(self.free_at);
         Acquired {
             entry,
             spin_wait: entry - now,
-        }
-    }
-
-    /// Attempts to acquire without waiting.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(free_at)` when the lock is held at `now`; a mutex-mode
-    /// caller should sleep until then and retry.
-    pub fn try_lock(&mut self, now: Cycles) -> Result<Acquired, Cycles> {
-        if self.is_held_at(now) {
-            Err(self.free_at)
-        } else {
-            Ok(Acquired {
-                entry: now,
-                spin_wait: 0,
-            })
         }
     }
 
@@ -171,36 +148,18 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_fails_while_held() {
-        let mut l = TimelineLock::new(LockClass::Connection);
-        let mut s = ls();
-        let acq = l.lock_spin(10);
-        l.unlock(acq, 90, 0, &mut s);
-        assert_eq!(l.try_lock(50), Err(100));
-        assert!(l.try_lock(100).is_ok());
-    }
-
-    #[test]
     fn mutex_sleep_recorded_as_idle_wait() {
         let mut l = TimelineLock::new(LockClass::ListenSocket);
         let mut s = ls();
         l.run_locked(0, 1000, &mut s);
         // A mutex-mode caller slept 1000 cycles and then acquired.
-        let acq = l.try_lock(1000).expect("free at 1000");
+        let acq = l.lock_spin(1000);
+        assert_eq!(acq.spin_wait, 0);
         l.unlock(acq, 10, 1000, &mut s);
         if metrics::lockstat::ENABLED {
             let st = s.class(LockClass::ListenSocket);
             assert_eq!(st.wait_mutex_cycles, 1000);
         }
-    }
-
-    #[test]
-    fn is_held_at_boundaries() {
-        let mut l = TimelineLock::new(LockClass::SlabPool);
-        let mut s = ls();
-        l.run_locked(5, 10, &mut s);
-        assert!(l.is_held_at(14));
-        assert!(!l.is_held_at(15));
     }
 }
 

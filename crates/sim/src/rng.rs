@@ -34,13 +34,6 @@ impl SimRng {
         Self { s }
     }
 
-    /// Derives an independent child generator (for per-component streams).
-    #[must_use]
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let base = self.next_u64();
-        Self::new(base ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next uniform 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -170,15 +163,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exp(50.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 50.0).abs() < 2.0, "mean {mean}");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = SimRng::new(100);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 2);
     }
 
     #[test]

@@ -21,7 +21,6 @@ fn run(migration: bool) -> RunResult {
         Workload::base(),
         6_000.0,
     );
-    cfg.app_cycles = cfg.server.app_cycles();
     cfg.warmup = sim::time::ms(300);
     cfg.measure = sim::time::ms(600);
     cfg.hog_work = Some(sim::time::secs(10)); // runs throughout

@@ -10,8 +10,7 @@
 //! that result depends on:
 //!
 //! * [`sim`] — the multicore machines of §6.1 (48-core AMD, 80-core
-//!   Intel), a cycle-granularity event engine, timeline locks, and a
-//!   process load balancer.
+//!   Intel), a cycle-granularity event engine, and timeline locks.
 //! * [`mem`] — a MESI-flavoured cache-coherence cost model with
 //!   field-granular layouts of the kernel objects in Table 4, the slab
 //!   allocator, and the DProf profiler.

@@ -1,24 +1,26 @@
-//! dprof-v2 satellite tests: the per-cacheline ledger must be a pure
-//! observer (schedule fingerprints never move when it records, in either
-//! feature mode), and the ledger's independent sharing columns must agree
-//! with the original DProf Table-4 plane.
+//! dprof-v2 satellite tests: the per-cacheline ledger and the original
+//! DProf plane must be pure observers (schedule fingerprints never move
+//! when they record, in either feature mode), and the ledger's independent
+//! sharing columns must agree with the DProf Table-4 plane.
 
 mod common;
 
 use affinity_accept_repro::prelude::*;
 use common::{paper_base, Ledger, GOLDEN};
 
-/// The `paper_base` point with the ledger knob explicit.
-fn quick(listen: ListenKind, v2: bool) -> RunConfig {
+/// The `paper_base` point with both DProf planes (`dprof` and the
+/// `dprof_v2` ledger) on or off.
+fn quick(listen: ListenKind, dprof: bool) -> RunConfig {
     let mut cfg = paper_base(listen);
-    cfg.dprof_v2 = v2;
+    cfg.dprof = dprof;
+    cfg.dprof_v2 = dprof;
     cfg
 }
 
-/// Toggling the ledger never moves the schedule — in instrumented builds
-/// the goldens pin the exact fingerprints and what the ledger records;
-/// under `fast` both runs read zero and the equality still must hold (the
-/// knob is a no-op there).
+/// Toggling DProf and the ledger never moves the schedule — in
+/// instrumented builds the goldens pin the exact fingerprints and what the
+/// ledger records; under `fast` both runs read zero and the equality still
+/// must hold (the knobs are no-ops there).
 #[test]
 fn ledger_never_moves_the_schedule() {
     for pin in GOLDEN {
@@ -27,7 +29,7 @@ fn ledger_never_moves_the_schedule() {
         let on = Runner::new(quick(listen, true)).run();
         assert_eq!(
             off.fingerprint, on.fingerprint,
-            "{listen:?}: dprof-v2 moved the schedule"
+            "{listen:?}: dprof or dprof-v2 moved the schedule"
         );
         assert_eq!(off.served, on.served, "{listen:?}: served diverged");
         if cfg!(feature = "fast") {
@@ -84,9 +86,7 @@ fn ledger_never_moves_the_schedule() {
 #[cfg(not(feature = "fast"))]
 #[test]
 fn ledger_sharing_columns_agree_with_table4() {
-    let mut cfg = quick(ListenKind::Fine, true);
-    cfg.dprof = true;
-    let r = Runner::new(cfg).run();
+    let r = Runner::new(quick(ListenKind::Fine, true)).run();
     for ty in [
         DataType::TcpSock,
         DataType::SkBuff,

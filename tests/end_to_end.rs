@@ -45,12 +45,8 @@ fn affinity_preserves_locality_fine_destroys_it() {
 
 #[test]
 fn fine_pays_more_network_stack_cycles_than_affinity() {
-    let mut acfg = quick(ListenKind::Affinity, 16, 30_000.0);
-    let mut fcfg = quick(ListenKind::Fine, 16, 27_000.0);
-    acfg.dprof = true;
-    fcfg.dprof = true;
-    let aff = Runner::new(acfg).run();
-    let fine = Runner::new(fcfg).run();
+    let aff = Runner::new(quick(ListenKind::Affinity, 16, 30_000.0)).run();
+    let fine = Runner::new(quick(ListenKind::Fine, 16, 27_000.0)).run();
     let a = aff.perf.network_stack_cycles_per_request();
     let f = fine.perf.network_stack_cycles_per_request();
     assert!(

@@ -4,6 +4,7 @@
 
 use affinity_accept_repro::prelude::*;
 use sim::time::{ms, secs, to_ms};
+use std::sync::OnceLock;
 
 fn lb_config(hog: bool, stealing: bool, migration: bool) -> RunConfig {
     let mut wl = Workload::base();
@@ -17,7 +18,6 @@ fn lb_config(hog: bool, stealing: bool, migration: bool) -> RunConfig {
         // ~50% of 8-core lighttpd capacity.
         0.5 * 16_000.0 * 8.0 / 6.0,
     );
-    cfg.app_cycles = cfg.server.app_cycles();
     cfg.warmup = ms(500);
     cfg.measure = secs(2);
     cfg.hog_work = hog.then_some(secs(20));
@@ -26,11 +26,18 @@ fn lb_config(hog: bool, stealing: bool, migration: bool) -> RunConfig {
     cfg
 }
 
+/// The hogged run with stealing and migration on. Both the stealing and
+/// the migration test read it, so the binary runs it once.
+fn full_balancer() -> &'static RunResult {
+    static RUN: OnceLock<RunResult> = OnceLock::new();
+    RUN.get_or_init(|| Runner::new(lb_config(true, true, true)).run())
+}
+
 #[test]
 fn stealing_rescues_latency_under_interference() {
     let baseline = Runner::new(lb_config(false, true, true)).run();
     let without = Runner::new(lb_config(true, false, false)).run();
-    let with = Runner::new(lb_config(true, true, true)).run();
+    let with = full_balancer();
 
     let base_med = baseline.latency.median();
     let without_med = without.latency.median();
@@ -61,7 +68,7 @@ fn stealing_rescues_latency_under_interference() {
 #[test]
 fn migration_moves_flow_groups_and_reduces_stealing() {
     let steal_only = Runner::new(lb_config(true, true, false)).run();
-    let with_migration = Runner::new(lb_config(true, true, true)).run();
+    let with_migration = full_balancer();
     assert_eq!(steal_only.migrations, 0);
     assert!(with_migration.migrations > 0, "groups migrated");
     // Once groups move, connections arrive on non-hogged cores directly.
