@@ -7,7 +7,8 @@
 //!
 //! Clients are modelled as per-connection state machines driven by the
 //! runner; they cost no simulated server CPU. Each connection gets a
-//! unique source IP (the fleet is large) and a random source port — the
+//! unique source IP (the fleet is large), derived from its id so that a
+//! server packet names its connection, and a random source port — the
 //! low 12 bits of which determine the NIC flow group (§3.1).
 
 use crate::files::FileSet;
@@ -20,6 +21,9 @@ use sim::time::Cycles;
 
 /// Client-side connection id.
 pub type CConnId = u64;
+
+/// Source IP of client connection 0; connection `id` uses this plus `id`.
+const SRC_IP_BASE: u32 = 0x0b00_0000;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CState {
@@ -69,7 +73,6 @@ pub struct Clients {
     files: FileSet,
     rng: SimRng,
     conns: FastMap<CConnId, CConn>,
-    by_tuple: FastMap<FlowTuple, CConnId>,
     next_id: u64,
     measuring: bool,
     /// Connection service-time distribution (cycles), §6.5.
@@ -102,7 +105,6 @@ impl Clients {
             files,
             rng: SimRng::new(seed ^ 0xC11E_27F1_EE7A_11ED),
             conns: FastMap::default(),
-            by_tuple: FastMap::default(),
             next_id: 1,
             measuring: false,
             latencies: Histogram::new(),
@@ -162,7 +164,7 @@ impl Clients {
         self.next_id += 1;
         // Unique source IP per connection; random port picks a random
         // flow group.
-        let src_ip = 0x0b00_0000u32.wrapping_add(id as u32);
+        let src_ip = SRC_IP_BASE.wrapping_add(id as u32);
         let src_port = self.rng.range(1024, 65_535) as u16;
         let tuple = FlowTuple::client(src_ip, src_port, 80);
         self.conns.insert(
@@ -177,7 +179,6 @@ impl Clients {
                 requests_done: 0,
             },
         );
-        self.by_tuple.insert(tuple, id);
         self.total_started += 1;
         if self.measuring {
             self.started += 1;
@@ -185,10 +186,17 @@ impl Clients {
         (id, Packet::new(tuple, PacketKind::Syn, 0))
     }
 
-    /// Looks up the connection a server packet belongs to.
+    /// Looks up the live connection a server packet belongs to: the one
+    /// whose id its source IP encodes, if that connection's tuple is the
+    /// packet's. Ids stay below 2^32 (the runner's event storage panics
+    /// first), so the encoding is one to one.
     #[must_use]
     pub fn conn_of(&self, tuple: &FlowTuple) -> Option<CConnId> {
-        self.by_tuple.get(tuple).copied()
+        let id = CConnId::from(tuple.src_ip.wrapping_sub(SRC_IP_BASE));
+        self.conns
+            .get(&id)
+            .is_some_and(|c| c.tuple == *tuple)
+            .then_some(id)
     }
 
     fn finish(&mut self, id: CConnId, now: Cycles, how: Finish) {
@@ -205,8 +213,6 @@ impl Clients {
                     Finish::TimedOut => self.timeouts += 1,
                 }
             }
-            let tuple = c.tuple;
-            self.by_tuple.remove(&tuple);
             self.conns.remove(&id);
         }
     }
@@ -412,7 +418,38 @@ mod tests {
     fn conn_lookup_by_tuple() {
         let mut c = fleet();
         let (id, syn) = c.start_conn(0);
+        let (other, other_syn) = c.start_conn(0);
         assert_eq!(c.conn_of(&syn.tuple), Some(id));
+        assert_eq!(c.conn_of(&other_syn.tuple), Some(other));
+        // The same source IP with another port is no connection of ours.
+        let stray = FlowTuple {
+            src_port: syn.tuple.src_port.wrapping_add(1),
+            ..syn.tuple
+        };
+        assert_eq!(c.conn_of(&stray), None);
+        // Nor is an IP below the fleet's range, or one no id has reached.
+        assert_eq!(
+            c.conn_of(&FlowTuple::client(7, syn.tuple.src_port, 80)),
+            None
+        );
+        let unused = FlowTuple::client(SRC_IP_BASE + 3, syn.tuple.src_port, 80);
+        assert_eq!(c.conn_of(&unused), None);
+        // A connection that timed out is gone.
+        c.on_timeout(secs(10), id).expect("timed out");
+        assert_eq!(c.conn_of(&syn.tuple), None);
+        assert_eq!(c.conn_of(&other_syn.tuple), Some(other));
+    }
+
+    #[test]
+    fn completed_connection_is_no_longer_found() {
+        let mut c = Clients::new(Workload::with_requests_per_conn(1), 3);
+        let (id, syn) = c.start_conn(0);
+        let tuple = syn.tuple;
+        assert_eq!(c.conn_of(&tuple), Some(id));
+        let r = c.on_server_packet(1, id, &Packet::new(tuple, PacketKind::SynAck, 0));
+        let bytes = expected_bytes(&c, r.send[1].tag);
+        assert!(respond(&mut c, 2, id, tuple, bytes).done);
+        assert_eq!(c.conn_of(&tuple), None);
     }
 
     #[test]

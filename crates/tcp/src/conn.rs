@@ -7,7 +7,13 @@
 //! paper is about — the pair of cores that touch it: the core the NIC's
 //! steering delivers its packets to (`rx_core`) and the core whose
 //! application thread accepted it (`app_core`).
+//!
+//! The three queues are [`List`]s: a connection keeps only their ends,
+//! and their items live in node slabs that the
+//! [`Kernel`](crate::Kernel) shares among all connections, so a `Conn` is
+//! one fixed-size record with no heap block of its own.
 
+use crate::fifo::List;
 use mem::ObjId;
 use nic::FlowTuple;
 use serde::{Deserialize, Serialize};
@@ -42,15 +48,6 @@ pub struct RxSegment {
     pub tag: u32,
 }
 
-/// Transmit-side buffers in flight until the client acknowledges them.
-#[derive(Debug, Clone, Default)]
-pub struct TxInflight {
-    /// Send-buffer chunks (`slab:size-1024`).
-    pub chunks: Vec<ObjId>,
-    /// Transmit `sk_buff`s.
-    pub skbs: Vec<ObjId>,
-}
-
 /// An established connection.
 #[derive(Debug)]
 pub struct Conn {
@@ -71,10 +68,14 @@ pub struct Conn {
     pub app_core: Option<CoreId>,
     /// Lifecycle state.
     pub state: ConnState,
-    /// Received segments awaiting `read()`.
-    pub rcv_queue: Vec<RxSegment>,
-    /// Unacknowledged transmit buffers.
-    pub tx_inflight: TxInflight,
+    /// Received segments awaiting `read()`, in the kernel's `rx_segs`.
+    pub rcv_queue: List,
+    /// Send-buffer chunks (`slab:size-1024`) awaiting their
+    /// acknowledgment, in the kernel's `tx_bufs`.
+    pub tx_chunks: List,
+    /// Transmit `sk_buff`s awaiting completion or acknowledgment, in the
+    /// kernel's `tx_bufs`.
+    pub tx_skbs: List,
     /// The per-connection (`sock`) lock.
     pub lock: TimelineLock,
     /// Requests completed on this connection (for accounting).
@@ -82,7 +83,7 @@ pub struct Conn {
 }
 
 // One per live connection: about 400k at Figure 8's 1 s think time.
-const _: () = assert!(std::mem::size_of::<Conn>() == 160);
+const _: () = assert!(std::mem::size_of::<Conn>() == 112);
 
 impl Conn {
     /// Creates an established connection whose packets arrive on `rx_core`.
@@ -97,8 +98,9 @@ impl Conn {
             rx_core,
             app_core: None,
             state: ConnState::Established,
-            rcv_queue: Vec::new(),
-            tx_inflight: TxInflight::default(),
+            rcv_queue: List::EMPTY,
+            tx_chunks: List::EMPTY,
+            tx_skbs: List::EMPTY,
             lock: TimelineLock::new(metrics::lockstat::LockClass::Connection),
             requests_done: 0,
         }

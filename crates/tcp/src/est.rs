@@ -6,8 +6,13 @@
 //! performs a lookup here, and insert/remove on connection setup/teardown
 //! write the bucket chains — the residual cross-core sharing that remains
 //! even under Affinity-Accept.
+//!
+//! Each bucket keeps its chain as a [`List`] whose nodes, one per
+//! connection with its [`FlowTuple`], share the table's one [`FifoSlab`];
+//! a lookup walks the chain's nodes and probes no map.
 
 use crate::conn::ConnId;
+use crate::fifo::{FifoSlab, List};
 use mem::{CacheModel, DataType, ObjId};
 use metrics::lockstat::LockClass;
 use nic::FlowTuple;
@@ -17,16 +22,17 @@ use sim::topology::CoreId;
 struct Bucket {
     lock: TimelineLock,
     head: ObjId,
-    items: Vec<(FlowTuple, ConnId)>,
+    chain: List,
 }
 
 // `EST_TABLE_BUCKETS` (65,536) per run: every byte here is 64 KiB of host
 // memory.
-const _: () = assert!(std::mem::size_of::<Bucket>() == 48);
+const _: () = assert!(std::mem::size_of::<Bucket>() == 32);
 
 /// The established-connections table.
 pub struct EstTable {
     buckets: Vec<Bucket>,
+    chains: FifoSlab<(FlowTuple, ConnId)>,
     mask: usize,
     len: usize,
 }
@@ -48,11 +54,12 @@ impl EstTable {
             .map(|_| Bucket {
                 lock: TimelineLock::new(LockClass::EstablishedBucket),
                 head: cache.alloc(DataType::HashBucket, CoreId(0)),
-                items: Vec::new(),
+                chain: List::EMPTY,
             })
             .collect();
         Self {
             buckets,
+            chains: FifoSlab::new(),
             mask: n - 1,
             len: 0,
         }
@@ -86,23 +93,24 @@ impl EstTable {
         self.buckets[self.bucket_of(tuple)].head
     }
 
-    /// Inserts an established connection.
+    /// The chain of `tuple`'s bucket, oldest connection first.
+    fn chain(&self, tuple: &FlowTuple) -> impl Iterator<Item = &(FlowTuple, ConnId)> + '_ {
+        self.chains.iter(self.buckets[self.bucket_of(tuple)].chain)
+    }
+
+    /// Inserts an established connection at the tail of its chain.
     pub fn insert(&mut self, tuple: FlowTuple, conn: ConnId) {
+        debug_assert!(!self.chain(&tuple).any(|(t, _)| *t == tuple));
         let b = self.bucket_of(&tuple);
-        debug_assert!(!self.buckets[b].items.iter().any(|(t, _)| *t == tuple));
-        self.buckets[b].items.push((tuple, conn));
+        self.chains
+            .push_back(&mut self.buckets[b].chain, (tuple, conn));
         self.len += 1;
     }
 
     /// Per-packet lookup.
     #[must_use]
     pub fn lookup(&self, tuple: &FlowTuple) -> Option<ConnId> {
-        let b = self.bucket_of(tuple);
-        self.buckets[b]
-            .items
-            .iter()
-            .find(|(t, _)| t == tuple)
-            .map(|(_, c)| *c)
+        self.chain(tuple).find(|(t, _)| t == tuple).map(|(_, c)| *c)
     }
 
     /// Another connection in `tuple`'s bucket chain, if any — hash-chain
@@ -112,20 +120,16 @@ impl EstTable {
     /// global lists; multiple cores manipulate these lists").
     #[must_use]
     pub fn chain_neighbor(&self, tuple: &FlowTuple, not: ConnId) -> Option<ConnId> {
-        let b = self.bucket_of(tuple);
-        self.buckets[b]
-            .items
-            .iter()
-            .find(|(_, c)| *c != not)
-            .map(|(_, c)| *c)
+        self.chain(tuple).find(|(_, c)| *c != not).map(|(_, c)| *c)
     }
 
     /// Removes a connection at teardown; returns whether it was present.
     pub fn remove(&mut self, tuple: &FlowTuple) -> bool {
         let b = self.bucket_of(tuple);
-        let before = self.buckets[b].items.len();
-        self.buckets[b].items.retain(|(t, _)| t != tuple);
-        let removed = self.buckets[b].items.len() < before;
+        let removed = self
+            .chains
+            .remove_first(&mut self.buckets[b].chain, |(t, _)| t == tuple)
+            .is_some();
         if removed {
             self.len -= 1;
         }
@@ -170,6 +174,31 @@ mod tests {
                 Some(ConnId(u64::from(port)))
             );
         }
+    }
+
+    #[test]
+    fn one_chain_keeps_insertion_order_across_removals() {
+        // One bucket: every connection shares a chain, as colliding flows
+        // do in the full-size table.
+        let mut cache = CacheModel::new(Machine::amd48());
+        let mut t = EstTable::new(1, &mut cache);
+        let tuple = |port| FlowTuple::client(4, port, 80);
+        for port in 1..=4u16 {
+            t.insert(tuple(port), ConnId(u64::from(port)));
+        }
+        // The neighbour is the oldest other connection on the chain.
+        assert_eq!(t.chain_neighbor(&tuple(3), ConnId(3)), Some(ConnId(1)));
+        assert_eq!(t.chain_neighbor(&tuple(1), ConnId(1)), Some(ConnId(2)));
+        assert!(t.remove(&tuple(1)));
+        assert!(t.remove(&tuple(3)));
+        assert_eq!(t.chain_neighbor(&tuple(2), ConnId(2)), Some(ConnId(4)));
+        t.insert(tuple(5), ConnId(5));
+        assert_eq!(t.lookup(&tuple(5)), Some(ConnId(5)));
+        assert_eq!(t.lookup(&tuple(3)), None);
+        assert!(t.remove(&tuple(2)));
+        assert!(t.remove(&tuple(4)));
+        assert_eq!(t.chain_neighbor(&tuple(5), ConnId(5)), None);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -5,10 +5,17 @@
 //! performance counters, the connection table, and the global request and
 //! established hash tables. The listen-socket implementations and the
 //! application runner operate on `&mut Kernel`.
+//!
+//! The kernel also owns the two node slabs that hold every connection's
+//! queues: received segments in `rx_segs`, and in-flight send chunks and
+//! transmit `sk_buff`s in `tx_bufs`. A connection keeps only its lists'
+//! ends, so the data-path ops reach the slabs through [`KernelParts`], and
+//! a connection must be closed (its lists drained) before it is removed.
 
-use crate::conn::{Conn, ConnId};
+use crate::conn::{Conn, ConnId, RxSegment};
 use crate::costs::EntryCost;
 use crate::est::EstTable;
+use crate::fifo::FifoSlab;
 use crate::req::ReqTable;
 use mem::cache::Access;
 use mem::{CacheModel, DataType, ObjId, SlabAllocator};
@@ -55,6 +62,11 @@ pub struct Kernel {
     /// The shared request hash table.
     pub reqs: ReqTable,
     conns: FastMap<u64, Conn>,
+    /// Every connection's received segments awaiting `read()`.
+    pub(crate) rx_segs: FifoSlab<RxSegment>,
+    /// Every connection's unacknowledged send chunks and transmit
+    /// `sk_buff`s.
+    pub(crate) tx_bufs: FifoSlab<ObjId>,
     next_conn: u64,
     conns_removed: u64,
     /// Static-content `file` objects (the served file set).
@@ -82,6 +94,8 @@ impl Kernel {
             est,
             reqs,
             conns: FastMap::default(),
+            rx_segs: FifoSlab::new(),
+            tx_bufs: FifoSlab::new(),
             next_conn: 1,
             conns_removed: 0,
             files: Vec::new(),
@@ -163,7 +177,12 @@ impl Kernel {
     /// Removes a closed connection from the table.
     pub fn remove_conn(&mut self, id: ConnId) -> Option<Conn> {
         let removed = self.conns.remove(&id.0);
-        if removed.is_some() {
+        if let Some(c) = &removed {
+            // `sys_close` drains the lists; nodes left on them would leak.
+            debug_assert!(
+                c.rcv_queue.is_empty() && c.tx_chunks.is_empty() && c.tx_skbs.is_empty(),
+                "{id:?} removed with queued buffers"
+            );
             self.conns_removed += 1;
         }
         removed
@@ -201,6 +220,8 @@ impl Kernel {
                 perf: &mut self.perf,
                 est: &mut self.est,
                 reqs: &mut self.reqs,
+                rx_segs: &mut self.rx_segs,
+                tx_bufs: &mut self.tx_bufs,
                 user_cycles: &mut self.user_cycles,
             },
         )
@@ -241,6 +262,10 @@ pub struct KernelParts<'a> {
     pub est: &'a mut EstTable,
     /// Request table.
     pub reqs: &'a mut ReqTable,
+    /// Received-segment slab.
+    pub(crate) rx_segs: &'a mut FifoSlab<RxSegment>,
+    /// Transmit-buffer slab.
+    pub(crate) tx_bufs: &'a mut FifoSlab<ObjId>,
     /// User-cycle accumulator.
     pub user_cycles: &'a mut u64,
 }
@@ -300,6 +325,20 @@ mod tests {
         assert!(k.conn(id).has_affinity());
         assert!(k.remove_conn(id).is_some());
         assert!(!k.has_conn(id));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "removed with queued buffers")]
+    fn removing_a_connection_with_queued_buffers_panics() {
+        use crate::ops;
+        let mut k = Kernel::new(Machine::amd48());
+        let tuple = FlowTuple::client(1, 2, 80);
+        let (_, req) = ops::syn(&mut k, CoreId(0), 0, tuple, true);
+        let (_, id, _) = ops::ack_establish(&mut k, CoreId(0), 0, req, true).expect("established");
+        ops::data_rx(&mut k, CoreId(0), 0, id, 300, 0, None);
+        // No `sys_close`: the received segment is still queued.
+        k.remove_conn(id);
     }
 
     #[test]

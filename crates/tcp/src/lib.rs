@@ -7,7 +7,8 @@
 //!
 //! * [`kernel::Kernel`] — the per-run kernel context: the cache model, the
 //!   slab allocator, `lock_stat`, performance counters, the connection
-//!   table, and the global established/request hash tables.
+//!   table, the global established/request hash tables, and the shared
+//!   node slabs that hold every connection's buffer queues.
 //! * [`costs`] — per-entry instruction budgets and fixed miss counts,
 //!   calibrated so that an Affinity-Accept run lands near Table 3's
 //!   per-request counters; the *differences* between implementations are
@@ -22,6 +23,9 @@
 //!   per-bucket locks.
 //! * [`conn`] — connection state: the `tcp_sock` object, receive queue,
 //!   in-flight transmit buffers, and core assignments.
+//! * [`fifo`] — FIFO lists in one shared node slab, which hold the
+//!   connections' queues and the hash tables' chains without a heap block
+//!   per connection or per bucket.
 //!
 //! The listen-socket implementations themselves (Stock, Fine, Affinity)
 //! live in the `affinity-accept` crate and compose these primitives under
@@ -33,6 +37,7 @@
 pub mod conn;
 pub mod costs;
 pub mod est;
+pub mod fifo;
 pub mod kernel;
 pub mod ops;
 pub mod req;

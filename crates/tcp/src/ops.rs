@@ -285,12 +285,15 @@ pub fn data_rx(
     let hold = CONN_LOCK_HOLD_BASE + tracked.latency;
     let (_, spin) = conn_ref.lock.run_locked(at, hold, p.lockstat);
     let lock_overhead = p.lockstat.op_overhead();
-    conn_ref.rcv_queue.push(RxSegment {
-        skb,
-        page,
-        payload,
-        tag,
-    });
+    p.rx_segs.push_back(
+        &mut conn_ref.rcv_queue,
+        RxSegment {
+            skb,
+            page,
+            payload,
+            tag,
+        },
+    );
     let cycles = charge_parts(p.machine, p.perf, costs::SOFTIRQ_DATA, tracked);
     cycles + spin + lock_overhead
 }
@@ -318,16 +321,14 @@ pub fn data_ack_rx(k: &mut Kernel, core: CoreId, at: Cycles, conn: ConnId) -> Cy
     let hold = CONN_LOCK_HOLD_BASE + tracked.latency;
     let (_, spin) = conn_ref.lock.run_locked(at, hold, p.lockstat);
     let lock_overhead = p.lockstat.op_overhead();
-    // Drain in place: the inflight vectors keep their capacity for the
-    // connection's next response.
-    for chunk in conn_ref.tx_inflight.chunks.drain(..) {
+    while let Some(chunk) = p.tx_bufs.pop_front(&mut conn_ref.tx_chunks) {
         tracked.add(
             p.cache
                 .access_tagged(core, chunk, FieldTag::BothRwByApp, false),
         );
         tracked.add(p.slab.free(core, chunk, p.cache));
     }
-    for skb in conn_ref.tx_inflight.skbs.drain(..) {
+    while let Some(skb) = p.tx_bufs.pop_front(&mut conn_ref.tx_skbs) {
         tracked.add(p.slab.free(core, skb, p.cache));
     }
     let cycles = charge_parts(p.machine, p.perf, costs::SOFTIRQ_DATA_ACK, tracked);
@@ -352,7 +353,7 @@ pub fn tx_complete(k: &mut Kernel, core: CoreId, at: Cycles, conn: ConnId) -> Cy
         p.cache
             .access_tagged(core, sock, FieldTag::BothRwByApp, false),
     );
-    for skb in conn_ref.tx_inflight.skbs.drain(..) {
+    while let Some(skb) = p.tx_bufs.pop_front(&mut conn_ref.tx_skbs) {
         tracked.add(
             p.cache
                 .access_tagged(core, skb, FieldTag::BothRwByRx, false),
@@ -470,7 +471,9 @@ pub fn sys_read(k: &mut Kernel, core: CoreId, at: Cycles, conn: ConnId) -> (Cycl
             .access_tagged(core, sock, FieldTag::BothRwByRx, false),
     );
     tracked.add(access_some(p.cache, core, sock, FieldTag::AppOnly, true, 4));
-    for seg in &conn_ref.rcv_queue {
+    let mut tags = Vec::new();
+    for seg in p.rx_segs.iter(conn_ref.rcv_queue) {
+        tags.push(seg.tag);
         tracked.add(
             p.cache
                 .access_tagged(core, seg.skb, FieldTag::BothRwByRx, false),
@@ -496,11 +499,8 @@ pub fn sys_read(k: &mut Kernel, core: CoreId, at: Cycles, conn: ConnId) -> (Cycl
     let (_, spin) = conn_ref.lock.run_locked(at, hold, p.lockstat);
     let lock_overhead = p.lockstat.op_overhead();
     // Free the consumed buffers on the reading core (§2.2's remote
-    // deallocation problem when that is not the allocating core). Draining
-    // in place keeps the queue's capacity for the next request.
-    let mut tags = Vec::with_capacity(conn_ref.rcv_queue.len());
-    for seg in conn_ref.rcv_queue.drain(..) {
-        tags.push(seg.tag);
+    // deallocation problem when that is not the allocating core).
+    while let Some(seg) = p.rx_segs.pop_front(&mut conn_ref.rcv_queue) {
         tracked.add(p.slab.free(core, seg.skb, p.cache));
         tracked.add(p.slab.free(core, seg.page, p.cache));
     }
@@ -522,8 +522,7 @@ pub fn sys_writev(
     let mut tracked = Access::default();
     let (conns, p) = k.split();
     let conn_ref = conns.get_mut(&conn.0).expect("live connection");
-    // The fresh buffers go straight onto the inflight queues, whose
-    // capacity survives from the connection's previous responses.
+    // The fresh buffers go straight onto the inflight queues.
     for _ in 0..n_chunks {
         let (chunk, cost) = p.slab.alloc(core, DataType::Slab1024, p.cache);
         tracked.add(cost);
@@ -534,13 +533,13 @@ pub fn sys_writev(
         // Copy the response into the chunk: touches the whole payload
         // region (warm only if this core freed the chunk recently).
         tracked.add(p.cache.access_tagged(core, chunk, FieldTag::AppOnly, true));
-        conn_ref.tx_inflight.chunks.push(chunk);
+        p.tx_bufs.push_back(&mut conn_ref.tx_chunks, chunk);
     }
     for _ in 0..n_pkts {
         let (skb, cost) = p.slab.alloc(core, DataType::SkBuff, p.cache);
         tracked.add(cost);
         tracked.add(p.cache.access_tagged(core, skb, FieldTag::BothRwByRx, true));
-        conn_ref.tx_inflight.skbs.push(skb);
+        p.tx_bufs.push_back(&mut conn_ref.tx_skbs, skb);
     }
     let sock = conn_ref.sock;
     tracked.add(lock_word_access(p.cache, core, sock));
@@ -687,26 +686,21 @@ pub fn sys_close(k: &mut Kernel, core: CoreId, at: Cycles, conn: ConnId) -> Cycl
     // Drain anything the client left unread / unacknowledged.
     let (conns, p) = k.split();
     let conn_ref = conns.get_mut(&conn.0).expect("live connection");
-    let segs = std::mem::take(&mut conn_ref.rcv_queue);
-    let chunks = std::mem::take(&mut conn_ref.tx_inflight.chunks);
-    let skbs = std::mem::take(&mut conn_ref.tx_inflight.skbs);
-    let fd = conn_ref.fd.take();
-    let meta = conn_ref.meta.take();
     conn_ref.state = ConnState::Closed;
-    for seg in segs {
+    while let Some(seg) = p.rx_segs.pop_front(&mut conn_ref.rcv_queue) {
         tracked.add(p.slab.free(core, seg.skb, p.cache));
         tracked.add(p.slab.free(core, seg.page, p.cache));
     }
-    for chunk in chunks {
+    while let Some(chunk) = p.tx_bufs.pop_front(&mut conn_ref.tx_chunks) {
         tracked.add(p.slab.free(core, chunk, p.cache));
     }
-    for skb in skbs {
+    while let Some(skb) = p.tx_bufs.pop_front(&mut conn_ref.tx_skbs) {
         tracked.add(p.slab.free(core, skb, p.cache));
     }
-    if let Some(fd) = fd {
+    if let Some(fd) = conn_ref.fd.take() {
         tracked.add(p.slab.free(core, fd, p.cache));
     }
-    if let Some(meta) = meta {
+    if let Some(meta) = conn_ref.meta.take() {
         tracked.add(p.slab.free(core, meta, p.cache));
     }
     tracked.add(p.slab.free(core, sock, p.cache));
@@ -787,15 +781,15 @@ mod tests {
 
         // One request/response round trip.
         data_rx(&mut k, RX, 3000, conn, 300, 0, None);
-        assert_eq!(k.conn(conn).rcv_queue.len(), 1);
+        assert_eq!(k.rx_segs.iter(k.conn(conn).rcv_queue).count(), 1);
         let _ = sys_read(&mut k, APP_LOCAL, 4000, conn);
         assert!(k.conn(conn).rcv_queue.is_empty());
         app_request(&mut k, APP_LOCAL, 3, 50_000);
         let (_, pkts) = sys_writev(&mut k, APP_LOCAL, 5000, conn, 700);
         assert_eq!(pkts, 1);
-        assert!(!k.conn(conn).tx_inflight.chunks.is_empty());
+        assert!(!k.conn(conn).tx_chunks.is_empty());
         data_ack_rx(&mut k, RX, 6000, conn);
-        assert!(k.conn(conn).tx_inflight.chunks.is_empty());
+        assert!(k.conn(conn).tx_chunks.is_empty());
 
         fin_rx(&mut k, RX, 7000, conn, None);
         assert_eq!(k.conn(conn).state, ConnState::Closing);
@@ -838,7 +832,7 @@ mod tests {
         accept_established(&mut k, RX, 0, conn, req_obj);
         let (_, pkts) = sys_writev(&mut k, RX, 0, conn, 5670);
         assert_eq!(pkts, 4); // ceil(5670 / 1448)
-        assert_eq!(k.conn(conn).tx_inflight.skbs.len(), 4);
+        assert_eq!(k.tx_bufs.iter(k.conn(conn).tx_skbs).count(), 4);
     }
 
     #[test]
@@ -938,7 +932,7 @@ mod proptests {
                     data_ack_rx(&mut k, rx, at, *conn);
                 }
                 prop_assert!(k.conn(*conn).rcv_queue.is_empty());
-                prop_assert!(k.conn(*conn).tx_inflight.chunks.is_empty());
+                prop_assert!(k.conn(*conn).tx_chunks.is_empty());
             }
             for conn in &conns {
                 at += 100_000;

@@ -8,8 +8,14 @@
 //!
 //! Stock-Accept uses the same structure but serializes every operation
 //! under the single listen-socket lock instead of the bucket locks.
+//!
+//! Each bucket keeps its chain as a [`List`] whose nodes, one per request
+//! with its [`FlowTuple`], share the table's one [`FifoSlab`]: a lookup by
+//! tuple walks the chain's nodes, and only the request it finds is read
+//! from the id-keyed map.
 
 use crate::conn::ConnId;
+use crate::fifo::{FifoSlab, List};
 use mem::{CacheModel, DataType, ObjId};
 use metrics::lockstat::LockClass;
 use nic::FlowTuple;
@@ -40,12 +46,13 @@ pub struct ReqSock {
 struct Bucket {
     lock: TimelineLock,
     head: ObjId,
-    items: Vec<ReqId>,
+    chain: List,
 }
 
 /// The shared request hash table with per-bucket locks.
 pub struct ReqTable {
     buckets: Vec<Bucket>,
+    chains: FifoSlab<(FlowTuple, ReqId)>,
     reqs: FastMap<u64, ReqSock>,
     next: u64,
     mask: usize,
@@ -69,11 +76,12 @@ impl ReqTable {
             .map(|_| Bucket {
                 lock: TimelineLock::new(LockClass::RequestBucket),
                 head: cache.alloc(DataType::HashBucket, CoreId(0)),
-                items: Vec::new(),
+                chain: List::EMPTY,
             })
             .collect();
         Self {
             buckets,
+            chains: FifoSlab::new(),
             reqs: FastMap::default(),
             next: 1,
             mask: n - 1,
@@ -121,7 +129,8 @@ impl ReqTable {
         let id = ReqId(self.next);
         self.next += 1;
         let b = self.bucket_of(&tuple);
-        self.buckets[b].items.push(id);
+        self.chains
+            .push_back(&mut self.buckets[b].chain, (tuple, id));
         self.reqs.insert(
             id.0,
             ReqSock {
@@ -138,11 +147,10 @@ impl ReqTable {
     #[must_use]
     pub fn lookup(&self, tuple: &FlowTuple) -> Option<ReqId> {
         let b = self.bucket_of(tuple);
-        self.buckets[b]
-            .items
-            .iter()
-            .copied()
-            .find(|id| self.reqs.get(&id.0).is_some_and(|r| r.tuple == *tuple))
+        self.chains
+            .iter(self.buckets[b].chain)
+            .find(|(t, _)| t == tuple)
+            .map(|(_, id)| *id)
     }
 
     /// Removes a request from its chain and returns it (ACK processing:
@@ -151,7 +159,8 @@ impl ReqTable {
     pub fn remove(&mut self, id: ReqId) -> Option<ReqSock> {
         let req = self.reqs.remove(&id.0)?;
         let b = self.bucket_of(&req.tuple);
-        self.buckets[b].items.retain(|r| *r != id);
+        self.chains
+            .remove_first(&mut self.buckets[b].chain, |(_, r)| *r == id);
         Some(req)
     }
 

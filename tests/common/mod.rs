@@ -46,10 +46,14 @@ pub struct Work {
     /// Heap allocations of a warm run: the second run on one thread, so
     /// the event-queue pool and one-time set-up are already paid for.
     pub allocs: u64,
+    /// The warm run's high-water mark of live requested heap bytes, above
+    /// what its thread held before it: the run's host memory, without
+    /// allocator overhead.
+    pub peak_heap: u64,
 }
 
 impl Work {
-    pub fn of(r: &RunResult, allocs: u64) -> Self {
+    pub fn of(r: &RunResult, allocs: u64, peak_heap: u64) -> Self {
         Self {
             events: r.events_executed,
             cascaded: r.cascaded,
@@ -59,6 +63,7 @@ impl Work {
                 .sum(),
             l2_misses: r.perf.total_l2_misses(),
             allocs,
+            peak_heap,
         }
     }
 }
@@ -117,7 +122,8 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 32_155,
             kernel_calls: 74_359,
             l2_misses: 3_195_229,
-            allocs: 39_025,
+            allocs: 26_641,
+            peak_heap: 5_573_911,
         },
         ledger: Ledger {
             touches: 2_388_855,
@@ -134,7 +140,8 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 31_611,
             kernel_calls: 73_969,
             l2_misses: 3_170_716,
-            allocs: 39_132,
+            allocs: 26_671,
+            peak_heap: 5_577_791,
         },
         ledger: Ledger {
             touches: 2_375_575,
@@ -151,7 +158,8 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 30_233,
             kernel_calls: 73_931,
             l2_misses: 2_373_132,
-            allocs: 39_009,
+            allocs: 26_571,
+            peak_heap: 5_174_519,
         },
         ledger: Ledger {
             touches: 2_379_538,
@@ -168,7 +176,8 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 32_044,
             kernel_calls: 74_372,
             l2_misses: 3_200_675,
-            allocs: 39_140,
+            allocs: 26_658,
+            peak_heap: 6_716_407,
         },
         ledger: Ledger {
             touches: 2_392_502,
@@ -185,7 +194,8 @@ pub const GOLDEN: [Pin; 5] = [
             cascaded: 44_754,
             kernel_calls: 73_962,
             l2_misses: 2_374_095,
-            allocs: 39_061,
+            allocs: 26_582,
+            peak_heap: 5_174_519,
         },
         ledger: Ledger {
             touches: 2_379_958,

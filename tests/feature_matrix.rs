@@ -14,8 +14,8 @@
 //! must match the golden hash, the fast build must report exactly 0.
 //!
 //! The work pins of `common::GOLDEN` hold in both modes too, including
-//! the heap allocations of a warm run, which this file counts with its
-//! own global allocator.
+//! the heap allocations of a warm run and its peak of live heap bytes,
+//! which this file measures with its own global allocator.
 
 mod common;
 
@@ -24,31 +24,46 @@ use common::{paper_base, pin, Work, GOLDEN};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts heap allocations per thread, so tests running in parallel do
-/// not see each other's.
+/// Counts heap allocations and live requested bytes per thread, so tests
+/// running in parallel do not see each other's.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Requested bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<u64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last reset.
+    static PEAK: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc(layout: Layout) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    let live = LIVE.with(|l| {
+        l.set(l.get().wrapping_add(layout.size() as u64));
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 // SAFETY: `alloc`, `alloc_zeroed` and `dealloc` forward their arguments to
-// `System`, which upholds the `GlobalAlloc` contract. The count lives in a
-// const-initialised thread-local without a destructor, so bumping it never
-// allocates. `realloc` keeps the trait's default (allocate, copy, free), so
-// every buffer growth counts as an allocation.
+// `System`, which upholds the `GlobalAlloc` contract. The counts live in
+// const-initialised thread-locals without destructors, so updating them
+// never allocates. `realloc` keeps the trait's default (allocate, copy,
+// free), so every buffer growth counts as an allocation and the peak
+// counts its old and new blocks together.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count_alloc(layout);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count_alloc(layout);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|l| l.set(l.get().wrapping_sub(layout.size() as u64)));
         System.dealloc(ptr, layout);
     }
 }
@@ -57,16 +72,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTING: CountingAlloc = CountingAlloc;
 
 /// Runs `listen`'s `paper_base` config twice on a fresh thread and returns
-/// the second run with the heap allocations it made, building its config
+/// the second run's work: its events and kernel counts, the heap
+/// allocations it made and its high-water mark of live requested heap
+/// bytes above what the thread held when it began, building its config
 /// included. The first run fills the thread's event-queue pool (and pays
 /// the process's one-time set-up if it is the first), so only the warm
-/// run's count is stable.
-fn warm_run(listen: ListenKind) -> (RunResult, u64) {
+/// run's counts are stable.
+fn warm_run(listen: ListenKind) -> (RunResult, Work) {
     std::thread::spawn(move || {
         let _cold = Runner::new(paper_base(listen)).run();
-        let before = ALLOCS.with(Cell::get);
+        let allocs = ALLOCS.with(Cell::get);
+        let live = LIVE.with(Cell::get);
+        PEAK.with(|p| p.set(live));
         let r = Runner::new(paper_base(listen)).run();
-        (r, ALLOCS.with(Cell::get) - before)
+        let work = Work::of(
+            &r,
+            ALLOCS.with(Cell::get) - allocs,
+            PEAK.with(Cell::get) - live,
+        );
+        (r, work)
     })
     .join()
     .expect("warm run")
@@ -199,14 +223,14 @@ fn fingerprint_matches_the_mode() {
 }
 
 /// The work pins hold in this build, whichever mode it is: the same
-/// events, cascades, kernel-entry calls, L2 misses and warm-run heap
-/// allocations for every listen kind.
+/// events, cascades, kernel-entry calls, L2 misses, warm-run heap
+/// allocations and peak live heap bytes for every listen kind.
 #[test]
 fn work_matches_the_pins() {
     for p in GOLDEN {
-        let (r, allocs) = warm_run(p.kind);
+        let (_, work) = warm_run(p.kind);
         assert_eq!(
-            Work::of(&r, allocs),
+            work,
             p.work,
             "{:?}: the work of a paper_base run moved (fast={})",
             p.kind,
@@ -251,7 +275,7 @@ fn the_comparison_has_teeth() {
     // a metric accidentally dropped from `EndState` or `Work` (or an
     // assert reduced to a subset) would silently weaken every test above.
     let (listen, golden) = END_STATE[0];
-    let (r, allocs) = warm_run(listen);
+    let (r, work) = warm_run(listen);
     let actual = EndState::of(&r);
     assert_eq!(actual, golden);
     let corruptions = [
@@ -324,7 +348,6 @@ fn the_comparison_has_teeth() {
         assert_ne!(actual, *bad, "corrupted field #{i} went undetected");
     }
 
-    let work = Work::of(&r, allocs);
     let golden = pin(listen).work;
     assert_eq!(work, golden);
     let corruptions = [
@@ -346,6 +369,10 @@ fn the_comparison_has_teeth() {
         },
         Work {
             allocs: golden.allocs + 1,
+            ..golden
+        },
+        Work {
+            peak_heap: golden.peak_heap + 1,
             ..golden
         },
     ];
