@@ -158,9 +158,9 @@ pub struct RunAudit {
     pub reqs_created: u64,
     /// Request-table entries still half-open at end of run.
     pub reqs_residual: u64,
-    /// dprof-v2 cacheline-ledger totals across all types (every counter
-    /// zero when the ledger is off); the byte-conservation, fill, eviction
-    /// and reuse laws below are re-derived from this.
+    /// dprof-v2 cacheline-ledger totals (every counter zero when the
+    /// ledger is off); the byte-conservation and fill laws below are
+    /// re-derived from this.
     pub cacheline: LineAgg,
     /// Whether the run enabled the dprof-v2 ledger; when false, every
     /// cacheline counter must be zero (the plane is inert when disabled).
@@ -312,9 +312,7 @@ impl RunAudit {
 
         // dprof-v2 cacheline-ledger laws (DESIGN.md §13): the ledger is
         // inert when disabled, every fetched byte is either touched or
-        // wasted, a fill pulls exactly one 64-byte line, every generation
-        // closes as one eviction, and every touch is settled into the
-        // reuse sum at generation close.
+        // wasted, and a fill pulls exactly one 64-byte line.
         let cl = &self.cacheline;
         check(
             self.cacheline_active || cl.is_zero(),
@@ -332,20 +330,6 @@ impl RunAudit {
             format!(
                 "cacheline fill accounting: fetched {} != 64 x fills {}",
                 cl.bytes_fetched, cl.fills
-            ),
-        );
-        check(
-            cl.evictions == cl.fills + cl.warm_gens,
-            format!(
-                "cacheline eviction accounting: evictions {} != fills {} + warm_gens {}",
-                cl.evictions, cl.fills, cl.warm_gens
-            ),
-        );
-        check(
-            cl.reuse_sum == cl.touches,
-            format!(
-                "cacheline reuse accounting: reuse_sum {} != touches {}",
-                cl.reuse_sum, cl.touches
             ),
         );
         v
@@ -420,25 +404,16 @@ mod tests {
     }
 
     /// A fixture with the dprof-v2 ledger active and internally
-    /// consistent totals (2 fills + 1 warm generation, all settled).
+    /// consistent totals (2 fills, both settled).
     fn consistent_v2() -> RunAudit {
         let mut a = consistent();
         a.cacheline_active = true;
         a.cacheline = LineAgg {
-            instances: 2,
             fills: 2,
-            warm_gens: 1,
-            evictions: 3,
             bytes_fetched: 128,
             bytes_touched: 48,
             bytes_wasted: 80,
             touches: 7,
-            reuse_sum: 7,
-            rx_touches: 4,
-            app_touches: 2,
-            global_touches: 1,
-            shared_lines: 1,
-            shared_bytes: 24,
         };
         a
     }
@@ -468,8 +443,8 @@ mod tests {
 
     #[test]
     fn each_corrupted_cacheline_counter_is_reported() {
-        // Every new counter, corrupted one at a time, must trip a law.
-        let cases: [CorruptCase; 8] = [
+        // Every balanced counter, corrupted one at a time, must trip a law.
+        let cases: [CorruptCase; 4] = [
             ("bytes_wasted", |c| c.bytes_wasted += 1, "byte conservation"),
             (
                 "bytes_touched",
@@ -478,10 +453,6 @@ mod tests {
             ),
             ("bytes_fetched", |c| c.bytes_fetched += 1, "cacheline"),
             ("fills", |c| c.fills += 1, "cacheline"),
-            ("evictions", |c| c.evictions += 1, "eviction accounting"),
-            ("warm_gens", |c| c.warm_gens += 1, "eviction accounting"),
-            ("reuse_sum", |c| c.reuse_sum += 1, "reuse accounting"),
-            ("touches", |c| c.touches += 1, "reuse accounting"),
         ];
         for (name, corrupt, expect) in cases {
             let mut a = consistent_v2();

@@ -33,8 +33,6 @@ enum CState {
     AwaitingResponse,
     /// Between batches.
     Thinking,
-    /// Finished (normally or by timeout).
-    Done,
 }
 
 #[derive(Debug)]
@@ -45,7 +43,6 @@ struct CConn {
     batch_left: u32,
     resp_remaining: i64,
     started: Cycles,
-    requests_done: u32,
 }
 
 /// How a connection finished.
@@ -83,8 +80,6 @@ pub struct Clients {
     pub responses: u64,
     /// Connections abandoned at the timeout.
     pub timeouts: u64,
-    /// Connections started during measurement.
-    pub started: u64,
     /// Connections started over the whole run (never reset; the
     /// conservation audit balances this against finishes + live).
     pub total_started: u64,
@@ -111,7 +106,6 @@ impl Clients {
             completed: 0,
             responses: 0,
             timeouts: 0,
-            started: 0,
             total_started: 0,
             total_completed: 0,
             total_timeouts: 0,
@@ -125,7 +119,6 @@ impl Clients {
         self.completed = 0;
         self.responses = 0;
         self.timeouts = 0;
-        self.started = 0;
     }
 
     /// Live (unfinished) client connections.
@@ -176,13 +169,9 @@ impl Clients {
                 batch_left: 0,
                 resp_remaining: 0,
                 started: now,
-                requests_done: 0,
             },
         );
         self.total_started += 1;
-        if self.measuring {
-            self.started += 1;
-        }
         (id, Packet::new(tuple, PacketKind::Syn, 0))
     }
 
@@ -200,8 +189,7 @@ impl Clients {
     }
 
     fn finish(&mut self, id: CConnId, now: Cycles, how: Finish) {
-        if let Some(c) = self.conns.get_mut(&id) {
-            c.state = CState::Done;
+        if let Some(c) = self.conns.remove(&id) {
             match how {
                 Finish::Completed => self.total_completed += 1,
                 Finish::TimedOut => self.total_timeouts += 1,
@@ -213,7 +201,6 @@ impl Clients {
                     Finish::TimedOut => self.timeouts += 1,
                 }
             }
-            self.conns.remove(&id);
         }
     }
 
@@ -243,7 +230,6 @@ impl Clients {
                 if c.resp_remaining > 0 {
                     return r;
                 }
-                c.requests_done += 1;
                 c.batch_left -= 1;
                 if self.measuring {
                     self.responses += 1;
@@ -292,14 +278,12 @@ impl Clients {
         vec![get]
     }
 
-    /// Timeout check at `started + timeout` (§6.5): abandons an
-    /// unfinished connection and returns a FIN so the server cleans up.
+    /// Timeout check at `started + timeout` (§6.5): abandons the
+    /// connection if it is still live and returns a FIN so the server
+    /// cleans up. A connection that already finished is gone, so its
+    /// timeout does nothing.
     pub fn on_timeout(&mut self, now: Cycles, id: CConnId) -> Option<Packet> {
-        let c = self.conns.get(&id)?;
-        if c.state == CState::Done {
-            return None;
-        }
-        let tuple = c.tuple;
+        let tuple = self.conns.get(&id)?.tuple;
         self.finish(id, now, Finish::TimedOut);
         Some(Packet::new(tuple, PacketKind::Fin, 0))
     }

@@ -1,12 +1,9 @@
 //! Allocation support for the event loop's hot path.
 //!
 //! The event queue moves millions of entries per run, so the runner keeps
-//! its `Ev` enum at most 16 bytes. The two payloads that do not fit — the
-//! 24-byte [`Packet`] carried by in-flight wire events — are interned in a
-//! [`PktSlab`] and referenced by a `u32` handle; and per-connection client
-//! timeouts are *generation-stamped* via [`LazyTimers`] so a completed
-//! connection's timer dies in place when popped instead of being searched
-//! for and removed.
+//! its `Ev` enum at most 16 bytes. The payload that does not fit, the
+//! 24-byte [`Packet`] carried by in-flight wire events, is interned in a
+//! [`PktSlab`] and referenced by a `u32` handle.
 
 use nic::Packet;
 
@@ -79,50 +76,6 @@ impl PktSlab {
     }
 }
 
-/// Generation stamps for lazily cancelled per-connection timers.
-///
-/// Arming a timer records the connection's current generation in the
-/// event; cancelling bumps the generation. A popped timer whose stamp no
-/// longer matches is stale and is dropped without dispatch — O(1) cancel
-/// with no searching the queue.
-#[derive(Debug, Default)]
-pub struct LazyTimers {
-    gens: Vec<u32>,
-}
-
-impl LazyTimers {
-    /// Arms the timer for `id`, returning the generation to stamp into
-    /// the scheduled event.
-    pub fn arm(&mut self, id: u64) -> u32 {
-        let i = usize::try_from(id).expect("timer id overflow");
-        if i >= self.gens.len() {
-            self.gens.resize(i + 1, 0);
-        }
-        self.gens[i]
-    }
-
-    /// Cancels `id`'s armed timer: any event stamped with the old
-    /// generation becomes stale.
-    pub fn cancel(&mut self, id: u64) {
-        let i = usize::try_from(id).expect("timer id overflow");
-        if i >= self.gens.len() {
-            self.gens.resize(i + 1, 0);
-        }
-        self.gens[i] = self.gens[i].wrapping_add(1);
-    }
-
-    /// Whether an event stamped `gen` for `id` is still the armed timer.
-    #[must_use]
-    pub fn is_current(&self, id: u64, gen: u32) -> bool {
-        self.gens.get(id as usize).copied() == Some(gen)
-    }
-
-    /// Clears all generations, retaining capacity for the next run.
-    pub fn reset(&mut self) {
-        self.gens.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,21 +99,5 @@ mod tests {
         assert_eq!(slab.get(c).payload, 3);
         slab.reset();
         assert_eq!(slab.live(), 0);
-    }
-
-    #[test]
-    fn timers_go_stale_on_cancel() {
-        let mut t = LazyTimers::default();
-        let g = t.arm(7);
-        assert!(t.is_current(7, g));
-        t.cancel(7);
-        assert!(!t.is_current(7, g));
-        let g2 = t.arm(7);
-        assert_ne!(g, g2);
-        assert!(t.is_current(7, g2));
-        // Unknown ids are never current.
-        assert!(!t.is_current(99, 0));
-        t.reset();
-        assert!(!t.is_current(7, g2));
     }
 }

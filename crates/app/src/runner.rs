@@ -17,7 +17,7 @@ use crate::audit::{
 };
 use crate::batch::BatchJob;
 use crate::client::{CConnId, Clients};
-use crate::evpool::{LazyTimers, PktSlab};
+use crate::evpool::PktSlab;
 use crate::server::{STask, ServerKind, TaskRole};
 use crate::workload::Workload;
 use affinity_accept::{
@@ -134,10 +134,12 @@ pub struct RunConfig {
     pub lockstat: bool,
     /// Enable DProf (Tables 3–4, Figure 4).
     pub dprof: bool,
-    /// Enable the dprof-v2 per-cacheline ledger (wasted-bytes and
-    /// eviction-reuse reports). Pure accounting — no events, no RNG draws,
-    /// no latency changes — so toggling it is fingerprint-neutral; under
-    /// the `fast` feature the whole plane compiles out.
+    /// Enable the dprof-v2 per-cacheline ledger: fills, touches, and the
+    /// fetched bytes each fill's generation touched or wasted. Pure
+    /// accounting — no events, no RNG draws, no latency changes — so
+    /// toggling it is fingerprint-neutral; under the `fast` feature the
+    /// whole plane compiles out. Separate from [`RunConfig::dprof`], whose
+    /// per-field masks and latency histograms cost more.
     pub dprof_v2: bool,
     /// Use Stock + hardware per-flow steering (§7.1 "Twenty-Policy").
     pub twenty_policy: bool,
@@ -261,9 +263,9 @@ pub struct RunResult {
     /// Served requests per [`RunConfig::timeline_bucket`]-wide bucket over
     /// the whole run (warmup included); empty when collection is off.
     pub timeline: Vec<u64>,
-    /// dprof-v2 cacheline report: per-type wasted-bytes and eviction-reuse
-    /// aggregates (empty with `enabled: false` unless
-    /// [`RunConfig::dprof_v2`] was set in an instrumented build).
+    /// dprof-v2 cacheline report: the run's ledger totals (all zero, with
+    /// `enabled: false`, unless [`RunConfig::dprof_v2`] was set in an
+    /// instrumented build).
     pub cacheline: mem::CachelineStats,
     /// The kernel, for DProf and further inspection.
     pub kernel: Kernel,
@@ -296,10 +298,9 @@ enum Ev {
     Softirq(u16),
     TaskRun(u32),
     Think(CConnId),
-    /// Per-connection client timeout, stamped with the arming generation;
-    /// a stale stamp means the connection already finished and the event
-    /// dies in place (lazy cancellation).
-    Timeout(u32, u32),
+    /// Per-connection client timeout. It stays queued when its connection
+    /// finishes first, and then finds no live connection when it fires.
+    Timeout(u32),
     /// Server→client packet: `(client conn id, slab handle)`.
     ToClient(u32, u32),
     TxComplete(ConnId),
@@ -316,12 +317,11 @@ const _: () = assert!(
     "Ev outgrew its 16-byte budget; intern large payloads instead"
 );
 
-// Pool of event queues, packet slabs and timer tables recycled across the
-// runs of a sweep: the wheel's node slab and ready queue and the packet
-// slab's backing store are sized by the first run and reused warm by the
-// rest.
+// Pool of event queues and packet slabs recycled across the runs of a
+// sweep: the wheel's node slab and ready queue and the packet slab's
+// backing store are sized by the first run and reused warm by the rest.
 thread_local! {
-    static Q_POOL: RefCell<Vec<(EventQueue<Ev>, PktSlab, LazyTimers)>> = const { RefCell::new(Vec::new()) };
+    static Q_POOL: RefCell<Vec<(EventQueue<Ev>, PktSlab)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Queues kept per thread; a sweep worker only ever needs one.
@@ -382,8 +382,6 @@ pub struct Runner {
     q: EventQueue<Ev>,
     /// In-flight packet payloads referenced by `Ev::Wire`/`Ev::ToClient`.
     pkts: PktSlab,
-    /// Generation stamps for lazily cancelled `Ev::Timeout` events.
-    timers: LazyTimers,
     now: Cycles,
     cores: CoreSet,
     k: Kernel,
@@ -506,13 +504,12 @@ impl Runner {
         let n_rings = nic.n_rings();
         // Reuse a pooled (already reset) queue so sweep runs after the
         // first start with warm allocations.
-        let (q, pkts, timers) = Q_POOL.with(|p| p.borrow_mut().pop().unwrap_or_default());
+        let (q, pkts) = Q_POOL.with(|p| p.borrow_mut().pop().unwrap_or_default());
 
         let mut r = Self {
             rng: SimRng::new(cfg.seed),
             q,
             pkts,
-            timers,
             now: cfg.start_at,
             cores: CoreSet::new(cfg.cores),
             k,
@@ -718,7 +715,6 @@ impl Runner {
         }
         if self.measuring {
             self.served += 1;
-            self.k.requests_done += 1;
             self.k.perf.requests += 1;
             if self.k.conn(conn).has_affinity() {
                 self.affinity_served += 1;
@@ -1087,9 +1083,9 @@ impl Runner {
             Ev::Softirq(ring) => (2, u64::from(*ring)),
             Ev::TaskRun(tid) => (3, u64::from(*tid)),
             Ev::Think(cid) => (4, *cid),
-            // Stale (lazily cancelled) timeouts fold exactly like live
-            // ones: the heap-era fingerprint covered every popped event.
-            Ev::Timeout(cid, _gen) => (5, u64::from(*cid)),
+            // A finished connection's timeout folds like a live one: the
+            // heap-era fingerprint covered every popped event.
+            Ev::Timeout(cid) => (5, u64::from(*cid)),
             Ev::ToClient(cid, handle) => {
                 let pkt = self.pkts.get(*handle);
                 (6, u64::from(*cid) ^ u64::from(pkt.payload) << 32)
@@ -1111,10 +1107,9 @@ impl Runner {
             Ev::Arrival => {
                 let (cid, syn) = self.clients.start_conn(self.now);
                 self.send_to_server(syn, self.now + PROP_DELAY);
-                let gen = self.timers.arm(cid);
                 self.q.push(
                     self.now + self.clients.workload().timeout,
-                    Ev::Timeout(Self::ev_cid(cid), gen),
+                    Ev::Timeout(Self::ev_cid(cid)),
                 );
                 let gap = self.rng.exp(self.arrival_interval_mean).max(1.0) as Cycles;
                 self.q.push(self.now + gap, Ev::Arrival);
@@ -1136,16 +1131,9 @@ impl Runner {
                     self.send_to_server(p, self.now + PROP_DELAY);
                 }
             }
-            Ev::Timeout(cid, gen) => {
-                let cid = CConnId::from(cid);
-                // Lazy cancellation: a finished connection bumped the
-                // generation, so its timer dies here without a dispatch
-                // (`on_timeout` would have found no live connection).
-                if self.timers.is_current(cid, gen) {
-                    self.timers.cancel(cid);
-                    if let Some(fin) = self.clients.on_timeout(self.now, cid) {
-                        self.send_to_server(fin, self.now + PROP_DELAY);
-                    }
+            Ev::Timeout(cid) => {
+                if let Some(fin) = self.clients.on_timeout(self.now, CConnId::from(cid)) {
+                    self.send_to_server(fin, self.now + PROP_DELAY);
                 }
             }
             Ev::TxComplete(conn) => {
@@ -1160,9 +1148,6 @@ impl Runner {
                 let cid = CConnId::from(cid);
                 let pkt = self.pkts.take(handle);
                 let r = self.clients.on_server_packet(self.now, cid, &pkt);
-                if r.done {
-                    self.timers.cancel(cid);
-                }
                 for p in r.send {
                     self.send_to_server(p, self.now + PROP_DELAY);
                 }
@@ -1431,19 +1416,17 @@ impl Runner {
             cacheline_active: cacheline.enabled,
         };
 
-        // Recycle the queue, slab and timer table (reset, capacity kept)
-        // so the next run on this thread starts warm.
+        // Recycle the queue and slab (reset, capacity kept) so the next
+        // run on this thread starts warm.
         let mut q = std::mem::replace(&mut self.q, EventQueue::new());
         let cascaded = q.cascaded();
         let mut pkts = std::mem::take(&mut self.pkts);
-        let mut timers = std::mem::take(&mut self.timers);
         q.reset();
         pkts.reset();
-        timers.reset();
         Q_POOL.with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() < Q_POOL_MAX {
-                pool.push((q, pkts, timers));
+                pool.push((q, pkts));
             }
         });
 

@@ -25,9 +25,9 @@
 //! index of its first line, and each type's fields are compiled once into
 //! line runs (`layout::plans`).
 
-use crate::dprof::{DProf, LineAgg, TouchSide};
+use crate::dprof::{DProf, LineAgg};
 use crate::layout::{self, Plan, Run};
-use crate::types::{DataType, CACHE_LINE};
+use crate::types::DataType;
 use serde::{Deserialize, Serialize};
 use sim::topology::{CoreId, Machine};
 
@@ -174,120 +174,6 @@ impl LineState {
     }
 }
 
-/// Per-line dprof-v2 ledger: byte-granular fetch/touch accounting between
-/// fill and eviction (a *generation*) plus sharing across an object
-/// incarnation (alloc or recycle to the next recycle or fold).
-///
-/// The ledger is pure bookkeeping layered on top of [`LineState`]: it never
-/// feeds back into service levels or latencies, which is what keeps dprof-v2
-/// fingerprint-neutral.
-#[derive(Debug, Clone, Copy)]
-struct LineLedger {
-    /// Cores that touched the line this incarnation.
-    touchers: u128,
-    /// Bytes touched this generation (bit i = byte i of the line).
-    gen_mask: u64,
-    /// Bytes touched by a non-first core this incarnation.
-    other_mask: u64,
-    /// Accesses this generation.
-    touches: u32,
-    /// First core to touch the line this incarnation (`u16::MAX` = none).
-    first: u16,
-    /// Generation state: [`Self::CLOSED`], [`Self::WARM`], [`Self::FILLED`].
-    state: u8,
-}
-
-// The ledger rides alongside every modeled hot line when dprof-v2 is on;
-// keep it within one cache line of host memory per three modeled lines.
-const _: () = assert!(std::mem::size_of::<LineLedger>() <= 48);
-
-impl LineLedger {
-    /// No open generation.
-    const CLOSED: u8 = 0;
-    /// Open generation on a line that was already resident (post-recycle
-    /// hit): reuse is tracked but no fetch is charged.
-    const WARM: u8 = 1;
-    /// Open generation started by a fill (the core fetched the line).
-    const FILLED: u8 = 2;
-
-    fn new() -> Self {
-        Self {
-            touchers: 0,
-            gen_mask: 0,
-            other_mask: 0,
-            touches: 0,
-            first: u16::MAX,
-            state: Self::CLOSED,
-        }
-    }
-
-    /// Records one access. `filled` means the accessing core had no copy of
-    /// the line before the touch, i.e. the coherence model served a fetch.
-    fn touch(&mut self, delta: &mut LineAgg, c: usize, filled: bool, mask: u64, side: TouchSide) {
-        if filled {
-            // A fetch by a core without a copy closes the previous
-            // generation (its bytes are settled) and opens a filled one.
-            self.close_gen(delta);
-            self.state = Self::FILLED;
-            delta.fills += 1;
-        } else if self.state == Self::CLOSED {
-            self.state = Self::WARM;
-            delta.warm_gens += 1;
-        }
-        self.gen_mask |= mask;
-        self.touches += 1;
-        delta.touches += 1;
-        match side {
-            TouchSide::Rx => delta.rx_touches += 1,
-            TouchSide::App => delta.app_touches += 1,
-            TouchSide::Global => delta.global_touches += 1,
-        }
-        let cc = c as u16;
-        if self.first == u16::MAX {
-            self.first = cc;
-        } else if self.first != cc {
-            self.other_mask |= mask;
-        }
-        self.touchers |= 1u128 << c;
-    }
-
-    /// Settles the open generation (if any): counts an eviction, the reuse
-    /// it saw, and — for filled generations — the fetched/touched/wasted
-    /// byte split.
-    fn close_gen(&mut self, delta: &mut LineAgg) {
-        if self.state == Self::CLOSED {
-            return;
-        }
-        delta.evictions += 1;
-        delta.reuse_sum += u64::from(self.touches);
-        if self.state == Self::FILLED {
-            let touched = u64::from(self.gen_mask.count_ones());
-            delta.bytes_fetched += CACHE_LINE as u64;
-            delta.bytes_touched += touched;
-            delta.bytes_wasted += CACHE_LINE as u64 - touched;
-        }
-        self.gen_mask = 0;
-        self.touches = 0;
-        self.state = Self::CLOSED;
-    }
-
-    /// Closes the incarnation: settles the generation and the sharing
-    /// columns, then resets for reuse. Returns whether the line was touched
-    /// at all this incarnation.
-    fn close_incarnation(&mut self, delta: &mut LineAgg) -> bool {
-        self.close_gen(delta);
-        let touched = self.touchers != 0;
-        if self.touchers.count_ones() >= 2 {
-            delta.shared_lines += 1;
-            delta.shared_bytes += u64::from(self.other_mask.count_ones());
-        }
-        self.touchers = 0;
-        self.other_mask = 0;
-        self.first = u16::MAX;
-        touched
-    }
-}
-
 /// Serves one access by core `c` (on `my_chip`) to line `ls` of an object
 /// homed on `home_chip`, and applies the coherence transition.
 #[inline]
@@ -353,8 +239,9 @@ struct ObjProf {
     /// Per-field core masks (Table 4): the readers of every field, then
     /// the writers.
     masks: Option<Box<[u128]>>,
-    /// dprof-v2 ledger, one entry per modeled line.
-    ledger: Option<Box<[LineLedger]>>,
+    /// dprof-v2 ledger, one entry per modeled line: the bytes touched
+    /// since the line's last fill, 0 when no filled generation is open.
+    ledger: Option<Box<[u64]>>,
 }
 
 impl ObjProf {
@@ -372,7 +259,7 @@ impl ObjProf {
             self.masks = Some(vec![0; 2 * layout::fields(self.ty).len()].into());
         }
         if self.ledger.is_none() && dprof.is_v2_enabled() {
-            self.ledger = Some(vec![LineLedger::new(); n_lines].into());
+            self.ledger = Some(vec![0; n_lines].into());
         }
     }
 
@@ -385,14 +272,10 @@ impl ObjProf {
         }
         if let Some(ledger) = self.ledger.as_mut() {
             let mut delta = LineAgg::default();
-            let mut touched = false;
-            for ll in ledger.iter_mut() {
-                touched |= ll.close_incarnation(&mut delta);
+            for line in ledger.iter_mut() {
+                delta.settle(line);
             }
-            if touched {
-                delta.instances += 1;
-            }
-            dprof.v2_fold(self.ty, &delta);
+            dprof.v2_fold(&delta);
         }
     }
 }
@@ -567,8 +450,7 @@ impl CacheModel {
                 latency += self.lat[level as usize];
                 acc.l2_misses += u64::from(level.is_l2_miss());
                 if let Some(ledger) = ledger.as_deref_mut() {
-                    let side = TouchSide::of(run.tag);
-                    ledger[line].touch(&mut delta, c, filled, run.byte_mask(line), side);
+                    delta.touch(&mut ledger[line], filled, run.byte_mask(line));
                 }
             }
             if dprof_on {
@@ -583,7 +465,7 @@ impl CacheModel {
             acc.latency += latency;
         }
         if v2_on {
-            self.dprof.v2_fold(id.ty(), &delta);
+            self.dprof.v2_fold(&delta);
         }
         acc
     }
@@ -800,19 +682,18 @@ mod tests {
     }
 
     /// The v2 audit laws, checked straight off the cache model: byte
-    /// conservation, 64 bytes per fill, one eviction per generation, and
-    /// reuse summing to total touches.
+    /// conservation and 64 bytes per fill.
     #[cfg(not(feature = "fast"))]
-    fn assert_v2_laws(t: &crate::dprof::LineAgg) {
+    fn v2_totals(m: &CacheModel) -> LineAgg {
+        let t = m.dprof.cacheline_stats().totals();
         assert_eq!(t.bytes_touched + t.bytes_wasted, t.bytes_fetched);
         assert_eq!(t.bytes_fetched, 64 * t.fills);
-        assert_eq!(t.evictions, t.fills + t.warm_gens);
-        assert_eq!(t.reuse_sum, t.touches);
+        t
     }
 
     #[cfg(not(feature = "fast"))]
     #[test]
-    fn v2_ledger_conserves_bytes_across_fills_and_evictions() {
+    fn v2_ledger_conserves_bytes_across_fills() {
         let mut m = model();
         m.dprof.enable_v2();
         let id = m.alloc(DataType::TcpRequestSock, C0);
@@ -821,35 +702,26 @@ mod tests {
         m.access_field(C6, id, 0, false); // fill on C6 (new generation)
         m.access_field(C0, id, 0, true); // upgrade: C0 still holds a copy
         m.fold_all_live();
-        let t = *m.dprof.v2_agg(DataType::TcpRequestSock).expect("recorded");
-        assert_v2_laws(&t);
-        assert_eq!(t.instances, 1);
+        let t = v2_totals(&m);
         assert_eq!(t.touches, 4);
         // C0's compulsory miss and C6's fetch are the only fills: the final
         // write is an upgrade on a line C0 still shares.
         assert_eq!(t.fills, 2);
-        assert_eq!(t.warm_gens, 0);
         assert!(t.bytes_wasted > 0, "a lone field never fills its line");
-        // Two cores touched the line; C6's read brought in foreign bytes.
-        assert_eq!(t.shared_lines, 1);
-        assert!(t.shared_bytes > 0);
     }
 
     #[cfg(not(feature = "fast"))]
     #[test]
-    fn v2_counts_warm_generation_after_recycle() {
+    fn v2_touch_of_a_resident_line_after_recycle_is_no_fill() {
         let mut m = model();
         m.dprof.enable_v2();
         let id = m.alloc(DataType::TcpRequestSock, C0);
         m.access_field(C0, id, 0, true);
-        m.recycle(id); // closes the incarnation — and its open generation
-        m.access_field(C0, id, 0, false); // line still resident: warm gen
+        m.recycle(id); // settles the open generation
+        m.access_field(C0, id, 0, false); // line still resident: no fetch
         m.fold_all_live();
-        let t = *m.dprof.v2_agg(DataType::TcpRequestSock).expect("recorded");
-        assert_v2_laws(&t);
-        assert_eq!(t.fills, 1);
-        assert_eq!(t.warm_gens, 1);
-        assert_eq!(t.instances, 2);
+        let t = v2_totals(&m);
+        assert_eq!((t.fills, t.touches), (1, 2));
     }
 
     #[cfg(not(feature = "fast"))]
@@ -862,28 +734,8 @@ mod tests {
         m.recycle(id);
         m.access_field(C0, id, 0, false);
         m.fold_all_live();
-        let t = *m.dprof.v2_agg(DataType::TcpRequestSock).expect("recorded");
-        assert_v2_laws(&t);
-        assert_eq!(t.warm_gens, 1);
-        assert_eq!(t.fills, 0);
-    }
-
-    #[cfg(not(feature = "fast"))]
-    #[test]
-    fn v2_sides_follow_field_tags() {
-        let mut m = model();
-        m.dprof.enable_v2();
-        let id = m.alloc(DataType::TcpSock, C0);
-        m.access_tagged(C0, id, layout::FieldTag::RxOnly, false);
-        m.access_tagged(C0, id, layout::FieldTag::AppOnly, true);
-        m.access_tagged(C0, id, layout::FieldTag::GlobalNode, true);
-        m.fold_all_live();
-        let t = *m.dprof.v2_agg(DataType::TcpSock).expect("recorded");
-        assert_v2_laws(&t);
-        assert!(t.rx_touches > 0);
-        assert!(t.app_touches > 0);
-        assert!(t.global_touches > 0);
-        assert_eq!(t.rx_touches + t.app_touches + t.global_touches, t.touches);
+        let t = v2_totals(&m);
+        assert_eq!((t.fills, t.touches, t.bytes_fetched), (0, 1, 0));
     }
 }
 
@@ -891,6 +743,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::layout::FieldTag;
+    use crate::types::CACHE_LINE;
     use proptest::prelude::*;
     use sim::topology::LatencyProfile;
 
@@ -905,6 +758,77 @@ mod proptests {
         dirty: bool,
         /// Whether the line has ever been cached.
         warm: bool,
+        /// Bytes touched since the line's last fill; `None` when no fill
+        /// opened a generation.
+        fill: Option<u64>,
+    }
+
+    /// One object's reference for both profilers: its lines, and the
+    /// reader and writer core sets of each field.
+    #[derive(Debug, Clone)]
+    struct RefObj {
+        home_chip: u16,
+        lines: Vec<RefLine>,
+        readers: Vec<u128>,
+        writers: Vec<u128>,
+    }
+
+    /// What the profilers should have recorded: the ledger's run total
+    /// and, per type index, DProf's `[instances, shared_lines,
+    /// shared_bytes, shared_rw_bytes, cycles_on_shared, latency_samples]`.
+    #[derive(Debug, Default)]
+    struct RefProfile {
+        ledger: LineAgg,
+        table4: [[u64; 6]; DataType::ALL.len()],
+    }
+
+    impl RefProfile {
+        /// Closes a line's generation, if one is open.
+        fn settle(&mut self, line: &mut RefLine) {
+            if let Some(mask) = line.fill.take() {
+                let touched = u64::from(mask.count_ones());
+                self.ledger.bytes_fetched += 64;
+                self.ledger.bytes_touched += touched;
+                self.ledger.bytes_wasted += 64 - touched;
+            }
+        }
+
+        /// Folds an object's incarnation: settles its lines, and counts
+        /// its sharing the way Table 4 defines it if any field was touched.
+        fn fold(&mut self, ty: DataType, obj: &mut RefObj) {
+            for line in &mut obj.lines {
+                self.settle(line);
+            }
+            let fields = layout::fields(ty);
+            let t = &mut self.table4[ty.index()];
+            let cores = |fi: usize| obj.readers[fi] | obj.writers[fi];
+            if (0..fields.len()).any(|fi| cores(fi) != 0) {
+                t[0] += 1;
+                for l in 0..ty.lines() {
+                    let on_line = (0..fields.len())
+                        .filter(|&fi| fields[fi].lines().any(|fl| fl == l))
+                        .fold(0, |m, fi| m | cores(fi));
+                    t[1] += u64::from(on_line.count_ones() >= 2);
+                }
+                for (fi, f) in fields.iter().enumerate() {
+                    if cores(fi).count_ones() >= 2 {
+                        t[2] += f.len as u64;
+                        if obj.writers[fi] != 0 {
+                            t[3] += f.len as u64;
+                        }
+                    }
+                }
+            }
+            obj.readers.fill(0);
+            obj.writers.fill(0);
+        }
+    }
+
+    /// The bytes of line `l` that field `f` covers, one bit per byte.
+    fn ref_byte_mask(f: &layout::Field, l: usize) -> u64 {
+        (f.off..f.off + f.len)
+            .filter(|b| b / CACHE_LINE == l)
+            .fold(0, |m, b| m | 1 << (b % CACHE_LINE))
     }
 
     /// [`touch_one`] over the explicit fields, as the model computed it
@@ -1018,7 +942,10 @@ mod proptests {
         /// every type spread over three arena chunks, cost the same and
         /// leave the same sharers and dirty bits, on both machines and
         /// with the profilers on or off. Every id decodes to the type,
-        /// home chip and first line it was allocated with.
+        /// home chip and first line it was allocated with. With the
+        /// profilers on, the ledger's totals and DProf's per-type folds
+        /// equal a reference that keeps each line's fill mask and each
+        /// field's reader and writer cores.
         #[test]
         fn packed_lines_match_the_explicit_reference(
             intel in any::<bool>(),
@@ -1034,7 +961,9 @@ mod proptests {
             }
             let chip_of = m.chip_of.clone();
             let chip_mask = m.chip_mask.clone();
-            let mut reference: Vec<(u16, Vec<RefLine>)> = Vec::new();
+            let recording = profiled && cfg!(not(feature = "fast"));
+            let mut profile = RefProfile::default();
+            let mut reference: Vec<RefObj> = Vec::new();
             let mut ids = Vec::new();
             for k in 0.. {
                 if m.chunks.len() == 3 && m.fill > CHUNK_LINES / 2 {
@@ -1043,7 +972,13 @@ mod proptests {
                 let ty = DataType::ALL[k % DataType::ALL.len()];
                 let core = CoreId((k % n_cores) as u16);
                 ids.push(m.alloc(ty, core));
-                reference.push((chip_of[core.index()], vec![RefLine::default(); layout::hot_lines(ty)]));
+                let nf = layout::fields(ty).len();
+                reference.push(RefObj {
+                    home_chip: chip_of[core.index()],
+                    lines: vec![RefLine::default(); layout::hot_lines(ty)],
+                    readers: vec![0; nf],
+                    writers: vec![0; nf],
+                });
             }
             prop_assert_eq!(m.live_objects(), ids.len());
             // The arena's rule: objects back to back, none straddling a
@@ -1056,7 +991,7 @@ mod proptests {
                     expect_first = expect_first.next_multiple_of(CHUNK_LINES);
                 }
                 prop_assert_eq!(m.type_of(id), ty);
-                prop_assert_eq!(id.home_chip(), reference[k].0);
+                prop_assert_eq!(id.home_chip(), reference[k].home_chip);
                 prop_assert_eq!(id.first_line(), expect_first, "{:?} #{}", ty, k);
                 prop_assert_eq!(id.ordinal(), k);
                 expect_first += hot;
@@ -1076,9 +1011,10 @@ mod proptests {
                 let i = set[obj % set.len()];
                 let id = ids[i];
                 let ty = m.type_of(id);
-                let (home_chip, lines) = &mut reference[i];
+                let obj = &mut reference[i];
                 if op == 0 {
                     m.recycle(id);
+                    profile.fold(ty, obj);
                 } else {
                     let c = core % n_cores;
                     let write = op % 2 == 0;
@@ -1103,19 +1039,55 @@ mod proptests {
                     };
                     let mut want = Access::default();
                     for &fi in &fis {
+                        let mut latency = 0;
                         for l in fields[fi].lines() {
-                            let level = ref_touch_one(&chip_of, &chip_mask, *home_chip, &mut lines[l], c, chip_of[c], write);
-                            want.latency += ref_cycles(level, &machine.lat);
+                            let line = &mut obj.lines[l];
+                            let filled = (line.sharers >> c) & 1 == 0;
+                            let level = ref_touch_one(&chip_of, &chip_mask, obj.home_chip, line, c, chip_of[c], write);
+                            latency += ref_cycles(level, &machine.lat);
                             want.l2_misses += u64::from(level.is_l2_miss());
+                            let mask = ref_byte_mask(&fields[fi], l);
+                            profile.ledger.touches += 1;
+                            if filled {
+                                profile.settle(line);
+                                profile.ledger.fills += 1;
+                                line.fill = Some(mask);
+                            } else if let Some(open) = line.fill.as_mut() {
+                                *open |= mask;
+                            }
+                        }
+                        want.latency += latency;
+                        let cores = if write { &mut obj.writers } else { &mut obj.readers };
+                        cores[fi] |= 1 << c;
+                        if fields[fi].tag.shared_under_fine() {
+                            let t = &mut profile.table4[ty.index()];
+                            t[4] += latency;
+                            t[5] += 1;
                         }
                     }
                     prop_assert_eq!(got, want, "{:?} op {} fields {:?} core {} write {}", ty, op, fis, c, write);
                 }
-                for (l, r) in lines.iter().enumerate() {
+                for (l, r) in obj.lines.iter().enumerate() {
                     prop_assert_eq!(m.line_dirty(id, l), r.dirty, "{:?} line {} dirty", ty, l);
                     prop_assert_eq!(m.line_sharers(id, l), r.sharers.count_ones(), "{:?} line {} sharers", ty, l);
                     prop_assert_eq!(m.line(id, l).sharers(), r.sharers);
                 }
+            }
+            m.fold_all_live();
+            let totals = m.dprof.cacheline_stats().totals();
+            if recording {
+                for &i in &set {
+                    profile.fold(m.type_of(ids[i]), &mut reference[i]);
+                }
+                prop_assert_eq!(totals, profile.ledger);
+                for ty in DataType::ALL {
+                    let got = m.dprof.agg(ty).map_or([0; 6], |a| {
+                        [a.instances, a.shared_lines, a.shared_bytes, a.shared_rw_bytes, a.cycles_on_shared, a.lat_hist.count()]
+                    });
+                    prop_assert_eq!(got, profile.table4[ty.index()], "{:?}", ty);
+                }
+            } else {
+                prop_assert!(totals.is_zero());
             }
         }
 

@@ -19,102 +19,41 @@
 //! socket implementation in use.
 
 use crate::layout;
-use crate::types::DataType;
+use crate::types::{DataType, CACHE_LINE};
 use metrics::Histogram;
 use std::collections::BTreeMap;
 
-/// Which call-site class touched a cache line (dprof-v2's attribution
-/// axis): derived from the touched field's [`layout::FieldTag`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TouchSide {
-    /// Packet-side (softirq) code: `RxOnly` / `BothRwByRx` fields.
-    Rx,
-    /// Application-side (syscall) code: `AppOnly` / `BothRwByApp` fields.
-    App,
-    /// Setup / global-structure code: `BothRo` / `GlobalNode` fields.
-    Global,
-}
-
-impl TouchSide {
-    /// Classifies a field tag into its touching call-site class.
-    #[must_use]
-    pub fn of(tag: layout::FieldTag) -> Self {
-        use layout::FieldTag as T;
-        match tag {
-            T::RxOnly | T::BothRwByRx => TouchSide::Rx,
-            T::AppOnly | T::BothRwByApp => TouchSide::App,
-            T::BothRo | T::GlobalNode | T::LocalOnly => TouchSide::Global,
-        }
-    }
-}
-
-/// Per-`DataType` aggregate of the dprof-v2 per-cacheline access ledger
-/// (DESIGN.md §13). A *generation* is the interval between a line's fill
-/// (an access served beyond L2, pulling all 64 bytes) and its eviction
-/// (the next fill, or the object's recycle or end-of-run fold). An
-/// *incarnation* is one allocate-to-fold lifetime of the object.
+/// The dprof-v2 ledger's run total (DESIGN.md §13). A line's
+/// *generation* runs from a fill (an access by a core holding no copy of
+/// the line, which pulls in all 64 bytes) to the line's next fill, or to
+/// the fold at the object's recycle or at the end of the run.
 ///
-/// All byte counters are accounted at generation close, so
-/// `bytes_touched + bytes_wasted == bytes_fetched` and
-/// `bytes_fetched == 64 * fills` hold by construction once every
-/// generation has folded — the run audit enforces exactly that.
+/// Byte counters settle when a generation closes, so once every
+/// generation has folded `bytes_touched + bytes_wasted == bytes_fetched`
+/// and `bytes_fetched == 64 * fills` hold by construction; the run audit
+/// enforces both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LineAgg {
-    /// Incarnations folded with at least one touched line.
-    pub instances: u64,
-    /// Generations opened by a data fetch (the access missed both local
-    /// cache levels, so the whole line was pulled in).
+    /// Generations opened by a fill.
     pub fills: u64,
-    /// Generations opened on an already-resident line (e.g. the first
-    /// touch after a recycle hit a still-warm line): reuse without a
-    /// fetch, so they carry no byte accounting.
-    pub warm_gens: u64,
-    /// Generations closed (`fills + warm_gens` once everything folded).
-    pub evictions: u64,
-    /// Bytes pulled into cache: 64 per filled generation.
+    /// Bytes pulled into cache: 64 per settled generation.
     pub bytes_fetched: u64,
-    /// Distinct bytes actually touched between fill and eviction.
+    /// Distinct bytes touched between a fill and its generation's close.
     pub bytes_touched: u64,
     /// `bytes_fetched - bytes_touched`: fetched and never used.
     pub bytes_wasted: u64,
-    /// Line touches recorded.
+    /// Line touches recorded, inside a filled generation or not.
     pub touches: u64,
-    /// Touches folded at generation close (equals `touches` once every
-    /// generation has folded; `reuse_sum / evictions` is the average
-    /// eviction-reuse).
-    pub reuse_sum: u64,
-    /// Touches from packet-side (softirq) call sites.
-    pub rx_touches: u64,
-    /// Touches from application-side (syscall) call sites.
-    pub app_touches: u64,
-    /// Touches from setup/global call sites.
-    pub global_touches: u64,
-    /// Incarnation lines touched by ≥ 2 cores (dprof-v2's independent
-    /// shared-lines column, cross-checked against [`Table4Row`]).
-    pub shared_lines: u64,
-    /// Incarnation bytes touched by a core other than the line's first
-    /// toucher (dprof-v2's independent shared-bytes column).
-    pub shared_bytes: u64,
 }
 
 impl LineAgg {
-    /// Accumulates another aggregate (the cache model folds per-access
-    /// deltas through this).
+    /// Accumulates another aggregate.
     pub fn merge(&mut self, o: &LineAgg) {
-        self.instances += o.instances;
         self.fills += o.fills;
-        self.warm_gens += o.warm_gens;
-        self.evictions += o.evictions;
         self.bytes_fetched += o.bytes_fetched;
         self.bytes_touched += o.bytes_touched;
         self.bytes_wasted += o.bytes_wasted;
         self.touches += o.touches;
-        self.reuse_sum += o.reuse_sum;
-        self.rx_touches += o.rx_touches;
-        self.app_touches += o.app_touches;
-        self.global_touches += o.global_touches;
-        self.shared_lines += o.shared_lines;
-        self.shared_bytes += o.shared_bytes;
     }
 
     /// Whether every counter is zero (the inert-plane audit law).
@@ -122,37 +61,52 @@ impl LineAgg {
     pub fn is_zero(&self) -> bool {
         *self == LineAgg::default()
     }
+
+    /// Records one touch of `mask`'s bytes on a line whose ledger is
+    /// `line`: the bytes touched since the line's last fill, 0 when no
+    /// filled generation is open. `filled` means the touching core held no
+    /// copy, so the access fetched the line. A touch outside a filled
+    /// generation counts only as a touch.
+    pub(crate) fn touch(&mut self, line: &mut u64, filled: bool, mask: u64) {
+        // A never-empty mask is what lets 0 stand for "no generation".
+        debug_assert_ne!(mask, 0, "a field run covers a byte of each line");
+        self.touches += 1;
+        if filled {
+            self.settle(line);
+            self.fills += 1;
+            *line = mask;
+        } else if *line != 0 {
+            *line |= mask;
+        }
+    }
+
+    /// Closes the generation open on a line, if any, settling its 64
+    /// fetched bytes into touched and wasted.
+    pub(crate) fn settle(&mut self, line: &mut u64) {
+        if *line != 0 {
+            let touched = u64::from(line.count_ones());
+            self.bytes_fetched += CACHE_LINE as u64;
+            self.bytes_touched += touched;
+            self.bytes_wasted += CACHE_LINE as u64 - touched;
+            *line = 0;
+        }
+    }
 }
 
-/// The dprof-v2 cacheline report carried by `RunResult`: a snapshot of
-/// the per-type ledgers at the end of a run.
+/// The dprof-v2 cacheline report carried by `RunResult`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CachelineStats {
     /// Whether the ledger was recording (false in disabled/`fast` runs;
     /// every counter is then zero).
     pub enabled: bool,
-    /// Per-type aggregates, ordered by `DataType`.
-    pub per_type: Vec<(DataType, LineAgg)>,
+    totals: LineAgg,
 }
 
 impl CachelineStats {
-    /// Sum over all types.
+    /// The run's ledger totals.
     #[must_use]
     pub fn totals(&self) -> LineAgg {
-        let mut t = LineAgg::default();
-        for (_, agg) in &self.per_type {
-            t.merge(agg);
-        }
-        t
-    }
-
-    /// The aggregate for one type, if it recorded anything.
-    #[must_use]
-    pub fn agg(&self, ty: DataType) -> Option<&LineAgg> {
-        self.per_type
-            .iter()
-            .find(|(t, _)| *t == ty)
-            .map(|(_, agg)| agg)
+        self.totals
     }
 }
 
@@ -198,7 +152,7 @@ pub struct DProf {
     enabled: bool,
     per_type: BTreeMap<DataType, TypeAgg>,
     v2: bool,
-    per_type_v2: BTreeMap<DataType, LineAgg>,
+    lines: LineAgg,
 }
 
 impl DProf {
@@ -226,19 +180,9 @@ impl DProf {
         cfg!(not(feature = "fast")) && self.v2
     }
 
-    /// Folds a per-access (or per-fold-point) ledger delta into the
-    /// type's aggregate.
-    pub fn v2_fold(&mut self, ty: DataType, delta: &LineAgg) {
-        if delta.is_zero() {
-            return;
-        }
-        self.per_type_v2.entry(ty).or_default().merge(delta);
-    }
-
-    /// The cacheline aggregate for one type, if anything recorded.
-    #[must_use]
-    pub fn v2_agg(&self, ty: DataType) -> Option<&LineAgg> {
-        self.per_type_v2.get(&ty)
+    /// Adds a ledger delta to the run total.
+    pub(crate) fn v2_fold(&mut self, delta: &LineAgg) {
+        self.lines.merge(delta);
     }
 
     /// Snapshot of the cacheline ledger for `RunResult`.
@@ -246,11 +190,7 @@ impl DProf {
     pub fn cacheline_stats(&self) -> CachelineStats {
         CachelineStats {
             enabled: self.is_v2_enabled(),
-            per_type: self
-                .per_type_v2
-                .iter()
-                .map(|(ty, agg)| (*ty, *agg))
-                .collect(),
+            totals: self.lines,
         }
     }
 
@@ -464,44 +404,47 @@ mod tests {
         assert!(d.is_v2_enabled());
         let delta = LineAgg {
             fills: 2,
-            evictions: 2,
             bytes_fetched: 128,
             bytes_touched: 40,
             bytes_wasted: 88,
             touches: 5,
-            reuse_sum: 5,
-            ..LineAgg::default()
         };
-        d.v2_fold(DataType::SkBuff, &delta);
-        d.v2_fold(DataType::SkBuff, &delta);
-        let agg = d.v2_agg(DataType::SkBuff).expect("folded");
-        assert_eq!(agg.fills, 4);
-        assert_eq!(agg.bytes_touched + agg.bytes_wasted, agg.bytes_fetched);
-        assert_eq!((agg.reuse_sum, agg.evictions), (10, 4));
+        d.v2_fold(&delta);
+        d.v2_fold(&delta);
         let stats = d.cacheline_stats();
         assert!(stats.enabled);
-        assert_eq!(stats.totals().bytes_fetched, 256);
-        assert_eq!(stats.agg(DataType::SkBuff), Some(agg));
-        assert!(stats.agg(DataType::TcpSock).is_none());
-        assert_eq!(stats.totals().bytes_wasted, 176);
-    }
-
-    #[test]
-    fn v2_fold_skips_zero_deltas() {
-        let mut d = DProf::disabled();
-        d.enable_v2();
-        d.v2_fold(DataType::TcpSock, &LineAgg::default());
-        assert!(d.v2_agg(DataType::TcpSock).is_none());
+        let t = stats.totals();
+        assert_eq!((t.fills, t.touches), (4, 10));
+        assert_eq!((t.bytes_fetched, t.bytes_wasted), (256, 176));
+        assert_eq!(t.bytes_touched + t.bytes_wasted, t.bytes_fetched);
         assert!(LineAgg::default().is_zero());
     }
 
     #[test]
-    fn touch_side_classifies_tags() {
-        assert_eq!(TouchSide::of(FieldTag::RxOnly), TouchSide::Rx);
-        assert_eq!(TouchSide::of(FieldTag::BothRwByRx), TouchSide::Rx);
-        assert_eq!(TouchSide::of(FieldTag::AppOnly), TouchSide::App);
-        assert_eq!(TouchSide::of(FieldTag::BothRwByApp), TouchSide::App);
-        assert_eq!(TouchSide::of(FieldTag::BothRo), TouchSide::Global);
-        assert_eq!(TouchSide::of(FieldTag::GlobalNode), TouchSide::Global);
+    fn a_generation_settles_at_the_next_fill_or_the_fold() {
+        let mut t = LineAgg::default();
+        let mut line = 0;
+        // A touch outside a filled generation is only a touch.
+        t.touch(&mut line, false, 0xff);
+        assert_eq!((line, t.fills, t.touches), (0, 0, 1));
+        t.touch(&mut line, true, 0x0f);
+        t.touch(&mut line, false, 0xf0);
+        assert_eq!((line, t.fills, t.bytes_fetched), (0xff, 1, 0));
+        // The next fill settles 8 touched bytes and opens a generation.
+        t.touch(&mut line, true, 0x1);
+        assert_eq!((line, t.bytes_touched, t.bytes_wasted), (0x1, 8, 56));
+        t.settle(&mut line);
+        t.settle(&mut line);
+        assert_eq!(
+            t,
+            LineAgg {
+                fills: 2,
+                bytes_fetched: 128,
+                bytes_touched: 9,
+                bytes_wasted: 119,
+                touches: 4,
+            }
+        );
+        assert_eq!(line, 0);
     }
 }

@@ -36,7 +36,7 @@ pub mod slab;
 pub mod types;
 
 pub use cache::{CacheModel, ObjId, ServiceLevel};
-pub use dprof::{CachelineStats, DProf, LineAgg, TouchSide};
+pub use dprof::{CachelineStats, DProf, LineAgg};
 pub use layout::{Field, FieldTag};
 pub use slab::SlabAllocator;
 pub use types::DataType;

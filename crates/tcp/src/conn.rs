@@ -51,8 +51,6 @@ pub struct RxSegment {
 /// An established connection.
 #[derive(Debug)]
 pub struct Conn {
-    /// Stable id.
-    pub id: ConnId,
     /// The flow five-tuple.
     pub tuple: FlowTuple,
     /// The `tcp_sock` object in the cache model.
@@ -78,19 +76,16 @@ pub struct Conn {
     pub tx_skbs: List,
     /// The per-connection (`sock`) lock.
     pub lock: TimelineLock,
-    /// Requests completed on this connection (for accounting).
-    pub requests_done: u32,
 }
 
 // One per live connection: about 400k at Figure 8's 1 s think time.
-const _: () = assert!(std::mem::size_of::<Conn>() == 112);
+const _: () = assert!(std::mem::size_of::<Conn>() == 104);
 
 impl Conn {
     /// Creates an established connection whose packets arrive on `rx_core`.
     #[must_use]
-    pub fn new(id: ConnId, tuple: FlowTuple, sock: ObjId, rx_core: CoreId) -> Self {
+    pub fn new(tuple: FlowTuple, sock: ObjId, rx_core: CoreId) -> Self {
         Self {
-            id,
             tuple,
             sock,
             fd: None,
@@ -102,7 +97,6 @@ impl Conn {
             tx_chunks: List::EMPTY,
             tx_skbs: List::EMPTY,
             lock: TimelineLock::new(metrics::lockstat::LockClass::Connection),
-            requests_done: 0,
         }
     }
 
@@ -119,12 +113,7 @@ mod tests {
     use super::*;
 
     fn conn() -> Conn {
-        Conn::new(
-            ConnId(1),
-            FlowTuple::client(1, 1000, 80),
-            ObjId(42),
-            CoreId(3),
-        )
+        Conn::new(FlowTuple::client(1, 1000, 80), ObjId(42), CoreId(3))
     }
 
     #[test]

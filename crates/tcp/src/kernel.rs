@@ -73,8 +73,6 @@ pub struct Kernel {
     pub files: Vec<ObjId>,
     /// Total user-space cycles spent (application request processing).
     pub user_cycles: u64,
-    /// Completed HTTP requests (mirrors `perf.requests`).
-    pub requests_done: u64,
 }
 
 impl Kernel {
@@ -100,7 +98,6 @@ impl Kernel {
             conns_removed: 0,
             files: Vec::new(),
             user_cycles: 0,
-            requests_done: 0,
         }
     }
 
@@ -145,7 +142,7 @@ impl Kernel {
     pub fn new_conn(&mut self, tuple: FlowTuple, sock: ObjId, rx_core: CoreId) -> ConnId {
         let id = ConnId(self.next_conn);
         self.next_conn += 1;
-        self.conns.insert(id.0, Conn::new(id, tuple, sock, rx_core));
+        self.conns.insert(id.0, Conn::new(tuple, sock, rx_core));
         id
     }
 
@@ -240,7 +237,6 @@ impl Kernel {
         self.perf = PerfCounters::new();
         self.lockstat.clear();
         self.user_cycles = 0;
-        self.requests_done = 0;
     }
 }
 
@@ -356,10 +352,10 @@ mod tests {
         let sock = k.cache.alloc(DataType::TcpSock, CoreId(0));
         let id = k.new_conn(FlowTuple::client(1, 2, 80), sock, CoreId(0));
         k.charge(costs::SYS_READ, Access::default());
-        k.requests_done = 5;
+        k.user_cycles = 5;
         k.reset_measurement();
         assert_eq!(k.perf.entry(KernelEntry::SysRead).calls, 0);
-        assert_eq!(k.requests_done, 0);
+        assert_eq!(k.user_cycles, 0);
         assert!(k.has_conn(id));
     }
 }

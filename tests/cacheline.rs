@@ -1,7 +1,7 @@
-//! dprof-v2 satellite tests: the per-cacheline ledger and the original
-//! DProf plane must be pure observers (schedule fingerprints never move
-//! when they record, in either feature mode), and the ledger's independent
-//! sharing columns must agree with the DProf Table-4 plane.
+//! The two DProf planes at the `paper_base` point: the dprof-v2 waste
+//! ledger and the Table 4 plane must be pure observers (schedule
+//! fingerprints never move when they record, in either feature mode), and
+//! what each records is pinned exactly.
 
 mod common;
 
@@ -77,53 +77,26 @@ fn ledger_never_moves_the_schedule() {
     }
 }
 
-/// Cross-validation of the ledger's independent sharing columns against
-/// the original DProf plane (Table 4): both measure cross-core sharing
-/// per object, by different bookkeeping — v1 folds per-field reader and
-/// writer masks at incarnation end, v2 folds per-line toucher masks. On
-/// the connection-path types they must tell the same story at the
-/// paper_base Fine point.
+/// DProf's raw Table 4 inputs at `paper_base`, exact, for the two kinds
+/// Table 4 compares: per type, instances, shared lines, shared bytes,
+/// shared read-write bytes, cycles on the shared-under-Fine fields and
+/// their latency samples.
 #[cfg(not(feature = "fast"))]
 #[test]
-fn ledger_sharing_columns_agree_with_table4() {
-    let r = Runner::new(quick(ListenKind::Fine, true)).run();
-    for ty in [
-        DataType::TcpSock,
-        DataType::SkBuff,
-        DataType::TcpRequestSock,
-    ] {
-        let row = r.kernel.cache.dprof.table4_row(ty, r.served);
-        let agg = *r.cacheline.agg(ty).expect("ledger recorded the type");
-        let inst = agg.instances.max(1) as f64;
-        #[allow(clippy::cast_precision_loss)]
-        let v2_lines = 100.0 * agg.shared_lines as f64 / (inst * ty.lines() as f64);
-        #[allow(clippy::cast_precision_loss)]
-        let v2_bytes = 100.0 * agg.shared_bytes as f64 / (inst * ty.size() as f64);
-        println!(
-            "{}: lines v1={:.1}% v2={:.1}%  bytes v1={:.1}% v2={:.1}%",
-            ty.label(),
-            row.lines_shared_pct,
-            v2_lines,
-            row.bytes_shared_pct,
-            v2_bytes
-        );
-        // The lines columns count the same thing (lines touched by >= 2
-        // cores per incarnation) and agree exactly; the bytes columns
-        // differ by construction (v1 sums whole field sizes for shared
-        // fields, v2 counts the distinct bytes a non-first core touched)
-        // so they get a band. Measured at this point: tcp_sock 25.4% vs
-        // 33.8%, sk_buff 14.2% vs 14.2%, tcp_request_sock 19.1% vs 19.1%.
-        assert!(
-            (v2_lines - row.lines_shared_pct).abs() <= 0.5,
-            "{}: shared-lines disagree: v1 {:.1}% vs v2 {v2_lines:.1}%",
-            ty.label(),
-            row.lines_shared_pct
-        );
-        assert!(
-            (v2_bytes - row.bytes_shared_pct).abs() <= 10.0,
-            "{}: shared-bytes disagree: v1 {:.1}% vs v2 {v2_bytes:.1}%",
-            ty.label(),
-            row.bytes_shared_pct
-        );
+fn table4_inputs_match_the_pins() {
+    use common::{pin, table4_inputs, TABLE4_GOLDEN};
+    for (listen, rows) in TABLE4_GOLDEN {
+        let r = Runner::new(quick(listen, true)).run();
+        assert_eq!(r.fingerprint, pin(listen).fingerprint, "{listen:?}");
+        for (ty, want) in DataType::TABLE4.into_iter().zip(rows) {
+            let got = table4_inputs(&r, ty);
+            assert_eq!(got, want, "{listen:?} {}: Table 4 inputs moved", ty.label());
+            // Teeth: each field alone must break the comparison.
+            for i in 0..want.len() {
+                let mut bad = want;
+                bad[i] += 1;
+                assert_ne!(got, bad, "{listen:?} {}: field {i} unchecked", ty.label());
+            }
+        }
     }
 }

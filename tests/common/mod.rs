@@ -88,6 +88,62 @@ impl Ledger {
     }
 }
 
+/// DProf's raw Table 4 inputs for one data type on a run, zero for a
+/// type it never saw: `[instances, shared_lines, shared_bytes,
+/// shared_rw_bytes, cycles_on_shared, latency_samples]`. Every
+/// `DProf::table4_row` column and Figure 4's CDF derive from these.
+pub fn table4_inputs(r: &RunResult, ty: DataType) -> [u64; 6] {
+    r.kernel.cache.dprof.agg(ty).map_or([0; 6], |a| {
+        [
+            a.instances,
+            a.shared_lines,
+            a.shared_bytes,
+            a.shared_rw_bytes,
+            a.cycles_on_shared,
+            a.lat_hist.count(),
+        ]
+    })
+}
+
+/// [`table4_inputs`] at `paper_base` for the two kinds Table 4 compares,
+/// one row per `DataType::TABLE4` type in its order, exact (instrumented
+/// builds only). Fine shares connection lines; Affinity shares almost
+/// none. Re-pinning needs a CHANGES.md line that says why.
+pub const TABLE4_GOLDEN: [(ListenKind, [[u64; 6]; 11]); 2] = [
+    (
+        ListenKind::Fine,
+        [
+            [2435, 43624, 1030240, 723520, 60203788, 891410], // tcp_sock
+            [22746, 84939, 1648686, 1648686, 34500711, 240196], // sk_buff
+            [2435, 4260, 59640, 31950, 1421121, 19480],       // tcp_request_sock
+            [1301, 4800, 62400, 62400, 16118076, 88184],      // slab:size-16384
+            [2435, 4260, 25560, 25560, 1845154, 14610],       // slab:size-128
+            [15129, 78906, 552342, 552342, 34007354, 211589], // slab:size-1024
+            [9708, 42375, 169500, 169500, 18147129, 116496],  // slab:size-4096
+            [2435, 0, 0, 0, 174297, 6073],                    // socket_fd
+            [1342, 1200, 16800, 16800, 4004128, 40134],       // slab:size-192
+            [1342, 9600, 124800, 124800, 34526120, 254032],   // task_struct
+            [200, 600, 3000, 3000, 5459832, 29124],           // file
+        ],
+    ),
+    (
+        ListenKind::Affinity,
+        [
+            [2435, 114, 1140, 1140, 6161956, 891727], // tcp_sock
+            [22759, 0, 0, 0, 758919, 240298],         // sk_buff
+            [2435, 0, 0, 0, 61131, 19480],            // tcp_request_sock
+            [1310, 16, 208, 208, 1001816, 87704],     // slab:size-16384
+            [2435, 0, 0, 0, 47808, 14610],            // slab:size-128
+            [15131, 0, 0, 0, 759702, 211582],         // slab:size-1024
+            [9711, 0, 0, 0, 368316, 116532],          // slab:size-4096
+            [2435, 0, 0, 0, 174651, 6074],            // socket_fd
+            [1345, 4, 56, 56, 461207, 40096],         // slab:size-192
+            [1345, 32, 416, 416, 2269456, 253096],    // task_struct
+            [200, 600, 3000, 3000, 5524284, 29133],   // file
+        ],
+    ),
+];
+
 /// One listen kind's `paper_base` pins.
 #[derive(Debug, Clone, Copy)]
 pub struct Pin {
@@ -123,7 +179,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 74_359,
             l2_misses: 3_195_229,
             allocs: 26_641,
-            peak_heap: 5_573_911,
+            peak_heap: 5_557_527,
         },
         ledger: Ledger {
             touches: 2_388_855,
@@ -141,7 +197,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 73_969,
             l2_misses: 3_170_716,
             allocs: 26_671,
-            peak_heap: 5_577_791,
+            peak_heap: 5_561_407,
         },
         ledger: Ledger {
             touches: 2_375_575,
@@ -159,7 +215,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 73_931,
             l2_misses: 2_373_132,
             allocs: 26_571,
-            peak_heap: 5_174_519,
+            peak_heap: 5_158_135,
         },
         ledger: Ledger {
             touches: 2_379_538,
@@ -177,7 +233,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 74_372,
             l2_misses: 3_200_675,
             allocs: 26_658,
-            peak_heap: 6_716_407,
+            peak_heap: 6_700_023,
         },
         ledger: Ledger {
             touches: 2_392_502,
@@ -195,7 +251,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 73_962,
             l2_misses: 2_374_095,
             allocs: 26_582,
-            peak_heap: 5_174_519,
+            peak_heap: 5_158_135,
         },
         ledger: Ledger {
             touches: 2_379_958,
