@@ -27,7 +27,7 @@
 //! * **bookkeeping** — the perf-counter request count mirrors `served`.
 //!
 //! The audits are cheap (a handful of integer reads at end of run) and
-//! always on; `scenario --fuzz` and the figure and table binaries (through
+//! always on; `scenario --fuzz` and the `paper` driver (through
 //! `bench::audited`) fail loudly when any law breaks.
 
 use mem::LineAgg;

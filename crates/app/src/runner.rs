@@ -141,7 +141,10 @@ pub struct RunConfig {
     /// whole plane compiles out. Separate from [`RunConfig::dprof`], whose
     /// per-field masks and latency histograms cost more.
     pub dprof_v2: bool,
-    /// Use Stock + hardware per-flow steering (§7.1 "Twenty-Policy").
+    /// Use Stock + hardware per-flow steering (§7.1 "Twenty-Policy"), as
+    /// [`ListenKind::Twenty`] does. Nothing in the workspace sets it; it
+    /// stays only because `simbench/src/layers.rs` reads it, and deleting
+    /// it is a benchmark change.
     pub twenty_policy: bool,
     /// §6.5: run the batch job on the upper half of the cores, with this
     /// much total CPU work (None = no batch job).
@@ -374,6 +377,23 @@ impl CoreState {
             hog_seen: (0, 0),
         }
     }
+}
+
+/// The rates [`Runner::run`] measures over the window, taken when the
+/// run first reaches `end_at`: a batch-job run goes on past it only to
+/// time the job and to audit the end state. The client's latencies,
+/// completions and timeouts are read at the end of the run instead: a
+/// job run admits no arrival past `end_at`, so each connection its
+/// window admitted counts by its outcome.
+struct Window {
+    served: u64,
+    affinity_served: u64,
+    idle_frac: f64,
+    drops_nic: u64,
+    perf: PerfCounters,
+    lockstat: LockStat,
+    listen_stats: affinity_accept::listen::ListenStats,
+    wire_bytes: u64,
 }
 
 /// The assembled simulation. Use [`Runner::run`].
@@ -1313,10 +1333,13 @@ impl Runner {
     #[must_use]
     pub fn run(mut self) -> RunResult {
         // A hog-job run continues past the window until the job finishes,
-        // so its runtime can be reported.
+        // so its runtime can be reported; the window's rates are taken
+        // when the loop first reaches its end.
         let hard_stop = self.end_at + sim::time::secs(30);
+        let mut window = None;
         while let Some((t, ev)) = self.q.pop() {
             if t >= self.end_at {
+                window.get_or_insert_with(|| self.window());
                 let job_pending = self.hog.as_ref().is_some_and(|j| !j.is_finished());
                 if !job_pending || t >= hard_stop {
                     self.now = t;
@@ -1329,30 +1352,45 @@ impl Runner {
             }
             self.step_event(t, ev);
         }
-        self.finalize()
+        let window = window.unwrap_or_else(|| self.window());
+        self.finalize(window)
     }
 
-    /// Computes the end-of-run measurements and audits at the current
-    /// clock.
-    fn finalize(mut self) -> RunResult {
+    /// The window's rates at the current state.
+    fn window(&self) -> Window {
+        // Busy accounting was reset at window start.
+        let idle_frac = self.cores.idle_fraction(self.cfg.measure, self.cfg.cores);
+        let (now, base) = (self.listen.stats(), self.base_listen);
+        let listen_stats = affinity_accept::listen::ListenStats {
+            enqueued: now.enqueued - base.enqueued,
+            dropped_overflow: now.dropped_overflow - base.dropped_overflow,
+            accepts_local: now.accepts_local - base.accepts_local,
+            accepts_stolen: now.accepts_stolen - base.accepts_stolen,
+            flow_migrations: now.flow_migrations - base.flow_migrations,
+        };
+        Window {
+            served: self.served,
+            affinity_served: self.affinity_served,
+            idle_frac,
+            drops_nic: self.nic.drops_ring_full + self.nic.drops_flush - self.base_nic_drops,
+            perf: self.k.perf.clone(),
+            lockstat: self.k.lockstat.clone(),
+            listen_stats,
+            wire_bytes: self.nic.wire.bytes - self.base_wire_bytes,
+        }
+    }
+
+    /// Computes the end-of-run measurements from the window's, and the
+    /// audits at the current clock.
+    fn finalize(mut self, w: Window) -> RunResult {
         let window = self.cfg.measure;
         let secs = sim::time::to_secs(window);
-        let served = self.served;
+        let served = w.served;
         let rps = served as f64 / secs;
-        // Busy accounting was reset at window start.
-        let idle = self.cores.idle_fraction(window, self.cfg.cores);
         let stats_now = self.listen.stats();
-        let listen_stats = affinity_accept::listen::ListenStats {
-            enqueued: stats_now.enqueued - self.base_listen.enqueued,
-            dropped_overflow: stats_now.dropped_overflow - self.base_listen.dropped_overflow,
-            accepts_local: stats_now.accepts_local - self.base_listen.accepts_local,
-            accepts_stolen: stats_now.accepts_stolen - self.base_listen.accepts_stolen,
-            flow_migrations: stats_now.flow_migrations - self.base_listen.flow_migrations,
-        };
         self.k.cache.fold_all_live();
         let cacheline = self.k.cache.dprof.cacheline_stats();
-        let wire_delta = self.nic.wire.bytes - self.base_wire_bytes;
-        let wire_util = (wire_delta as f64 * 1.92) / window as f64;
+        let wire_util = (w.wire_bytes as f64 * 1.92) / window as f64;
 
         let ring_audits: Vec<RingAudit> = self
             .nic
@@ -1407,7 +1445,7 @@ impl Runner {
                 busy_total: (0..self.cfg.cores).map(busy_of).sum(),
                 busy_max_core: (0..self.cfg.cores).map(busy_of).max().unwrap_or(0),
             },
-            served,
+            served: self.served,
             perf_requests: self.k.perf.requests,
             events_pending: self.q.len() as u64,
             reqs_created: self.k.reqs.created(),
@@ -1437,19 +1475,19 @@ impl Runner {
             affinity_frac: if served == 0 {
                 0.0
             } else {
-                self.affinity_served as f64 / served as f64
+                w.affinity_served as f64 / served as f64
             },
-            idle_frac: idle,
-            drops_overflow: listen_stats.dropped_overflow,
-            drops_nic: self.nic.drops_ring_full + self.nic.drops_flush - self.base_nic_drops,
+            idle_frac: w.idle_frac,
+            drops_overflow: w.listen_stats.dropped_overflow,
+            drops_nic: w.drops_nic,
             latency: self.clients.latencies.clone(),
             conns_completed: self.clients.completed,
             timeouts: self.clients.timeouts,
-            perf: self.k.perf.clone(),
-            lockstat: self.k.lockstat.clone(),
-            listen_stats,
+            perf: w.perf,
+            lockstat: w.lockstat,
+            listen_stats: w.listen_stats,
             batch_runtime: self.hog.as_ref().map(|j| j.runtime(self.now)),
-            migrations: listen_stats.flow_migrations,
+            migrations: w.listen_stats.flow_migrations,
             wire_util: wire_util.min(1.0),
             fingerprint: if sim::fingerprint::ENABLED {
                 self.fingerprint.value()

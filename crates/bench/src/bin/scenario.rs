@@ -51,7 +51,10 @@ fn main() {
     }
     args.done();
 
-    bench::header("scenario", "declarative scenario catalog");
+    print!(
+        "{}",
+        bench::header("scenario", "declarative scenario catalog")
+    );
     let fast = cfg!(feature = "fast");
     if fast {
         println!("{GOLDENS_UNCHECKED}: the fast feature compiles fingerprints to zero");

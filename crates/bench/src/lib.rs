@@ -1,45 +1,32 @@
 //! The experiment harness.
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index); this library holds what they share: standard run
-//! configurations, the parallel sweep executor and CLI scaffolding
-//! ([`sweep`]), the declarative scenario catalog ([`scenario`]) the
-//! `scenario` driver binary and `tests/scenarios.rs` run, and the fuzzer
-//! over scenario values behind `scenario --fuzz` ([`fuzz`]).
+//! Two drivers: `paper` regenerates every table and figure of the
+//! paper's evaluation from [`paper`]'s outputs, and `scenario` runs the
+//! declarative scenario catalog ([`scenario`]) that `tests/scenarios.rs`
+//! also runs, and the fuzzer over scenario values behind `scenario
+//! --fuzz` ([`fuzz`]). This library holds what they share: standard run
+//! configurations, the worker pool and CLI scaffolding ([`sweep`]).
 //!
-//! All binaries print plain-text tables via [`metrics::table`] so their
-//! output can be diffed against EXPERIMENTS.md.
+//! The outputs are plain-text tables rendered via [`metrics::table`], so
+//! they can be diffed against `results/` and EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use app::{ListenKind, RunConfig, RunResult, ServerKind, Workload};
+use app::{ListenKind, RunConfig, ServerKind, Workload};
 use sim::time::ms;
 use sim::topology::Machine;
 
 pub mod fuzz;
 pub mod lb;
+pub mod paper;
 pub mod scenario;
 pub mod sweep;
 
-pub use sweep::{
-    audited, default_workers, par_map, sweep_saturation, write_artifact, write_file, Args,
-};
+pub use sweep::{audited, default_workers, par_each, par_map, write_artifact, write_file, Args};
 
 /// The three listen-socket implementations every figure compares.
 pub const IMPLS: [ListenKind; 3] = [ListenKind::Stock, ListenKind::Fine, ListenKind::Affinity];
-
-/// Core counts swept on the AMD machine (Figures 2, 3).
-#[must_use]
-pub fn amd_core_counts() -> Vec<usize> {
-    vec![1, 8, 16, 24, 32, 40, 48]
-}
-
-/// Core counts swept on the Intel machine (Figures 5, 6).
-#[must_use]
-pub fn intel_core_counts() -> Vec<usize> {
-    vec![1, 16, 32, 48, 64, 80]
-}
 
 /// A calibrated initial guess for the saturating connection rate, so the
 /// search converges in few runs.
@@ -75,24 +62,16 @@ pub fn base_config(
     cfg
 }
 
-/// Formats a per-core throughput series as the figures print it.
+/// The standard header every output starts with.
 #[must_use]
-pub fn throughput_series(name: &str, xs: &[usize], results: &[RunResult]) -> String {
-    let pts: Vec<(f64, f64)> = xs
-        .iter()
-        .zip(results)
-        .map(|(x, r)| (*x as f64, r.rps_per_core))
-        .collect();
-    metrics::table::series(name, "cores", "requests/sec/core", &pts)
-}
-
-/// Prints a standard experiment header.
-pub fn header(id: &str, title: &str) {
-    println!("==============================================================");
-    println!("{id}: {title}");
-    println!("  (Affinity-Accept reproduction; simulated hardware — compare");
-    println!("   shapes and ratios with the paper, not absolute numbers)");
-    println!("==============================================================");
+pub fn header(id: &str, title: &str) -> String {
+    format!(
+        "==============================================================\n\
+         {id}: {title}\n  \
+         (Affinity-Accept reproduction; simulated hardware — compare\n   \
+         shapes and ratios with the paper, not absolute numbers)\n\
+         ==============================================================\n"
+    )
 }
 
 #[cfg(test)]
@@ -121,11 +100,5 @@ mod tests {
         assert_eq!(rs.len(), 2);
         // Both served roughly the same offered load; per-core differs ~2x.
         assert!(rs[0].served > 0 && rs[1].served > 0);
-    }
-
-    #[test]
-    fn core_count_lists() {
-        assert_eq!(amd_core_counts().last(), Some(&48));
-        assert_eq!(intel_core_counts().last(), Some(&80));
     }
 }

@@ -1,27 +1,11 @@
-//! The sweep engine and the CLI/artifact scaffolding every harness
-//! binary shares.
-//!
-//! Before the scenario catalog landed, each binary under `src/bin/`
-//! hand-rolled the same three things: a worker pool that runs a list of
-//! [`RunConfig`]s in parallel while preserving input order, an
-//! `std::env::args` loop for its flags, and the `create_dir_all` +
-//! `fs::write` + "report:" dance for its JSON artifact. This module is
-//! the single home for all three; `fig6` is a thin wrapper over the
-//! scenario catalog and the `scenario` driver parses its flags through
-//! [`Args`] and emits its artifact through [`write_artifact`].
+//! The worker pool and the CLI/artifact scaffolding every harness
+//! binary shares: [`par_map`] runs a list of jobs in parallel while
+//! preserving input order ([`par_each`] streams their results instead),
+//! [`Args`] parses flags, and [`write_artifact`] emits a JSON artifact.
+//! The `scenario` driver and the `paper` driver are built on them.
 
 use app::{RunConfig, RunResult};
 use metrics::json::Json;
-
-/// Runs `configs` through the saturation search in parallel (one OS
-/// thread per hardware thread), preserving input order in the output.
-/// Each best run is [`audited`].
-#[must_use]
-pub fn sweep_saturation(configs: Vec<RunConfig>) -> Vec<RunResult> {
-    par_map(configs, default_workers(), |cfg| {
-        audited(&cfg, app::find_saturation(&cfg))
-    })
-}
 
 /// Default sweep parallelism: one worker per hardware thread.
 #[must_use]
@@ -32,8 +16,8 @@ pub fn default_workers() -> usize {
 }
 
 /// Passes through a run of `cfg` (a fixed-rate run, or a saturation
-/// search's best probe) whose numbers a figure or table binary prints,
-/// failing the binary if the run broke its conservation audit.
+/// search's best probe) whose numbers a paper output prints, failing
+/// `paper` if the run broke its conservation audit.
 ///
 /// # Panics
 ///
@@ -55,20 +39,34 @@ pub fn audited(cfg: &RunConfig, r: RunResult) -> RunResult {
 }
 
 /// Runs an arbitrary job over each item on a worker pool, preserving
-/// input order in the output: the engine behind the sweeps, the
-/// scenario runner and the fuzzer (with run configs, saturation searches
-/// or fuzz cases). Results must not depend on `workers` — `scenario
-/// --fuzz` checks exactly that property at 1 and N workers.
+/// input order in the output: the engine behind the scenario runner and
+/// the fuzzer (with run configs, saturation searches or fuzz cases).
+/// Results must not depend on `workers` — `scenario --fuzz` checks
+/// exactly that property at 1 and N workers.
 pub fn par_map<C, T, F>(items: Vec<C>, workers: usize, f: F) -> Vec<T>
 where
     C: Send,
     T: Send,
     F: Fn(C) -> T + Sync,
 {
-    let n = items.len();
-    let workers = workers.clamp(1, n.max(1));
+    let mut out: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
+    par_each(items, workers, f, |i, r| out[i] = Some(r));
+    out.into_iter().map(|r| r.expect("all jobs ran")).collect()
+}
+
+/// [`par_map`]'s pool, streaming: hands each result to `sink` on the
+/// calling thread as soon as its job is done, tagged with its input
+/// index, so the caller can drop what it no longer needs while later
+/// jobs still run. Jobs start in input order.
+pub fn par_each<C, T, F>(items: Vec<C>, workers: usize, f: F, mut sink: impl FnMut(usize, T))
+where
+    C: Send,
+    T: Send,
+    F: Fn(C) -> T + Sync,
+{
+    let workers = workers.clamp(1, items.len().max(1));
     // A shared work-list plus an mpsc channel: each worker claims the
-    // next un-run config, runs it outside the lock, and sends the result
+    // next un-run item, runs it outside the lock, and sends the result
     // back tagged with its input index.
     let jobs: std::sync::Mutex<std::collections::VecDeque<(usize, C)>> =
         std::sync::Mutex::new(items.into_iter().enumerate().collect());
@@ -80,18 +78,16 @@ where
             let f = &f;
             s.spawn(move || loop {
                 let job = jobs.lock().expect("sweep queue poisoned").pop_front();
-                let Some((i, cfg)) = job else { break };
-                let r = f(cfg);
+                let Some((i, item)) = job else { break };
+                let r = f(item);
                 tx.send((i, r)).expect("receiver alive");
             });
         }
         drop(tx);
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
         for (i, r) in rx {
-            out[i] = Some(r);
+            sink(i, r);
         }
-        out.into_iter().map(|r| r.expect("all jobs ran")).collect()
-    })
+    });
 }
 
 /// Writes a JSON artifact, creating parent directories and trailing the

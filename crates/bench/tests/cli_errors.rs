@@ -1,7 +1,8 @@
-//! Bad command lines fail with `error: … (usage: …)` and exit status 2,
-//! before any simulation runs: never a panic, never a silent default. An
-//! artifact path that cannot be written, or a scenario file that cannot
-//! be read, fails the same way, naming the path.
+//! Bad command lines of `scenario` and `paper` fail with `error: …
+//! (usage: …)` and exit status 2, before any simulation runs: never a
+//! panic, never a silent default. An artifact path that cannot be
+//! written, or a scenario file that cannot be read, fails the same way,
+//! naming the path.
 
 use std::process::Command;
 
@@ -46,5 +47,40 @@ fn bad_flags_exit_2_with_the_usage() {
             stderr.starts_with(&format!("error: {want}")) && stderr.contains("(usage: ") == usage,
             "{args:?}: {stderr}"
         );
+    }
+}
+
+/// `paper` fails the same way: an unknown id or flag names the usage,
+/// an unwritable `results/` or a Figure 6 scenario that does not load
+/// names the path before any run, and a `fast` build refuses the outputs
+/// whose observer plane it compiles out.
+#[test]
+fn paper_rejects_bad_ids_flags_and_paths() {
+    // A file named `results` in the working directory blocks every write,
+    // and its `scenarios/fig6.json` is cut short.
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/paper_cwd");
+    std::fs::create_dir_all(format!("{dir}/scenarios")).expect("make the working directory");
+    std::fs::write(format!("{dir}/results"), "").expect("block results/");
+    std::fs::write(format!("{dir}/scenarios/fig6.json"), "{").expect("cut fig6.json");
+    let fast = cfg!(feature = "fast");
+    let refused = ["table2 reads lock_stat,", "fig4 reads DProf,"];
+    let rows = [
+        ("fig11", "unknown argument fig11 (usage: paper [ID]..."),
+        ("--bogus", "unknown argument --bogus (usage: paper [ID]..."),
+        ("table1", "results: "),
+        ("fig6", "scenarios/fig6.json: "),
+        ("table2", if fast { refused[0] } else { "results: " }),
+        ("fig4", if fast { refused[1] } else { "results: " }),
+    ];
+    for (arg, want) in rows {
+        let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+            .arg(arg)
+            .current_dir(dir)
+            .output()
+            .expect("spawn paper");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{arg}: {stderr}");
+        let want = format!("error: {want}");
+        assert!(stderr.starts_with(&want), "{arg}: {stderr}");
     }
 }

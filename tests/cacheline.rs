@@ -7,6 +7,7 @@ mod common;
 
 use affinity_accept_repro::prelude::*;
 use common::{paper_base, Ledger, GOLDEN};
+use metrics::perf::KernelEntry;
 
 /// The `paper_base` point with both DProf planes (`dprof` and the
 /// `dprof_v2` ledger) on or off.
@@ -32,6 +33,17 @@ fn ledger_never_moves_the_schedule() {
             "{listen:?}: dprof or dprof-v2 moved the schedule"
         );
         assert_eq!(off.served, on.served, "{listen:?}: served diverged");
+        // What Figure 2 and Table 3 read off a run that Table 4 and
+        // Figure 4 made with DProf on.
+        assert_eq!(off.rps.to_bits(), on.rps.to_bits(), "{listen:?}: rps");
+        assert_eq!(
+            off.idle_frac.to_bits(),
+            on.idle_frac.to_bits(),
+            "{listen:?}: idle"
+        );
+        for e in KernelEntry::ALL {
+            assert_eq!(off.perf.entry(e), on.perf.entry(e), "{listen:?}: {e:?}");
+        }
         if cfg!(feature = "fast") {
             assert!(
                 !on.cacheline.enabled,

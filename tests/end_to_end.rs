@@ -137,8 +137,7 @@ fn overload_degrades_gracefully_with_drops_not_crashes() {
 
 #[test]
 fn twenty_policy_runs_and_updates_fdir_at_high_reuse() {
-    let mut cfg = quick(ListenKind::Stock, 4, 60.0);
-    cfg.twenty_policy = true;
+    let mut cfg = quick(ListenKind::Twenty, 4, 60.0);
     cfg.workload = Workload::with_requests_per_conn(200);
     cfg.warmup = ms(300);
     cfg.measure = ms(300);

@@ -26,11 +26,29 @@ fn lb_config(hog: bool, stealing: bool, migration: bool) -> RunConfig {
     cfg
 }
 
-/// The hogged run with stealing and migration on. Both the stealing and
-/// the migration test read it, so the binary runs it once.
+/// The hogged run with stealing and migration on, its served requests
+/// also counted per 100 ms. Three tests read it, so the binary runs it
+/// once.
 fn full_balancer() -> &'static RunResult {
     static RUN: OnceLock<RunResult> = OnceLock::new();
-    RUN.get_or_init(|| Runner::new(lb_config(true, true, true)).run())
+    RUN.get_or_init(|| {
+        let mut cfg = lb_config(true, true, true);
+        cfg.timeline_bucket = ms(100);
+        Runner::new(cfg).run()
+    })
+}
+
+/// The job outlives the window, and the run goes on until it finishes,
+/// but the rates it reports are the window's: `served` is the timeline's
+/// count from the window's start (500 ms) to its end (2.5 s), not the
+/// run's.
+#[test]
+fn a_job_run_reports_only_its_window() {
+    let r = full_balancer();
+    let window: u64 = r.timeline[5..25].iter().sum();
+    assert_eq!(r.served, window, "served past the window");
+    assert!(r.timeline.len() > 25, "the job ran past the window");
+    assert!(r.batch_runtime.is_some(), "the job ran");
 }
 
 #[test]

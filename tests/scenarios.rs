@@ -1,7 +1,7 @@
 //! End-to-end coverage of the committed scenario catalog: every
 //! `scenarios/*.json` file loads, runs, and passes its gates and golden
 //! fingerprints; the fig6 scenario derives bit-identical configs to the
-//! figure binary's hand-built ones; and the fuzzer's first cases pass
+//! hand-built Intel core sweep's; and the fuzzer's first cases pass
 //! while its shrinker reduces a failing document to the knobs that fail.
 //!
 //! The catalog is the only home of the ordering gate above Stock's knee
@@ -92,10 +92,11 @@ fn run_all(select: impl Fn(&Scenario) -> bool) {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
-/// The fig6 binary is a thin wrapper over `scenarios/fig6.json`: every
-/// config the scenario derives must equal the `bench::base_config` one
-/// the binary used to build by hand. With determinism pinned by the
-/// golden tests, equal configs mean bit-identical figure output.
+/// `paper`'s fig6 output reads its points from `scenarios/fig6.json`:
+/// every config the scenario derives must equal the `bench::base_config`
+/// one of the Intel core sweep (Figure 5's, on lighttpd). With
+/// determinism pinned by the golden tests, equal configs mean
+/// bit-identical figure output.
 #[test]
 fn fig6_scenario_equals_the_hand_built_figure_configs() {
     let sc = load_file(&catalog_path("scenarios/fig6.json")).expect("fig6 loads");
@@ -103,7 +104,7 @@ fn fig6_scenario_equals_the_hand_built_figure_configs() {
     assert_eq!(sc.search, Search::Saturation);
     let points = sc.points().expect("fig6 sweep points validate");
     let cores: Vec<usize> = points.iter().map(|p| p.cores).collect();
-    assert_eq!(cores, bench::intel_core_counts());
+    assert_eq!(cores, bench::paper::INTEL_CORES);
     for &kind in &sc.kinds {
         for p in &points {
             let want =
