@@ -154,8 +154,6 @@ pub struct RunConfig {
     /// Flow-group migration interval (§3.3.2's 100 ms by default; scaled
     /// experiments shrink it together with their time scale).
     pub migrate_interval: Cycles,
-    /// Local accepts per stolen accept (the paper's 5:1).
-    pub steal_ratio_local: u32,
     /// Total `listen()` backlog (split per core by Affinity/Fine).
     pub max_backlog: usize,
     /// Flow-group migration enabled (Affinity-Accept only).
@@ -207,7 +205,6 @@ impl RunConfig {
             steal_enabled: true,
             migrate_enabled: true,
             migrate_interval: ms(100),
-            steal_ratio_local: 5,
             max_backlog: 128 * cores,
             tracked_files: 2_000,
             timeline_bucket: 0,
@@ -330,11 +327,6 @@ thread_local! {
 /// Queues kept per thread; a sweep worker only ever needs one.
 const Q_POOL_MAX: usize = 2;
 
-#[derive(Debug, Clone, Copy)]
-struct ConnApp {
-    task: u32,
-}
-
 /// The mutable scheduling state owned by exactly one core. Every field
 /// here is only ever read or written while handling an event on this
 /// core's lane.
@@ -412,7 +404,8 @@ pub struct Runner {
     /// The runner's per-core mutable scheduling state — one lane per
     /// active core (see [`CoreState`]).
     lanes: Vec<CoreState>,
-    conn_app: FastMap<ConnId, ConnApp>,
+    /// The task that owns each accepted connection.
+    conn_app: FastMap<ConnId, u32>,
     twenty: Option<TwentyPolicy>,
     hog: Option<BatchJob>,
     softirq_pending: Vec<bool>,
@@ -436,7 +429,6 @@ pub struct Runner {
     base_listen: affinity_accept::listen::ListenStats,
     base_nic_drops: u64,
     base_wire_bytes: u64,
-    base_migrations: u64,
     wake_buf: Vec<CoreId>,
     arrival_interval_mean: f64,
 }
@@ -470,7 +462,6 @@ impl Runner {
         let mut lcfg = ListenConfig::paper(cfg.cores);
         lcfg.stealing = cfg.steal_enabled;
         lcfg.migration = cfg.migrate_enabled;
-        lcfg.steal_ratio_local = cfg.steal_ratio_local;
         lcfg.max_backlog = cfg.max_backlog;
         let listen: Box<dyn ListenSocket> = match cfg.listen {
             ListenKind::Stock | ListenKind::Twenty => Box::new(StockAccept::new(&mut k, lcfg)),
@@ -554,7 +545,6 @@ impl Runner {
             base_listen: Default::default(),
             base_nic_drops: 0,
             base_wire_bytes: 0,
-            base_migrations: 0,
             wake_buf: Vec::new(),
             arrival_interval_mean,
             cfg,
@@ -617,7 +607,7 @@ impl Runner {
         u32::try_from(cid).expect("client conn id overflows event storage")
     }
 
-    fn tx_response(&mut self, core: CoreId, at: Cycles, conn: ConnId, bytes: u32) {
+    fn tx_response(&mut self, at: Cycles, conn: ConnId, bytes: u32) {
         let tuple = self.k.conn(conn).tuple;
         let Some(cid) = self.clients.conn_of(&tuple) else {
             return;
@@ -642,7 +632,6 @@ impl Runner {
                 break;
             }
         }
-        let _ = core;
     }
 
     fn tx_control(&mut self, at: Cycles, tuple: nic::FlowTuple, kind: PacketKind) {
@@ -669,10 +658,9 @@ impl Runner {
     /// Wakes the task owning `conn` (if sleeping), returning its objects
     /// for the softirq-side wakeup charge.
     fn owner_wake(&mut self, conn: ConnId) -> (Option<tcp::kernel::TaskObjs>, Option<u32>) {
-        let Some(app) = self.conn_app.get(&conn) else {
+        let Some(&tid) = self.conn_app.get(&conn) else {
             return (None, None);
         };
-        let tid = app.task;
         let t = &mut self.tasks[tid as usize];
         if t.sleeping {
             t.sleeping = false;
@@ -786,8 +774,7 @@ impl Runner {
                 }
                 let d = ops::rcu_tick(&mut self.k);
                 end = self.exec(core, end, d);
-                let _ = tuple;
-                self.tx_response(core, end, conn, bytes);
+                self.tx_response(end, conn, bytes);
                 self.count_served(conn);
             }
         }
@@ -831,40 +818,24 @@ impl Runner {
                 // lighttpd keeps it in the accepting process.
                 match self.cfg.server {
                     ServerKind::ApacheWorker { workers_per_core } => {
-                        let wid = self.take_worker(core, workers_per_core);
-                        if let Some(wid) = wid {
-                            self.conn_app.insert(item.conn, ConnApp { task: wid });
-                            self.tasks[wid as usize].conns += 1;
-                            let run_at = self.cores.core(core).busy_until;
-                            self.mark_ready(item.conn, wid, run_at);
-                        } else {
-                            // No worker available: serve on the acceptor
-                            // itself (degenerate overload mode).
-                            self.conn_app.insert(item.conn, ConnApp { task: tid });
-                            self.tasks[tid as usize].conns += 1;
-                            self.tasks[tid as usize].ready.push_back(item.conn);
-                        }
+                        // The acceptor accepts only while this core has a
+                        // free worker slot, and nothing since took one.
+                        let wid = self
+                            .take_worker(core, workers_per_core)
+                            .expect("the acceptor checked for a free worker slot");
+                        self.conn_app.insert(item.conn, wid);
+                        self.tasks[wid as usize].conns += 1;
+                        let run_at = self.cores.core(core).busy_until;
+                        self.mark_ready(item.conn, wid, run_at);
                     }
                     ServerKind::Lighttpd { .. } => {
-                        self.conn_app.insert(item.conn, ConnApp { task: tid });
+                        self.conn_app.insert(item.conn, tid);
                         let t = &mut self.tasks[tid as usize];
                         t.conns += 1;
                         if !self.k.conn(item.conn).rcv_queue.is_empty()
                             || self.k.conn(item.conn).state == ConnState::Closing
                         {
                             t.ready.push_back(item.conn);
-                        }
-                    }
-                }
-                // Early data may already be queued for Apache too.
-                if matches!(self.cfg.server, ServerKind::ApacheWorker { .. }) {
-                    if let Some(app) = self.conn_app.get(&item.conn) {
-                        if !self.k.conn(item.conn).rcv_queue.is_empty()
-                            || self.k.conn(item.conn).state == ConnState::Closing
-                        {
-                            let t = app.task;
-                            let run_at = self.cores.core(core).busy_until;
-                            self.mark_ready(item.conn, t, run_at);
                         }
                     }
                 }
@@ -1266,7 +1237,6 @@ impl Runner {
                 self.base_listen = self.listen.stats();
                 self.base_nic_drops = self.nic.drops_ring_full + self.nic.drops_flush;
                 self.base_wire_bytes = self.nic.wire.bytes;
-                self.base_migrations = self.listen.stats().flow_migrations;
             }
             Ev::PollAccept(core_idx) => {
                 let core = CoreId(core_idx);

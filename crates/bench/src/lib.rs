@@ -18,7 +18,6 @@ use sim::time::ms;
 use sim::topology::Machine;
 
 pub mod fuzz;
-pub mod lb;
 pub mod paper;
 pub mod scenario;
 pub mod sweep;

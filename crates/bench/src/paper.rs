@@ -976,10 +976,43 @@ fn lb_latency() -> Output {
 /// The job is scaled down ~100× so the simulation completes quickly;
 /// compare the runtime *ratios*.
 fn lb_migration() -> Output {
+    fn config(web: bool, migration: bool) -> RunConfig {
+        let mut wl = Workload::base();
+        wl.timeout = ms(2_500);
+        // Web at ~50% of lighttpd's 48-core capacity; rate is connections/s
+        // (10.3k req/s/core over 6 requests per connection).
+        let rate = if web {
+            0.5 * 10_300.0 * 48.0 / 6.0
+        } else {
+            1.0
+        };
+        let mut cfg = RunConfig::new(
+            Machine::amd48(),
+            48,
+            ListenKind::Affinity,
+            ServerKind::lighttpd(),
+            wl,
+            rate,
+        );
+        cfg.warmup = ms(600);
+        cfg.measure = ms(400);
+        // Undisturbed wall-clock target for the make job: the paper's
+        // 125 s scaled down 100×.
+        cfg.hog_work = Some(secs(5) / 4);
+        cfg.migrate_enabled = migration;
+        // The job is time-compressed 100x; scale the 100 ms migration
+        // cadence with it so the balancer moves the same share of flow
+        // groups per job-second as in the paper.
+        cfg.migrate_interval = ms(2);
+        cfg
+    }
+
+    let cases = [
+        ("make alone", config(false, true)),
+        ("make + web, no migration", config(true, false)),
+        ("make + web, migration", config(true, true)),
+    ];
     let title = "batch-job runtime with and without flow-group migration (§6.5)";
-    // The full (config, seed) set is pinned in `bench::lb` so the
-    // recorded table in EXPERIMENTS.md regenerates exactly.
-    let cases = crate::lb::lb_migration_cases();
     let names = cases.each_ref().map(|(name, _)| *name);
     let points = cases.map(|(_, cfg)| Point { cfg, budget: None }).to_vec();
     Output::new("lb_migration", title, points, move |out, rs| {
@@ -1012,20 +1045,14 @@ fn lb_migration() -> Output {
 /// Ablation study of Affinity-Accept's design choices (not a paper
 /// figure; DESIGN.md calls these out):
 ///
-/// * the 5:1 local:stolen proportional share (§3.3.1: "ratios that are too
-///   low start to prefer remote connections…; too high do not steal
-///   enough"),
-/// * the number of flow groups (§3.1: "achieving good load balance
-///   requires having many more flow groups than cores"),
-/// * the per-core backlog (§3.3.1: 64–256 per core "works well"),
-/// * stealing and migration switched off entirely.
+/// * stealing and migration, switched off one or both, and Fine-Accept's
+///   round-robin in their place,
+/// * the per-core backlog (§3.3.1: 64–256 per core "works well").
 ///
 /// Each variant runs the §6.5-style interference scenario (web server at
 /// ~60 % capacity, batch job on half the cores) and reports throughput,
 /// median latency, and timeouts.
 fn ablation() -> Output {
-    /// Steal ratios (local:stolen) of the sensitivity table.
-    const RATIOS: [u32; 3] = [1, 5, 20];
     /// Per-core accept backlogs of the sensitivity table.
     const BACKLOGS: [usize; 4] = [16, 64, 128, 256];
 
@@ -1066,14 +1093,6 @@ fn ablation() -> Output {
             c
         }),
     ];
-    // Steal-ratio sensitivity (§3.3.1: overall performance insensitive in
-    // a broad band). This knob lives in the listen config; we sweep it by
-    // running the whole stack with modified ratios.
-    let ratios = RATIOS.map(|ratio| {
-        let mut cfg = base();
-        cfg.steal_ratio_local = ratio;
-        cfg
-    });
     let backlogs = BACKLOGS.map(|per_core| {
         let mut cfg = base();
         cfg.max_backlog = per_core * cfg.cores;
@@ -1082,11 +1101,10 @@ fn ablation() -> Output {
     let title = "Affinity-Accept design knobs under interference (16 cores, half hogged)";
     let names = variants.each_ref().map(|(name, _)| *name);
     let cfgs = variants.map(|(_, cfg)| cfg).into_iter();
-    let cfgs = cfgs.chain(ratios).chain(backlogs);
+    let cfgs = cfgs.chain(backlogs);
     let points = cfgs.map(|cfg| Point { cfg, budget: None }).collect();
     Output::new("ablation", title, points, move |out, rs| {
-        let (rs, rest) = rs.split_at(names.len());
-        let (ratio_runs, backlog_runs) = rest.split_at(RATIOS.len());
+        let (rs, backlog_runs) = rs.split_at(names.len());
         let mut t = Table::new(&[
             "variant",
             "req/s/core",
@@ -1105,18 +1123,6 @@ fn ablation() -> Output {
                 r.timeouts.to_string(),
                 r.listen_stats.accepts_stolen.to_string(),
                 r.migrations.to_string(),
-            ]);
-        }
-        out.push_str(&t.render());
-
-        out.push_str("\nsteal-ratio sensitivity (local:stolen):\n");
-        let mut t = Table::new(&["ratio", "req/s/core", "median (ms)", "timeouts"]);
-        for (ratio, r) in RATIOS.iter().zip(ratio_runs) {
-            t.row_owned(vec![
-                format!("{ratio}:1"),
-                format!("{:.0}", r.rps_per_core),
-                format!("{:.0}", to_ms(r.latency.median())),
-                r.timeouts.to_string(),
             ]);
         }
         out.push_str(&t.render());
@@ -1184,10 +1190,10 @@ mod tests {
     }
 
     /// Every output builds under its own id, its input loaded, and the
-    /// whole evaluation makes 138 searches and 16 fixed runs: Tables 3
+    /// whole evaluation makes 138 searches and 14 fixed runs: Tables 3
     /// and 4 and Figure 4 read Figure 2's 48-core runs, Figure 10's first
-    /// three columns are Figure 7's, and the ablation's defaults, 5:1
-    /// ratio and 128 backlog are one run.
+    /// three columns are Figure 7's, and the ablation's defaults and 128
+    /// backlog are one run.
     #[test]
     fn the_evaluation_shares_its_points() {
         let build = |&(id, build): &(&str, Build)| {
@@ -1197,6 +1203,6 @@ mod tests {
         };
         let (runs, _) = plan(&OUTPUTS.iter().map(build).collect::<Vec<_>>());
         let searches = runs.iter().filter(|p| p.budget.is_some()).count();
-        assert_eq!([searches, runs.len() - searches], [138, 16]);
+        assert_eq!([searches, runs.len() - searches], [138, 14]);
     }
 }

@@ -16,7 +16,8 @@
 
 use crate::busy::BusyTracker;
 use crate::listen::{
-    AcceptItem, AcceptOutcome, AckOutcome, CloneQueue, ListenConfig, ListenSocket, ListenStats,
+    AcceptItem, AcceptOutcome, AckOutcome, Clones, ListenConfig, ListenSocket, ListenStats,
+    EMPTY_SCAN_COST,
 };
 use nic::packet::RingId;
 use nic::FlowTuple;
@@ -24,10 +25,9 @@ use sim::time::Cycles;
 use sim::topology::CoreId;
 use tcp::{ops, Kernel};
 
-/// Hold time of a clone-queue lock for one enqueue/dequeue.
-const QUEUE_LOCK_HOLD: Cycles = 700;
-/// Cost of scanning an empty queue.
-const EMPTY_SCAN_COST: Cycles = 250;
+/// Local accepts per stolen accept in the proportional-share scheduler
+/// (§3.3.1's 5:1).
+const STEAL_RATIO_LOCAL: u32 = 5;
 /// Driver-call overhead of one FDir reprogramming beyond the table write.
 const MIGRATE_DRIVER_COST: Cycles = 2_000;
 
@@ -35,7 +35,7 @@ const MIGRATE_DRIVER_COST: Cycles = 2_000;
 #[derive(Debug)]
 pub struct AffinityAccept {
     cfg: ListenConfig,
-    queues: Vec<CloneQueue>,
+    clones: Clones,
     busy: BusyTracker,
     /// Per-core accept counter driving the 5:1 proportional share.
     share_ctr: Vec<u32>,
@@ -52,19 +52,11 @@ impl AffinityAccept {
     /// Creates one clone per active core plus the busy tracker.
     pub fn new(k: &mut Kernel, cfg: ListenConfig) -> Self {
         let n = cfg.n_cores;
-        let queues = (0..n)
-            .map(|i| CloneQueue::new(k, CoreId(i as u16)))
-            .collect();
-        let busy = BusyTracker::new(
-            k,
-            n,
-            cfg.max_local_queue(),
-            cfg.high_watermark,
-            cfg.low_watermark,
-        );
+        let clones = Clones::new(k, &cfg);
+        let busy = BusyTracker::new(k, n, cfg.max_local_queue());
         Self {
             cfg,
-            queues,
+            clones,
             busy,
             share_ctr: vec![0; n],
             last_victim: vec![0; n],
@@ -87,18 +79,10 @@ impl AffinityAccept {
         core: CoreId,
         at: Cycles,
     ) -> (AcceptItem, Cycles) {
-        let deq = self.queues[qi].dequeue_access(k, core);
-        let (_, spin) =
-            self.queues[qi]
-                .lock
-                .run_locked(at, QUEUE_LOCK_HOLD + deq.latency, &mut k.lockstat);
-        let item = self.queues[qi].items.pop_front().expect("non-empty");
-        let len = self.queues[qi].items.len();
-        self.busy.reconsider(k, CoreId(qi as u16), len);
-        (
-            item,
-            spin + QUEUE_LOCK_HOLD + deq.latency + k.lockstat.op_overhead(),
-        )
+        let dequeued = self.clones.dequeue(k, qi, core, at);
+        self.busy
+            .reconsider(k, CoreId(qi as u16), self.clones.len(qi));
+        dequeued
     }
 
     /// Finds the next busy victim with a non-empty queue, round-robin from
@@ -108,9 +92,7 @@ impl AffinityAccept {
         let n = self.cfg.n_cores;
         let start = (self.last_victim[core.index()] + 1) % n;
         (0..n).map(|i| (start + i) % n).find(|&v| {
-            v != core.index()
-                && self.busy.is_busy(CoreId(v as u16))
-                && !self.queues[v].items.is_empty()
+            v != core.index() && self.busy.is_busy(CoreId(v as u16)) && self.clones.len(v) > 0
         })
     }
 
@@ -124,24 +106,18 @@ impl AffinityAccept {
         let n = self.cfg.n_cores;
         let backlog = (self.cfg.max_local_queue() / 4).max(2);
         let busy_first = (0..n).filter(|&v| {
-            v != core.index()
-                && self.busy.is_busy(CoreId(v as u16))
-                && !self.queues[v].items.is_empty()
+            v != core.index() && self.busy.is_busy(CoreId(v as u16)) && self.clones.len(v) > 0
         });
         let nonbusy = (0..n).filter(|&v| {
             v != core.index()
                 && !self.busy.is_busy(CoreId(v as u16))
-                && self.queues[v].items.len() >= backlog
+                && self.clones.len(v) >= backlog
         });
         busy_first.chain(nonbusy).next()
     }
 }
 
 impl ListenSocket for AffinityAccept {
-    fn name(&self) -> &'static str {
-        "affinity"
-    }
-
     fn on_syn(&mut self, k: &mut Kernel, core: CoreId, at: Cycles, tuple: FlowTuple) -> Cycles {
         let (cycles, _req) = ops::syn(k, core, at, tuple, true);
         cycles
@@ -154,42 +130,11 @@ impl ListenSocket for AffinityAccept {
         at: Cycles,
         tuple: FlowTuple,
     ) -> (Cycles, AckOutcome) {
-        let Some(req) = k.reqs.lookup(&tuple) else {
-            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
-        };
-        // Enforce the local split *and* the socket-wide backlog: the
-        // per-core cap rounds up (`max(1)`), so with more cores than
-        // backlog slots the local checks alone would over-admit.
-        if self.queues[core.index()].items.len() >= self.cfg.max_local_queue()
-            || self.total_queued() >= self.cfg.max_backlog
-        {
-            if let Some(r) = k.reqs.remove(req) {
-                k.slab.free(core, r.obj, &mut k.cache);
-            }
-            self.stats.dropped_overflow += 1;
-            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
+        let ack = self.clones.on_ack(k, core, at, tuple, &mut self.stats);
+        if let (_, AckOutcome::Enqueued { .. }) = ack {
+            self.busy.on_enqueue(k, core, self.clones.len(core.index()));
         }
-        let (work, conn, req_obj) =
-            ops::ack_establish(k, core, at, req, true).expect("request present");
-        let enq = self.queues[core.index()].enqueue_access(k, core);
-        let (_, spin) = self.queues[core.index()].lock.run_locked(
-            at + work,
-            QUEUE_LOCK_HOLD + enq.latency,
-            &mut k.lockstat,
-        );
-        self.queues[core.index()]
-            .items
-            .push_back(AcceptItem { conn, req_obj });
-        let len = self.queues[core.index()].items.len();
-        self.busy.on_enqueue(k, core, len);
-        self.stats.enqueued += 1;
-        (
-            work + spin + QUEUE_LOCK_HOLD + enq.latency + k.lockstat.op_overhead(),
-            AckOutcome::Enqueued {
-                conn,
-                queue_core: core,
-            },
-        )
+        ack
     }
 
     fn try_accept(&mut self, k: &mut Kernel, core: CoreId, at: Cycles) -> AcceptOutcome {
@@ -197,11 +142,11 @@ impl ListenSocket for AffinityAccept {
         // One read of the busy bit vector tells us every core's status.
         let bitmap_cost = self.busy.read_access(k, core).latency;
         let self_busy = self.busy.is_busy(core);
-        let local_len = self.queues[me].items.len();
+        let local_len = self.clones.len(me);
 
         // Proportional share: when both local work and busy victims
         // exist, every (ratio+1)-th accept goes remote.
-        let ratio = self.cfg.steal_ratio_local;
+        let ratio = STEAL_RATIO_LOCAL;
         if !self_busy && self.cfg.stealing {
             let steal_due = local_len == 0 || self.share_ctr[me] % (ratio + 1) == ratio;
             if steal_due {
@@ -271,11 +216,11 @@ impl ListenSocket for AffinityAccept {
     }
 
     fn queued_on(&self, core: CoreId) -> usize {
-        self.queues[core.index()].items.len()
+        self.clones.len(core.index())
     }
 
     fn total_queued(&self) -> usize {
-        self.queues.iter().map(|q| q.items.len()).sum()
+        self.clones.total()
     }
 
     fn balance_tick(

@@ -17,6 +17,11 @@ use metrics::Ewma;
 use sim::topology::CoreId;
 use tcp::Kernel;
 
+/// Busy high watermark as a fraction of the max local queue length.
+const HIGH_WATERMARK: f64 = 0.75;
+/// Non-busy low watermark as a fraction of the max local queue length.
+const LOW_WATERMARK: f64 = 0.10;
+
 /// Per-core queue-length statistics.
 #[derive(Debug, Clone)]
 struct CoreBusy {
@@ -38,15 +43,9 @@ pub struct BusyTracker {
 }
 
 impl BusyTracker {
-    /// Creates a tracker for `n_cores` cores with the given watermark
+    /// Creates a tracker for `n_cores` cores whose watermarks are
     /// fractions of `max_local_queue`.
-    pub fn new(
-        k: &mut Kernel,
-        n_cores: usize,
-        max_local_queue: usize,
-        high_frac: f64,
-        low_frac: f64,
-    ) -> Self {
+    pub fn new(k: &mut Kernel, n_cores: usize, max_local_queue: usize) -> Self {
         let max = max_local_queue.max(1) as f64;
         Self {
             cores: vec![
@@ -58,8 +57,8 @@ impl BusyTracker {
             ],
             bitmap: 0,
             bitmap_obj: k.cache.alloc(DataType::BusyBitmap, CoreId(0)),
-            high: high_frac * max,
-            low: low_frac * max,
+            high: HIGH_WATERMARK * max,
+            low: LOW_WATERMARK * max,
             transitions: 0,
         }
     }
@@ -134,7 +133,7 @@ mod tests {
 
     fn setup(max_local: usize) -> (BusyTracker, Kernel) {
         let mut k = Kernel::new(Machine::amd48());
-        let t = BusyTracker::new(&mut k, 8, max_local, 0.75, 0.10);
+        let t = BusyTracker::new(&mut k, 8, max_local);
         (t, k)
     }
 

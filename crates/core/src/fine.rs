@@ -9,23 +9,18 @@
 //! so Fine-Accept needs no load balancer.
 
 use crate::listen::{
-    AcceptItem, AcceptOutcome, AckOutcome, CloneQueue, ListenConfig, ListenSocket, ListenStats,
+    fifo_wake_order, AcceptOutcome, AckOutcome, Clones, ListenConfig, ListenSocket, ListenStats,
+    EMPTY_SCAN_COST,
 };
 use nic::FlowTuple;
 use sim::time::Cycles;
 use sim::topology::CoreId;
 use tcp::{ops, Kernel};
 
-/// Hold time of a clone-queue lock for one enqueue/dequeue.
-const QUEUE_LOCK_HOLD: Cycles = 700;
-/// Cost of scanning an empty queue.
-const EMPTY_SCAN_COST: Cycles = 250;
-
 /// The cloned listen socket with round-robin accepts.
 #[derive(Debug)]
 pub struct FineAccept {
-    cfg: ListenConfig,
-    queues: Vec<CloneQueue>,
+    clones: Clones,
     /// Per-core round-robin cursor over the clones.
     rr: Vec<usize>,
     stats: ListenStats,
@@ -36,13 +31,9 @@ pub struct FineAccept {
 impl FineAccept {
     /// Creates one clone per active core.
     pub fn new(k: &mut Kernel, cfg: ListenConfig) -> Self {
-        let queues = (0..cfg.n_cores)
-            .map(|i| CloneQueue::new(k, CoreId(i as u16)))
-            .collect();
         Self {
+            clones: Clones::new(k, &cfg),
             rr: vec![0; cfg.n_cores],
-            cfg,
-            queues,
             stats: ListenStats::default(),
             wake_rr: 0,
         }
@@ -50,10 +41,6 @@ impl FineAccept {
 }
 
 impl ListenSocket for FineAccept {
-    fn name(&self) -> &'static str {
-        "fine"
-    }
-
     fn on_syn(&mut self, k: &mut Kernel, core: CoreId, at: Cycles, tuple: FlowTuple) -> Cycles {
         let (cycles, _req) = ops::syn(k, core, at, tuple, true);
         cycles
@@ -66,61 +53,22 @@ impl ListenSocket for FineAccept {
         at: Cycles,
         tuple: FlowTuple,
     ) -> (Cycles, AckOutcome) {
-        let Some(req) = k.reqs.lookup(&tuple) else {
-            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
-        };
-        // Enforce the local split *and* the socket-wide backlog: the
-        // per-core cap rounds up (`max(1)`), so with more cores than
-        // backlog slots the local checks alone would over-admit.
-        if self.queues[core.index()].items.len() >= self.cfg.max_local_queue()
-            || self.total_queued() >= self.cfg.max_backlog
-        {
-            if let Some(r) = k.reqs.remove(req) {
-                k.slab.free(core, r.obj, &mut k.cache);
-            }
-            self.stats.dropped_overflow += 1;
-            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
-        }
-        let (work, conn, req_obj) =
-            ops::ack_establish(k, core, at, req, true).expect("request present");
-        let q = &self.queues[core.index()];
-        let enq = q.enqueue_access(k, core);
-        let (_, spin) = self.queues[core.index()].lock.run_locked(
-            at + work,
-            QUEUE_LOCK_HOLD + enq.latency,
-            &mut k.lockstat,
-        );
-        self.queues[core.index()]
-            .items
-            .push_back(AcceptItem { conn, req_obj });
-        self.stats.enqueued += 1;
-        (
-            work + spin + QUEUE_LOCK_HOLD + enq.latency + k.lockstat.op_overhead(),
-            AckOutcome::Enqueued {
-                conn,
-                queue_core: core,
-            },
-        )
+        self.clones.on_ack(k, core, at, tuple, &mut self.stats)
     }
 
     fn try_accept(&mut self, k: &mut Kernel, core: CoreId, at: Cycles) -> AcceptOutcome {
         // Round-robin over all clones, starting at this core's cursor.
-        let n = self.cfg.n_cores;
+        let n = self.clones.cores();
         let start = self.rr[core.index()];
         let mut scanned = 0;
         for i in 0..n {
             let qi = (start + i) % n;
-            if self.queues[qi].items.is_empty() {
+            if self.clones.len(qi) == 0 {
                 scanned += 1;
                 continue;
             }
             self.rr[core.index()] = (qi + 1) % n;
-            let deq = self.queues[qi].dequeue_access(k, core);
-            let (_, spin) =
-                self.queues[qi]
-                    .lock
-                    .run_locked(at, QUEUE_LOCK_HOLD + deq.latency, &mut k.lockstat);
-            let item = self.queues[qi].items.pop_front().expect("non-empty");
+            let (item, cycles) = self.clones.dequeue(k, qi, core, at);
             let stolen = qi != core.index();
             if stolen {
                 self.stats.accepts_stolen += 1;
@@ -129,11 +77,7 @@ impl ListenSocket for FineAccept {
             }
             return AcceptOutcome::Accepted {
                 item,
-                cycles: spin
-                    + QUEUE_LOCK_HOLD
-                    + deq.latency
-                    + scanned as u64 * 40
-                    + k.lockstat.op_overhead(),
+                cycles: cycles + scanned as u64 * 40,
                 stolen,
                 resume_at: at,
             };
@@ -144,25 +88,18 @@ impl ListenSocket for FineAccept {
         }
     }
 
-    fn wake_candidates(&mut self, queue_core: CoreId, out: &mut Vec<CoreId>) {
+    fn wake_candidates(&mut self, _queue_core: CoreId, out: &mut Vec<CoreId>) {
         // Linux's wait queue is FIFO across cores: the woken waiter sits
-        // on an arbitrary core — modelled as a rotating cursor with no
-        // locality preference.
-        let _ = queue_core;
-        out.clear();
-        let n = self.cfg.n_cores;
-        self.wake_rr = (self.wake_rr + 1) % n;
-        for i in 0..n {
-            out.push(CoreId(((self.wake_rr + i) % n) as u16));
-        }
+        // on an arbitrary core.
+        fifo_wake_order(&mut self.wake_rr, self.clones.cores(), out);
     }
 
     fn queued_on(&self, core: CoreId) -> usize {
-        self.queues[core.index()].items.len()
+        self.clones.len(core.index())
     }
 
     fn total_queued(&self) -> usize {
-        self.queues.iter().map(|q| q.items.len()).sum()
+        self.clones.total()
     }
 
     fn stats(&self) -> ListenStats {

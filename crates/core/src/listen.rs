@@ -11,10 +11,10 @@ use mem::{DataType, ObjId};
 use metrics::lockstat::LockClass;
 use nic::FlowTuple;
 use sim::lock::TimelineLock;
-use sim::time::{ms, Cycles};
+use sim::time::Cycles;
 use sim::topology::CoreId;
 use std::collections::VecDeque;
-use tcp::{ConnId, Kernel};
+use tcp::{ops, ConnId, Kernel};
 
 /// A connection ready for `accept()`: in Linux the accept queue holds the
 /// request socket, which points at the established child socket.
@@ -78,15 +78,6 @@ pub struct ListenConfig {
     /// cores (§3.3.1). The paper finds 64–256 per core works well at 48
     /// cores; the default gives 128 per core on the AMD machine.
     pub max_backlog: usize,
-    /// Local accepts per stolen accept in the proportional-share
-    /// scheduler (the paper's 5:1).
-    pub steal_ratio_local: u32,
-    /// Busy high watermark as a fraction of the max local queue length.
-    pub high_watermark: f64,
-    /// Non-busy low watermark as a fraction of the max local queue length.
-    pub low_watermark: f64,
-    /// Flow-group migration interval (§3.3.2: 100 ms).
-    pub migrate_interval: Cycles,
     /// Connection stealing enabled (§6.5 disables it for comparison).
     pub stealing: bool,
     /// Flow-group migration enabled (§6.5 disables it for comparison).
@@ -100,10 +91,6 @@ impl ListenConfig {
         Self {
             n_cores,
             max_backlog: 128 * n_cores,
-            steal_ratio_local: 5,
-            high_watermark: 0.75,
-            low_watermark: 0.10,
-            migrate_interval: ms(100),
             stealing: true,
             migration: true,
         }
@@ -163,6 +150,126 @@ impl CloneQueue {
     }
 }
 
+/// Hold time of a clone's queue lock for one enqueue or dequeue.
+const QUEUE_LOCK_HOLD: Cycles = 700;
+/// Cost of refusing an ACK, or of finding a clone's queue empty.
+pub(crate) const EMPTY_SCAN_COST: Cycles = 250;
+
+/// The listen socket cloned per core (§3.1): one [`CloneQueue`] per
+/// active core, each capped at the local split of the backlog, their
+/// total capped at the socket-wide backlog. Fine-Accept and
+/// Affinity-Accept both accept from these clones; they differ only in
+/// which clone `accept()` takes from and whom an enqueue wakes.
+#[derive(Debug)]
+pub(crate) struct Clones {
+    queues: Vec<CloneQueue>,
+    /// The local split: the most one clone holds.
+    max_local: usize,
+    /// The socket-wide backlog: the most all clones hold together.
+    max_backlog: usize,
+}
+
+impl Clones {
+    /// Creates one clone per active core, homed on its core.
+    pub(crate) fn new(k: &mut Kernel, cfg: &ListenConfig) -> Self {
+        Self {
+            queues: (0..cfg.n_cores)
+                .map(|i| CloneQueue::new(k, CoreId(i as u16)))
+                .collect(),
+            max_local: cfg.max_local_queue(),
+            max_backlog: cfg.max_backlog,
+        }
+    }
+
+    /// The handshake-completing ACK on `core` (softirq context) queues
+    /// the new connection on `core`'s clone. At either cap the request is
+    /// refused and freed instead: the local split rounds up (`max(1)`),
+    /// so with more cores than backlog slots it alone would over-admit.
+    pub(crate) fn on_ack(
+        &mut self,
+        k: &mut Kernel,
+        core: CoreId,
+        at: Cycles,
+        tuple: FlowTuple,
+        stats: &mut ListenStats,
+    ) -> (Cycles, AckOutcome) {
+        let Some(req) = k.reqs.lookup(&tuple) else {
+            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
+        };
+        if self.len(core.index()) >= self.max_local || self.total() >= self.max_backlog {
+            if let Some(r) = k.reqs.remove(req) {
+                k.slab.free(core, r.obj, &mut k.cache);
+            }
+            stats.dropped_overflow += 1;
+            return (EMPTY_SCAN_COST, AckOutcome::DroppedOverflow);
+        }
+        let (work, conn, req_obj) =
+            ops::ack_establish(k, core, at, req, true).expect("request present");
+        let q = &mut self.queues[core.index()];
+        let enq = q.enqueue_access(k, core);
+        let (_, spin) =
+            q.lock
+                .run_locked(at + work, QUEUE_LOCK_HOLD + enq.latency, &mut k.lockstat);
+        q.items.push_back(AcceptItem { conn, req_obj });
+        stats.enqueued += 1;
+        (
+            work + spin + QUEUE_LOCK_HOLD + enq.latency + k.lockstat.op_overhead(),
+            AckOutcome::Enqueued {
+                conn,
+                queue_core: core,
+            },
+        )
+    }
+
+    /// `accept()` on `core` takes the head of clone `qi`'s queue, which
+    /// must be non-empty. Returns it with the cycles the dequeue took.
+    pub(crate) fn dequeue(
+        &mut self,
+        k: &mut Kernel,
+        qi: usize,
+        core: CoreId,
+        at: Cycles,
+    ) -> (AcceptItem, Cycles) {
+        let q = &mut self.queues[qi];
+        let deq = q.dequeue_access(k, core);
+        let (_, spin) = q
+            .lock
+            .run_locked(at, QUEUE_LOCK_HOLD + deq.latency, &mut k.lockstat);
+        let item = q.items.pop_front().expect("non-empty");
+        (
+            item,
+            spin + QUEUE_LOCK_HOLD + deq.latency + k.lockstat.op_overhead(),
+        )
+    }
+
+    /// The number of clones: one per active core.
+    pub(crate) fn cores(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Pending connections on clone `qi`.
+    pub(crate) fn len(&self, qi: usize) -> usize {
+        self.queues[qi].items.len()
+    }
+
+    /// Pending connections on all clones.
+    pub(crate) fn total(&self) -> usize {
+        self.queues.iter().map(|q| q.items.len()).sum()
+    }
+}
+
+/// Writes the wake order of a socket whose `accept()`ers sleep on one
+/// FIFO wait queue across its `n_cores` cores (Stock and Fine):
+/// successive wakeups hit whichever waiter has slept longest, modelled
+/// as a `cursor` rotating through the cores with no locality preference.
+pub(crate) fn fifo_wake_order(cursor: &mut usize, n_cores: usize, out: &mut Vec<CoreId>) {
+    out.clear();
+    *cursor = (*cursor + 1) % n_cores;
+    for i in 0..n_cores {
+        out.push(CoreId(((*cursor + i) % n_cores) as u16));
+    }
+}
+
 /// Counters every implementation maintains.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ListenStats {
@@ -180,9 +287,6 @@ pub struct ListenStats {
 
 /// The listen-socket abstraction the runner and the benchmarks drive.
 pub trait ListenSocket {
-    /// Implementation name as printed by the harness.
-    fn name(&self) -> &'static str;
-
     /// A SYN arrived on `core` (softirq context). Returns the duration.
     fn on_syn(&mut self, k: &mut Kernel, core: CoreId, at: Cycles, tuple: FlowTuple) -> Cycles;
 
@@ -239,8 +343,6 @@ mod tests {
     fn paper_config_splits_backlog() {
         let cfg = ListenConfig::paper(48);
         assert_eq!(cfg.max_local_queue(), 128);
-        assert_eq!(cfg.steal_ratio_local, 5);
-        assert_eq!(cfg.migrate_interval, ms(100));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! connections for the port — the scalability collapse of Figure 2.
 
 use crate::listen::{
-    AcceptItem, AcceptOutcome, AckOutcome, CloneQueue, ListenConfig, ListenSocket, ListenStats,
+    fifo_wake_order, AcceptItem, AcceptOutcome, AckOutcome, CloneQueue, ListenConfig, ListenSocket,
+    ListenStats,
 };
 use mem::layout::FieldTag;
 use metrics::lockstat::LockClass;
@@ -58,10 +59,6 @@ impl StockAccept {
 }
 
 impl ListenSocket for StockAccept {
-    fn name(&self) -> &'static str {
-        "stock"
-    }
-
     fn on_syn(&mut self, k: &mut Kernel, core: CoreId, at: Cycles, tuple: FlowTuple) -> Cycles {
         // Softirq context: spin for the socket lock, then do all request
         // processing under it.
@@ -158,17 +155,9 @@ impl ListenSocket for StockAccept {
         }
     }
 
-    fn wake_candidates(&mut self, queue_core: CoreId, out: &mut Vec<CoreId>) {
-        // One global queue with a FIFO wait queue: successive wakeups hit
-        // whichever waiter has slept longest — effectively rotating
-        // through the cores, with no locality preference.
-        let _ = queue_core;
-        out.clear();
-        let n = self.cfg.n_cores;
-        self.wake_rr = (self.wake_rr + 1) % n;
-        for i in 0..n {
-            out.push(CoreId(((self.wake_rr + i) % n) as u16));
-        }
+    fn wake_candidates(&mut self, _queue_core: CoreId, out: &mut Vec<CoreId>) {
+        // One global queue with a FIFO wait queue.
+        fifo_wake_order(&mut self.wake_rr, self.cfg.n_cores, out);
     }
 
     fn queued_on(&self, _core: CoreId) -> usize {

@@ -179,7 +179,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 74_359,
             l2_misses: 3_195_229,
             allocs: 26_641,
-            peak_heap: 5_557_527,
+            peak_heap: 5_557_503,
         },
         ledger: Ledger {
             touches: 2_388_855,
@@ -197,7 +197,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 73_969,
             l2_misses: 3_170_716,
             allocs: 26_671,
-            peak_heap: 5_561_407,
+            peak_heap: 5_561_375,
         },
         ledger: Ledger {
             touches: 2_375_575,
@@ -233,7 +233,7 @@ pub const GOLDEN: [Pin; 5] = [
             kernel_calls: 74_372,
             l2_misses: 3_200_675,
             allocs: 26_658,
-            peak_heap: 6_700_023,
+            peak_heap: 6_699_999,
         },
         ledger: Ledger {
             touches: 2_392_502,

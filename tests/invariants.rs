@@ -103,13 +103,13 @@ proptest! {
         max_backlog in 4usize..40,
         seed in 1u64..10_000,
     ) {
-        for kind in 0..3usize {
+        for kind in [ListenKind::Stock, ListenKind::Fine, ListenKind::Affinity] {
             let mut k = Kernel::new(Machine::amd48());
             let mut lcfg = ListenConfig::paper(cores);
             lcfg.max_backlog = max_backlog;
             let mut sock: Box<dyn ListenSocket> = match kind {
-                0 => Box::new(StockAccept::new(&mut k, lcfg)),
-                1 => Box::new(FineAccept::new(&mut k, lcfg)),
+                ListenKind::Stock => Box::new(StockAccept::new(&mut k, lcfg)),
+                ListenKind::Fine => Box::new(FineAccept::new(&mut k, lcfg)),
                 _ => Box::new(AffinityAccept::new(&mut k, lcfg)),
             };
             let mut rng = SimRng::new(seed);
@@ -143,8 +143,8 @@ proptest! {
                 let total = sock.total_queued();
                 prop_assert!(
                     total <= max_backlog,
-                    "{} holds {} pending > max_backlog {}",
-                    sock.name(), total, max_backlog
+                    "{:?} holds {} pending > max_backlog {}",
+                    kind, total, max_backlog
                 );
             }
         }
